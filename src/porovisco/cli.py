@@ -119,6 +119,9 @@ DEFAULT_CHECKS = {
 
 def _get(section: dict, key: str, default, errors: list, where: str, cast=None):
     val = section.get(key, default)
+    if val is None and default is not None:
+        errors.append(f"{where}.{key}: cannot interpret None")
+        return default
     if cast is not None and val is not None:
         try:
             return cast(val)
@@ -126,6 +129,14 @@ def _get(section: dict, key: str, default, errors: list, where: str, cast=None):
             errors.append(f"{where}.{key}: cannot interpret {val!r}")
             return default
     return val
+
+
+def _section(raw: dict, key: str, errors: list) -> dict:
+    node = raw.get(key, {})
+    if isinstance(node, dict):
+        return node
+    errors.append(f"{key}: expected a JSON object, got {node!r}")
+    return {}
 
 
 def _amplitude(node, errors, where) -> TimeAmplitude:
@@ -182,7 +193,7 @@ def parse_config(path) -> ProblemConfig:
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    mat_node = raw.get("material", {})
+    mat_node = _section(raw, "material", errors)
     material = None
     try:
         kwargs = dict(mat_node)
@@ -194,30 +205,30 @@ def parse_config(path) -> ProblemConfig:
     except TypeError as err:
         errors.append(f"material: unknown or missing field ({err})")
 
-    grid_node = raw.get("grid", {})
+    grid_node = _section(raw, "grid", errors)
     grid = None
     try:
         grid = Grid1D(int(grid_node.get("n_cells", 64)))
     except (ValueError, TypeError) as err:
         errors.append(f"grid: {err}")
 
-    time_node = raw.get("time", {})
+    time_node = _section(raw, "time", errors)
     tau = _get(time_node, "tau", 1e-3, errors, "time", float)
     T = _get(time_node, "T", 1.0, errors, "time", float)
-    if tau is not None and tau <= 0.0:
+    if tau <= 0.0:
         errors.append("time.tau must be positive")
-    if T is not None and T <= 0.0:
+    if T <= 0.0:
         errors.append("time.T must be positive")
-    cps = time_node.get("checkpoint_times")
-    checkpoints = tuple(float(t) for t in cps) if cps else None
+    checkpoints = _get(time_node, "checkpoint_times", None, errors, "time",
+                       lambda cps: tuple(float(t) for t in cps) if cps else None)
     decay_T = _get(time_node, "decay_T", 50.0, errors, "time", float)
     decay_tau = _get(time_node, "decay_tau", 0.02, errors, "time", float)
-    if decay_T is not None and decay_T <= 0.0:
+    if decay_T <= 0.0:
         errors.append("time.decay_T must be positive")
-    if decay_tau is not None and decay_tau <= 0.0:
+    if decay_tau <= 0.0:
         errors.append("time.decay_tau must be positive")
 
-    load_node = raw.get("loading", {})
+    load_node = _section(raw, "loading", errors)
     loading = None
     try:
         loading = LoadingSpec(
@@ -229,7 +240,7 @@ def parse_config(path) -> ProblemConfig:
     except ValueError as err:
         errors.append(f"loading: {err}")
 
-    bc_node = raw.get("bc", {})
+    bc_node = _section(raw, "bc", errors)
     bc = None
     try:
         mu_ext = _amplitude(bc_node.get("mu_ext"), errors, "bc.mu_ext")
@@ -242,12 +253,12 @@ def parse_config(path) -> ProblemConfig:
     except ValueError as err:
         errors.append(f"bc: {err}")
 
-    init_node = raw.get("initial", {})
+    init_node = _section(raw, "initial", errors)
     u0_profile = _profile(init_node.get("u0"), errors, "initial.u0")
     rho0_profile = _profile(init_node.get("rho0"), errors, "initial.rho0")
 
     eps = _get(raw, "eps", 0.1, errors, "config", float)
-    if eps is not None and eps <= 0.0:
+    if eps <= 0.0:
         errors.append("eps must be positive")
     eps_list = raw.get("eps_list", [0.2, 0.1, 0.05, 0.025])
     try:
@@ -258,17 +269,18 @@ def parse_config(path) -> ProblemConfig:
         errors.append("eps_list must be a list of numbers")
         eps_list = (0.2, 0.1, 0.05)
 
-    solver_node = raw.get("solver", {})
+    solver_node = _section(raw, "solver", errors)
     tol = _get(solver_node, "tol", 1e-11, errors, "solver", float)
     max_newton = _get(solver_node, "max_newton", 50, errors, "solver", int)
     max_backtrack = _get(solver_node, "max_backtrack", 40, errors, "solver", int)
 
     checks = dict(DEFAULT_CHECKS)
-    for key, val in raw.get("checks", {}).items():
+    checks_node = _section(raw, "checks", errors)
+    for key in checks_node:
         if key not in DEFAULT_CHECKS:
             errors.append(f"checks.{key}: unknown check name")
         else:
-            checks[key] = float(val)
+            checks[key] = _get(checks_node, key, DEFAULT_CHECKS[key], errors, "checks", float)
 
     seed = _get(raw, "seed", 0, errors, "config", int)
 
@@ -581,7 +593,8 @@ def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
     bound = config.loading.bind(config.grid)
     run = run_nonlinear(
         config.material, config.grid, bound, config.bc,
-        tau=config.tau, T=config.T, eps=config.eps, u0=u0, rho0=rho0, tol=config.tol,
+        tau=config.tau, T=config.T, eps=config.eps, u0=u0, rho0=rho0,
+        tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack,
     )
     case = "I" if 1.0 <= config.material.m < 2.0 else config.material.case
     qs, norms, gap = moser_diagnostic(run, N=8, case=case, r=config.material.r)

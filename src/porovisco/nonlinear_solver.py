@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
 from . import constitutive as mat
 from .constitutive import MaterialParams
@@ -231,6 +232,8 @@ def _mech_residual(params, grid, w, c_hat, C_prev, tau, f_nodes, g_value, weight
 
 
 def _mech_hessian(params, grid, w, c_hat, C_prev, tau):
+    """Band ab[2 + i - j, j] = H[i, j] of the symmetric pentadiagonal
+    Hessian, in the (5, n) storage of ``solve_banded((2, 2), ...)``."""
     h = grid.h
     n = grid.n_cells
     F = 1.0 + gradient(grid, w)
@@ -238,27 +241,20 @@ def _mech_hessian(params, grid, w, c_hat, C_prev, tau):
     cdot = (F ** 2 - C_prev) / tau
     ff, _, _ = mat.free_energy_hessian(params, F, c_hat)
     a = ff + 2.0 * params.D_tilde * cdot + 4.0 * params.D_tilde * F ** 2 / tau
-    H = np.zeros((n, n))
-    idx = np.arange(n)
-    diag = np.empty(n)
-    diag[:-1] = (a[:-1] + a[1:]) / h
-    diag[-1] = a[-1] / h
-    H[idx, idx] = diag
-    H[idx[:-1], idx[:-1] + 1] = -a[1:] / h
-    H[idx[:-1] + 1, idx[:-1]] = -a[1:] / h
     # hyperstress block (pentadiagonal second-difference stencil)
     b = mat.hyperstress_dG(params, G) / h ** 3
     b[0] = 0.0
     b[-1] = 0.0
     bp = np.append(b, 0.0)  # bp[i] = b_i for i <= n, bp[n+1] = 0
-    H[idx, idx] += bp[0:n] + 4.0 * bp[1 : n + 1] + bp[2 : n + 2]
-    H[idx[:-1], idx[:-1] + 1] += -2.0 * (bp[1:n] + bp[2 : n + 1])
-    H[idx[:-1] + 1, idx[:-1]] += -2.0 * (bp[1:n] + bp[2 : n + 1])
-    if n > 2:
-        H[idx[:-2], idx[:-2] + 2] += bp[2:n]
-        H[idx[:-2] + 2, idx[:-2]] += bp[2:n]
-    H[idx, idx] += TIKHONOV_SHIFT
-    return H
+    ab = np.zeros((5, n))
+    ab[2] = np.append(a[:-1] + a[1:], a[-1]) / h
+    ab[2] += bp[0:n] + 4.0 * bp[1 : n + 1] + bp[2 : n + 2]
+    ab[2] += TIKHONOV_SHIFT
+    ab[1, 1:] = -a[1:] / h - 2.0 * (bp[1:n] + bp[2 : n + 1])
+    ab[0, 2:] = bp[2:n]
+    ab[3, :-1] = ab[1, 1:]
+    ab[4, :-2] = ab[0, 2:]
+    return ab
 
 
 def mechanical_step(
@@ -306,13 +302,14 @@ def mechanical_step(
         if iters >= max_newton:
             raise NoConvergence(f"mechanical Newton exceeded {max_newton} iterations (residual {rn:.3e})")
         H = _mech_hessian(params, grid, w, c_hat, C_prev, tau)
+        scaled_gradient = -r / max(float(np.max(np.abs(H[2]))), 1.0)
         try:
-            delta = np.linalg.solve(H, -r)
-        except np.linalg.LinAlgError:
-            delta = -r / max(float(np.max(np.abs(np.diag(H)))), 1.0)
+            delta = solve_banded((2, 2), H, -r, check_finite=False)
+        except LinAlgError:
+            delta = scaled_gradient
         accepted = False
         only_orientation = True
-        for direction in (delta, -r / max(float(np.max(np.abs(np.diag(H)))), 1.0)):
+        for direction in (delta, scaled_gradient):
             s = 1.0
             for _ in range(max_backtrack + 1):
                 cand = w.copy()
@@ -374,22 +371,6 @@ def nodal_chemical_potential(params: MaterialParams, grid: Grid1D, F_cells: np.n
     return mu
 
 
-def _mu_derivative(params, grid, F_cells, c):
-    # dense d mu_i / d c_j
-    n = grid.n_cells
-    _, _, cc = mat.free_energy_hessian(params, F_cells, cell_average(c))
-    d = np.zeros((n + 1, n + 1))
-    d[0, 0] = 0.5 * cc[0]
-    d[0, 1] = 0.5 * cc[0]
-    d[-1, -1] = 0.5 * cc[-1]
-    d[-1, -2] = 0.5 * cc[-1]
-    i = np.arange(1, n)
-    d[i, i - 1] = 0.25 * cc[:-1]
-    d[i, i] = 0.25 * (cc[:-1] + cc[1:])
-    d[i, i + 1] = 0.25 * cc[1:]
-    return d
-
-
 def _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights):
     mu = nodal_chemical_potential(params, grid, F_cells, c)
     mob = mat.mobility(params, F_cells, cell_average(c))
@@ -404,26 +385,37 @@ def _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights):
 
 
 def _diff_jacobian(params, grid, F_cells, c, tau, bc, weights):
+    """Band ab[2 + i - j, j] = J[i, j] of the pentadiagonal Jacobian, in
+    the (5, n + 1) storage of ``solve_banded((2, 2), ...)``."""
     n = grid.n_cells
     h = grid.h
     c_hat = cell_average(c)
     mu = nodal_chemical_potential(params, grid, F_cells, c)
-    mob = mat.mobility(params, F_cells, c_hat)
-    dmob = mat.mobility_dc(params, F_cells, c_hat)
-    dmu = _mu_derivative(params, grid, F_cells, c)
-    grad_mu = (mu[1:] - mu[:-1]) / h
-    # dq (cells x nodes)
-    dq = (mob[:, None] / h) * (dmu[1:, :] - dmu[:-1, :])
-    cells = np.arange(n)
-    dq[cells, cells] += 0.5 * dmob * grad_mu
-    dq[cells, cells + 1] += 0.5 * dmob * grad_mu
-    J = np.zeros((n + 1, n + 1))
-    J[np.arange(n + 1), np.arange(n + 1)] = weights
-    J[1:, :] += tau * dq
-    J[:-1, :] -= tau * dq
-    J[0, :] += tau * bc.kappa_left * dmu[0, :]
-    J[-1, :] += tau * bc.kappa_right * dmu[-1, :]
-    return J
+    m = mat.mobility(params, F_cells, c_hat) / h
+    s = 0.5 * mat.mobility_dc(params, F_cells, c_hat) * ((mu[1:] - mu[:-1]) / h)
+    # tridiagonal d mu / d c: diagonal dd, and per cell k the entries
+    # lower[k] = d mu_{k+1} / d c_k and upper[k] = d mu_k / d c_{k+1}
+    _, _, cc = mat.free_energy_hessian(params, F_cells, c_hat)
+    dd = np.concatenate([[0.5 * cc[0]], 0.25 * (cc[:-1] + cc[1:]), [0.5 * cc[-1]]])
+    lower = np.append(0.25 * cc[:-1], 0.5 * cc[-1])
+    upper = np.append(0.5 * cc[0], 0.25 * cc[1:])
+    # cell flux q_k depends on c_{k-1} .. c_{k+2}; tau * d q_k / d c_{k+d}
+    qm1 = tau * (m[1:] * -lower[:-1])
+    q0 = tau * (m * (lower - dd[:-1]) + s)
+    q1 = tau * (m * (dd[1:] - upper) + s)
+    q2 = tau * (m[:-1] * upper[1:])
+    ab = np.zeros((5, n + 1))
+    ab[0, 2:] = -q2
+    ab[1, 1:] = np.append(0.0, q2) - q1
+    ab[2] = weights + np.append(0.0, q1) - np.append(q0, 0.0)
+    ab[3, :-1] = q0 - np.append(qm1, 0.0)
+    ab[4, :-2] = qm1
+    # Robin rows
+    ab[2, 0] += tau * bc.kappa_left * dd[0]
+    ab[1, 1] += tau * bc.kappa_left * upper[0]
+    ab[2, -1] += tau * bc.kappa_right * dd[-1]
+    ab[3, -2] += tau * bc.kappa_right * lower[-1]
+    return ab
 
 
 def diffusion_step(
@@ -458,9 +450,9 @@ def diffusion_step(
             raise NoConvergence(f"diffusion Newton exceeded {max_newton} iterations (residual {rn:.3e})")
         J = _diff_jacobian(params, grid, F_cells, c, tau, bc, weights)
         try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            delta = -r / max(float(np.max(np.abs(np.diag(J)))), 1e-30)
+            delta = solve_banded((2, 2), J, -r, check_finite=False)
+        except LinAlgError:
+            delta = -r / max(float(np.max(np.abs(J[2]))), 1e-30)
         s = 1.0
         accepted = False
         only_positivity = True

@@ -70,6 +70,22 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_config(path)
 
+    @pytest.mark.parametrize("field, patch", [
+        ("checks.mass_tol", {"checks": {"mass_tol": "abc"}}),
+        ("checks.mass_tol", {"checks": {"mass_tol": None}}),
+        ("time.tau", {"time": {"tau": None, "T": 1.0}}),
+        ("grid", {"grid": [64]}),
+        ("time.checkpoint_times", {"time": {"tau": 0.001, "T": 1.0, "checkpoint_times": ["x"]}}),
+    ])
+    def test_hostile_value_names_field(self, tmp_path, field, patch):
+        cfg = json.loads(default_config_path().read_text())
+        cfg.update(patch)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValidationError) as err:
+            parse_config(path)
+        assert any(e.startswith(field) for e in err.value.errors)
+
 
 class TestMain:
     def test_unknown_subcommand_exits_one(self, capsys):
@@ -123,6 +139,15 @@ class TestMain:
         lines = (out / "moser.csv").read_text().splitlines()
         assert lines[0] == "q,sup_lq_norm"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("command", ["simulate-nonlinear", "moser-diag"])
+    def test_newton_cap_is_honoured(self, tiny_config, tmp_path, capsys, command):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["solver"]["max_newton"] = 1
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "capped"), "--quiet"]) == 1
+        assert "Newton exceeded 1 iterations" in capsys.readouterr().err
 
     def test_outputs_byte_identical(self, tiny_config, tmp_path, capsys):
         out1 = tmp_path / "a"

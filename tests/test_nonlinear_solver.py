@@ -5,6 +5,7 @@ from porovisco.discretization import (
     BCSpec,
     Grid1D,
     cell_average,
+    gradient,
     mass,
     node_weights,
 )
@@ -21,7 +22,13 @@ from porovisco.nonlinear_solver import (
     nodal_chemical_potential,
     rescale,
     run_nonlinear,
+    _diff_jacobian,
+    _diff_residual,
+    _mech_hessian,
+    _mech_residual,
 )
+
+from conftest import default_loading
 
 TAU = 1e-3
 
@@ -77,6 +84,74 @@ class TestMechanicalStep:
         c = np.ones(grid.n_nodes)
         with pytest.raises(NoConvergence):
             mechanical_step(unit_params, grid, w, c, TAU, np.zeros(grid.n_nodes), 0.05, max_newton=0)
+
+
+def dense_from_band(ab, lower, upper):
+    # inverse of the LAPACK band storage ab[upper + i - j, j] = A[i, j]
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(-lower, upper + 1):
+        i = np.arange(max(0, -d), min(n, n - d))
+        A[i, i + d] = ab[upper - d, i + d]
+    return A
+
+
+def central_differences(fun, x, cols, s=1e-6):
+    # columns d fun / d x[j] for j in cols
+    out = []
+    for j in cols:
+        xp = x.copy()
+        xp[j] += s
+        xm = x.copy()
+        xm[j] -= s
+        out.append((fun(xp) - fun(xm)) / (2.0 * s))
+    return np.column_stack(out)
+
+
+class TestBandedNewtonMatrices:
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_mech_hessian_matches_residual_differences(self, unit_params, n):
+        grid = Grid1D(n)
+        rng = np.random.default_rng(n)
+        w = np.concatenate([[0.0], np.cumsum(0.2 * grid.h * rng.standard_normal(n))])
+        c_hat = cell_average(1.0 + 0.3 * rng.random(grid.n_nodes))
+        C_prev = (1.0 + gradient(grid, w) + 0.01 * rng.standard_normal(n)) ** 2
+        f = 0.05 * np.sin(np.pi * grid.nodes)
+        weights = node_weights(grid)
+
+        def residual(wv):
+            return _mech_residual(unit_params, grid, wv, c_hat, C_prev, TAU, f, 0.02, weights)
+
+        H = dense_from_band(_mech_hessian(unit_params, grid, w, c_hat, C_prev, TAU), 2, 2)
+        fd = central_differences(residual, w, range(1, n + 1))
+        assert np.max(np.abs(H - fd)) <= 1e-7 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("kappa", [(0.0, 0.0), (0.7, 1.3)])
+    def test_diff_jacobian_matches_residual_differences(self, unit_params, n, kappa):
+        grid = Grid1D(n)
+        rng = np.random.default_rng(n)
+        F = 1.0 + 0.1 * rng.standard_normal(n)
+        c = 1.0 + 0.3 * rng.random(grid.n_nodes)
+        c_prev = 1.0 + 0.3 * rng.random(grid.n_nodes)
+        tau = 0.05  # large enough that the flux and Robin entries matter
+        bc = BCSpec(kappa_left=kappa[0], kappa_right=kappa[1], mu_ext=0.3)
+        weights = node_weights(grid)
+
+        def residual(cv):
+            return _diff_residual(unit_params, grid, F, cv, c_prev, tau, bc, 0.0, weights)[0]
+
+        J = dense_from_band(_diff_jacobian(unit_params, grid, F, c, tau, bc, weights), 2, 2)
+        fd = central_differences(residual, c, range(n + 1))
+        tol = 1e-7 * np.max(np.abs(J))
+        assert np.max(np.abs(J - fd)) <= tol
+        if kappa[0] > 0.0:
+            J0 = dense_from_band(_diff_jacobian(unit_params, grid, F, c, tau, BCSpec(), weights), 2, 2)
+            robin = np.abs(J - J0)
+            for i, j in ((0, 0), (0, 1), (n, n), (n, n - 1)):
+                assert robin[i, j] > 100.0 * tol
+            robin[[0, 0, n, n], [0, 1, n, n - 1]] = 0.0
+            assert np.max(robin) == 0.0
 
 
 class TestDiffusionStep:
@@ -151,6 +226,17 @@ class TestRun:
             run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
                           tau=TAU, T=0.05, eps=0.1, max_newton=0)
         assert err.value.time is not None
+
+    def test_reference_problem_at_n1024(self, unit_params):
+        # three steps of the reference problem on a 1024-cell grid; the
+        # banded Newton solves make this a matter of milliseconds
+        grid = Grid1D(1024)
+        run = run_nonlinear(unit_params, grid, default_loading(grid), BCSpec(zero_flux=True),
+                            tau=TAU, T=3 * TAU, eps=0.1, tol=1e-9)
+        assert run.n_steps == 3
+        assert check_dissipation_inequality(run.ledger) <= 1e-12
+        assert run.ledger.column("residual_mech").max() <= 1e-9
+        assert run.ledger.column("residual_diff").max() <= 1e-9
 
     def test_initial_data_validated(self, unit_params):
         grid = Grid1D(16)
