@@ -370,7 +370,7 @@ def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: l
     path.write_text(_json17(doc) + "\n")
 
 
-def _checkpoint_indices(times: np.ndarray, checkpoints: Optional[tuple], tau: float) -> np.ndarray:
+def _checkpoint_indices(times: np.ndarray, checkpoints: Optional[tuple]) -> np.ndarray:
     if not checkpoints:
         return np.arange(len(times))
     idx = sorted({int(np.argmin(np.abs(times - t))) for t in checkpoints})
@@ -429,7 +429,7 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     if kappa_free:
         invariants.insert(2, ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]))
     rs = rescale(run)
-    idx = _checkpoint_indices(run.times, config.checkpoint_times, config.tau)
+    idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"c_{i:03d}" for i in range(nn)]
     rows = (
@@ -456,7 +456,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]),
         ("energy_balance", balance <= chk["balance_tol"], balance, chk["balance_tol"]),
     ]
-    idx = _checkpoint_indices(run.times, config.checkpoint_times, config.tau)
+    idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"rho_{i:03d}" for i in range(nn)]
     rows = ((run.times[k], *run.u[k], *run.rho[k]) for k in idx)

@@ -19,12 +19,13 @@ from .constitutive import MaterialParams, linearize
 from .discretization import (
     BCSpec,
     Grid1D,
+    cell_derivative,
     cell_l2_norm,
     gradient,
     h1_norm,
-    linf_norm,
     lq_norm,
     mass,
+    map_row_blocks,
 )
 from .linear_solver import (
     LinearRun,
@@ -107,18 +108,12 @@ def _linear_flux(linear: LinearRun) -> np.ndarray:
     # nodal differences for rho'), so the sweep errors measure the
     # eps-gap and not a stencil mismatch
     grid, tensors = linear.grid, linear.tensors
-    h = grid.h
-    K = linear.n_steps
-    flux = np.empty((K + 1, grid.n_cells))
-    for k in range(K + 1):
-        up = gradient(grid, linear.u[k])
-        d2u = np.empty(grid.n_cells)
-        d2u[1:-1] = (up[2:] - up[:-2]) / (2.0 * h)
-        d2u[0] = (up[1] - up[0]) / h
-        d2u[-1] = (up[-1] - up[-2]) / h
-        grad_rho = (linear.rho[k][1:] - linear.rho[k][:-1]) / h
-        flux[k] = tensors.M_eq * (tensors.K * d2u + tensors.L * grad_rho)
-    return flux
+
+    def block(rows):
+        d2u = cell_derivative(grid, gradient(grid, linear.u[rows]))
+        return {"flux": tensors.M_eq * (tensors.K * d2u + tensors.L * gradient(grid, linear.rho[rows]))}
+
+    return map_row_blocks(linear.n_steps + 1, block)["flux"]
 
 
 def eps_sweep(
@@ -163,15 +158,8 @@ def eps_sweep(
         runs.append(run)
         scaled.append(rs)
         violations.append(check_dissipation_inequality(run.ledger))
-        du = rs.u - linear.u
-        drho = rs.rho - linear.rho
-        dflux = rs.flux - lin_flux
-        errors["err_u_h1"].append(max(h1_norm(grid, du[k]) for k in range(du.shape[0])))
-        errors["err_u_l2"].append(max(lq_norm(grid, du[k], 2) for k in range(du.shape[0])))
-        errors["err_rho_l2"].append(max(lq_norm(grid, drho[k], 2) for k in range(drho.shape[0])))
-        errors["err_flux_l2"].append(
-            float(np.sqrt(sum(tau * cell_l2_norm(grid, dflux[k]) ** 2 for k in range(1, dflux.shape[0]))))
-        )
+        for name, value in _error_norms(grid, tau, rs, linear, lin_flux).items():
+            errors[name].append(value)
         for name, value in _audit_columns(run, rs).items():
             audit[name].append(value)
     orders = {}
@@ -206,24 +194,50 @@ def _max_min_ratio(column) -> float:
     return float(np.max(v)) / lo
 
 
+def _error_norms(grid, tau, rs: RescaledTrajectory, linear: LinearRun, lin_flux: np.ndarray) -> dict:
+    # max-in-time H1/L2 norms of the u and rho gaps, and the space-time
+    # L2 norm of the flux gap over the steps after the initial state
+    def block(rows):
+        du = rs.u[rows] - linear.u[rows]
+        return {
+            "err_u_h1": h1_norm(grid, du),
+            "err_u_l2": lq_norm(grid, du, 2),
+            "err_rho_l2": lq_norm(grid, rs.rho[rows] - linear.rho[rows], 2),
+            "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows] - lin_flux[rows]) ** 2,
+        }
+
+    per_step = map_row_blocks(len(rs.times), block)
+    return {
+        "err_u_h1": float(np.max(per_step["err_u_h1"])),
+        "err_u_l2": float(np.max(per_step["err_u_l2"])),
+        "err_rho_l2": float(np.max(per_step["err_rho_l2"])),
+        "err_flux_l2": float(np.sqrt(np.sum(per_step["flux_sq"][1:]))),
+    }
+
+
 def _audit_columns(run: NonlinearRun, rs: RescaledTrajectory) -> dict:
     grid, params, eps = run.grid, run.params, run.eps
     tau = float(run.times[1] - run.times[0])
-    K = run.n_steps
     ledger = run.ledger
-    udot_sq = 0.0
-    for k in range(1, K + 1):
-        rate = (rs.u[k] - rs.u[k - 1]) / tau
-        udot_sq += tau * cell_l2_norm(grid, (rate[1:] - rate[:-1]) / grid.h) ** 2
-    flux_sq = sum(tau * cell_l2_norm(grid, rs.flux[k]) ** 2 for k in range(1, K + 1))
+
+    def block(rows):
+        # row j of the rate block is the step from j to j + 1
+        rate = (rs.u[rows.start + 1 : rows.stop + 1] - rs.u[rows]) / tau
+        return {
+            "udot_sq": tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
+            "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows.start + 1 : rows.stop + 1]) ** 2,
+        }
+
+    steps = map_row_blocks(run.n_steps, block)
+    u_h1 = map_row_blocks(run.n_steps + 1, lambda rows: {"h1": h1_norm(grid, rs.u[rows])})["h1"]
     return {
-        "u_linf_h1": float(np.max([h1_norm(grid, rs.u[k]) for k in range(K + 1)])),
-        "udot_grad_l2": float(np.sqrt(udot_sq)),
+        "u_linf_h1": float(np.max(u_h1)),
+        "udot_grad_l2": float(np.sqrt(np.sum(steps["udot_sq"]))),
         "d2u_scaled_lp": eps ** (1.0 - 2.0 / params.p) * float(np.max(ledger.column("lp_d2u"))),
         "llogl_over_eps2": float(np.max(ledger.column("llogl"))) / eps ** 2,
         "rho_linf_l2": float(np.max(ledger.column("l2_rho"))),
         "c_linf_linf": float(np.max(ledger.column("linf_c"))),
-        "flux_l2": float(np.sqrt(flux_sq)),
+        "flux_l2": float(np.sqrt(np.sum(steps["flux_sq"]))),
     }
 
 
@@ -281,10 +295,14 @@ def moser_diagnostic(
     m = run.params.m if m is None else m
     grid = run.grid
     qs = moser_exponents(m, N, case=case, r=r)
-    norms = []
-    for q in qs:
-        norms.append(max(lq_norm(grid, run.concentration[k], q) for k in range(run.n_steps + 1)))
-    sup_norm = max(linf_norm(grid, run.concentration[k]) for k in range(run.n_steps + 1))
+
+    def block(rows):
+        c = run.concentration[rows]
+        return {q: lq_norm(grid, c, q) for q in qs + (np.inf,)}
+
+    sups = {q: float(np.max(v)) for q, v in map_row_blocks(run.n_steps + 1, block).items()}
+    norms = [sups[q] for q in qs]
+    sup_norm = sups[np.inf]
     gap = sup_norm - norms[-1]
     return qs, tuple(norms), gap
 
@@ -321,9 +339,10 @@ def long_time_decay(
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
     run = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
     v, xi, nu, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
-    curve = np.array(
-        [state_energy(grid, tensors, run.u[k] - v, run.rho[k] - xi) for k in range(run.n_steps + 1)]
-    )
+    curve = map_row_blocks(
+        run.n_steps + 1,
+        lambda rows: {"curve": state_energy(grid, tensors, run.u[rows] - v, run.rho[rows] - xi)},
+    )["curve"]
     increases = np.diff(curve)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     final_ratio = float(curve[-1] / curve[0]) if curve[0] > 0.0 else 0.0

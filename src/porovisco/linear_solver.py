@@ -26,12 +26,15 @@ import scipy.sparse.linalg as spla
 from .constitutive import LinearizedTensors
 from .discretization import (
     Grid1D,
+    _per_row,
     cell_average,
     gradient,
     h1_norm,
     lq_norm,
     mass,
+    node_average,
     node_weights,
+    map_row_blocks,
 )
 from .loading import BoundLoading
 from .nonlinear_solver import EnergyLedger
@@ -101,22 +104,18 @@ def _operators(grid: Grid1D):
 
 def nodal_potential(grid: Grid1D, tensors: LinearizedTensors, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Discrete linearized potential mu_star = K u' + L rho, reconstructed
-    at nodes from the cell quadrature (variational gradient form)."""
-    up = gradient(grid, u)
-    cellval = tensors.K * up + tensors.L * cell_average(rho)
-    mu = np.empty(grid.n_nodes)
-    mu[0] = cellval[0]
-    mu[-1] = cellval[-1]
-    mu[1:-1] = 0.5 * (cellval[:-1] + cellval[1:])
-    return mu
+    at nodes from the cell quadrature (variational gradient form).
+    Broadcasts over leading (row) axes."""
+    return node_average(tensors.K * gradient(grid, u) + tensors.L * cell_average(rho))
 
 
 def state_energy(grid: Grid1D, tensors: LinearizedTensors, u: np.ndarray, rho: np.ndarray) -> float:
     """Homogeneous quadratic energy 1/2 C u'^2 + K rho u' + 1/2 L rho^2
-    (cell quadrature); nonnegative for admissible tensors."""
+    (cell quadrature); nonnegative for admissible tensors.  A (rows, nodes)
+    batch gives one energy per row."""
     up = gradient(grid, u)
     rh = cell_average(rho)
-    return float(np.sum(grid.h * (0.5 * tensors.C * up ** 2 + tensors.K * rh * up + 0.5 * tensors.L * rh ** 2)))
+    return _per_row(np.sum(grid.h * (0.5 * tensors.C * up ** 2 + tensors.K * rh * up + 0.5 * tensors.L * rh ** 2), axis=-1))
 
 
 class LinearStepper:
@@ -255,56 +254,53 @@ def run_linear(
     U[0] = u0
     R[0] = rho0
     weights = node_weights(grid)
-    ledger = EnergyLedger(tau, extra_columns=_LINEAR_EXTRAS)
-    f_prev = loading.f_star(0.0)
-    g_prev = loading.g_star(0.0)
-    _append_linear_row(ledger, grid, tensors, weights, u0, rho0, 0.0, f_prev, g_prev,
-                       diss_mech=0.0, load_power=0.0, residual=0.0)
+    ts = times.tolist()
+    f_star = np.array([loading.f_star(t) for t in ts])
+    g_star = np.array([loading.g_star(t) for t in ts])
+    # the ledger columns that need the step's solver data; the others are
+    # functions of the stored trajectory and are filled after the loop
+    diss_mech, load_power, residuals = np.zeros((3, n_steps + 1))
     u, rho = u0.copy(), rho0.copy()
     for k in range(1, n_steps + 1):
-        t = float(times[k])
-        f_now = loading.f_star(t)
-        g_now = loading.g_star(t)
+        t = ts[k]
         src = loading.source_values(t, nn) if loading.source is not None else None
-        u_new, rho_new, residual = stepper.step(u, rho, f_now, g_now, src)
+        u_new, rho_new, residual = stepper.step(u, rho, f_star[k], g_star[k], src)
         if residual > tol:
             raise SingularSystem(f"step residual {residual:.3e} exceeds tol {tol:.3e}")
         up_rate = (gradient(grid, u_new) - gradient(grid, u)) / tau
-        diss_mech = 0.5 * tensors.D * float(np.sum(grid.h * up_rate ** 2))
-        load_power = (
-            float(np.sum(weights * (f_now - f_prev) * u))
-            + (g_now - g_prev) * u[-1]
+        diss_mech[k] = 0.5 * tensors.D * float(np.sum(grid.h * up_rate ** 2))
+        load_power[k] = (
+            float(np.sum(weights * (f_star[k] - f_star[k - 1]) * u))
+            + (g_star[k] - g_star[k - 1]) * u[-1]
         ) / tau
-        _append_linear_row(ledger, grid, tensors, weights, u_new, rho_new, t, f_now, g_now,
-                           diss_mech=diss_mech, load_power=load_power, residual=residual)
+        residuals[k] = residual
         u, rho = u_new, rho_new
         U[k] = u
         R[k] = rho
-        f_prev, g_prev = f_now, g_now
+
+    def block(rows):
+        return _linear_columns(grid, tensors, U[rows], R[rows], f_star[rows], g_star[rows])
+
+    cols = map_row_blocks(n_steps + 1, block)
+    cols.update(t=times, diss_mech=diss_mech, flux_boundary=np.zeros(n_steps + 1),
+                load_power=load_power, residual=residuals)
+    ledger = EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _LINEAR_EXTRAS})
     return LinearRun(grid, tensors, times, U, R, ledger)
 
 
-def _append_linear_row(ledger, grid, tensors, weights, u, rho, t, f_nodes, g_value,
-                       diss_mech, load_power, residual):
-    mu = nodal_potential(grid, tensors, u, rho)
-    grad_mu = (mu[1:] - mu[:-1]) / grid.h
-    diss_diff = tensors.M_eq * float(np.sum(grid.h * grad_mu ** 2))
-    energy = state_energy(grid, tensors, u, rho) - (
-        float(np.sum(weights * f_nodes * u)) + g_value * u[-1]
-    )
-    ledger.append(
-        t=t,
-        energy=energy,
-        diss_mech=diss_mech,
-        diss_diff=diss_diff,
-        flux_boundary=0.0,
-        load_power=load_power,
-        mass=mass(grid, rho),
-        residual=residual,
-        h1_u=h1_norm(grid, u),
-        l2_rho=lq_norm(grid, rho, 2),
-        linf_rho=lq_norm(grid, rho, np.inf),
-    )
+def _linear_columns(grid, tensors, u, rho, f_star, g_star) -> dict:
+    """The ledger columns that depend only on the state, for a (rows,
+    nodes) block of a trajectory and the loading at the same steps."""
+    grad_mu = gradient(grid, nodal_potential(grid, tensors, u, rho))
+    load_pair = np.sum(node_weights(grid) * f_star * u, axis=-1) + g_star * u[:, -1]
+    return {
+        "energy": state_energy(grid, tensors, u, rho) - load_pair,
+        "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
+        "mass": mass(grid, rho),
+        "h1_u": h1_norm(grid, u),
+        "l2_rho": lq_norm(grid, rho, 2),
+        "linf_rho": lq_norm(grid, rho, np.inf),
+    }
 
 
 def check_energy_balance(ledger: EnergyLedger) -> float:

@@ -35,13 +35,16 @@ from .discretization import (
     BCSpec,
     Grid1D,
     cell_average,
+    cell_derivative,
     gradient,
     h1_norm,
     linf_norm,
     llogl_deviation,
     lq_norm,
     mass,
+    node_average,
     node_weights,
+    map_row_blocks,
     second_derivative,
 )
 from .loading import BoundLoading
@@ -91,19 +94,34 @@ class PositivityLoss(SolverError):
 # ---------------------------------------------------------------------------
 
 class EnergyLedger:
-    """Per-step time series feeding the structure checks.
+    """Per-step time series feeding the structure checks, built from whole
+    columns.
 
     Core columns: t, energy, diss_mech, diss_diff, flux_boundary,
     load_power (dissipation columns are rates, load_power is the discrete
     loading-rate pairing).  Arbitrary extra columns (norms, residuals,
-    cascade values) ride along.
+    cascade values) ride along after them.  A core column left out is
+    empty, so it only passes in an empty ledger.
     """
 
     CORE = ("t", "energy", "diss_mech", "diss_diff", "flux_boundary", "load_power")
 
-    def __init__(self, tau: float, extra_columns: tuple = ()):
+    def __init__(self, tau: float, columns: Optional[dict] = None):
         self.tau = float(tau)
-        self._cols: dict[str, list] = {name: [] for name in self.CORE + tuple(extra_columns)}
+        cols = {name: np.empty(0) for name in self.CORE}
+        for name, values in (columns or {}).items():
+            cols[name] = np.array(values, dtype=float)
+        n_rows = len(cols["t"])
+        for name, col in cols.items():
+            if col.shape != (n_rows,):
+                raise ValueError(f"ledger column {name} has shape {col.shape}, expected ({n_rows},)")
+        for name in ("diss_mech", "diss_diff"):
+            if np.any(cols[name] < -1e-12):
+                raise ValueError(f"dissipation entry {name} is negative: {np.min(cols[name])}")
+        for name, col in cols.items():
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"non-finite ledger entry {name}")
+        self._cols = cols
 
     @property
     def column_names(self) -> tuple:
@@ -112,21 +130,9 @@ class EnergyLedger:
     def __len__(self) -> int:
         return len(self._cols["t"])
 
-    def append(self, **kw) -> None:
-        if set(kw) != set(self._cols):
-            missing = set(self._cols) - set(kw)
-            extra = set(kw) - set(self._cols)
-            raise ValueError(f"ledger row mismatch (missing {missing}, unknown {extra})")
-        for name in ("diss_mech", "diss_diff"):
-            if kw[name] < -1e-12:
-                raise ValueError(f"dissipation entry {name} is negative: {kw[name]}")
-        for name, val in kw.items():
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"non-finite ledger entry {name}")
-            self._cols[name].append(float(val))
-
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(self._cols[name], dtype=float)
+        """A copy of the column: changing it leaves the ledger as it is."""
+        return np.array(self._cols[name], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +368,9 @@ def mechanical_step(
 def nodal_chemical_potential(params: MaterialParams, grid: Grid1D, F_cells: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Discrete chemical potential: the gradient of the quadrature energy
     with respect to the nodal concentrations, divided by the node weights.
-    Interior nodes average the two adjacent cell values."""
-    pc = mat.chemical_potential(params, F_cells, cell_average(c))
-    mu = np.empty(grid.n_nodes)
-    mu[0] = pc[0]
-    mu[-1] = pc[-1]
-    mu[1:-1] = 0.5 * (pc[:-1] + pc[1:])
-    return mu
+    Interior nodes average the two adjacent cell values.  Broadcasts over
+    leading (row) axes."""
+    return node_average(mat.chemical_potential(params, F_cells, cell_average(c)))
 
 
 def _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights):
@@ -545,7 +547,6 @@ def run_nonlinear(
         raise PositivityLoss("initial concentration must be strictly positive", time=0.0)
 
     cascade = tuple(cascade_q) if cascade_q is not None else default_cascade(params.m)
-    ledger = EnergyLedger(tau, extra_columns=_ledger_columns(cascade))
     n_steps = int(np.ceil(T / tau - 1e-12))
     times = tau * np.arange(n_steps + 1)
     W = np.empty((n_steps + 1, nn))
@@ -553,24 +554,20 @@ def run_nonlinear(
     W[0] = w
     C[0] = c
     weights = node_weights(grid)
-
-    f_star_prev = loading.f_star(0.0)
-    g_star_prev = loading.g_star(0.0)
-    _append_nonlinear_row(
-        ledger, params, grid, weights, w, c, 0.0, eps,
-        f_star_prev, g_star_prev, bc,
-        diss_mech=0.0, diss_diff=0.0, flux_boundary=0.0, load_power=0.0,
-        residual_mech=0.0, residual_diff=0.0, cascade=cascade,
-    )
+    ts = times.tolist()
+    f_star = np.array([loading.f_star(t) for t in ts])
+    g_star = np.array([loading.g_star(t) for t in ts])
+    mu_ext = np.array([bc.mu_ext_value(t) for t in ts])
+    # the ledger columns that need the step's solver data; the others are
+    # functions of the stored trajectory and are filled after the loop
+    diss_mech, load_power, residual_mech, residual_diff = np.zeros((4, n_steps + 1))
 
     C_prev_cells = (1.0 + gradient(grid, w)) ** 2
     for k in range(1, n_steps + 1):
-        t = float(times[k])
-        f_star = loading.f_star(t)
-        g_star = loading.g_star(t)
+        t = ts[k]
         try:
             w_new, minfo = mechanical_step(
-                params, grid, w, c, tau, eps * f_star, eps * g_star,
+                params, grid, w, c, tau, eps * f_star[k], eps * g_star[k],
                 C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
             )
             F_new = 1.0 + gradient(grid, w_new)
@@ -582,79 +579,69 @@ def run_nonlinear(
             raise type(err)(str(err), time=t) from err
 
         cdot_cells = (F_new ** 2 - C_prev_cells) / tau
-        diss_mech = grid.h * float(np.sum(0.5 * params.D_tilde * cdot_cells ** 2)) / eps ** 2
-        load_power = (
-            float(np.sum(weights * (f_star - f_star_prev) * (w / eps)))
-            + (g_star - g_star_prev) * (w[-1] / eps)
+        diss_mech[k] = grid.h * float(np.sum(0.5 * params.D_tilde * cdot_cells ** 2)) / eps ** 2
+        load_power[k] = (
+            float(np.sum(weights * (f_star[k] - f_star[k - 1]) * (w / eps)))
+            + (g_star[k] - g_star[k - 1]) * (w[-1] / eps)
         ) / tau
-        _append_nonlinear_row(
-            ledger, params, grid, weights, w_new, c_new, t, eps,
-            f_star, g_star, bc,
-            diss_mech=diss_mech, diss_diff=None, flux_boundary=None,
-            load_power=load_power,
-            residual_mech=minfo["residual"], residual_diff=dinfo["residual"],
-            cascade=cascade,
-        )
+        residual_mech[k] = minfo["residual"]
+        residual_diff[k] = dinfo["residual"]
         w, c = w_new, c_new
         W[k] = w
         C[k] = c
         C_prev_cells = F_new ** 2
-        f_star_prev, g_star_prev = f_star, g_star
+
+    def block(rows):
+        return _nonlinear_columns(
+            params, grid, bc, eps, W[rows], C[rows], f_star[rows], g_star[rows], mu_ext[rows], cascade
+        )
+
+    cols = map_row_blocks(n_steps + 1, block)
+    # the mobility and boundary-flux rates belong to steps, not to the
+    # initial state
+    cols["diss_diff"][0] = 0.0
+    cols["flux_boundary"][0] = 0.0
+    cols.update(t=times, diss_mech=diss_mech, load_power=load_power,
+                residual_mech=residual_mech, residual_diff=residual_diff)
+    ledger = EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
     return NonlinearRun(params, grid, eps, times, W, C, ledger)
 
 
-def _append_nonlinear_row(
-    ledger, params, grid, weights, w, c, t, eps, f_star, g_star, bc,
-    diss_mech, diss_diff, flux_boundary, load_power,
-    residual_mech, residual_diff, cascade,
-):
+def _nonlinear_columns(params, grid, bc, eps, w, c, f_star, g_star, mu_ext, cascade) -> dict:
+    """The ledger columns that depend only on the state, for a (rows,
+    nodes) block of a trajectory and the loading at the same steps."""
     h = grid.h
+    weights = node_weights(grid)
     F = 1.0 + gradient(grid, w)
     c_hat = cell_average(c)
     G = second_derivative(grid, w)
-    stored = h * float(np.sum(mat.free_energy(params, F, c_hat)))
-    stored += h * float(np.sum(mat.hyperstress(params, G[1:-1])[0]))
+    stored = h * np.sum(mat.free_energy(params, F, c_hat), axis=-1)
+    stored += h * np.sum(mat.hyperstress(params, G[:, 1:-1])[0], axis=-1)
     u = w / eps
-    load_pair = float(np.sum(weights * f_star * u)) + g_star * u[-1]
-    energy = stored / eps ** 2 - load_pair
-
+    load_pair = np.sum(weights * f_star * u, axis=-1) + g_star * u[:, -1]
     mu = nodal_chemical_potential(params, grid, F, c)
-    if diss_diff is None:
-        grad_mu = (mu[1:] - mu[:-1]) / h
-        mob = mat.mobility(params, F, c_hat)
-        diss_diff = h * float(np.sum(mob * grad_mu ** 2)) / eps ** 2
-    if flux_boundary is None:
-        mu_ext = bc.mu_ext_value(t)
-        flux_boundary = (
-            bc.kappa_left * (mu[0] - mu_ext) * mu[0]
-            + bc.kappa_right * (mu[-1] - mu_ext) * mu[-1]
-        ) / eps ** 2
-
-    rho = (c - params.c_eq) / eps
-    d2u = second_derivative(grid, w) / eps
-    row = {
-        "t": t,
-        "energy": energy,
-        "diss_mech": diss_mech,
-        "diss_diff": diss_diff,
-        "flux_boundary": flux_boundary,
-        "load_power": load_power,
+    mu_left, mu_right = mu[:, 0], mu[:, -1]
+    cols = {
+        "energy": stored / eps ** 2 - load_pair,
+        "diss_diff": h * np.sum(mat.mobility(params, F, c_hat) * gradient(grid, mu) ** 2, axis=-1) / eps ** 2,
+        "flux_boundary": (
+            bc.kappa_left * (mu_left - mu_ext) * mu_left
+            + bc.kappa_right * (mu_right - mu_ext) * mu_right
+        ) / eps ** 2,
         "mass": mass(grid, c),
-        "residual_mech": residual_mech,
-        "residual_diff": residual_diff,
         "linf_c": linf_norm(grid, c),
-        "min_c": float(np.min(c)),
-        "min_F": float(np.min(F)),
+        "min_c": np.min(c, axis=-1),
+        "min_F": np.min(F, axis=-1),
         "llogl": llogl_deviation(grid, np.maximum(c, 0.0), params.c_eq),
         "h1_u": h1_norm(grid, u),
-        "l2_rho": lq_norm(grid, rho, 2),
-        "lp_d2u": lq_norm(grid, d2u, params.p),
-        "mu_left": mu[0],
-        "mu_right": mu[-1],
+        "l2_rho": lq_norm(grid, (c - params.c_eq) / eps, 2),
+        "lp_d2u": lq_norm(grid, G / eps, params.p),
+        "mu_left": mu_left,
+        "mu_right": mu_right,
     }
     for q in cascade:
-        row[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
-    ledger.append(**row)
+        cols[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -693,28 +680,23 @@ def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajector
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     params, grid = run.params, run.grid
-    h = grid.h
-    K = run.n_steps
-    n_cells = grid.n_cells
-    u = run.displacement / eps
-    rho = (run.concentration - params.c_eq) / eps
-    mu_star = np.empty((K + 1, grid.n_nodes))
-    flux = np.empty((K + 1, n_cells))
-    for k in range(K + 1):
-        w = run.displacement[k]
-        c = run.concentration[k]
+
+    def block(rows):
+        w = run.displacement[rows]
+        c = run.concentration[rows]
         F = 1.0 + gradient(grid, w)
         c_hat = cell_average(c)
-        mu_star[k] = nodal_chemical_potential(params, grid, F, c) / eps
-        d2chi = np.empty(n_cells)
-        d2chi[1:-1] = (F[2:] - F[:-2]) / (2.0 * h)
-        d2chi[0] = (F[1] - F[0]) / h
-        d2chi[-1] = (F[-1] - F[-2]) / h
         _, fc, cc = mat.free_energy_hessian(params, F, c_hat)
-        grad_c = (c[1:] - c[:-1]) / h
-        grad_mu = fc * d2chi + cc * grad_c
-        flux[k] = mat.mobility(params, F, c_hat) * grad_mu / eps
-    return RescaledTrajectory(run.times.copy(), u, rho, mu_star, flux)
+        grad_mu = fc * cell_derivative(grid, F) + cc * gradient(grid, c)
+        return {
+            "mu_star": nodal_chemical_potential(params, grid, F, c) / eps,
+            "flux": mat.mobility(params, F, c_hat) * grad_mu / eps,
+        }
+
+    cols = map_row_blocks(run.n_steps + 1, block)
+    u = run.displacement / eps
+    rho = (run.concentration - params.c_eq) / eps
+    return RescaledTrajectory(run.times.copy(), u, rho, cols["mu_star"], cols["flux"])
 
 
 def direct_difference_flux(run: NonlinearRun, k: int) -> np.ndarray:

@@ -158,6 +158,22 @@ class TestMain:
         for name in ("trajectory.csv", "ledger.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate-nonlinear", "simulate-linear", "decay"])
+    def test_reruns_in_one_process_are_byte_identical(self, tiny_config, tmp_path, capsys, command):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["grid"] = {"n_cells": 16}
+        cfg["time"]["T"] = 0.05
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        assert "summary.json" in names and len(names) >= 2
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_invariant_failure_exits_two(self, tiny_config, tmp_path, capsys):
         cfg = json.loads(tiny_config.read_text())
         cfg["checks"] = {"balance_tol": 1e-30}

@@ -8,9 +8,9 @@ from porovisco.discretization import (
     BCSpec,
     Field,
     Grid1D,
-    bochner_norm,
     cell_l2_norm,
     gradient,
+    h1_norm,
     h1_seminorm,
     linf_norm,
     llogl_deviation,
@@ -150,16 +150,6 @@ def test_llogl_controls_l2_distance(vals):
     assert dev >= 0.38 * lq_norm(g, vals - 1.0, 2) ** 2 - 1e-12
 
 
-def test_bochner_norms():
-    g = Grid1D(8)
-    traj = [np.full(9, v) for v in (1.0, 3.0, 2.0)]
-    inner = lambda f: lq_norm(g, f, 2)
-    assert bochner_norm(traj, 0.5, "max", inner) == pytest.approx(3.0)
-    assert bochner_norm(traj, 0.5, "l2", inner) == pytest.approx(np.sqrt(0.5 * (1 + 9 + 4)))
-    with pytest.raises(ValueError):
-        bochner_norm(traj, 0.5, "sup", inner)
-
-
 def test_weights_and_mass():
     g = Grid1D(7)
     assert np.sum(node_weights(g)) == pytest.approx(1.0, abs=1e-15)
@@ -169,3 +159,45 @@ def test_weights_and_mass():
 def test_cell_l2_norm():
     g = Grid1D(5)
     assert cell_l2_norm(g, np.full(5, 2.0)) == pytest.approx(2.0, rel=1e-14)
+
+
+def _batch(rows, cols, elements):
+    # (rows, cols) arrays, some rows of which may be all zero
+    return st.tuples(
+        hnp.arrays(np.float64, (rows, cols), elements=elements),
+        st.lists(st.booleans(), min_size=rows, max_size=rows),
+    ).map(lambda a: np.where(np.array(a[1])[:, None], 0.0, a[0]))
+
+
+def _assert_rowwise(batch_value, per_row):
+    assert isinstance(per_row[0], float)
+    np.testing.assert_allclose(batch_value, per_row, rtol=1e-14, atol=0.0, equal_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vals=_batch(5, 17, st.floats(-1e3, 1e3)),
+    q=st.sampled_from([1, 2, 3, 257, np.inf]),
+)
+def test_batch_norms_match_single_fields(vals, q):
+    g = Grid1D(16)
+    for fn in (
+        lambda f: lq_norm(g, f, q),
+        lambda f: linf_norm(g, f),
+        lambda f: h1_seminorm(g, f),
+        lambda f: h1_norm(g, f),
+        lambda f: mass(g, f),
+        lambda f: cell_l2_norm(g, f[..., 1:]),
+    ):
+        _assert_rowwise(fn(vals), [fn(row) for row in vals])
+        assert np.all(fn(vals)[~vals.any(axis=1)] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vals=_batch(4, 9, st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+    c_eq=st.floats(0.1, 5.0),
+)
+def test_batch_llogl_matches_single_fields(vals, c_eq):
+    g = Grid1D(8)
+    _assert_rowwise(llogl_deviation(g, vals, c_eq), [llogl_deviation(g, row, c_eq) for row in vals])

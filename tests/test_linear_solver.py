@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from porovisco.constitutive import InadmissibleMaterial, LinearizedTensors, linearize
-from porovisco.discretization import Grid1D, mass
+from porovisco.discretization import Grid1D, gradient, h1_norm, lq_norm, mass, node_weights
 from porovisco.loading import BoundLoading
 from porovisco.linear_solver import (
     LinearState,
+    LinearStepper,
     check_energy_balance,
     linear_step,
     nodal_potential,
@@ -26,6 +27,59 @@ def smooth_loading(grid, f_scale=0.5, g_scale=0.3):
         f=lambda t: f_scale * np.sin(t) * np.sin(np.pi * x),
         g=lambda t: g_scale * np.sin(t),
     )
+
+
+def test_ledger_matches_per_row_oracle(tensors):
+    # 600 steps cross two seams of the 256-row blocks the ledger is built
+    # in.  Each row is evaluated from the one-field formulas; the residual
+    # column by repeating the step from the stored previous state.
+    grid = Grid1D(16)
+    x = grid.nodes
+    loading = BoundLoading(
+        f=lambda t: min(t / 0.1, 1.0) * 0.5 * np.sin(np.pi * x),
+        g=lambda t: min(t / 0.1, 1.0) * 0.2,
+        source=lambda t: 0.3 * np.cos(5.0 * t) * np.cos(np.pi * x),
+    )
+    tau = 1e-3
+    run = run_linear(grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=tau, T=0.6)
+    assert run.n_steps == 600
+    stepper = LinearStepper(grid, tensors, tau)
+    weights = node_weights(grid)
+    rows = []
+    for k, t in enumerate(run.times):
+        u, rho = run.u[k], run.rho[k]
+        mu = nodal_potential(grid, tensors, u, rho)
+        row = {
+            "t": t,
+            "energy": state_energy(grid, tensors, u, rho)
+            - (np.sum(weights * loading.f_star(t) * u) + loading.g_star(t) * u[-1]),
+            "diss_mech": 0.0,
+            "diss_diff": tensors.M_eq * np.sum(grid.h * gradient(grid, mu) ** 2),
+            "flux_boundary": 0.0,
+            "load_power": 0.0,
+            "mass": mass(grid, rho),
+            "residual": 0.0,
+            "h1_u": h1_norm(grid, u),
+            "l2_rho": lq_norm(grid, rho, 2),
+            "linf_rho": lq_norm(grid, rho, np.inf),
+        }
+        if k > 0:
+            t_prev, u_prev = run.times[k - 1], run.u[k - 1]
+            u_new, rho_new, residual = stepper.step(u_prev, run.rho[k - 1], loading.f_star(t),
+                                                    loading.g_star(t), loading.source_values(t, grid.n_nodes))
+            assert np.array_equal(u_new, u) and np.array_equal(rho_new, rho)
+            up_rate = (gradient(grid, u) - gradient(grid, u_prev)) / tau
+            row.update(
+                diss_mech=0.5 * tensors.D * np.sum(grid.h * up_rate ** 2),
+                load_power=(np.sum(weights * (loading.f_star(t) - loading.f_star(t_prev)) * u_prev)
+                            + (loading.g_star(t) - loading.g_star(t_prev)) * u_prev[-1]) / tau,
+                residual=residual,
+            )
+        rows.append(row)
+    assert run.ledger.column_names == tuple(rows[0])
+    for name in rows[0]:
+        expected = np.array([row[name] for row in rows])
+        np.testing.assert_allclose(run.ledger.column(name), expected, rtol=1e-13, atol=0.0, err_msg=name)
 
 
 def test_zero_data_stays_zero(tensors):

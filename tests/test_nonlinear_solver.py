@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from porovisco.constitutive import free_energy, hyperstress, mobility
 from porovisco.discretization import (
     BCSpec,
     Grid1D,
     cell_average,
     gradient,
+    h1_norm,
+    linf_norm,
+    llogl_deviation,
+    lq_norm,
     mass,
     node_weights,
+    second_derivative,
 )
 from porovisco.loading import BoundLoading
 from porovisco.nonlinear_solver import (
@@ -22,8 +28,10 @@ from porovisco.nonlinear_solver import (
     nodal_chemical_potential,
     rescale,
     run_nonlinear,
+    default_cascade,
     _diff_jacobian,
     _diff_residual,
+    _dual_norm,
     _mech_hessian,
     _mech_residual,
 )
@@ -299,23 +307,111 @@ class TestRescale:
 
 
 class TestLedger:
+    @staticmethod
+    def columns(**row):
+        return {name: [value] for name, value in row.items()}
+
     def test_rejects_inconsistent_rows(self):
-        led = EnergyLedger(0.1, extra_columns=("extra",))
-        with pytest.raises(ValueError):
-            led.append(t=0.0, energy=1.0, diss_mech=0.0, diss_diff=0.0,
-                       flux_boundary=0.0, load_power=0.0)  # missing "extra"
+        row = self.columns(t=0.0, energy=1.0, diss_mech=0.0, diss_diff=0.0,
+                           flux_boundary=0.0, load_power=0.0)
+        with pytest.raises(ValueError, match="extra"):
+            EnergyLedger(0.1, {**row, "extra": []})  # short "extra" column
+        with pytest.raises(ValueError, match="diss_diff"):
+            EnergyLedger(0.1, {name: v for name, v in row.items() if name != "diss_diff"})
 
     def test_rejects_negative_dissipation(self):
-        led = EnergyLedger(0.1)
-        with pytest.raises(ValueError):
-            led.append(t=0.0, energy=1.0, diss_mech=-1.0, diss_diff=0.0,
-                       flux_boundary=0.0, load_power=0.0)
+        with pytest.raises(ValueError, match="diss_mech"):
+            EnergyLedger(0.1, self.columns(t=0.0, energy=1.0, diss_mech=-1.0, diss_diff=0.0,
+                                           flux_boundary=0.0, load_power=0.0))
 
     def test_rejects_nonfinite(self):
-        led = EnergyLedger(0.1)
-        with pytest.raises(ValueError):
-            led.append(t=0.0, energy=np.inf, diss_mech=0.0, diss_diff=0.0,
-                       flux_boundary=0.0, load_power=0.0)
+        with pytest.raises(ValueError, match="energy"):
+            EnergyLedger(0.1, self.columns(t=0.0, energy=np.inf, diss_mech=0.0, diss_diff=0.0,
+                                           flux_boundary=0.0, load_power=0.0))
+
+    def test_column_is_a_copy(self):
+        led = EnergyLedger(0.1, self.columns(t=0.0, energy=1.0, diss_mech=0.0, diss_diff=0.0,
+                                             flux_boundary=0.0, load_power=0.0))
+        led.column("energy")[0] = 5.0
+        assert led.column("energy")[0] == 1.0
+
+
+def _ledger_oracle(run, loading, bc):
+    """The ledger of a finite-strain run evaluated row by row from the
+    one-field formulas; the residual columns are recomputed from the
+    stored states."""
+    params, grid, eps, tau = run.params, run.grid, run.eps, run.ledger.tau
+    h = grid.h
+    weights = node_weights(grid)
+    rows = []
+    for k, t in enumerate(run.times):
+        w, c = run.displacement[k], run.concentration[k]
+        F = 1.0 + gradient(grid, w)
+        c_hat = cell_average(c)
+        G = second_derivative(grid, w)
+        u = w / eps
+        mu = nodal_chemical_potential(params, grid, F, c)
+        stored = h * np.sum(free_energy(params, F, c_hat)) + h * np.sum(hyperstress(params, G[1:-1])[0])
+        row = {
+            "t": t,
+            "energy": stored / eps ** 2 - (np.sum(weights * loading.f_star(t) * u) + loading.g_star(t) * u[-1]),
+            "diss_mech": 0.0,
+            "diss_diff": 0.0,
+            "flux_boundary": 0.0,
+            "load_power": 0.0,
+            "mass": mass(grid, c),
+            "residual_mech": 0.0,
+            "residual_diff": 0.0,
+        }
+        if k > 0:
+            t_prev = run.times[k - 1]
+            w_prev, c_prev = run.displacement[k - 1], run.concentration[k - 1]
+            C_prev = (1.0 + gradient(grid, w_prev)) ** 2
+            mu_ext = bc.mu_ext_value(t)
+            r_mech = _mech_residual(params, grid, w, cell_average(c_prev), C_prev, tau,
+                                    eps * loading.f_star(t), eps * loading.g_star(t), weights)
+            r_diff, _ = _diff_residual(params, grid, F, c, c_prev, tau, bc, t, weights)
+            row.update(
+                diss_mech=h * np.sum(0.5 * params.D_tilde * ((F ** 2 - C_prev) / tau) ** 2) / eps ** 2,
+                diss_diff=h * np.sum(mobility(params, F, c_hat) * gradient(grid, mu) ** 2) / eps ** 2,
+                flux_boundary=(bc.kappa_left * (mu[0] - mu_ext) * mu[0]
+                               + bc.kappa_right * (mu[-1] - mu_ext) * mu[-1]) / eps ** 2,
+                load_power=(np.sum(weights * (loading.f_star(t) - loading.f_star(t_prev)) * (w_prev / eps))
+                            + (loading.g_star(t) - loading.g_star(t_prev)) * (w_prev[-1] / eps)) / tau,
+                residual_mech=_dual_norm(r_mech, weights[1:]),
+                residual_diff=_dual_norm(r_diff, weights),
+            )
+        row.update(
+            linf_c=linf_norm(grid, c),
+            min_c=np.min(c),
+            min_F=np.min(F),
+            llogl=llogl_deviation(grid, c, params.c_eq),
+            h1_u=h1_norm(grid, u),
+            l2_rho=lq_norm(grid, (c - params.c_eq) / eps, 2),
+            lp_d2u=lq_norm(grid, G / eps, params.p),
+            mu_left=mu[0],
+            mu_right=mu[-1],
+        )
+        for q in default_cascade(params.m):
+            row[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
+        rows.append(row)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def test_ledger_matches_per_row_oracle(unit_params):
+    # 600 steps cross two seams of the 256-row blocks the ledger is built
+    # in; Robin data and a moving mu_ext make every core column nonzero
+    grid = Grid1D(16)
+    bc = BCSpec(kappa_left=0.5, kappa_right=0.25, mu_ext=lambda t: 0.02 * np.sin(3.0 * t))
+    loading = ramp_loading(grid)
+    run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=600 * TAU, eps=0.1,
+                        u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes), tol=5e-11)
+    assert run.n_steps == 600
+    expected = _ledger_oracle(run, loading, bc)
+    assert run.ledger.column_names == tuple(expected)
+    for name, col in expected.items():
+        np.testing.assert_allclose(run.ledger.column(name), col, rtol=1e-13, atol=0.0, err_msg=name)
+    assert np.all(expected["flux_boundary"][1:] != 0.0)
 
 
 def test_nodal_potential_consistent_with_energy_gradient(unit_params):
