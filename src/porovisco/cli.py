@@ -350,9 +350,10 @@ def _json17(obj, indent: int = 0) -> str:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    # every value is a number, written with 17 significant digits
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_f17(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
+    lines.extend(fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -379,9 +380,8 @@ def _checkpoint_indices(times: np.ndarray, checkpoints: Optional[tuple]) -> np.n
 
 def _write_ledger(path: Path, ledger) -> None:
     names = list(ledger.column_names)
-    cols = [ledger.column(n) for n in names]
-    rows = (tuple(col[i] for col in cols) for i in range(len(ledger)))
-    _write_csv(path, names, rows)
+    table = np.column_stack([ledger.column(n) for n in names])
+    _write_csv(path, names, (row.tolist() for row in table))
 
 
 def _report(quiet: bool, invariants: list) -> bool:
@@ -432,9 +432,7 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"c_{i:03d}" for i in range(nn)]
-    rows = (
-        (run.times[k], *rs.u[k], *run.concentration[k]) for k in idx
-    )
+    rows = (np.concatenate(([run.times[k]], rs.u[k], run.concentration[k])).tolist() for k in idx)
     _write_csv(out / "trajectory.csv", header, rows)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "nonlinear", invariants,
@@ -459,7 +457,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
     idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"rho_{i:03d}" for i in range(nn)]
-    rows = ((run.times[k], *run.u[k], *run.rho[k]) for k in idx)
+    rows = (np.concatenate(([run.times[k]], run.u[k], run.rho[k])).tolist() for k in idx)
     _write_csv(out / "trajectory.csv", header, rows)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "linear", invariants,

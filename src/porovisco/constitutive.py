@@ -227,9 +227,11 @@ def _check_positive(pr: MaterialParams, F, c, what="evaluation"):
         J = np.asarray(F, dtype=float)
     else:
         J = np.linalg.det(np.asarray(F, dtype=float))
-    if np.any(J <= 0.0):
+    # ndarray methods, not np.any: this runs on every constitutive call.
+    # A NaN passes both tests.
+    if (J <= 0.0).any():
         raise DomainError(f"det F must be positive for {what}")
-    if np.any(np.asarray(c, dtype=float) <= 0.0):
+    if (np.asarray(c, dtype=float) <= 0.0).any():
         raise DomainError(f"concentration must be positive for {what}")
     return J
 
@@ -376,11 +378,11 @@ def mobility(params: MaterialParams, F, c):
     rejected.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(c < 0.0):
+    if (c < 0.0).any():
         raise DomainError("mobility requires c >= 0")
     if params.dim == 1:
         J = np.asarray(F, dtype=float)
-        if np.any(J <= 0.0):
+        if (J <= 0.0).any():
             raise DomainError("det F must be positive for mobility")
         return float(params.M0) * (c / J) ** params.m / J
     Fm = np.asarray(F, dtype=float)

@@ -47,7 +47,6 @@ __all__ = [
     "SweepReport",
     "SweepResult",
     "eps_sweep",
-    "scaling_audit",
     "moser_exponents",
     "moser_diagnostic",
     "long_time_decay",
@@ -132,8 +131,10 @@ def eps_sweep(
     max-in-time L2 norm for rho, and the space-time L2 norm for the flux,
     together with Richardson orders and the uniform-boundedness audit.
 
-    The sweep uses the zero-flux boundary regime; solver failures abort
-    with the failing eps attached.
+    The sweep uses the zero-flux boundary regime.  The finite-strain
+    members advance in lockstep through one ``run_nonlinear`` call; a
+    solver failure aborts with the failing eps attached, the first failed
+    member in the given order.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or np.any(np.diff(eps_list) >= 0.0):
@@ -142,20 +143,20 @@ def eps_sweep(
     tensors = linearize(params)
     linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
     lin_flux = _linear_flux(linear)
-    runs = []
+    try:
+        runs = run_nonlinear(
+            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol
+        )
+    except Exception as err:
+        # an error raised before any member ran is the first member's
+        eps = getattr(err, "eps", eps_list[0])
+        raise RuntimeError(f"sweep member eps = {eps} failed: {err}") from err
     scaled = []
     violations = []
     errors = {name: [] for name in ERROR_COLUMNS}
     audit = {name: [] for name in AUDIT_COLUMNS}
-    for eps in eps_list:
-        try:
-            run = run_nonlinear(
-                params, grid, loading, bc, tau=tau, T=T, eps=eps, u0=u0, rho0=rho0, tol=tol
-            )
-        except Exception as err:
-            raise RuntimeError(f"sweep member eps = {eps} failed: {err}") from err
+    for run in runs:
         rs = rescale(run)
-        runs.append(run)
         scaled.append(rs)
         violations.append(check_dissipation_inequality(run.ledger))
         for name, value in _error_norms(grid, tau, rs, linear, lin_flux).items():
@@ -181,7 +182,7 @@ def eps_sweep(
         dissipation_violations=tuple(violations),
         energy_balance_residual=check_energy_balance(linear.ledger),
     )
-    return SweepResult(report, tuple(runs), tuple(scaled), linear)
+    return SweepResult(report, runs, tuple(scaled), linear)
 
 
 def _max_min_ratio(column) -> float:
@@ -238,18 +239,6 @@ def _audit_columns(run: NonlinearRun, rs: RescaledTrajectory) -> dict:
         "rho_linf_l2": float(np.max(ledger.column("l2_rho"))),
         "c_linf_linf": float(np.max(ledger.column("linf_c"))),
         "flux_l2": float(np.sqrt(np.sum(steps["flux_sq"]))),
-    }
-
-
-def scaling_audit(result: SweepResult) -> dict:
-    """Uniform-boundedness audit of a completed sweep: per-column values
-    across eps and their max/min ratios (a ratio <= 3 witnesses the
-    a-priori uniformity the scalings predict)."""
-    report = result.report
-    return {
-        "eps": report.eps,
-        "columns": report.audit,
-        "ratios": report.audit_ratios,
     }
 
 

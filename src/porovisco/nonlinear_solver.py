@@ -23,6 +23,7 @@ which the loading is eps * (f_star, g_star) and u = (chi - id)/eps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,75 +193,184 @@ class RescaledTrajectory:
 
 
 # ---------------------------------------------------------------------------
+# lockstep Newton machinery
+# ---------------------------------------------------------------------------
+#
+# The step functions advance a batch of members: states are (members,
+# nodes) arrays, and a 1-D state is the one-member batch.  Each energy,
+# residual, Hessian and Jacobian evaluation covers all the members it
+# concerns at once, while Newton and the line searches keep their state
+# per member.  A member that has converged or failed is left as it is
+# while the others go on.  Every expression keeps the order of evaluation
+# of a one-member step, and the row reductions sum each row as they would
+# sum it alone, so a member's result does not depend on its company.
+
+def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``x`` with ``before`` zeros in front and ``after`` zeros behind
+    along the last axis."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + before + after,))
+    out[..., before : before + x.shape[-1]] = x
+    return out
+
+
+def _dual_norm(r: np.ndarray, weights: np.ndarray):
+    # L2 norm of the residual density (residual entries carry quadrature
+    # weights, so divide them out once), one value per row
+    return np.sqrt((r ** 2 / weights).sum(axis=-1))
+
+
+def _scaled_gradient(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
+    # the right-hand side over the largest diagonal magnitude of its band
+    # (at least floor): the direction taken when the band is singular
+    return rhs / np.maximum(np.abs(ab[2]).max(axis=-1), floor)[..., None]
+
+
+def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
+    """Solve the pentadiagonal systems (ab[:, i], rhs[i]) of all rows.
+
+    The (5, n) bands are laid side by side as one (5, rows * n)
+    block-diagonal band, whose couplings across the junctions are the zero
+    corners of the band storage, and solved by one banded LU with partial
+    pivoting (LAPACK ``gbsv``).  A pivot search never crosses a zero
+    junction, so each block's solution is bit for bit that of its solve
+    alone.  If the joint band is singular, each block is solved alone, and
+    a singular block takes ``_scaled_gradient(ab, rhs, floor)``.
+    """
+    k, n = rhs.shape
+    try:
+        return solve_banded((2, 2), ab.reshape(5, k * n), rhs.reshape(k * n), check_finite=False).reshape(k, n)
+    except LinAlgError:
+        out = np.empty_like(rhs)
+        for i in range(k):
+            try:
+                out[i] = solve_banded((2, 2), ab[:, i], rhs[i], check_finite=False)
+            except LinAlgError:
+                out[i] = _scaled_gradient(ab[:, i], rhs[i], floor)
+        return out
+
+
+def _subset(rows, mask: np.ndarray):
+    """The entries of ``rows`` where ``mask`` is set.  ``rows`` selects
+    rows of a batch: a slice over all of them or an index array.  The
+    result is ``rows`` itself when every entry is set, so the common case
+    of a batch that moves as a whole keeps cheap slice views."""
+    if np.count_nonzero(mask) == len(mask):
+        return rows
+    idx = mask.nonzero()[0]
+    return idx if isinstance(rows, slice) else rows[idx]
+
+
+def _backtrack(x, directions, step, admissible, trial, max_backtrack):
+    """Backtracking line search of every row of ``x``, in lockstep.
+
+    Row i tries ``step(x[i], s, d[i])`` for s = 1, 1/2, ... (at most
+    ``max_backtrack + 1`` lengths) along each direction d of
+    ``directions`` in turn, until ``trial`` accepts the point.  A rejected
+    row halves s whatever rejected it, so every row still searching tries
+    the same s.  ``admissible(points)`` screens the points, and
+    ``trial(rows, points)`` evaluates the admissible ones (``rows``
+    selects them from ``x``, as in :func:`_subset`) and returns which of
+    them it accepts.
+
+    Returns the accepted points, the mask of rows that accepted one, and
+    the mask of rows that only ever failed the screen.
+    """
+    k = len(x)
+    points = np.empty_like(x)
+    accepted = np.zeros(k, dtype=bool)
+    only_inadmissible = np.ones(k, dtype=bool)
+    pending = slice(None)
+    for direction in directions:
+        s = 1.0
+        for _ in range(max_backtrack + 1):
+            cand = step(x[pending], s, direction[pending])
+            ok = admissible(cand)
+            tried = _subset(pending, ok)
+            if tried is pending:
+                acc = trial(tried, cand)
+            else:
+                acc = np.zeros(len(cand), dtype=bool)
+                if np.count_nonzero(ok):
+                    acc[ok] = trial(tried, cand[ok])
+            only_inadmissible[tried] = False
+            done = _subset(pending, acc)
+            if done is pending:
+                if isinstance(pending, slice):  # every row accepts at once
+                    return cand, acc, only_inadmissible
+                points[done] = cand
+                accepted[done] = True
+                return points, accepted, only_inadmissible
+            points[done] = cand[acc]
+            accepted[done] = True
+            pending = _subset(pending, ~acc)
+            s *= 0.5
+    return points, accepted, only_inadmissible
+
+
+# ---------------------------------------------------------------------------
 # mechanical step
 # ---------------------------------------------------------------------------
 
-def _dual_norm(r: np.ndarray, weights: np.ndarray) -> float:
-    # L2 norm of the residual density (residual entries carry quadrature
-    # weights, so divide them out once).
-    return float(np.sqrt(np.sum(r ** 2 / weights)))
+def _mech_kinematics(grid, w, C_prev, tau):
+    # deformation gradient, second derivative and strain rate
+    F = 1.0 + gradient(grid, w)
+    return F, second_derivative(grid, w), (F ** 2 - C_prev) / tau
 
 
 def _mech_energy(params, grid, w, c_hat, C_prev, tau, f_nodes, g_value, weights):
-    """Incremental mechanical energy and the sum of the magnitudes of its
-    contributions (the round-off resolution of the value)."""
-    F = 1.0 + gradient(grid, w)
-    if np.min(F) <= 0.0:
-        return np.inf, np.inf
+    """Incremental mechanical energy, the sum of the magnitudes of its
+    contributions (the round-off resolution of the value) and the
+    residual, one per row.  The deformations must preserve orientation."""
     h = grid.h
-    G = second_derivative(grid, w)
-    phi = h * float(np.sum(mat.free_energy(params, F, c_hat)))
-    hyp = h * float(np.sum(mat.hyperstress(params, G[1:-1])[0]))
-    cdot = (F ** 2 - C_prev) / tau
-    visc = tau * h * float(np.sum(0.5 * params.D_tilde * cdot ** 2))
-    load = float(np.sum(weights * f_nodes * w)) + g_value * w[-1]
+    n = grid.n_cells
+    F, G, cdot = _mech_kinematics(grid, w, C_prev, tau)
+    hyper, hy = mat.hyperstress(params, G)
+    phi = h * mat.free_energy(params, F, c_hat).sum(axis=-1)
+    hyp = h * hyper[..., 1:-1].sum(axis=-1)
+    visc = tau * h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1)
+    load = (weights * f_nodes * w).sum(axis=-1) + g_value * w[..., -1]
     value = phi + hyp + visc - load
     scale = abs(phi) + abs(hyp) + abs(visc) + abs(load)
-    return value, scale
-
-
-def _mech_residual(params, grid, w, c_hat, C_prev, tau, f_nodes, g_value, weights):
-    h = grid.h
-    F = 1.0 + gradient(grid, w)
-    G = second_derivative(grid, w)
-    cdot = (F ** 2 - C_prev) / tau
     sigma = mat.stress_elastic(params, F, c_hat) + 2.0 * F * params.D_tilde * cdot
-    hy = mat.hyperstress(params, G)[1]
-    hy[0] = 0.0
-    hy[-1] = 0.0
-    n = grid.n_cells
-    r = sigma - np.append(sigma[1:], 0.0)
-    hpad = np.append(hy, 0.0)
-    r += (hpad[0:n] - 2.0 * hpad[1 : n + 1] + hpad[2 : n + 2]) / h
-    r -= weights[1:] * f_nodes[1:]
-    r[-1] -= g_value
-    return r
+    hy[..., 0] = 0.0
+    hy[..., -1] = 0.0
+    r = sigma - _pad(sigma[..., 1:], 0, 1)
+    hpad = _pad(hy, 0, 1)
+    r += (hpad[..., 0:n] - 2.0 * hpad[..., 1 : n + 1] + hpad[..., 2 : n + 2]) / h
+    r -= weights[1:] * f_nodes[..., 1:]
+    r[..., -1] -= g_value
+    return value, scale, r
 
 
 def _mech_hessian(params, grid, w, c_hat, C_prev, tau):
     """Band ab[2 + i - j, j] = H[i, j] of the symmetric pentadiagonal
-    Hessian, in the (5, n) storage of ``solve_banded((2, 2), ...)``."""
+    Hessian, in the (5, n) storage of ``solve_banded((2, 2), ...)``; a
+    (members, nodes) batch gives (5, members, n)."""
     h = grid.h
     n = grid.n_cells
-    F = 1.0 + gradient(grid, w)
-    G = second_derivative(grid, w)
-    cdot = (F ** 2 - C_prev) / tau
+    F, G, cdot = _mech_kinematics(grid, w, C_prev, tau)
     ff, _, _ = mat.free_energy_hessian(params, F, c_hat)
     a = ff + 2.0 * params.D_tilde * cdot + 4.0 * params.D_tilde * F ** 2 / tau
     # hyperstress block (pentadiagonal second-difference stencil)
     b = mat.hyperstress_dG(params, G) / h ** 3
-    b[0] = 0.0
-    b[-1] = 0.0
-    bp = np.append(b, 0.0)  # bp[i] = b_i for i <= n, bp[n+1] = 0
-    ab = np.zeros((5, n))
-    ab[2] = np.append(a[:-1] + a[1:], a[-1]) / h
-    ab[2] += bp[0:n] + 4.0 * bp[1 : n + 1] + bp[2 : n + 2]
+    b[..., 0] = 0.0
+    b[..., -1] = 0.0
+    bp = _pad(b, 0, 1)  # bp[i] = b_i for i <= n, bp[n+1] = 0
+    ab = np.zeros((5,) + a.shape)
+    ab[2] = np.concatenate([a[..., :-1] + a[..., 1:], a[..., -1:]], axis=-1) / h
+    ab[2] += bp[..., 0:n] + 4.0 * bp[..., 1 : n + 1] + bp[..., 2 : n + 2]
     ab[2] += TIKHONOV_SHIFT
-    ab[1, 1:] = -a[1:] / h - 2.0 * (bp[1:n] + bp[2 : n + 1])
-    ab[0, 2:] = bp[2:n]
-    ab[3, :-1] = ab[1, 1:]
-    ab[4, :-2] = ab[0, 2:]
+    ab[1, ..., 1:] = -a[..., 1:] / h - 2.0 * (bp[..., 1:n] + bp[..., 2 : n + 1])
+    ab[0, ..., 2:] = bp[..., 2:n]
+    ab[3, ..., :-1] = ab[1, ..., 1:]
+    ab[4, ..., :-2] = ab[0, ..., 2:]
     return ab
+
+
+def _mech_candidate(w, s, direction):
+    cand = w.copy()
+    cand[:, 1:] += s * direction
+    return cand
 
 
 def mechanical_step(
@@ -270,7 +380,7 @@ def mechanical_step(
     c_prev: np.ndarray,
     tau: float,
     f_nodes: np.ndarray,
-    g_value: float,
+    g_value,
     C_prev: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_newton: int = 50,
@@ -279,86 +389,120 @@ def mechanical_step(
     """Minimize the incremental mechanical functional at frozen
     concentration.
 
-    Returns the new displacement together with an info dict carrying the
-    achieved residual dual norm, iteration count, and the incremental
-    energies before/after (the descent certificate).  Raises
-    :class:`OrientationLoss` when no backtracking step keeps chi' > 0 and
-    :class:`NoConvergence` when the iteration caps are exhausted.
+    For one displacement, returns the new displacement together with an
+    info dict carrying the achieved residual dual norm, iteration count,
+    and the incremental energies before/after (the descent certificate).
+    Raises :class:`OrientationLoss` when no backtracking step keeps
+    chi' > 0 and :class:`NoConvergence` when the iteration caps are
+    exhausted.
+
+    A (members, nodes) batch of displacements, with ``c_prev`` and
+    ``C_prev`` to match and the loads ``f_nodes`` and ``g_value`` given
+    per member, is minimized member by member in lockstep: one band solve
+    per Newton iteration covers every unconverged member.  It returns the
+    batch and an info dict with the total ``iterations`` (an int), the
+    per-member ``member_iterations``, ``member_residual``,
+    ``member_energy`` and ``member_energy_start``, and ``errors``, which
+    maps the index of each failed member to the error it raises alone.
     """
+    single = np.ndim(w_prev) == 1
+    w = np.array(w_prev, dtype=float, ndmin=2)
+    m = len(w)
     weights = node_weights(grid)
-    c_hat = cell_average(c_prev)
+    free_weights = weights[1:]  # of the nodes after the pinned one
     if C_prev is None:
-        C_prev = (1.0 + gradient(grid, w_prev)) ** 2
+        C_prev = (1.0 + gradient(grid, w)) ** 2
+    data = (
+        cell_average(np.reshape(c_prev, w.shape)),
+        np.reshape(C_prev, (m, grid.n_cells)),
+        np.reshape(f_nodes, w.shape),
+        np.reshape(g_value, m),
+    )
 
-    def energy(wv):
-        return _mech_energy(params, grid, wv, c_hat, C_prev, tau, f_nodes, g_value, weights)
+    def energy(d, rows, wv):
+        # value, round-off scale, residual and its dual norm
+        c_hat, Cp, f, g = d
+        e, sc, r = _mech_energy(params, grid, wv, c_hat[rows], Cp[rows], tau, f[rows], g[rows], weights)
+        return e, sc, r, _dual_norm(r, free_weights)
 
-    def residual(wv):
-        return _mech_residual(params, grid, wv, c_hat, C_prev, tau, f_nodes, g_value, weights)
+    def oriented(wv):
+        return ~((1.0 + gradient(grid, wv)).min(axis=-1) <= 0.0)
 
-    w = np.array(w_prev, dtype=float)
-    e_start, scale = energy(w)
-    if not np.isfinite(e_start):
-        raise OrientationLoss("previous state is not orientation-admissible")
-    e_cur = e_start
-    r = residual(w)
-    rn = _dual_norm(r, weights[1:])
-    iters = 0
-    while rn > tol:
-        if iters >= max_newton:
-            raise NoConvergence(f"mechanical Newton exceeded {max_newton} iterations (residual {rn:.3e})")
-        H = _mech_hessian(params, grid, w, c_hat, C_prev, tau)
-        scaled_gradient = -r / max(float(np.max(np.abs(H[2]))), 1.0)
-        try:
-            delta = solve_banded((2, 2), H, -r, check_finite=False)
-        except LinAlgError:
-            delta = scaled_gradient
-        accepted = False
-        only_orientation = True
-        for direction in (delta, scaled_gradient):
-            s = 1.0
-            for _ in range(max_backtrack + 1):
-                cand = w.copy()
-                cand[1:] += s * direction
-                if np.min(1.0 + gradient(grid, cand)) <= 0.0:
-                    s *= 0.5
-                    continue
-                e_new, scale_new = energy(cand)
-                if not np.isfinite(e_new):
-                    only_orientation = False
-                    s *= 0.5
-                    continue
-                # clear descent accepts outright.  Near the minimum the
-                # evaluated energy and the evaluated residual disagree at
-                # round-off level, so the final Newton polish may raise
-                # the energy by ~1e-18; admit such increases only under a
-                # strong residual contraction and a tiny absolute budget
-                # (the descent certificate degrades by at most that much
-                # per step).
-                noise = 1024.0 * np.finfo(float).eps * max(scale, scale_new)
-                if e_new <= e_cur - noise:
-                    accepted = True
-                    break
-                if e_new <= e_cur + noise + 1e-15:
-                    rn_cand = _dual_norm(residual(cand), weights[1:])
-                    if rn_cand <= 0.5 * rn:
-                        accepted = True
-                        break
-                only_orientation = False
-                s *= 0.5
-            if accepted:
-                break
-        if not accepted:
-            if only_orientation:
-                raise OrientationLoss("no backtracking step preserves chi' > 0")
-            raise NoConvergence("mechanical line search failed to descend")
-        w = cand
-        e_cur = min(e_new, e_cur)
-        scale = scale_new
-        r = residual(w)
-        rn = _dual_norm(r, weights[1:])
-        iters += 1
-    return w, {"residual": rn, "iterations": iters, "energy": e_cur, "energy_start": e_start}
+    errors = {}
+    e_cur = np.full(m, np.inf)
+    scale = np.full(m, np.inf)
+    r = np.zeros((m, grid.n_cells))
+    rn = np.zeros(m)
+    live = oriented(w)
+    b = _subset(slice(None), live)
+    e_cur[b], scale[b], r[b], rn[b] = energy(data, b, w[b])
+    live &= np.isfinite(e_cur)
+    for i in (~live).nonzero()[0]:
+        errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
+    e_start = e_cur.copy()
+    iters = np.zeros(m, dtype=int)
+    # every member still iterating has taken part in each pass so far, so
+    # the pass count is its iteration count
+    for passes in itertools.count():
+        active = live & (rn > tol)
+        if not np.count_nonzero(active):
+            break
+        if passes >= max_newton:
+            for i in active.nonzero()[0]:
+                errors[int(i)] = NoConvergence(
+                    f"mechanical Newton exceeded {max_newton} iterations (residual {rn[i]:.3e})")
+            break
+        a = _subset(slice(None), active)
+        da = tuple(x[a] for x in data)
+        wa, ra = w[a], r[a]
+        H = _mech_hessian(params, grid, wa, da[0], da[1], tau)
+        scaled_gradient = _scaled_gradient(H, -ra, 1.0)
+        delta = _solve_bands(H, -ra, 1.0)
+        e_a, scale_a, rn_a = e_cur[a], scale[a], rn[a]
+        e_new, scale_new, rn_new = np.empty((3, len(wa)))
+        r_new = np.empty_like(ra)
+
+        def trial(rows, cand):
+            e_try, scale_try, r_try, rn_try = energy(da, rows, cand)
+            e_new[rows], scale_new[rows], r_new[rows], rn_new[rows] = e_try, scale_try, r_try, rn_try
+            # clear descent accepts outright.  Near the minimum the
+            # evaluated energy and the evaluated residual disagree at
+            # round-off level, so the final Newton polish may raise the
+            # energy by ~1e-18; admit such increases only under a strong
+            # residual contraction and a tiny absolute budget (the
+            # descent certificate degrades by at most that much per
+            # step).
+            noise = 1024.0 * np.finfo(float).eps * np.maximum(scale_a[rows], scale_try)
+            finite = np.isfinite(e_try)
+            accept = finite & (e_try <= e_a[rows] - noise)
+            if np.count_nonzero(accept) < len(accept):
+                near = finite & ~accept & (e_try <= e_a[rows] + noise + 1e-15)
+                accept[near] = rn_try[near] <= 0.5 * rn_a[rows][near]
+            return accept
+
+        points, accepted, only_orientation = _backtrack(
+            wa, (delta, scaled_gradient), _mech_candidate, oriented, trial, max_backtrack
+        )
+        b = _subset(a, accepted)
+        if b is not a:
+            for j in (~accepted).nonzero()[0]:
+                errors[int(np.arange(m)[a][j])] = (
+                    OrientationLoss("no backtracking step preserves chi' > 0") if only_orientation[j]
+                    else NoConvergence("mechanical line search failed to descend"))
+            live[_subset(a, ~accepted)] = False
+            points, e_a, e_new, scale_new, r_new, rn_new = (
+                x[accepted] for x in (points, e_a, e_new, scale_new, r_new, rn_new))
+        w[b] = points
+        e_cur[b] = np.where(e_a < e_new, e_a, e_new)
+        scale[b], r[b], rn[b] = scale_new, r_new, rn_new
+        iters[b] += 1
+    if single:
+        if errors:
+            raise errors[0]
+        return w[0], {"residual": float(rn[0]), "iterations": int(iters[0]),
+                      "energy": float(e_cur[0]), "energy_start": float(e_start[0])}
+    return w, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": rn,
+               "member_energy": e_cur, "member_energy_start": e_start, "errors": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -376,48 +520,58 @@ def nodal_chemical_potential(params: MaterialParams, grid: Grid1D, F_cells: np.n
 def _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights):
     mu = nodal_chemical_potential(params, grid, F_cells, c)
     mob = mat.mobility(params, F_cells, cell_average(c))
-    q = mob * (mu[1:] - mu[:-1]) / grid.h
-    qpad_lo = np.concatenate([[0.0], q])
-    qpad_hi = np.concatenate([q, [0.0]])
+    q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
+    qpad_lo = _pad(q, 1, 0)
+    qpad_hi = _pad(q, 0, 1)
     r = weights * (c - c_prev) + tau * (qpad_lo - qpad_hi)
     mu_ext = bc.mu_ext_value(t)
-    r[0] += tau * bc.kappa_left * (mu[0] - mu_ext)
-    r[-1] += tau * bc.kappa_right * (mu[-1] - mu_ext)
+    r[..., 0] += tau * bc.kappa_left * (mu[..., 0] - mu_ext)
+    r[..., -1] += tau * bc.kappa_right * (mu[..., -1] - mu_ext)
     return r, mu
 
 
-def _diff_jacobian(params, grid, F_cells, c, tau, bc, weights):
+def _diff_jacobian(params, grid, F_cells, c, tau, bc, weights, mu=None):
     """Band ab[2 + i - j, j] = J[i, j] of the pentadiagonal Jacobian, in
-    the (5, n + 1) storage of ``solve_banded((2, 2), ...)``."""
-    n = grid.n_cells
+    the (5, n + 1) storage of ``solve_banded((2, 2), ...)``; a (members,
+    nodes) batch gives (5, members, n + 1).  ``mu`` is the nodal
+    potential at c, if it is known already."""
     h = grid.h
     c_hat = cell_average(c)
-    mu = nodal_chemical_potential(params, grid, F_cells, c)
+    if mu is None:
+        mu = nodal_chemical_potential(params, grid, F_cells, c)
     m = mat.mobility(params, F_cells, c_hat) / h
-    s = 0.5 * mat.mobility_dc(params, F_cells, c_hat) * ((mu[1:] - mu[:-1]) / h)
+    s = 0.5 * mat.mobility_dc(params, F_cells, c_hat) * ((mu[..., 1:] - mu[..., :-1]) / h)
     # tridiagonal d mu / d c: diagonal dd, and per cell k the entries
     # lower[k] = d mu_{k+1} / d c_k and upper[k] = d mu_k / d c_{k+1}
     _, _, cc = mat.free_energy_hessian(params, F_cells, c_hat)
-    dd = np.concatenate([[0.5 * cc[0]], 0.25 * (cc[:-1] + cc[1:]), [0.5 * cc[-1]]])
-    lower = np.append(0.25 * cc[:-1], 0.5 * cc[-1])
-    upper = np.append(0.5 * cc[0], 0.25 * cc[1:])
+    dd = np.concatenate([0.5 * cc[..., :1], 0.25 * (cc[..., :-1] + cc[..., 1:]), 0.5 * cc[..., -1:]], axis=-1)
+    lower = np.concatenate([0.25 * cc[..., :-1], 0.5 * cc[..., -1:]], axis=-1)
+    upper = np.concatenate([0.5 * cc[..., :1], 0.25 * cc[..., 1:]], axis=-1)
     # cell flux q_k depends on c_{k-1} .. c_{k+2}; tau * d q_k / d c_{k+d}
-    qm1 = tau * (m[1:] * -lower[:-1])
-    q0 = tau * (m * (lower - dd[:-1]) + s)
-    q1 = tau * (m * (dd[1:] - upper) + s)
-    q2 = tau * (m[:-1] * upper[1:])
-    ab = np.zeros((5, n + 1))
-    ab[0, 2:] = -q2
-    ab[1, 1:] = np.append(0.0, q2) - q1
-    ab[2] = weights + np.append(0.0, q1) - np.append(q0, 0.0)
-    ab[3, :-1] = q0 - np.append(qm1, 0.0)
-    ab[4, :-2] = qm1
+    qm1 = tau * (m[..., 1:] * -lower[..., :-1])
+    q0 = tau * (m * (lower - dd[..., :-1]) + s)
+    q1 = tau * (m * (dd[..., 1:] - upper) + s)
+    q2 = tau * (m[..., :-1] * upper[..., 1:])
+    ab = np.zeros((5,) + np.shape(c))
+    ab[0, ..., 2:] = -q2
+    ab[1, ..., 1:] = _pad(q2, 1, 0) - q1
+    ab[2] = weights + _pad(q1, 1, 0) - _pad(q0, 0, 1)
+    ab[3, ..., :-1] = q0 - _pad(qm1, 0, 1)
+    ab[4, ..., :-2] = qm1
     # Robin rows
-    ab[2, 0] += tau * bc.kappa_left * dd[0]
-    ab[1, 1] += tau * bc.kappa_left * upper[0]
-    ab[2, -1] += tau * bc.kappa_right * dd[-1]
-    ab[3, -2] += tau * bc.kappa_right * lower[-1]
+    ab[2, ..., 0] += tau * bc.kappa_left * dd[..., 0]
+    ab[1, ..., 1] += tau * bc.kappa_left * upper[..., 0]
+    ab[2, ..., -1] += tau * bc.kappa_right * dd[..., -1]
+    ab[3, ..., -2] += tau * bc.kappa_right * lower[..., -1]
     return ab
+
+
+def _positive(c):
+    return ~(c.min(axis=-1) <= 0.0)
+
+
+def _diff_candidate(c, s, delta):
+    return c + s * delta
 
 
 def diffusion_step(
@@ -437,46 +591,76 @@ def diffusion_step(
 
     Damping rejects any iterate with min c <= 0.  With kappa = 0 the flux
     form telescopes, so the discrete mass is conserved to the residual
-    tolerance.  Raises :class:`PositivityLoss` when no damping preserves
-    positivity and :class:`NoConvergence` on iteration-cap exhaustion.
+    tolerance.  For one concentration, raises :class:`PositivityLoss`
+    when no damping preserves positivity and :class:`NoConvergence` on
+    iteration-cap exhaustion.
+
+    A (members, nodes) batch of concentrations, with ``F_cells`` per
+    member, is advanced member by member in lockstep, as in
+    :func:`mechanical_step`; its info dict has the total ``iterations``,
+    ``member_iterations``, ``member_residual``, the nodal potentials
+    ``mu`` and the ``errors`` of the failed members.
     """
-    if np.min(c_prev) <= 0.0:
-        raise PositivityLoss("implicit diffusion step requires strictly positive concentration")
+    single = np.ndim(c_prev) == 1
+    c_prev = np.array(c_prev, dtype=float, ndmin=2)
+    m = len(c_prev)
+    F_cells = np.reshape(F_cells, (m, grid.n_cells))
     weights = node_weights(grid)
-    c = np.array(c_prev, dtype=float)
-    r, mu = _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights)
-    rn = _dual_norm(r, weights)
-    iters = 0
-    while rn > tol:
-        if iters >= max_newton:
-            raise NoConvergence(f"diffusion Newton exceeded {max_newton} iterations (residual {rn:.3e})")
-        J = _diff_jacobian(params, grid, F_cells, c, tau, bc, weights)
-        try:
-            delta = solve_banded((2, 2), J, -r, check_finite=False)
-        except LinAlgError:
-            delta = -r / max(float(np.max(np.abs(J[2]))), 1e-30)
-        s = 1.0
-        accepted = False
-        only_positivity = True
-        for _ in range(max_backtrack + 1):
-            cand = c + s * delta
-            if np.min(cand) <= 0.0:
-                s *= 0.5
-                continue
-            r_new, mu_new = _diff_residual(params, grid, F_cells, cand, c_prev, tau, bc, t, weights)
-            rn_new = _dual_norm(r_new, weights)
-            if rn_new < rn:
-                accepted = True
-                break
-            only_positivity = False
-            s *= 0.5
-        if not accepted:
-            if only_positivity:
-                raise PositivityLoss("no damping preserves c > 0")
-            raise NoConvergence("diffusion line search failed to reduce the residual")
-        c, r, mu, rn = cand, r_new, mu_new, rn_new
-        iters += 1
-    return c, {"residual": rn, "iterations": iters, "mu": mu}
+    errors = {}
+    live = _positive(c_prev)
+    for i in (~live).nonzero()[0]:
+        errors[int(i)] = PositivityLoss("implicit diffusion step requires strictly positive concentration")
+    c = c_prev.copy()
+    r = np.zeros_like(c)
+    mu = np.zeros_like(c)
+    rn = np.zeros(m)
+    b = _subset(slice(None), live)
+    r[b], mu[b] = _diff_residual(params, grid, F_cells[b], c[b], c_prev[b], tau, bc, t, weights)
+    rn[b] = _dual_norm(r[b], weights)
+    iters = np.zeros(m, dtype=int)
+    # as in mechanical_step, the pass count is each active member's
+    # iteration count
+    for passes in itertools.count():
+        active = live & (rn > tol)
+        if not np.count_nonzero(active):
+            break
+        if passes >= max_newton:
+            for i in active.nonzero()[0]:
+                errors[int(i)] = NoConvergence(
+                    f"diffusion Newton exceeded {max_newton} iterations (residual {rn[i]:.3e})")
+            break
+        a = _subset(slice(None), active)
+        Fa, ca, cpa, rn_a = F_cells[a], c[a], c_prev[a], rn[a]
+        J = _diff_jacobian(params, grid, Fa, ca, tau, bc, weights, mu[a])
+        delta = _solve_bands(J, -r[a], 1e-30)
+        r_new, mu_new = np.empty((2,) + ca.shape)
+        rn_new = np.empty(len(ca))
+
+        def trial(rows, cand):
+            r_try, mu_try = _diff_residual(params, grid, Fa[rows], cand, cpa[rows], tau, bc, t, weights)
+            rn_try = _dual_norm(r_try, weights)
+            r_new[rows], mu_new[rows], rn_new[rows] = r_try, mu_try, rn_try
+            return rn_try < rn_a[rows]
+
+        points, accepted, only_positivity = _backtrack(
+            ca, (delta,), _diff_candidate, _positive, trial, max_backtrack
+        )
+        b = _subset(a, accepted)
+        if b is not a:
+            for j in (~accepted).nonzero()[0]:
+                errors[int(np.arange(m)[a][j])] = (
+                    PositivityLoss("no damping preserves c > 0") if only_positivity[j]
+                    else NoConvergence("diffusion line search failed to reduce the residual"))
+            live[_subset(a, ~accepted)] = False
+            points, r_new, mu_new, rn_new = points[accepted], r_new[accepted], mu_new[accepted], rn_new[accepted]
+        c[b], r[b], mu[b], rn[b] = points, r_new, mu_new, rn_new
+        iters[b] += 1
+    if single:
+        if errors:
+            raise errors[0]
+        return c[0], {"residual": float(rn[0]), "iterations": int(iters[0]), "mu": mu[0]}
+    return c, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": rn,
+               "mu": mu, "errors": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +693,11 @@ def _ledger_columns(cascade_q: tuple) -> tuple:
     return extras + tuple(f"lq_c_{q:g}" for q in cascade_q)
 
 
+def _member_error(err: Exception, eps: float) -> Exception:
+    err.eps = eps
+    return err
+
+
 def run_nonlinear(
     params: MaterialParams,
     grid: Grid1D,
@@ -516,95 +705,157 @@ def run_nonlinear(
     bc: BCSpec,
     tau: float,
     T: float,
-    eps: float,
+    eps,
     u0: Optional[np.ndarray] = None,
     rho0: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
     cascade_q: Optional[tuple] = None,
-) -> NonlinearRun:
+):
     """Alternate mechanical and diffusion steps over ceil(T / tau) steps.
 
     The loading is applied as eps * (f_star, g_star) and the initial data
     are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  The returned run stores
     every step (desk scale) and a filled energy ledger in rescaled units.
     Step failures propagate with the failing time attached.
+
+    ``eps`` may also be a sequence of load scales.  The members then
+    advance in lockstep through one time loop, and a tuple of runs, one
+    per member, is returned; each is bit for bit the run of its eps alone.
+    A failed member stops (with every member after it, whose outcome can
+    no longer matter), and after the loop the first failed member in the
+    given order raises the error its own run raises.  An error that
+    belongs to a member carries that member's load scale as ``err.eps``.
     """
-    if tau <= 0.0 or T <= 0.0 or eps <= 0.0:
-        raise ValueError("tau, T and eps must be positive")
+    single = np.ndim(eps) == 0
+    eps_list = [float(eps)] if single else [float(e) for e in eps]
+    if not eps_list:
+        raise ValueError("eps needs at least one load scale")
     nn = grid.n_nodes
     u0 = np.zeros(nn) if u0 is None else np.asarray(u0, dtype=float)
     rho0 = np.zeros(nn) if rho0 is None else np.asarray(rho0, dtype=float)
-    if abs(u0[0]) > 1e-14:
-        raise ValueError("initial displacement must vanish at the pinned end")
-    w = eps * u0
-    w[0] = 0.0
-    c = params.c_eq + eps * rho0
-    if np.min(1.0 + gradient(grid, w)) <= 0.0:
-        raise OrientationLoss("(A8) initial deformation gradient must stay positive", time=0.0)
-    if np.min(c) <= 0.0:
-        raise PositivityLoss("initial concentration must be strictly positive", time=0.0)
+    for e in eps_list:
+        if tau <= 0.0 or T <= 0.0 or e <= 0.0:
+            raise _member_error(ValueError("tau, T and eps must be positive"), e)
+        if abs(u0[0]) > 1e-14:
+            raise _member_error(ValueError("initial displacement must vanish at the pinned end"), e)
+    m = len(eps_list)
+    eps_row = np.array(eps_list)
+    eps_col = eps_row[:, None]
+    w = eps_col * u0
+    w[:, 0] = 0.0
+    c = params.c_eq + eps_col * rho0
+    # the failure to raise after the loop: (member, error, time of the
+    # step or None for an error that has its time already)
+    failure = None
+    disoriented = np.min(1.0 + gradient(grid, w), axis=-1) <= 0.0
+    nonpositive = np.min(c, axis=-1) <= 0.0
+    bad = np.flatnonzero(disoriented | nonpositive)
+    live = int(bad[0]) if len(bad) else m  # members [0, live) advance
+    if live < m:
+        if disoriented[live]:
+            err = OrientationLoss("(A8) initial deformation gradient must stay positive", time=0.0)
+        else:
+            err = PositivityLoss("initial concentration must be strictly positive", time=0.0)
+        failure = (live, _member_error(err, eps_list[live]), None)
 
     cascade = tuple(cascade_q) if cascade_q is not None else default_cascade(params.m)
     n_steps = int(np.ceil(T / tau - 1e-12))
     times = tau * np.arange(n_steps + 1)
-    W = np.empty((n_steps + 1, nn))
-    C = np.empty((n_steps + 1, nn))
-    W[0] = w
-    C[0] = c
-    weights = node_weights(grid)
+    W = np.empty((m, n_steps + 1, nn))
+    C = np.empty((m, n_steps + 1, nn))
+    W[:, 0] = w
+    C[:, 0] = c
     ts = times.tolist()
     f_star = np.array([loading.f_star(t) for t in ts])
     g_star = np.array([loading.g_star(t) for t in ts])
     mu_ext = np.array([bc.mu_ext_value(t) for t in ts])
     # the ledger columns that need the step's solver data; the others are
     # functions of the stored trajectory and are filled after the loop
-    diss_mech, load_power, residual_mech, residual_diff = np.zeros((4, n_steps + 1))
+    residual_mech, residual_diff = np.zeros((2, m, n_steps + 1))
 
+    w, c = w[:live], c[:live]
     C_prev_cells = (1.0 + gradient(grid, w)) ** 2
     for k in range(1, n_steps + 1):
+        if not live:
+            break
         t = ts[k]
-        try:
-            w_new, minfo = mechanical_step(
-                params, grid, w, c, tau, eps * f_star[k], eps * g_star[k],
-                C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
-            )
-            F_new = 1.0 + gradient(grid, w_new)
-            c_new, dinfo = diffusion_step(
-                params, grid, F_new, c, tau, bc, t,
-                tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
-            )
-        except SolverError as err:
-            raise type(err)(str(err), time=t) from err
+        w_new, minfo = mechanical_step(
+            params, grid, w, c, tau, eps_col[:live] * f_star[k], eps_row[:live] * g_star[k],
+            C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
+        )
+        if minfo["errors"]:
+            live = min(minfo["errors"])
+            failure = (live, minfo["errors"][live], t)
+            if not live:
+                break
+        F_new = 1.0 + gradient(grid, w_new[:live])
+        c_new, dinfo = diffusion_step(
+            params, grid, F_new, c[:live], tau, bc, t,
+            tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
+        )
+        if dinfo["errors"]:
+            live = min(dinfo["errors"])
+            failure = (live, dinfo["errors"][live], t)
+        rows = slice(0, live)
+        residual_mech[rows, k] = minfo["member_residual"][rows]
+        residual_diff[rows, k] = dinfo["member_residual"][rows]
+        w, c = w_new[rows], c_new[rows]
+        W[rows, k] = w
+        C[rows, k] = c
+        C_prev_cells = F_new[rows] ** 2
 
-        cdot_cells = (F_new ** 2 - C_prev_cells) / tau
-        diss_mech[k] = grid.h * float(np.sum(0.5 * params.D_tilde * cdot_cells ** 2)) / eps ** 2
-        load_power[k] = (
-            float(np.sum(weights * (f_star[k] - f_star[k - 1]) * (w / eps)))
-            + (g_star[k] - g_star[k - 1]) * (w[-1] / eps)
-        ) / tau
-        residual_mech[k] = minfo["residual"]
-        residual_diff[k] = dinfo["residual"]
-        w, c = w_new, c_new
-        W[k] = w
-        C[k] = c
-        C_prev_cells = F_new ** 2
+    if failure is not None:
+        i, err, t = failure
+        if t is None:
+            raise err
+        raise _member_error(type(err)(str(err), time=t), eps_list[i]) from err
+
+    runs = tuple(
+        NonlinearRun(params, grid, e, times.copy(), W[i], C[i], _nonlinear_ledger(
+            params, grid, bc, tau, e, times, W[i], C[i], f_star, g_star, mu_ext, cascade,
+            residual_mech[i], residual_diff[i],
+        ))
+        for i, e in enumerate(eps_list)
+    )
+    return runs[0] if single else runs
+
+
+def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, mu_ext, cascade,
+                      residual_mech, residual_diff) -> EnergyLedger:
+    """The ledger of one run, from its stored trajectory and the Newton
+    residuals of its steps, filled in row blocks."""
+    weights = node_weights(grid)
 
     def block(rows):
         return _nonlinear_columns(
             params, grid, bc, eps, W[rows], C[rows], f_star[rows], g_star[rows], mu_ext[rows], cascade
         )
 
-    cols = map_row_blocks(n_steps + 1, block)
-    # the mobility and boundary-flux rates belong to steps, not to the
-    # initial state
+    def steps(rows):
+        # row j of the block is the step from j to j + 1
+        after = slice(rows.start + 1, rows.stop + 1)
+        w = W[rows]
+        cdot = ((1.0 + gradient(grid, W[after])) ** 2 - (1.0 + gradient(grid, w)) ** 2) / tau
+        return {
+            "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
+            "load_power": (
+                (weights * (f_star[after] - f_star[rows]) * (w / eps)).sum(axis=-1)
+                + (g_star[after] - g_star[rows]) * (w[:, -1] / eps)
+            ) / tau,
+        }
+
+    cols = map_row_blocks(len(W), block)
+    # the rates belong to steps, not to the initial state
     cols["diss_diff"][0] = 0.0
     cols["flux_boundary"][0] = 0.0
-    cols.update(t=times, diss_mech=diss_mech, load_power=load_power,
-                residual_mech=residual_mech, residual_diff=residual_diff)
-    ledger = EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
-    return NonlinearRun(params, grid, eps, times, W, C, ledger)
+    cols["diss_mech"], cols["load_power"] = np.zeros((2, len(W)))
+    if len(W) > 1:
+        for name, col in map_row_blocks(len(W) - 1, steps).items():
+            cols[name][1:] = col
+    cols.update(t=times, residual_mech=residual_mech, residual_diff=residual_diff)
+    return EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
 
 
 def _nonlinear_columns(params, grid, bc, eps, w, c, f_star, g_star, mu_ext, cascade) -> dict:

@@ -8,11 +8,11 @@ from porovisco.experiments import (
     long_time_decay,
     moser_diagnostic,
     moser_exponents,
-    scaling_audit,
     uniqueness_test,
 )
 from porovisco.loading import BoundLoading
-from porovisco.nonlinear_solver import EnergyLedger, NonlinearRun
+from porovisco.discretization import BCSpec
+from porovisco.nonlinear_solver import EnergyLedger, NoConvergence, NonlinearRun, run_nonlinear
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,7 @@ class TestSweep:
                            tau=2e-3, T=0.02)
         for vals in result.report.errors.values():
             assert all(v == 0.0 for v in vals)
-        audit = scaling_audit(result)
-        for ratio in audit["ratios"].values():
+        for ratio in result.report.audit_ratios.values():
             assert ratio == 1.0 or np.isfinite(ratio)
 
     def test_short_loaded_sweep_decreases(self, unit_params):
@@ -53,6 +52,28 @@ class TestSweep:
         assert max(rep.dissipation_violations) <= 1e-9
         for ratio in rep.audit_ratios.values():
             assert ratio <= 3.0
+
+    def test_failed_member_message(self, unit_params):
+        # below the round-off floor every member fails, 0.1 earlier in
+        # time than 0.2; the sweep names the first member in its order
+        grid = Grid1D(16)
+        x = grid.nodes
+        loading = BoundLoading(f=lambda t: min(t / 0.05, 1.0) * 0.6 * np.sin(np.pi * x),
+                               g=lambda t: min(t / 0.05, 1.0) * 0.2)
+        solo = {}
+        for eps in (0.2, 0.1):
+            with pytest.raises(NoConvergence) as err:
+                run_nonlinear(unit_params, grid, loading, BCSpec(zero_flux=True), tau=2e-3, T=0.1,
+                              eps=eps, tol=1e-12)
+            solo[eps] = err.value
+        assert solo[0.1].time < solo[0.2].time
+        with pytest.raises(RuntimeError) as err:
+            eps_sweep(unit_params, grid, loading, (0.2, 0.1, 0.05, 0.025), tau=2e-3, T=0.1, tol=1e-12)
+        assert str(err.value) == f"sweep member eps = 0.2 failed: {solo[0.2]}"
+        assert type(err.value.__cause__) is NoConvergence
+        with pytest.raises(RuntimeError) as err:
+            eps_sweep(unit_params, grid, loading, (0.2, 0.1, 0.0, -0.1), tau=2e-3, T=0.1)
+        assert str(err.value) == "sweep member eps = 0.0 failed: tau, T and eps must be positive"
 
     def test_rejects_bad_eps_list(self, unit_params):
         grid = Grid1D(16)

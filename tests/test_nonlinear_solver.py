@@ -1,6 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
+from porovisco import nonlinear_solver
 from porovisco.constitutive import free_energy, hyperstress, mobility
 from porovisco.discretization import (
     BCSpec,
@@ -32,8 +36,10 @@ from porovisco.nonlinear_solver import (
     _diff_jacobian,
     _diff_residual,
     _dual_norm,
+    _mech_energy,
     _mech_hessian,
-    _mech_residual,
+    _scaled_gradient,
+    _solve_bands,
 )
 
 from conftest import default_loading
@@ -128,7 +134,7 @@ class TestBandedNewtonMatrices:
         weights = node_weights(grid)
 
         def residual(wv):
-            return _mech_residual(unit_params, grid, wv, c_hat, C_prev, TAU, f, 0.02, weights)
+            return _mech_energy(unit_params, grid, wv, c_hat, C_prev, TAU, f, 0.02, weights)[2]
 
         H = dense_from_band(_mech_hessian(unit_params, grid, w, c_hat, C_prev, TAU), 2, 2)
         fd = central_differences(residual, w, range(1, n + 1))
@@ -368,8 +374,8 @@ def _ledger_oracle(run, loading, bc):
             w_prev, c_prev = run.displacement[k - 1], run.concentration[k - 1]
             C_prev = (1.0 + gradient(grid, w_prev)) ** 2
             mu_ext = bc.mu_ext_value(t)
-            r_mech = _mech_residual(params, grid, w, cell_average(c_prev), C_prev, tau,
-                                    eps * loading.f_star(t), eps * loading.g_star(t), weights)
+            r_mech = _mech_energy(params, grid, w, cell_average(c_prev), C_prev, tau,
+                                  eps * loading.f_star(t), eps * loading.g_star(t), weights)[2]
             r_diff, _ = _diff_residual(params, grid, F, c, c_prev, tau, bc, t, weights)
             row.update(
                 diss_mech=h * np.sum(0.5 * params.D_tilde * ((F ** 2 - C_prev) / tau) ** 2) / eps ** 2,
@@ -437,3 +443,171 @@ def test_nodal_potential_consistent_with_energy_gradient(unit_params):
         cm[i] -= s
         fd = (energy(cp) - energy(cm)) / (2 * s) / weights[i]
         assert abs(mu[i] - fd) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# lockstep members
+# ---------------------------------------------------------------------------
+
+SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
+
+
+def robin_problem(grid):
+    bc = BCSpec(kappa_left=0.5, kappa_right=0.25, mu_ext=lambda t: 0.02 * np.sin(3.0 * t))
+    init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
+    return bc, init
+
+
+def assert_runs_equal(run, solo):
+    assert run.eps == solo.eps
+    assert np.array_equal(run.times, solo.times)
+    assert np.array_equal(run.displacement, solo.displacement)
+    assert np.array_equal(run.concentration, solo.concentration)
+    assert run.ledger.column_names == solo.ledger.column_names
+    for name in solo.ledger.column_names:
+        assert np.array_equal(run.ledger.column(name), solo.ledger.column(name)), name
+
+
+class TestLockstep:
+    def solve(self, params, eps, **kw):
+        grid = Grid1D(16)
+        bc, init = robin_problem(grid)
+        return run_nonlinear(params, grid, ramp_loading(grid), bc, tau=TAU, T=60 * TAU, eps=eps,
+                             tol=5e-11, **init, **kw)
+
+    def test_members_equal_solo_runs(self, unit_params):
+        runs = self.solve(unit_params, SWEEP_EPS)
+        assert isinstance(runs, tuple) and len(runs) == len(SWEEP_EPS)
+        for run, eps in zip(runs, SWEEP_EPS):
+            assert_runs_equal(run, self.solve(unit_params, eps))
+        assert runs[0].ledger.column("residual_mech")[1:].max() > 0.0
+
+    def test_batch_steps_equal_row_calls(self, unit_params):
+        runs = self.solve(unit_params, SWEEP_EPS[:3])
+        grid, k, t = runs[0].grid, 30, runs[0].times[31]
+        bc, _ = robin_problem(grid)
+        loading = ramp_loading(grid)
+        eps = np.array(SWEEP_EPS[:3])
+        w = np.array([run.displacement[k] for run in runs])
+        c = np.array([run.concentration[k] for run in runs])
+        f = eps[:, None] * loading.f_star(t)
+        g = eps * loading.g_star(t)
+        w_new, minfo = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11)
+        F = 1.0 + gradient(grid, w_new)
+        c_new, dinfo = diffusion_step(unit_params, grid, F, c, TAU, bc, t, tol=5e-11)
+        for info in (minfo, dinfo):
+            assert type(info["iterations"]) is int
+            assert info["iterations"] == int(np.sum(info["member_iterations"]))
+            assert info["errors"] == {}
+        for i in range(3):
+            w1, m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11)
+            c1, d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
+            assert np.array_equal(w_new[i], w1) and np.array_equal(c_new[i], c1)
+            assert np.array_equal(dinfo["mu"][i], d1["mu"])
+            assert minfo["member_iterations"][i] == m1["iterations"] >= 1
+            assert dinfo["member_iterations"][i] == d1["iterations"] >= 1
+            assert minfo["member_residual"][i] == m1["residual"]
+            assert minfo["member_energy"][i] == m1["energy"]
+            assert dinfo["member_residual"][i] == d1["residual"]
+
+    def test_first_failed_member_in_order_raises_its_own_error(self, unit_params):
+        # with two Newton iterations at most, the larger members fail, the
+        # largest first in time; 0.1 runs through
+        grid = Grid1D(16)
+        bc, _ = robin_problem(grid)
+        x = grid.nodes
+        loading = BoundLoading(f=lambda t: min(t / 0.02, 1.0) * 3.0 * np.sin(np.pi * x),
+                               g=lambda t: min(t / 0.02, 1.0) * 1.0)
+
+        def solve(eps):
+            return run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=0.05, eps=eps,
+                                 tol=1e-10, max_newton=2)
+
+        solo = {}
+        for eps in (0.2, 0.8):
+            with pytest.raises(NoConvergence) as err:
+                solve(eps)
+            solo[eps] = err.value
+        assert solo[0.8].time < solo[0.2].time
+        solve(0.1)
+        with pytest.raises(NoConvergence) as err:
+            solve((0.1, 0.2, 0.8))
+        assert str(err.value) == str(solo[0.2])
+        assert err.value.time == solo[0.2].time
+        assert err.value.eps == 0.2
+
+    def test_initial_failure_waits_for_earlier_members(self, unit_params):
+        # eps * u0 folds the bar from eps = 0.5 on
+        grid = Grid1D(16)
+        kw = dict(tau=TAU, T=10 * TAU, u0=-2.0 * grid.nodes)
+        with pytest.raises(OrientationLoss) as solo:
+            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=0.6, **kw)
+        with pytest.raises(OrientationLoss) as err:
+            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=(0.1, 0.6), **kw)
+        assert str(err.value) == str(solo.value) and err.value.time == 0.0
+        assert err.value.eps == 0.6
+
+    def test_invalid_input_raises_before_the_loop(self, unit_params, monkeypatch):
+        grid = Grid1D(16)
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(nonlinear_solver, "mechanical_step", no_steps)
+        with pytest.raises(ValueError, match="must be positive") as err:
+            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.0))
+        assert err.value.eps == 0.0
+        with pytest.raises(ValueError, match="at least one"):
+            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=())
+
+    def test_singular_joint_band_solves_blocks_alone(self, unit_params, monkeypatch):
+        solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]
+        calls = {"joint": 0}
+
+        def joint_singular(lu, ab, b, **kwargs):
+            if ab.shape[1] > 17:
+                calls["joint"] += 1
+                raise LinAlgError("singular matrix")
+            return solve_banded(lu, ab, b, **kwargs)
+
+        monkeypatch.setattr(nonlinear_solver, "solve_banded", joint_singular)
+        for run, solo in zip(self.solve(unit_params, SWEEP_EPS), solos):
+            assert_runs_equal(run, solo)
+        assert calls["joint"] > 0
+
+    def test_singular_members_take_their_scaled_gradient(self, unit_params, monkeypatch):
+        # a block is singular by a pure function of its right-hand side,
+        # so a member meets the same singular solves alone and in company.
+        # Near a minimum the scaled gradient cannot descend, so only large
+        # right-hand sides are singular.
+        calls = {"singular": 0, "solved": 0}
+
+        def partly_singular(lu, ab, b, **kwargs):
+            joint = ab.shape[1] > 17
+            if joint or (np.max(np.abs(b)) > 1e-4 and zlib.crc32(b.tobytes()) % 3 == 0):
+                calls["singular"] += not joint
+                raise LinAlgError("singular matrix")
+            calls["solved"] += 1
+            return solve_banded(lu, ab, b, **kwargs)
+
+        monkeypatch.setattr(nonlinear_solver, "solve_banded", partly_singular)
+        solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]
+        calls.update(singular=0, solved=0)
+        for run, solo in zip(self.solve(unit_params, SWEEP_EPS), solos):
+            assert_runs_equal(run, solo)
+        assert calls["singular"] > 0 and calls["solved"] > 0
+
+    def test_only_the_singular_block_falls_back(self):
+        rng = np.random.default_rng(3)
+        ab = rng.standard_normal((5, 3, 9))
+        ab[2] += 8.0  # diagonally dominant blocks
+        for i in range(3):  # the unused corners of the band storage
+            ab[0, i, :2] = ab[1, i, 0] = ab[3, i, -1] = ab[4, i, -2:] = 0.0
+        ab[:, 1, 4] = 0.0  # a zero column makes block 1 singular
+        rhs = rng.standard_normal((3, 9))
+        out = _solve_bands(ab, rhs, 1.0)
+        for i in (0, 2):
+            assert np.array_equal(out[i], solve_banded((2, 2), ab[:, i], rhs[i], check_finite=False))
+        # the fallback of a one-member step: rhs / max(max |diag|, floor)
+        assert np.array_equal(out[1], rhs[1] / max(float(np.max(np.abs(ab[2, 1]))), 1.0))
+        assert np.array_equal(_scaled_gradient(ab, rhs, 1.0)[1], out[1])
