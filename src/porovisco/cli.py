@@ -270,7 +270,7 @@ def parse_config(path) -> ProblemConfig:
         eps_list = (0.2, 0.1, 0.05)
 
     solver_node = _section(raw, "solver", errors)
-    tol = _get(solver_node, "tol", 1e-11, errors, "solver", float)
+    tol = _get(solver_node, "tol", 5e-11, errors, "solver", float)
     max_newton = _get(solver_node, "max_newton", 50, errors, "solver", int)
     max_backtrack = _get(solver_node, "max_backtrack", 40, errors, "solver", int)
 

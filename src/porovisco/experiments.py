@@ -124,7 +124,7 @@ def eps_sweep(
     T: float,
     u0: Optional[np.ndarray] = None,
     rho0: Optional[np.ndarray] = None,
-    tol: float = 1e-11,
+    tol: float = 5e-11,
 ) -> SweepResult:
     """Run the finite-strain system at every eps and the linear system
     once, and tabulate the gap in max-in-time H1/L2 norms for u, the

@@ -7,7 +7,8 @@ Each step first minimizes the incremental mechanical functional
                  - <ell(t + tau), chi>
 
 over deformations with chi(0) = 0 (Newton with energy backtracking that
-rejects orientation-losing iterates), then advances the concentration by
+rejects orientation-losing iterates, started from the extrapolation of the
+last states where that lowers the energy), then advances the concentration by
 one implicit Euler step of the degenerate diffusion equation (damped
 Newton with positivity rejection).  Because the mechanical update is a
 genuine minimization and the free energy is convex in c, the produced
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from . import constitutive as mat
 from .constitutive import MaterialParams
@@ -225,28 +226,39 @@ def _scaled_gradient(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarra
     return rhs / np.maximum(np.abs(ab[2]).max(axis=-1), floor)[..., None]
 
 
+def _gbsv(ab: np.ndarray, rhs: np.ndarray):
+    """Banded LU solve with partial pivoting (LAPACK ``gbsv``) of the
+    pentadiagonal system in the (5, n) storage of ``solve_banded((2, 2),
+    ...)``, on a (7, n) work band whose first two rows take the fill-in of
+    the pivoting.  Returns None if the band is singular."""
+    work = np.zeros((7, ab.shape[-1]), order="F")  # Fortran order: LAPACK works in place
+    work[2:] = ab
+    _, _, x, info = dgbsv(2, 2, work, rhs, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    return x if info == 0 else None
+
+
 def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     """Solve the pentadiagonal systems (ab[:, i], rhs[i]) of all rows.
 
     The (5, n) bands are laid side by side as one (5, rows * n)
     block-diagonal band, whose couplings across the junctions are the zero
-    corners of the band storage, and solved by one banded LU with partial
-    pivoting (LAPACK ``gbsv``).  A pivot search never crosses a zero
-    junction, so each block's solution is bit for bit that of its solve
-    alone.  If the joint band is singular, each block is solved alone, and
-    a singular block takes ``_scaled_gradient(ab, rhs, floor)``.
+    corners of the band storage, and solved by one ``_gbsv`` call.  A
+    pivot search never crosses a zero junction, so each block's solution
+    is bit for bit that of its solve alone.  If the joint band is
+    singular, each block is solved alone, and a singular block takes
+    ``_scaled_gradient(ab, rhs, floor)``.
     """
     k, n = rhs.shape
-    try:
-        return solve_banded((2, 2), ab.reshape(5, k * n), rhs.reshape(k * n), check_finite=False).reshape(k, n)
-    except LinAlgError:
-        out = np.empty_like(rhs)
-        for i in range(k):
-            try:
-                out[i] = solve_banded((2, 2), ab[:, i], rhs[i], check_finite=False)
-            except LinAlgError:
-                out[i] = _scaled_gradient(ab[:, i], rhs[i], floor)
-        return out
+    x = _gbsv(ab.reshape(5, k * n), rhs.reshape(k * n))
+    if x is not None:
+        return x.reshape(k, n)
+    out = np.empty_like(rhs)
+    for i in range(k):
+        x = _gbsv(ab[:, i], rhs[i])
+        out[i] = _scaled_gradient(ab[:, i], rhs[i], floor) if x is None else x
+    return out
 
 
 def _subset(rows, mask: np.ndarray):
@@ -385,6 +397,7 @@ def mechanical_step(
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
+    start: Optional[np.ndarray] = None,
 ):
     """Minimize the incremental mechanical functional at frozen
     concentration.
@@ -404,6 +417,17 @@ def mechanical_step(
     per-member ``member_iterations``, ``member_residual``,
     ``member_energy`` and ``member_energy_start``, and ``errors``, which
     maps the index of each failed member to the error it raises alone.
+
+    ``start``, shaped like ``w_prev``, proposes a start iterate per
+    member.  Newton starts from it only where it preserves orientation
+    and its incremental energy is finite and no larger than that of
+    ``w_prev``, and from ``w_prev`` elsewhere (and everywhere when
+    ``start`` is None).  The start energy reported is that of ``w_prev``
+    either way.  Newton only descends, except that a final polish step
+    may raise the energy by the round-off budget of ``trial``, so
+    E(w_new) <= E(w_prev) holds up to that budget.  The energy reported
+    is the smallest value along the Newton path, so energy <=
+    energy_start holds exactly, whichever start was taken.
     """
     single = np.ndim(w_prev) == 1
     w = np.array(w_prev, dtype=float, ndmin=2)
@@ -434,12 +458,21 @@ def mechanical_step(
     r = np.zeros((m, grid.n_cells))
     rn = np.zeros(m)
     live = oriented(w)
-    b = _subset(slice(None), live)
-    e_cur[b], scale[b], r[b], rn[b] = energy(data, b, w[b])
+    # w_prev and the proposed start are evaluated in one batch
+    guess = w if start is None else np.reshape(start, w.shape)
+    b = live.nonzero()[0]
+    g = b[:0] if start is None else (live & oriented(guess)).nonzero()[0]
+    vals = energy(data, np.concatenate([b, g]), np.concatenate([w[b], guess[g]]))
+    e_cur[b], scale[b], r[b], rn[b] = (v[: len(b)] for v in vals)
     live &= np.isfinite(e_cur)
     for i in (~live).nonzero()[0]:
         errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
     e_start = e_cur.copy()
+    e_guess, scale_guess, r_guess, rn_guess = (v[len(b) :] for v in vals)
+    take = live[g] & np.isfinite(e_guess) & (e_guess <= e_start[g])
+    t = g[take]
+    w[t] = guess[t]
+    e_cur[t], scale[t], r[t], rn[t] = e_guess[take], scale_guess[take], r_guess[take], rn_guess[take]
     iters = np.zeros(m, dtype=int)
     # every member still iterating has taken part in each pass so far, so
     # the pass count is its iteration count
@@ -690,7 +723,7 @@ def _ledger_columns(cascade_q: tuple) -> tuple:
         "mu_left",
         "mu_right",
     )
-    return extras + tuple(f"lq_c_{q:g}" for q in cascade_q)
+    return extras + tuple(f"lq_c_{q:g}" for q in cascade_q) + ("newton_mech", "newton_diff")
 
 
 def _member_error(err: Exception, eps: float) -> Exception:
@@ -774,6 +807,7 @@ def run_nonlinear(
     # the ledger columns that need the step's solver data; the others are
     # functions of the stored trajectory and are filled after the loop
     residual_mech, residual_diff = np.zeros((2, m, n_steps + 1))
+    newton_mech, newton_diff = np.zeros((2, m, n_steps + 1), dtype=int)
 
     w, c = w[:live], c[:live]
     C_prev_cells = (1.0 + gradient(grid, w)) ** 2
@@ -781,9 +815,21 @@ def run_nonlinear(
         if not live:
             break
         t = ts[k]
+        # Newton starts from the polynomial extrapolation of the stored
+        # states: at w itself the viscous stress of the last step is
+        # missing from the residual, which puts w O(eps) from the minimizer.
+        # Quadratic, not linear: a linear extrapolation from step 2 on
+        # still needs a second iteration on about one member step in five
+        if k == 1:
+            start = None
+        elif k == 2:
+            start = 2.0 * W[:live, 1] - W[:live, 0]
+        else:
+            start = 3.0 * (W[:live, k - 1] - W[:live, k - 2]) + W[:live, k - 3]
         w_new, minfo = mechanical_step(
             params, grid, w, c, tau, eps_col[:live] * f_star[k], eps_row[:live] * g_star[k],
             C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
+            start=start,
         )
         if minfo["errors"]:
             live = min(minfo["errors"])
@@ -801,6 +847,8 @@ def run_nonlinear(
         rows = slice(0, live)
         residual_mech[rows, k] = minfo["member_residual"][rows]
         residual_diff[rows, k] = dinfo["member_residual"][rows]
+        newton_mech[rows, k] = minfo["member_iterations"][rows]
+        newton_diff[rows, k] = dinfo["member_iterations"][rows]
         w, c = w_new[rows], c_new[rows]
         W[rows, k] = w
         C[rows, k] = c
@@ -815,7 +863,7 @@ def run_nonlinear(
     runs = tuple(
         NonlinearRun(params, grid, e, times.copy(), W[i], C[i], _nonlinear_ledger(
             params, grid, bc, tau, e, times, W[i], C[i], f_star, g_star, mu_ext, cascade,
-            residual_mech[i], residual_diff[i],
+            residual_mech[i], residual_diff[i], newton_mech[i], newton_diff[i],
         ))
         for i, e in enumerate(eps_list)
     )
@@ -823,9 +871,9 @@ def run_nonlinear(
 
 
 def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, mu_ext, cascade,
-                      residual_mech, residual_diff) -> EnergyLedger:
+                      residual_mech, residual_diff, newton_mech, newton_diff) -> EnergyLedger:
     """The ledger of one run, from its stored trajectory and the Newton
-    residuals of its steps, filled in row blocks."""
+    residuals and iteration counts of its steps, filled in row blocks."""
     weights = node_weights(grid)
 
     def block(rows):
@@ -854,7 +902,8 @@ def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, m
     if len(W) > 1:
         for name, col in map_row_blocks(len(W) - 1, steps).items():
             cols[name][1:] = col
-    cols.update(t=times, residual_mech=residual_mech, residual_diff=residual_diff)
+    cols.update(t=times, residual_mech=residual_mech, residual_diff=residual_diff,
+                newton_mech=newton_mech, newton_diff=newton_diff)
     return EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
 
 

@@ -70,6 +70,15 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_config(path)
 
+    def test_missing_solver_section_takes_the_shipped_tol(self, tmp_path):
+        cfg = json.loads(default_config_path().read_text())
+        shipped = cfg.pop("solver")
+        path = tmp_path / "nosolver.json"
+        path.write_text(json.dumps(cfg))
+        config = parse_config(path)
+        assert config.tol == shipped["tol"]
+        assert (config.max_newton, config.max_backtrack) == (shipped["max_newton"], shipped["max_backtrack"])
+
     @pytest.mark.parametrize("field, patch", [
         ("checks.mass_tol", {"checks": {"mass_tol": "abc"}}),
         ("checks.mass_tol", {"checks": {"mass_tol": None}}),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
 from porovisco.discretization import Grid1D
 from porovisco.experiments import (
@@ -74,6 +75,17 @@ class TestSweep:
         with pytest.raises(RuntimeError) as err:
             eps_sweep(unit_params, grid, loading, (0.2, 0.1, 0.0, -0.1), tau=2e-3, T=0.1)
         assert str(err.value) == "sweep member eps = 0.0 failed: tau, T and eps must be positive"
+
+    def test_default_tol_runs_the_shipped_config(self):
+        # the default tolerance must lie above the round-off floor of the
+        # mechanical residual on the shipped problem
+        config = parse_config(default_config_path())
+        u0, rho0 = config.initial_fields()
+        result = eps_sweep(config.material, config.grid, config.loading.bind(config.grid), config.eps_list,
+                           tau=config.tau, T=0.05, u0=u0, rho0=rho0)
+        assert max(result.report.dissipation_violations) <= 1e-9
+        for name, vals in result.report.errors.items():
+            assert all(v > 0.0 for v in vals), name
 
     def test_rejects_bad_eps_list(self, unit_params):
         grid = Grid1D(16)

@@ -2,7 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from porovisco import nonlinear_solver
 from porovisco.constitutive import free_energy, hyperstress, mobility
@@ -342,11 +343,13 @@ class TestLedger:
         assert led.column("energy")[0] == 1.0
 
 
-def _ledger_oracle(run, loading, bc):
+def _ledger_oracle(run, loading, bc, tol):
     """The ledger of a finite-strain run evaluated row by row from the
     one-field formulas; the residual columns are recomputed from the
-    stored states."""
+    stored states, and the Newton counts by repeating each step from the
+    stored states with the start the run extrapolates from them."""
     params, grid, eps, tau = run.params, run.grid, run.eps, run.ledger.tau
+    W = run.displacement
     h = grid.h
     weights = node_weights(grid)
     rows = []
@@ -369,6 +372,7 @@ def _ledger_oracle(run, loading, bc):
             "residual_mech": 0.0,
             "residual_diff": 0.0,
         }
+        newton = (0, 0)
         if k > 0:
             t_prev = run.times[k - 1]
             w_prev, c_prev = run.displacement[k - 1], run.concentration[k - 1]
@@ -377,6 +381,12 @@ def _ledger_oracle(run, loading, bc):
             r_mech = _mech_energy(params, grid, w, cell_average(c_prev), C_prev, tau,
                                   eps * loading.f_star(t), eps * loading.g_star(t), weights)[2]
             r_diff, _ = _diff_residual(params, grid, F, c, c_prev, tau, bc, t, weights)
+            start = None if k == 1 else 2.0 * W[1] - W[0] if k == 2 else 3.0 * (W[k - 1] - W[k - 2]) + W[k - 3]
+            w_step, minfo = mechanical_step(params, grid, w_prev, c_prev, tau, eps * loading.f_star(t),
+                                            eps * loading.g_star(t), tol=tol, start=start)
+            c_step, dinfo = diffusion_step(params, grid, F, c_prev, tau, bc, t, tol=tol)
+            assert np.array_equal(w_step, w) and np.array_equal(c_step, c)
+            newton = (minfo["iterations"], dinfo["iterations"])
             row.update(
                 diss_mech=h * np.sum(0.5 * params.D_tilde * ((F ** 2 - C_prev) / tau) ** 2) / eps ** 2,
                 diss_diff=h * np.sum(mobility(params, F, c_hat) * gradient(grid, mu) ** 2) / eps ** 2,
@@ -400,6 +410,7 @@ def _ledger_oracle(run, loading, bc):
         )
         for q in default_cascade(params.m):
             row[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
+        row.update(newton_mech=newton[0], newton_diff=newton[1])
         rows.append(row)
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
@@ -413,11 +424,12 @@ def test_ledger_matches_per_row_oracle(unit_params):
     run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=600 * TAU, eps=0.1,
                         u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes), tol=5e-11)
     assert run.n_steps == 600
-    expected = _ledger_oracle(run, loading, bc)
+    expected = _ledger_oracle(run, loading, bc, tol=5e-11)
     assert run.ledger.column_names == tuple(expected)
     for name, col in expected.items():
         np.testing.assert_allclose(run.ledger.column(name), col, rtol=1e-13, atol=0.0, err_msg=name)
     assert np.all(expected["flux_boundary"][1:] != 0.0)
+    assert np.all(expected["newton_mech"][1:] >= 1) and np.all(expected["newton_diff"][1:] >= 1)
 
 
 def test_nodal_potential_consistent_with_energy_gradient(unit_params):
@@ -481,6 +493,9 @@ class TestLockstep:
         for run, eps in zip(runs, SWEEP_EPS):
             assert_runs_equal(run, self.solve(unit_params, eps))
         assert runs[0].ledger.column("residual_mech")[1:].max() > 0.0
+        # the Newton counts (compared above) differ between members
+        counts = [run.ledger.column("newton_mech") for run in runs]
+        assert not all(np.array_equal(counts[0], col) for col in counts[1:])
 
     def test_batch_steps_equal_row_calls(self, unit_params):
         runs = self.solve(unit_params, SWEEP_EPS[:3])
@@ -511,13 +526,17 @@ class TestLockstep:
             assert dinfo["member_residual"][i] == d1["residual"]
 
     def test_first_failed_member_in_order_raises_its_own_error(self, unit_params):
-        # with two Newton iterations at most, the larger members fail, the
-        # largest first in time; 0.1 runs through
+        # with two Newton iterations at most, the larger members fail at
+        # the load jumps, the largest at the first jump; 0.1 runs through
         grid = Grid1D(16)
         bc, _ = robin_problem(grid)
         x = grid.nodes
-        loading = BoundLoading(f=lambda t: min(t / 0.02, 1.0) * 3.0 * np.sin(np.pi * x),
-                               g=lambda t: min(t / 0.02, 1.0) * 1.0)
+
+        def amplitude(t):
+            return 0.5 * (t > 0.01) + 1.0 * (t > 0.02)
+
+        loading = BoundLoading(f=lambda t: amplitude(t) * 3.0 * np.sin(np.pi * x),
+                               g=lambda t: amplitude(t) * 1.0)
 
         def solve(eps):
             return run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=0.05, eps=eps,
@@ -535,6 +554,26 @@ class TestLockstep:
         assert str(err.value) == str(solo[0.2])
         assert err.value.time == solo[0.2].time
         assert err.value.eps == 0.2
+
+    def test_newton_columns_sum_to_the_step_totals(self, unit_params, monkeypatch):
+        totals = {"mech": 0, "diff": 0}
+
+        def counted(name, step):
+            def wrapper(*args, **kwargs):
+                out = step(*args, **kwargs)
+                totals[name] += out[1]["iterations"]
+                return out
+            return wrapper
+
+        monkeypatch.setattr(nonlinear_solver, "mechanical_step", counted("mech", mechanical_step))
+        monkeypatch.setattr(nonlinear_solver, "diffusion_step", counted("diff", diffusion_step))
+        runs = self.solve(unit_params, SWEEP_EPS)
+        for name in ("mech", "diff"):
+            cols = [run.ledger.column(f"newton_{name}") for run in runs]
+            assert all(col[0] == 0.0 for col in cols)
+            assert sum(col.sum() for col in cols) == totals[name] > 0
+        names = runs[0].ledger.column_names
+        assert names[-2:] == ("newton_mech", "newton_diff")
 
     def test_initial_failure_waits_for_earlier_members(self, unit_params):
         # eps * u0 folds the bar from eps = 0.5 on
@@ -564,13 +603,13 @@ class TestLockstep:
         solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]
         calls = {"joint": 0}
 
-        def joint_singular(lu, ab, b, **kwargs):
+        def joint_singular(kl, ku, ab, b, **kwargs):
             if ab.shape[1] > 17:
                 calls["joint"] += 1
-                raise LinAlgError("singular matrix")
-            return solve_banded(lu, ab, b, **kwargs)
+                return ab, None, b, 1  # gbsv's report of a zero pivot
+            return dgbsv(kl, ku, ab, b, **kwargs)
 
-        monkeypatch.setattr(nonlinear_solver, "solve_banded", joint_singular)
+        monkeypatch.setattr(nonlinear_solver, "dgbsv", joint_singular)
         for run, solo in zip(self.solve(unit_params, SWEEP_EPS), solos):
             assert_runs_equal(run, solo)
         assert calls["joint"] > 0
@@ -582,20 +621,27 @@ class TestLockstep:
         # right-hand sides are singular.
         calls = {"singular": 0, "solved": 0}
 
-        def partly_singular(lu, ab, b, **kwargs):
+        def partly_singular(kl, ku, ab, b, **kwargs):
             joint = ab.shape[1] > 17
             if joint or (np.max(np.abs(b)) > 1e-4 and zlib.crc32(b.tobytes()) % 3 == 0):
                 calls["singular"] += not joint
-                raise LinAlgError("singular matrix")
+                return ab, None, b, 1
             calls["solved"] += 1
-            return solve_banded(lu, ab, b, **kwargs)
+            return dgbsv(kl, ku, ab, b, **kwargs)
 
-        monkeypatch.setattr(nonlinear_solver, "solve_banded", partly_singular)
+        monkeypatch.setattr(nonlinear_solver, "dgbsv", partly_singular)
         solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]
         calls.update(singular=0, solved=0)
         for run, solo in zip(self.solve(unit_params, SWEEP_EPS), solos):
             assert_runs_equal(run, solo)
         assert calls["singular"] > 0 and calls["solved"] > 0
+
+    def test_illegal_gbsv_argument_raises(self, monkeypatch):
+        monkeypatch.setattr(nonlinear_solver, "dgbsv", lambda kl, ku, ab, b, **kwargs: (ab, None, b, -4))
+        ab = np.zeros((5, 2, 6))
+        ab[2] = 1.0
+        with pytest.raises(ValueError, match="argument 4"):
+            _solve_bands(ab, np.ones((2, 6)), 1.0)
 
     def test_only_the_singular_block_falls_back(self):
         rng = np.random.default_rng(3)
@@ -611,3 +657,108 @@ class TestLockstep:
         # the fallback of a one-member step: rhs / max(max |diag|, floor)
         assert np.array_equal(out[1], rhs[1] / max(float(np.max(np.abs(ab[2, 1]))), 1.0))
         assert np.array_equal(_scaled_gradient(ab, rhs, 1.0)[1], out[1])
+
+
+# ---------------------------------------------------------------------------
+# Newton start from the extrapolated trajectory
+# ---------------------------------------------------------------------------
+
+def reversing_loading(grid):
+    # ramps up, then flips sign at t = 0.03: the trajectory's trend points
+    # away from the new minimizer
+    x = grid.nodes
+
+    def amplitude(t):
+        return min(t / 0.02, 1.0) if t < 0.03 else -1.0
+
+    return BoundLoading(f=lambda t: amplitude(t) * 0.6 * np.sin(np.pi * x), g=lambda t: amplitude(t) * 0.25)
+
+
+class TestPredictor:
+    def test_run_agrees_with_steps_started_at_the_previous_state(self, unit_params):
+        # Both runs stop every Newton solve at a residual dual norm <= tol.
+        # Each step's functional is at least 1-convex in the node-weighted
+        # L2 norm (the viscous term alone gives 4 D_tilde F^2 / tau ~ 1e3
+        # for the displacement, the node weights for the concentration),
+        # so one step's two solutions differ by at most 2 tol there, and a
+        # dissipative step does not amplify earlier differences.
+        tol, n_steps = 5e-11, 60
+        bound = 2.0 * tol * n_steps
+        grid = Grid1D(16)
+        bc, init = robin_problem(grid)
+        loading = ramp_loading(grid)
+        weights = node_weights(grid)
+        for eps in (0.2, 0.05):
+            run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=n_steps * TAU, eps=eps,
+                                tol=tol, **init)
+            w, c = run.displacement[0], run.concentration[0]
+            iterations = 0
+            for k in range(1, n_steps + 1):
+                t = run.times[k]
+                w, info = mechanical_step(unit_params, grid, w, c, TAU, eps * loading.f_star(t),
+                                          eps * loading.g_star(t), tol=tol)
+                c, _ = diffusion_step(unit_params, grid, 1.0 + gradient(grid, w), c, TAU, bc, t, tol=tol)
+                iterations += info["iterations"]
+                for field, stored in ((w, run.displacement[k]), (c, run.concentration[k])):
+                    assert np.sqrt(np.sum(weights * (field - stored) ** 2)) <= bound
+            # the extrapolated start saves Newton iterations
+            assert run.ledger.column("newton_mech").sum() < iterations
+
+    def test_start_above_the_previous_energy_is_not_taken(self, unit_params, monkeypatch):
+        grid = Grid1D(16)
+        weights = node_weights(grid)
+        calls = []  # the arguments and results of every mechanical step
+
+        def recorder(*args, **kwargs):
+            out = mechanical_step(*args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(nonlinear_solver, "mechanical_step", recorder)
+        run_nonlinear(unit_params, grid, reversing_loading(grid), BCSpec(zero_flux=True), tau=TAU, T=0.05,
+                      eps=(0.2, 0.1), tol=5e-11)
+        above = 0
+        for args, kwargs, (w_new, info) in calls:
+            assert np.all(info["member_energy"] <= info["member_energy_start"])
+            start = kwargs["start"]
+            if start is None:
+                continue
+            _, grid, w, c, tau, f, g = args
+            c_hat, C_prev = cell_average(c), kwargs["C_prev"]
+            e_prev = _mech_energy(unit_params, grid, w, c_hat, C_prev, tau, f, g, weights)[0]
+            e_start = _mech_energy(unit_params, grid, start, c_hat, C_prev, tau, f, g, weights)[0]
+            if np.any(e_start > e_prev):
+                above += 1
+                assert np.all(e_start > e_prev)
+                kwargs = dict(kwargs, start=None)
+                w_ref, ref = mechanical_step(*args, **kwargs)
+                assert np.array_equal(w_new, w_ref)
+                assert np.array_equal(info["member_iterations"], ref["member_iterations"])
+        assert above > 0
+
+    def test_folding_start_falls_back_to_the_previous_state(self, unit_params):
+        grid = Grid1D(16)
+        bc, init = robin_problem(grid)
+        loading = ramp_loading(grid)
+        runs = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=40 * TAU, eps=(0.2, 0.1), tol=5e-11,
+                             **init)
+        k, t = 30, runs[0].times[31]
+        eps = np.array([0.2, 0.1])
+        w = np.array([run.displacement[k] for run in runs])
+        c = np.array([run.concentration[k] for run in runs])
+        f, g = eps[:, None] * loading.f_star(t), eps * loading.g_star(t)
+        start = np.array([3.0 * (run.displacement[k] - run.displacement[k - 1]) + run.displacement[k - 2]
+                          for run in runs])
+        start[0, 4:] -= 2.0 * grid.h  # chi' = 1 + w' < 0 in one cell of member 0
+        assert (1.0 + gradient(grid, start[0])).min() < 0.0
+
+        def solo(i, **kw):
+            return mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, **kw)[0]
+
+        w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11, start=start)
+        assert info["errors"] == {}
+        assert np.array_equal(solo(0, start=start[0]), solo(0))
+        assert np.array_equal(w_new[0], solo(0))
+        # the other member takes its start, which changes its bits
+        assert np.array_equal(w_new[1], solo(1, start=start[1]))
+        assert not np.array_equal(w_new[1], solo(1))
