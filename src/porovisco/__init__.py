@@ -28,17 +28,14 @@ from .experiments import (
     uniqueness_test,
 )
 from .linear_solver import (
-    LinearState,
     SingularSystem,
     check_energy_balance,
-    linear_step,
     run_linear,
     static_solve,
 )
 from .loading import BoundLoading, LoadingSpec, SpatialProfile, TimeAmplitude
 from .nonlinear_solver import (
     NoConvergence,
-    NonlinearState,
     OrientationLoss,
     PositivityLoss,
     check_dissipation_inequality,

@@ -123,6 +123,14 @@ def _per_row(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``x`` with ``before`` zeros in front and ``after`` zeros behind
+    along the last axis."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + before + after,))
+    out[..., before : before + x.shape[-1]] = x
+    return out
+
+
 def map_row_blocks(n_rows: int, fn) -> dict:
     """Apply ``fn`` to consecutive row slices of at most ``_ROW_BLOCK``
     rows and concatenate its results.

@@ -349,10 +349,10 @@ def uniqueness_test(
     seed: int = 7,
 ) -> float:
     """Maximum state discrepancy between two independent solves of the
-    same data under permuted dof orderings and a seeded random
-    permutation; bounded by direct-solver precision."""
-    a = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, ordering="blocked")
-    b = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, ordering="interleaved", seed=seed)
+    same data: banded LU in the interleaved dof order, and dense LU under
+    a seeded random permutation; bounded by direct-solver precision."""
+    a = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
+    b = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, seed=seed)
     du = float(np.max(np.abs(a.u - b.u)))
     drho = float(np.max(np.abs(a.rho - b.rho)))
     return max(du, drho)

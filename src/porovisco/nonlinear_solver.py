@@ -36,6 +36,7 @@ from .constitutive import MaterialParams
 from .discretization import (
     BCSpec,
     Grid1D,
+    _pad,
     cell_average,
     cell_derivative,
     gradient,
@@ -57,7 +58,6 @@ __all__ = [
     "OrientationLoss",
     "PositivityLoss",
     "EnergyLedger",
-    "NonlinearState",
     "NonlinearRun",
     "RescaledTrajectory",
     "mechanical_step",
@@ -141,25 +141,6 @@ class EnergyLedger:
 # states and runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonlinearState:
-    """Deformation (stored as displacement w = chi - id) and concentration
-    at one time instant; chi(0) = 0 in the shifted convention."""
-
-    grid: Grid1D
-    displacement: np.ndarray
-    c: np.ndarray
-    t: float
-
-    @property
-    def chi(self) -> np.ndarray:
-        return self.grid.nodes + self.displacement
-
-    @property
-    def chi_prime(self) -> np.ndarray:
-        return 1.0 + gradient(self.grid, self.displacement)
-
-
 @dataclass
 class NonlinearRun:
     """Full trajectory of a staggered run plus its energy ledger."""
@@ -171,9 +152,6 @@ class NonlinearRun:
     displacement: np.ndarray  # (steps+1, nodes), chi - id
     concentration: np.ndarray  # (steps+1, nodes)
     ledger: EnergyLedger
-
-    def state(self, k: int) -> NonlinearState:
-        return NonlinearState(self.grid, self.displacement[k], self.concentration[k], float(self.times[k]))
 
     @property
     def n_steps(self) -> int:
@@ -205,14 +183,6 @@ class RescaledTrajectory:
 # while the others go on.  Every expression keeps the order of evaluation
 # of a one-member step, and the row reductions sum each row as they would
 # sum it alone, so a member's result does not depend on its company.
-
-def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
-    """``x`` with ``before`` zeros in front and ``after`` zeros behind
-    along the last axis."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + before + after,))
-    out[..., before : before + x.shape[-1]] = x
-    return out
-
 
 def _dual_norm(r: np.ndarray, weights: np.ndarray):
     # L2 norm of the residual density (residual entries carry quadrature

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import porovisco
 
 from porovisco.cli import (
     ParseError,
@@ -208,3 +214,13 @@ class TestMain:
                      "--tau", "0.004", "--quiet"]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert "u_016" in header and "u_017" not in header
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # no module of the package needs scipy.sparse; importing it would add
+    # to the start-up time of every command
+    src = str(Path(porovisco.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
