@@ -222,18 +222,71 @@ def _det_penalty_d2(pr: MaterialParams, J):
     return pr.delta * q * (q + 1.0) * J ** (-q - 2.0)
 
 
-def _check_positive(pr: MaterialParams, F, c, what="evaluation"):
-    if pr.dim == 1:
-        J = np.asarray(F, dtype=float)
-    else:
-        J = np.linalg.det(np.asarray(F, dtype=float))
-    # ndarray methods, not np.any: this runs on every constitutive call.
-    # A NaN passes both tests.
-    if (J <= 0.0).any():
-        raise DomainError(f"det F must be positive for {what}")
-    if (np.asarray(c, dtype=float) <= 0.0).any():
-        raise DomainError(f"concentration must be positive for {what}")
-    return J
+# ---------------------------------------------------------------------------
+# the free-energy kernel: each formula once, on shared intermediates.  The
+# public functions and the finite-strain solver's point evaluations call
+# it, so the two agree bit for bit.  ``_state`` is a point's domain check.
+# ---------------------------------------------------------------------------
+
+def _state(pr: MaterialParams, F, c):
+    """F and c as arrays, J = det F, J - 1 and the Biot coupling deviation
+    c - c_eq - beta (J - 1), after the one domain check of the point."""
+    F = np.asarray(F, dtype=float)
+    c = np.asarray(c, dtype=float)
+    J = F if pr.dim == 1 else np.linalg.det(F)
+    # ndarray methods, not np.any: this runs on every evaluated point.
+    # The minimum of an array with a NaN is NaN, which passes both tests.
+    if J.min(initial=np.inf) <= 0.0:
+        raise DomainError("det F must be positive for evaluation")
+    if c.min(initial=np.inf) <= 0.0:
+        raise DomainError("concentration must be positive for evaluation")
+    Jm1 = J - 1.0
+    return F, J, c, Jm1, c - pr.c_eq - pr.beta * Jm1
+
+
+def _entropy(pr: MaterialParams, c):
+    return pr.k * (c * np.log(c / pr.c_eq) - c + pr.c_eq)
+
+
+def _energy(pr: MaterialParams, dist2, J, dev, ent):
+    # Phi from dist^2(F, SO(d)), J, the coupling deviation and the entropy
+    return pr.kappa_e * dist2 + _det_penalty(pr, J) + 0.5 * pr.M_B * dev ** 2 + ent
+
+
+def _pressure(pr: MaterialParams, dev):
+    return -pr.M_B * pr.beta * dev
+
+
+def _stress_1d(pr: MaterialParams, J, Jm1, dev):
+    return 2.0 * pr.kappa_e * Jm1 + _det_penalty_d1(pr, J) + _pressure(pr, dev)
+
+
+def _potential(pr: MaterialParams, c, dev):
+    return pr.M_B * dev + pr.k * np.log(c / pr.c_eq)
+
+
+def _stiffness_1d(pr: MaterialParams, J):
+    # d2_FF Phi
+    return 2.0 * pr.kappa_e + _det_penalty_d2(pr, J) + pr.M_B * pr.beta ** 2
+
+
+def _d2cc(pr: MaterialParams, c):
+    return pr.M_B + pr.k / c
+
+
+def _hyper_1d(pr: MaterialParams, G):
+    # (H(G), h(G), h'(G)), which share |G|^(p-2)
+    p, nu, mag = pr.p, pr.nu_h, np.abs(G)
+    mag_p2 = mag ** (p - 2.0)
+    return (nu / p) * mag ** p, nu * mag_p2 * G, nu * (p - 1.0) * mag_p2
+
+
+def _mobility_1d(pr: MaterialParams, J, c):
+    return float(pr.M0) * (c / J) ** pr.m / J
+
+
+def _mobility_dc_1d(pr: MaterialParams, J, c):
+    return float(pr.M0) * pr.m * c ** (pr.m - 1.0) / J ** (pr.m + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,39 +295,24 @@ def _check_positive(pr: MaterialParams, F, c, what="evaluation"):
 
 def free_energy(params: MaterialParams, F, c):
     """Free energy density Phi(F, c); zero exactly on SO(d) x {c_eq}."""
-    J = _check_positive(params, F, c)
-    c = np.asarray(c, dtype=float)
-    if params.dim == 1:
-        dist2 = (np.asarray(F, dtype=float) - 1.0) ** 2
-    else:
-        Fm = np.asarray(F, dtype=float)
-        R = _polar_rotation(Fm)
-        dist2 = float(np.sum((Fm - R) ** 2))
-    el = params.kappa_e * dist2 + _det_penalty(params, J)
-    coup = 0.5 * params.M_B * (c - params.c_eq - params.beta * (J - 1.0)) ** 2
-    ent = params.k * (c * np.log(c / params.c_eq) - c + params.c_eq)
-    return el + coup + ent
+    F, J, c, Jm1, dev = _state(params, F, c)
+    dist2 = Jm1 ** 2 if params.dim == 1 else float(np.sum((F - _polar_rotation(F)) ** 2))
+    return _energy(params, dist2, J, dev, _entropy(params, c))
 
 
 def stress_elastic(params: MaterialParams, F, c):
     """First Piola-Kirchhoff stress, the F-derivative of the free energy."""
-    J = _check_positive(params, F, c)
-    c = np.asarray(c, dtype=float)
-    press = -params.M_B * params.beta * (c - params.c_eq - params.beta * (J - 1.0))
+    F, J, _, Jm1, dev = _state(params, F, c)
     if params.dim == 1:
-        Fa = np.asarray(F, dtype=float)
-        return 2.0 * params.kappa_e * (Fa - 1.0) + _det_penalty_d1(params, J) + press
-    Fm = np.asarray(F, dtype=float)
-    R = _polar_rotation(Fm)
-    cof = _cof2(Fm)
-    return 2.0 * params.kappa_e * (Fm - R) + (_det_penalty_d1(params, J) + press) * cof
+        return _stress_1d(params, J, Jm1, dev)
+    R = _polar_rotation(F)
+    return 2.0 * params.kappa_e * (F - R) + (_det_penalty_d1(params, J) + _pressure(params, dev)) * _cof2(F)
 
 
 def chemical_potential(params: MaterialParams, F, c):
     """Chemical potential, the c-derivative of the free energy."""
-    J = _check_positive(params, F, c)
-    c = np.asarray(c, dtype=float)
-    return params.M_B * (c - params.c_eq - params.beta * (J - 1.0)) + params.k * np.log(c / params.c_eq)
+    _, _, c, _, dev = _state(params, F, c)
+    return _potential(params, c, dev)
 
 
 def _rotation_derivative(F: np.ndarray) -> np.ndarray:
@@ -296,26 +334,18 @@ def free_energy_hessian(params: MaterialParams, F, c):
     In dim = 1 the blocks broadcast over array input; in dim = 2 the FF
     block is a (2,2,2,2) tensor and the Fc block a (2,2) matrix.
     """
-    J = _check_positive(params, F, c)
-    c = np.asarray(c, dtype=float)
-    d2cc = params.M_B + params.k / c
+    F, J, c, _, dev = _state(params, F, c)
+    d2cc = _d2cc(params, c)
     if params.dim == 1:
-        Fa = np.asarray(F, dtype=float)
-        d2FF = (
-            2.0 * params.kappa_e
-            + _det_penalty_d2(params, J)
-            + params.M_B * params.beta ** 2
-        ) * np.ones_like(Fa)
-        d2Fc = -params.M_B * params.beta * np.ones_like(Fa)
+        d2FF = _stiffness_1d(params, J) * np.ones_like(F)
+        d2Fc = -params.M_B * params.beta * np.ones_like(F)
         return d2FF, d2Fc, d2cc
-    Fm = np.asarray(F, dtype=float)
-    cof = _cof2(Fm)
-    press = -params.M_B * params.beta * (float(c) - params.c_eq - params.beta * (J - 1.0))
+    cof = _cof2(F)
     sym4 = np.einsum("ik,jl->ijkl", _I2, _I2)
     d2FF = (
-        2.0 * params.kappa_e * (sym4 - _rotation_derivative(Fm))
+        2.0 * params.kappa_e * (sym4 - _rotation_derivative(F))
         + (_det_penalty_d2(params, J) + params.M_B * params.beta ** 2) * np.einsum("ij,kl->ijkl", cof, cof)
-        + (_det_penalty_d1(params, J) + press) * _DCOF2
+        + (_det_penalty_d1(params, J) + _pressure(params, dev)) * _DCOF2
     )
     d2Fc = -params.M_B * params.beta * cof
     return d2FF, d2Fc, d2cc
@@ -332,11 +362,9 @@ def hyperstress(params: MaterialParams, G):
     evaluation is elementwise over arrays; for dim = 2 the argument is a
     third-order tensor measured in the Frobenius norm.
     """
-    p, nu = params.p, params.nu_h
     if params.dim == 1:
-        Ga = np.asarray(G, dtype=float)
-        mag = np.abs(Ga)
-        return (nu / p) * mag ** p, nu * mag ** (p - 2.0) * Ga
+        return _hyper_1d(params, np.asarray(G, dtype=float))[:2]
+    p, nu = params.p, params.nu_h
     Gt = np.asarray(G, dtype=float)
     mag = float(np.sqrt(np.sum(Gt ** 2)))
     if mag == 0.0:
@@ -346,19 +374,16 @@ def hyperstress(params: MaterialParams, G):
 
 def hyperstress_dG(params: MaterialParams, G):
     """Derivative of the hyperstress h'(G) (dim = 1, elementwise)."""
-    nu, p = params.nu_h, params.p
-    return nu * (p - 1.0) * np.abs(np.asarray(G, dtype=float)) ** (p - 2.0)
+    return _hyper_1d(params, np.asarray(G, dtype=float))[2]
 
 
-def dissipation(params: MaterialParams, F, Fdot, c, d_tilde=None):
+def dissipation(params: MaterialParams, F, Fdot, c):
     """Dissipation density and viscous stress, (zeta, sigma_vi).
 
     zeta = 1/2 Cdot : Dt Cdot with Cdot = Fdot^T F + F^T Fdot and
-    Dt = D_tilde * identity; sigma_vi = 2 F Dt Cdot.  The optional
-    ``d_tilde`` hook overrides the scalar weight (state-dependent
-    viscosities are supported but unused by the shipped solvers).
+    Dt = D_tilde * identity; sigma_vi = 2 F Dt Cdot.
     """
-    D = params.D_tilde if d_tilde is None else d_tilde
+    D = params.D_tilde
     if params.dim == 1:
         Fa = np.asarray(F, dtype=float)
         Fd = np.asarray(Fdot, dtype=float)
@@ -384,7 +409,7 @@ def mobility(params: MaterialParams, F, c):
         J = np.asarray(F, dtype=float)
         if (J <= 0.0).any():
             raise DomainError("det F must be positive for mobility")
-        return float(params.M0) * (c / J) ** params.m / J
+        return _mobility_1d(params, J, c)
     Fm = np.asarray(F, dtype=float)
     J = np.linalg.det(Fm)
     if J <= 0.0:
@@ -395,12 +420,10 @@ def mobility(params: MaterialParams, F, c):
 
 
 def mobility_dc(params: MaterialParams, F, c):
-    """c-derivative of the dim = 1 mobility (used by the implicit solver)."""
+    """c-derivative of the dim = 1 mobility."""
     if params.dim != 1:
         raise NotImplementedError("mobility_dc is implemented for dim = 1")
-    J = np.asarray(F, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return float(params.M0) * params.m * c ** (params.m - 1.0) / J ** (params.m + 1.0)
+    return _mobility_dc_1d(params, np.asarray(F, dtype=float), np.asarray(c, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -486,30 +509,31 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors, s: float) -> None:
+def _fd_tensors(pr: MaterialParams, s: float):
+    """The elasticity and viscosity tensors (C, D) at (I, c_eq) from central
+    differences (step ``s``) of the elastic and viscous stresses."""
     ceq = pr.c_eq
     if pr.dim == 1:
-        C_fd = (stress_elastic(pr, 1.0 + s, ceq) - stress_elastic(pr, 1.0 - s, ceq)) / (2 * s)
-        K_fd = (stress_elastic(pr, 1.0, ceq + s) - stress_elastic(pr, 1.0, ceq - s)) / (2 * s)
-        L_fd = (chemical_potential(pr, 1.0, ceq + s) - chemical_potential(pr, 1.0, ceq - s)) / (2 * s)
-        D_fd = (dissipation(pr, 1.0, s, ceq)[1] - dissipation(pr, 1.0, -s, ceq)[1]) / (2 * s)
-        pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, 1.0, ceq))]
-    else:
-        C_fd = np.zeros((2, 2, 2, 2))
-        D_fd = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                E = np.zeros((2, 2))
-                E[k, l] = s
-                C_fd[:, :, k, l] = (
-                    stress_elastic(pr, _I2 + E, ceq) - stress_elastic(pr, _I2 - E, ceq)
-                ) / (2 * s)
-                D_fd[:, :, k, l] = (
-                    dissipation(pr, _I2, E, ceq)[1] - dissipation(pr, _I2, -E, ceq)[1]
-                ) / (2 * s)
-        K_fd = (stress_elastic(pr, _I2, ceq + s) - stress_elastic(pr, _I2, ceq - s)) / (2 * s)
-        L_fd = (chemical_potential(pr, _I2, ceq + s) - chemical_potential(pr, _I2, ceq - s)) / (2 * s)
-        pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, _I2, ceq))]
+        C = (stress_elastic(pr, 1.0 + s, ceq) - stress_elastic(pr, 1.0 - s, ceq)) / (2 * s)
+        return C, (dissipation(pr, 1.0, s, ceq)[1] - dissipation(pr, 1.0, -s, ceq)[1]) / (2 * s)
+    C = np.zeros((2, 2, 2, 2))
+    D = np.zeros((2, 2, 2, 2))
+    for k in range(2):
+        for l in range(2):
+            E = np.zeros((2, 2))
+            E[k, l] = s
+            C[:, :, k, l] = (stress_elastic(pr, _I2 + E, ceq) - stress_elastic(pr, _I2 - E, ceq)) / (2 * s)
+            D[:, :, k, l] = (dissipation(pr, _I2, E, ceq)[1] - dissipation(pr, _I2, -E, ceq)[1]) / (2 * s)
+    return C, D
+
+
+def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors, s: float) -> None:
+    ceq = pr.c_eq
+    identity = 1.0 if pr.dim == 1 else _I2
+    C_fd, D_fd = _fd_tensors(pr, s)
+    K_fd = (stress_elastic(pr, identity, ceq + s) - stress_elastic(pr, identity, ceq - s)) / (2 * s)
+    L_fd = (chemical_potential(pr, identity, ceq + s) - chemical_potential(pr, identity, ceq - s)) / (2 * s)
+    pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, identity, ceq))]
     for analytic, fd in pairs:
         if _rel_err(analytic, fd) > 1e-6:
             raise RuntimeError("linearization self-check failed against finite differences")
@@ -579,19 +603,7 @@ def max_antisymmetric_action(
     """
     if params.dim != 2:
         raise ValueError("antisymmetric action check requires dim = 2")
-    ceq = params.c_eq
-    C_fd = np.zeros((2, 2, 2, 2))
-    D_fd = np.zeros((2, 2, 2, 2))
-    for k in range(2):
-        for l in range(2):
-            E = np.zeros((2, 2))
-            E[k, l] = step
-            C_fd[:, :, k, l] = (
-                stress_elastic(params, _I2 + E, ceq) - stress_elastic(params, _I2 - E, ceq)
-            ) / (2 * step)
-            D_fd[:, :, k, l] = (
-                dissipation(params, _I2, E, ceq)[1] - dissipation(params, _I2, -E, ceq)[1]
-            ) / (2 * step)
+    C_fd, D_fd = _fd_tensors(params, step)
     rng = np.random.default_rng(seed)
     max_c = 0.0
     max_d = 0.0
@@ -633,47 +645,9 @@ def min_symmetric_eigenvalue(params: MaterialParams, use_fd: bool = False, step:
     With ``use_fd`` the tensor comes from finite differences of the stress
     instead of the closed form (oracle mode).
     """
+    C = _fd_tensors(params, step)[0] if use_fd else linearize(params, fd_check=False).C
     if params.dim == 1:
-        if use_fd:
-            ceq = params.c_eq
-            return float(
-                (stress_elastic(params, 1.0 + step, ceq) - stress_elastic(params, 1.0 - step, ceq))
-                / (2 * step)
-            )
-        return float(linearize(params, fd_check=False).C)
-    if use_fd:
-        ceq = params.c_eq
-        C = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                E = np.zeros((2, 2))
-                E[k, l] = step
-                C[:, :, k, l] = (
-                    stress_elastic(params, _I2 + E, ceq) - stress_elastic(params, _I2 - E, ceq)
-                ) / (2 * step)
-    else:
-        C = linearize(params, fd_check=False).C
+        return float(C)
     basis = _sym_basis_2d()
     mat = np.array([[np.einsum("ijkl,kl,ij->", C, b, a) for b in basis] for a in basis])
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-
-
-def symmetric_eigenvalues(params: MaterialParams, use_fd: bool = False, step: float = 1e-5) -> np.ndarray:
-    """All eigenvalues of the elasticity tensor on symmetric matrices."""
-    if params.dim == 1:
-        return np.array([min_symmetric_eigenvalue(params, use_fd, step)])
-    if use_fd:
-        ceq = params.c_eq
-        C = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                E = np.zeros((2, 2))
-                E[k, l] = step
-                C[:, :, k, l] = (
-                    stress_elastic(params, _I2 + E, ceq) - stress_elastic(params, _I2 - E, ceq)
-                ) / (2 * step)
-    else:
-        C = linearize(params, fd_check=False).C
-    basis = _sym_basis_2d()
-    mat = np.array([[np.einsum("ijkl,kl,ij->", C, b, a) for b in basis] for a in basis])
-    return np.linalg.eigvalsh(0.5 * (mat + mat.T))

@@ -7,6 +7,7 @@ exactly one and the discrete L^q norms are power means (monotone in q).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,11 +144,14 @@ def map_row_blocks(n_rows: int, fn) -> dict:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
+@functools.lru_cache(maxsize=16)
 def node_weights(grid: Grid1D) -> np.ndarray:
-    """Trapezoidal quadrature weights; they sum to |Omega| = 1 exactly."""
+    """Trapezoidal quadrature weights; they sum to |Omega| = 1 exactly.
+    Every call on a grid returns the same read-only array."""
     w = np.full(grid.n_nodes, grid.h)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -164,7 +168,7 @@ def second_derivative(grid: Grid1D, f) -> np.ndarray:
     """Central second differences at interior nodes with natural end
     conditions (endpoint values forced to zero)."""
     v = _vals(grid, f)
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / grid.h ** 2
     return out
 

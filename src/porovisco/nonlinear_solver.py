@@ -25,6 +25,7 @@ which the loading is eps * (f_star, g_star) and u = (chi - id)/eps.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,13 +177,14 @@ class RescaledTrajectory:
 # ---------------------------------------------------------------------------
 #
 # The step functions advance a batch of members: states are (members,
-# nodes) arrays, and a 1-D state is the one-member batch.  Each energy,
-# residual, Hessian and Jacobian evaluation covers all the members it
-# concerns at once, while Newton and the line searches keep their state
-# per member.  A member that has converged or failed is left as it is
-# while the others go on.  Every expression keeps the order of evaluation
-# of a one-member step, and the row reductions sum each row as they would
-# sum it alone, so a member's result does not depend on its company.
+# nodes) arrays, and a 1-D state is the one-member batch.  Each point
+# evaluation and each derivative band covers all the members it concerns
+# at once, while Newton and the line searches keep their state per member.
+# Every expression keeps the order of evaluation of a one-member step, and
+# the row reductions sum each row as they would sum it alone, so a member's
+# result does not depend on its company.  A point is evaluated once, into
+# a record (a namedtuple of per-row arrays with the residual ``r`` and its
+# dual norm ``rn``) that carries what the derivative band there needs.
 
 def _dual_norm(r: np.ndarray, weights: np.ndarray):
     # L2 norm of the residual density (residual entries carry quadrature
@@ -242,18 +244,26 @@ def _subset(rows, mask: np.ndarray):
     return idx if isinstance(rows, slice) else rows[idx]
 
 
+def _rows(record, rows):
+    return type(record)(*(v[rows] for v in record))
+
+
+def _put(record, rows, values) -> None:
+    for v, u in zip(record, values):
+        v[rows] = u
+
+
 def _backtrack(x, directions, step, admissible, trial, max_backtrack):
     """Backtracking line search of every row of ``x``, in lockstep.
 
     Row i tries ``step(x[i], s, d[i])`` for s = 1, 1/2, ... (at most
-    ``max_backtrack + 1`` lengths) along each direction d of
-    ``directions`` in turn, until ``trial`` accepts the point.  A rejected
-    row halves s whatever rejected it, so every row still searching tries
-    the same s.  ``admissible(points)`` screens the points, and
-    ``trial(rows, points)`` evaluates the admissible ones (``rows``
-    selects them from ``x``, as in :func:`_subset`) and returns which of
-    them it accepts.
-
+    ``max_backtrack + 1`` lengths) along each direction in turn, until
+    ``trial`` accepts the point.  A direction is built, by a call on the
+    rows still searching (as in :func:`_subset`), when they come to it.  A
+    rejected row halves s whatever rejected it, so every row still
+    searching tries the same s.  ``admissible(points)`` screens the
+    points, and ``trial(rows, points)`` evaluates the admissible ones
+    (``rows`` selects them from ``x``) and returns which it accepts.
     Returns the accepted points, the mask of rows that accepted one, and
     the mask of rows that only ever failed the screen.
     """
@@ -263,9 +273,10 @@ def _backtrack(x, directions, step, admissible, trial, max_backtrack):
     only_inadmissible = np.ones(k, dtype=bool)
     pending = slice(None)
     for direction in directions:
+        xp, dp = x[pending], direction(pending)
         s = 1.0
         for _ in range(max_backtrack + 1):
-            cand = step(x[pending], s, direction[pending])
+            cand = step(xp, s, dp)
             ok = admissible(cand)
             tried = _subset(pending, ok)
             if tried is pending:
@@ -285,58 +296,126 @@ def _backtrack(x, directions, step, admissible, trial, max_backtrack):
             points[done] = cand[acc]
             accepted[done] = True
             pending = _subset(pending, ~acc)
+            xp, dp = xp[~acc], dp[~acc]
             s *= 0.5
     return points, accepted, only_inadmissible
+
+
+def _lockstep_newton(x, cur, live, errors, evaluate, band, accept, admissible, step, *, floor, fallback,
+                     tol, max_newton, max_backtrack, kind, screen_error, descent_error):
+    """Damped Newton on the live rows of ``x`` whose residual norm exceeds
+    ``tol``, in lockstep: one band solve per iteration covers them all.
+
+    ``cur`` holds the records of the rows' points, and ``band(members,
+    records)`` builds the bands of the active ones.  The line search of
+    :func:`_backtrack` tries the Newton direction, then (with
+    ``fallback``) the scaled gradient, built only for the rows the Newton
+    direction failed.  ``evaluate(members, points)`` evaluates the trial
+    points and ``accept(rows, old, new)`` decides on them, ``old`` being
+    the records of the active rows.  A row that fails gets
+    ``screen_error`` (error class, message) if no trial point passed the
+    screen, ``descent_error`` otherwise, or :class:`NoConvergence` after
+    ``max_newton`` iterations, in ``errors``, and leaves ``live``.
+    Returns the new states, their records and the iteration counts.
+    """
+    iters = np.zeros(len(x), dtype=int)
+    # every member still iterating has taken part in each pass so far, so
+    # the pass count is its iteration count
+    for passes in itertools.count():
+        active = live & (cur.rn > tol)
+        if not np.count_nonzero(active):
+            break
+        if passes >= max_newton:
+            for i in active.nonzero()[0]:
+                errors[int(i)] = NoConvergence(
+                    f"{kind} Newton exceeded {max_newton} iterations (residual {cur.rn[i]:.3e})")
+            break
+        a = _subset(slice(None), active)
+        old = cur if isinstance(a, slice) else _rows(cur, a)
+        ab = band(a, old)
+        rhs = -old.r
+        delta = _solve_bands(ab, rhs, floor)
+        directions = [lambda rows: delta[rows]]
+        if fallback:
+            directions.append(lambda rows: _scaled_gradient(ab[:, rows], rhs[rows], floor))
+        trials = []
+
+        def trial(rows, cand):
+            new = evaluate(rows if isinstance(a, slice) else a[rows], cand)
+            trials.append((rows, new))
+            return accept(rows, old, new)
+
+        points, accepted, only_screened = _backtrack(x[a], directions, step, admissible, trial, max_backtrack)
+        if len(trials) == 1 and isinstance(trials[0][0], slice):
+            new = trials[0][1]
+        else:  # a row's last trial is the one it accepted
+            new = type(old)(*(np.empty_like(v) for v in old))
+            for rows, values in trials:
+                _put(new, rows, values)
+        b = _subset(a, accepted)
+        if b is not a:
+            for j in (~accepted).nonzero()[0]:
+                errors[int(j if isinstance(a, slice) else a[j])] = (
+                    screen_error[0](screen_error[1]) if only_screened[j] else NoConvergence(descent_error))
+            live[_subset(a, ~accepted)] = False
+            points, new = points[accepted], _rows(new, accepted)
+        if isinstance(b, slice):  # every row moves: take the new arrays whole
+            x, cur = points, new
+        else:
+            x[b] = points
+            _put(cur, b, new)
+        iters[b] += 1
+    return x, cur, iters
 
 
 # ---------------------------------------------------------------------------
 # mechanical step
 # ---------------------------------------------------------------------------
 
-def _mech_kinematics(grid, w, C_prev, tau):
-    # deformation gradient, second derivative and strain rate
-    F = 1.0 + gradient(grid, w)
-    return F, second_derivative(grid, w), (F ** 2 - C_prev) / tau
+# The incremental mechanical functional at a point, per row: its value, the
+# sum of the magnitudes of its terms (the round-off resolution of the
+# value), the smallest value along the Newton path to the point (set by
+# _mech_accept), the residual at the free nodes and its dual norm, and for
+# the Hessian F, F^2 and the strain rate per cell and h'(G) per node
+_MechPoint = namedtuple("_MechPoint", "value scale path_min r rn F F2 cdot d2G")
 
 
-def _mech_energy(params, grid, w, c_hat, C_prev, tau, f_nodes, g_value, weights):
-    """Incremental mechanical energy, the sum of the magnitudes of its
-    contributions (the round-off resolution of the value) and the
-    residual, one per row.  The deformations must preserve orientation."""
+def _mech_point(params, grid, w, c_hat, ent, C_prev, tau, load, g_value, weights) -> _MechPoint:
+    """Evaluate the oriented deformations ``w``; ``ent`` is the entropy of the
+    frozen cell concentrations ``c_hat``, ``load`` the weighted body force."""
     h = grid.h
     n = grid.n_cells
-    F, G, cdot = _mech_kinematics(grid, w, C_prev, tau)
-    hyper, hy = mat.hyperstress(params, G)
-    phi = h * mat.free_energy(params, F, c_hat).sum(axis=-1)
+    F = 1.0 + gradient(grid, w)
+    G = second_derivative(grid, w)
+    F2 = F ** 2
+    cdot = (F2 - C_prev) / tau
+    F, J, _, Jm1, dev = mat._state(params, F, c_hat)
+    hyper, hy, d2G = mat._hyper_1d(params, G)
+    phi = h * mat._energy(params, Jm1 ** 2, J, dev, ent).sum(axis=-1)
     hyp = h * hyper[..., 1:-1].sum(axis=-1)
     visc = tau * h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1)
-    load = (weights * f_nodes * w).sum(axis=-1) + g_value * w[..., -1]
-    value = phi + hyp + visc - load
-    scale = abs(phi) + abs(hyp) + abs(visc) + abs(load)
-    sigma = mat.stress_elastic(params, F, c_hat) + 2.0 * F * params.D_tilde * cdot
-    hy[..., 0] = 0.0
-    hy[..., -1] = 0.0
-    r = sigma - _pad(sigma[..., 1:], 0, 1)
+    work = (load * w).sum(axis=-1) + g_value * w[..., -1]
+    value = phi + hyp + visc - work
+    scale = abs(phi) + hyp + visc + abs(work)  # hyp and visc sum nonnegative terms
+    sigma = mat._stress_1d(params, J, Jm1, dev) + 2.0 * F * params.D_tilde * cdot
+    # r_i = sigma_i - sigma_{i+1} (sigma_{n+1} = 0) + hyperstress stencil
+    r = sigma.copy()
+    r[..., :-1] -= sigma[..., 1:]
     hpad = _pad(hy, 0, 1)
     r += (hpad[..., 0:n] - 2.0 * hpad[..., 1 : n + 1] + hpad[..., 2 : n + 2]) / h
-    r -= weights[1:] * f_nodes[..., 1:]
+    r -= load[..., 1:]
     r[..., -1] -= g_value
-    return value, scale, r
+    return _MechPoint(value, scale, value.copy(), r, _dual_norm(r, weights[1:]), F, F2, cdot, d2G)
 
 
-def _mech_hessian(params, grid, w, c_hat, C_prev, tau):
-    """Band ab[2 + i - j, j] = H[i, j] of the symmetric pentadiagonal
-    Hessian, in the (5, n) storage of ``solve_banded((2, 2), ...)``; a
-    (members, nodes) batch gives (5, members, n)."""
+def _mech_band(params, grid, tau, pt: _MechPoint):
+    """Band ab[2 + i - j, j] = H[i, j] of the pentadiagonal Hessian at the
+    point of ``pt``, in the (5, [rows,] n) storage of ``solve_banded``."""
     h = grid.h
     n = grid.n_cells
-    F, G, cdot = _mech_kinematics(grid, w, C_prev, tau)
-    ff, _, _ = mat.free_energy_hessian(params, F, c_hat)
-    a = ff + 2.0 * params.D_tilde * cdot + 4.0 * params.D_tilde * F ** 2 / tau
-    # hyperstress block (pentadiagonal second-difference stencil)
-    b = mat.hyperstress_dG(params, G) / h ** 3
-    b[..., 0] = 0.0
-    b[..., -1] = 0.0
+    a = mat._stiffness_1d(params, pt.F) + 2.0 * params.D_tilde * pt.cdot + 4.0 * params.D_tilde * pt.F2 / tau
+    # hyperstress block (second-difference stencil); h'(G) = 0 at the end nodes
+    b = pt.d2G / h ** 3
     bp = _pad(b, 0, 1)  # bp[i] = b_i for i <= n, bp[n+1] = 0
     ab = np.zeros((5,) + a.shape)
     ab[2] = np.concatenate([a[..., :-1] + a[..., 1:], a[..., -1:]], axis=-1) / h
@@ -353,6 +432,27 @@ def _mech_candidate(w, s, direction):
     cand = w.copy()
     cand[:, 1:] += s * direction
     return cand
+
+
+def _oriented(grid, w):
+    return ~((1.0 + gradient(grid, w)).min(axis=-1) <= 0.0)
+
+
+def _mech_accept(rows, old: _MechPoint, new: _MechPoint):
+    # clear descent accepts outright.  Near the minimum the evaluated
+    # energy and residual disagree at round-off level, so the final Newton
+    # polish may raise the energy by ~1e-18; admit such increases only
+    # under a strong residual contraction and a tiny absolute budget.  A
+    # trial descends from the smallest energy along the path.
+    e_old = old.path_min[rows]
+    noise = 1024.0 * np.finfo(float).eps * np.maximum(old.scale[rows], new.scale)
+    finite = np.isfinite(new.value)
+    accept = finite & (new.value <= e_old - noise)
+    if np.count_nonzero(accept) < len(accept):
+        near = finite & ~accept & (new.value <= e_old + noise + 1e-15)
+        accept[near] = new.rn[near] <= 0.5 * old.rn[rows][near]
+    np.copyto(new.path_min, e_old, where=e_old < new.value)
+    return accept
 
 
 def mechanical_step(
@@ -392,120 +492,63 @@ def mechanical_step(
     member.  Newton starts from it only where it preserves orientation
     and its incremental energy is finite and no larger than that of
     ``w_prev``, and from ``w_prev`` elsewhere (and everywhere when
-    ``start`` is None).  The start energy reported is that of ``w_prev``
-    either way.  Newton only descends, except that a final polish step
-    may raise the energy by the round-off budget of ``trial``, so
-    E(w_new) <= E(w_prev) holds up to that budget.  The energy reported
-    is the smallest value along the Newton path, so energy <=
-    energy_start holds exactly, whichever start was taken.
+    ``start`` is None).  The start energy reported is that of ``w_prev``;
+    the energy reported is E(w_new), evaluated at the returned state.
+    Newton only descends, except that a final polish step may raise the
+    energy by the line search's round-off budget (1024 eps_mach times the
+    larger round-off scale of the two points, plus 1e-15), so energy <=
+    energy_start holds up to that budget.
     """
     single = np.ndim(w_prev) == 1
     w = np.array(w_prev, dtype=float, ndmin=2)
     m = len(w)
     weights = node_weights(grid)
-    free_weights = weights[1:]  # of the nodes after the pinned one
-    if C_prev is None:
-        C_prev = (1.0 + gradient(grid, w)) ** 2
-    data = (
-        cell_average(np.reshape(c_prev, w.shape)),
-        np.reshape(C_prev, (m, grid.n_cells)),
-        np.reshape(f_nodes, w.shape),
-        np.reshape(g_value, m),
-    )
+    C_prev = (1.0 + gradient(grid, w)) ** 2 if C_prev is None else np.reshape(C_prev, (m, grid.n_cells))
+    # the per-step invariants: the frozen concentration, its entropy and the loads
+    c_hat = cell_average(np.reshape(c_prev, w.shape))
+    ent = mat._entropy(params, c_hat)
+    load = weights * np.reshape(f_nodes, w.shape)
+    g_value = np.reshape(g_value, m)
 
-    def energy(d, rows, wv):
-        # value, round-off scale, residual and its dual norm
-        c_hat, Cp, f, g = d
-        e, sc, r = _mech_energy(params, grid, wv, c_hat[rows], Cp[rows], tau, f[rows], g[rows], weights)
-        return e, sc, r, _dual_norm(r, free_weights)
-
-    def oriented(wv):
-        return ~((1.0 + gradient(grid, wv)).min(axis=-1) <= 0.0)
+    def evaluate(members, points):
+        return _mech_point(params, grid, points, c_hat[members], ent[members], C_prev[members], tau,
+                           load[members], g_value[members], weights)
 
     errors = {}
-    e_cur = np.full(m, np.inf)
-    scale = np.full(m, np.inf)
-    r = np.zeros((m, grid.n_cells))
-    rn = np.zeros(m)
-    live = oriented(w)
-    # w_prev and the proposed start are evaluated in one batch
-    guess = w if start is None else np.reshape(start, w.shape)
-    b = live.nonzero()[0]
-    g = b[:0] if start is None else (live & oriented(guess)).nonzero()[0]
-    vals = energy(data, np.concatenate([b, g]), np.concatenate([w[b], guess[g]]))
-    e_cur[b], scale[b], r[b], rn[b] = (v[: len(b)] for v in vals)
-    live &= np.isfinite(e_cur)
+    # w_prev and the start (the last layer; w_prev if there is none) are
+    # evaluated as one (layers, members, nodes) batch.  The identity stands
+    # in for a point that folds the bar, which counts as not evaluated.
+    pair = np.array([w] if start is None else [w, np.reshape(start, w.shape)], dtype=float)
+    folded = ~_oriented(grid, pair)
+    pair[folded] = 0.0
+    both = evaluate(slice(None), pair)
+    both.value[folded] = np.inf
+    both.rn[folded] = 0.0
+    live = np.isfinite(both.value[0])
     for i in (~live).nonzero()[0]:
         errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
-    e_start = e_cur.copy()
-    e_guess, scale_guess, r_guess, rn_guess = (v[len(b) :] for v in vals)
-    take = live[g] & np.isfinite(e_guess) & (e_guess <= e_start[g])
-    t = g[take]
-    w[t] = guess[t]
-    e_cur[t], scale[t], r[t], rn[t] = e_guess[take], scale_guess[take], r_guess[take], rn_guess[take]
-    iters = np.zeros(m, dtype=int)
-    # every member still iterating has taken part in each pass so far, so
-    # the pass count is its iteration count
-    for passes in itertools.count():
-        active = live & (rn > tol)
-        if not np.count_nonzero(active):
-            break
-        if passes >= max_newton:
-            for i in active.nonzero()[0]:
-                errors[int(i)] = NoConvergence(
-                    f"mechanical Newton exceeded {max_newton} iterations (residual {rn[i]:.3e})")
-            break
-        a = _subset(slice(None), active)
-        da = tuple(x[a] for x in data)
-        wa, ra = w[a], r[a]
-        H = _mech_hessian(params, grid, wa, da[0], da[1], tau)
-        scaled_gradient = _scaled_gradient(H, -ra, 1.0)
-        delta = _solve_bands(H, -ra, 1.0)
-        e_a, scale_a, rn_a = e_cur[a], scale[a], rn[a]
-        e_new, scale_new, rn_new = np.empty((3, len(wa)))
-        r_new = np.empty_like(ra)
-
-        def trial(rows, cand):
-            e_try, scale_try, r_try, rn_try = energy(da, rows, cand)
-            e_new[rows], scale_new[rows], r_new[rows], rn_new[rows] = e_try, scale_try, r_try, rn_try
-            # clear descent accepts outright.  Near the minimum the
-            # evaluated energy and the evaluated residual disagree at
-            # round-off level, so the final Newton polish may raise the
-            # energy by ~1e-18; admit such increases only under a strong
-            # residual contraction and a tiny absolute budget (the
-            # descent certificate degrades by at most that much per
-            # step).
-            noise = 1024.0 * np.finfo(float).eps * np.maximum(scale_a[rows], scale_try)
-            finite = np.isfinite(e_try)
-            accept = finite & (e_try <= e_a[rows] - noise)
-            if np.count_nonzero(accept) < len(accept):
-                near = finite & ~accept & (e_try <= e_a[rows] + noise + 1e-15)
-                accept[near] = rn_try[near] <= 0.5 * rn_a[rows][near]
-            return accept
-
-        points, accepted, only_orientation = _backtrack(
-            wa, (delta, scaled_gradient), _mech_candidate, oriented, trial, max_backtrack
-        )
-        b = _subset(a, accepted)
-        if b is not a:
-            for j in (~accepted).nonzero()[0]:
-                errors[int(np.arange(m)[a][j])] = (
-                    OrientationLoss("no backtracking step preserves chi' > 0") if only_orientation[j]
-                    else NoConvergence("mechanical line search failed to descend"))
-            live[_subset(a, ~accepted)] = False
-            points, e_a, e_new, scale_new, r_new, rn_new = (
-                x[accepted] for x in (points, e_a, e_new, scale_new, r_new, rn_new))
-        w[b] = points
-        e_cur[b] = np.where(e_a < e_new, e_a, e_new)
-        scale[b], r[b], rn[b] = scale_new, r_new, rn_new
-        iters[b] += 1
+    e_start = both.value[0].copy()
+    take = live & np.isfinite(both.value[-1]) & (both.value[-1] <= e_start)
+    if np.count_nonzero(take) == m:
+        w, cur = pair[-1], _rows(both, -1)
+    else:
+        w[take] = pair[-1, take]
+        cur = _rows(both, 0)
+        _put(cur, take, _rows(_rows(both, -1), take))
+    w, cur, iters = _lockstep_newton(
+        w, cur, live, errors, evaluate, lambda members, pt: _mech_band(params, grid, tau, pt), _mech_accept,
+        lambda points: _oriented(grid, points), _mech_candidate, floor=1.0, fallback=True,
+        tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="mechanical",
+        screen_error=(OrientationLoss, "no backtracking step preserves chi' > 0"),
+        descent_error="mechanical line search failed to descend",
+    )
     if single:
         if errors:
             raise errors[0]
-        return w[0], {"residual": float(rn[0]), "iterations": int(iters[0]),
-                      "energy": float(e_cur[0]), "energy_start": float(e_start[0])}
-    return w, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": rn,
-               "member_energy": e_cur, "member_energy_start": e_start, "errors": errors}
+        return w[0], {"residual": float(cur.rn[0]), "iterations": int(iters[0]),
+                      "energy": float(cur.value[0]), "energy_start": float(e_start[0])}
+    return w, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": cur.rn,
+               "member_energy": cur.value, "member_energy_start": e_start, "errors": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -520,46 +563,54 @@ def nodal_chemical_potential(params: MaterialParams, grid: Grid1D, F_cells: np.n
     return node_average(mat.chemical_potential(params, F_cells, cell_average(c)))
 
 
-def _diff_residual(params, grid, F_cells, c, c_prev, tau, bc, t, weights):
-    mu = nodal_chemical_potential(params, grid, F_cells, c)
-    mob = mat.mobility(params, F_cells, cell_average(c))
+# The implicit Euler diffusion residual at a point, per row, its dual norm,
+# and for the Jacobian the nodal potential and cell concentrations and mobilities
+_DiffPoint = namedtuple("_DiffPoint", "r rn mu c_hat mob")
+
+
+def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _DiffPoint:
+    """Evaluate positive concentrations ``c``, with ``mu_ext`` the external
+    potential of the Robin data at the step's time."""
+    c_hat = cell_average(c)
+    _, J, c_hat, _, dev = mat._state(params, F_cells, c_hat)
+    mu = node_average(mat._potential(params, c_hat, dev))
+    mob = mat._mobility_1d(params, J, c_hat)
     q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
-    qpad_lo = _pad(q, 1, 0)
-    qpad_hi = _pad(q, 0, 1)
-    r = weights * (c - c_prev) + tau * (qpad_lo - qpad_hi)
-    mu_ext = bc.mu_ext_value(t)
+    r = weights * (c - c_prev) + tau * (_pad(q, 1, 0) - _pad(q, 0, 1))
     r[..., 0] += tau * bc.kappa_left * (mu[..., 0] - mu_ext)
     r[..., -1] += tau * bc.kappa_right * (mu[..., -1] - mu_ext)
-    return r, mu
+    return _DiffPoint(r, _dual_norm(r, weights), mu, c_hat, mob)
 
 
-def _diff_jacobian(params, grid, F_cells, c, tau, bc, weights, mu=None):
-    """Band ab[2 + i - j, j] = J[i, j] of the pentadiagonal Jacobian, in
-    the (5, n + 1) storage of ``solve_banded((2, 2), ...)``; a (members,
-    nodes) batch gives (5, members, n + 1).  ``mu`` is the nodal
-    potential at c, if it is known already."""
+def _diff_band(params, grid, F_cells, tau, bc, weights, pt: _DiffPoint):
+    """Band ab[2 + i - j, j] = J[i, j] of the pentadiagonal Jacobian at the
+    point of ``pt``, in the (5, [rows,] n + 1) storage of ``solve_banded``."""
     h = grid.h
-    c_hat = cell_average(c)
-    if mu is None:
-        mu = nodal_chemical_potential(params, grid, F_cells, c)
-    m = mat.mobility(params, F_cells, c_hat) / h
-    s = 0.5 * mat.mobility_dc(params, F_cells, c_hat) * ((mu[..., 1:] - mu[..., :-1]) / h)
+    mu = pt.mu
+    m = pt.mob / h
+    s = 0.5 * mat._mobility_dc_1d(params, F_cells, pt.c_hat) * ((mu[..., 1:] - mu[..., :-1]) / h)
     # tridiagonal d mu / d c: diagonal dd, and per cell k the entries
     # lower[k] = d mu_{k+1} / d c_k and upper[k] = d mu_k / d c_{k+1}
-    _, _, cc = mat.free_energy_hessian(params, F_cells, c_hat)
-    dd = np.concatenate([0.5 * cc[..., :1], 0.25 * (cc[..., :-1] + cc[..., 1:]), 0.5 * cc[..., -1:]], axis=-1)
-    lower = np.concatenate([0.25 * cc[..., :-1], 0.5 * cc[..., -1:]], axis=-1)
-    upper = np.concatenate([0.5 * cc[..., :1], 0.25 * cc[..., 1:]], axis=-1)
+    cc = mat._d2cc(params, pt.c_hat)
+    quarter, half = 0.25 * cc, 0.5 * cc
+    dd = np.concatenate([half[..., :1], 0.25 * (cc[..., :-1] + cc[..., 1:]), half[..., -1:]], axis=-1)
+    lower = np.concatenate([quarter[..., :-1], half[..., -1:]], axis=-1)
+    upper = np.concatenate([half[..., :1], quarter[..., 1:]], axis=-1)
     # cell flux q_k depends on c_{k-1} .. c_{k+2}; tau * d q_k / d c_{k+d}
-    qm1 = tau * (m[..., 1:] * -lower[..., :-1])
+    qm1 = tau * (m[..., 1:] * -quarter[..., :-1])
     q0 = tau * (m * (lower - dd[..., :-1]) + s)
     q1 = tau * (m * (dd[..., 1:] - upper) + s)
-    q2 = tau * (m[..., :-1] * upper[..., 1:])
-    ab = np.zeros((5,) + np.shape(c))
-    ab[0, ..., 2:] = -q2
-    ab[1, ..., 1:] = _pad(q2, 1, 0) - q1
-    ab[2] = weights + _pad(q1, 1, 0) - _pad(q0, 0, 1)
-    ab[3, ..., :-1] = q0 - _pad(qm1, 0, 1)
+    q2 = tau * (m[..., :-1] * quarter[..., 1:])
+    # row i of the residual holds tau (q_{i-1} - q_i); a missing q is 0.0
+    ab = np.zeros((5,) + mu.shape)
+    np.negative(q2, out=ab[0, ..., 2:])
+    np.subtract(0.0, q1[..., 0], out=ab[1, ..., 1])
+    np.subtract(q2, q1[..., 1:], out=ab[1, ..., 2:])
+    ab[2] = weights
+    ab[2, ..., 1:] += q1
+    ab[2, ..., :-1] -= q0
+    ab[3, ..., :-1] = q0
+    ab[3, ..., :-2] -= qm1
     ab[4, ..., :-2] = qm1
     # Robin rows
     ab[2, ..., 0] += tau * bc.kappa_left * dd[..., 0]
@@ -571,10 +622,6 @@ def _diff_jacobian(params, grid, F_cells, c, tau, bc, weights, mu=None):
 
 def _positive(c):
     return ~(c.min(axis=-1) <= 0.0)
-
-
-def _diff_candidate(c, s, delta):
-    return c + s * delta
 
 
 def diffusion_step(
@@ -609,61 +656,35 @@ def diffusion_step(
     m = len(c_prev)
     F_cells = np.reshape(F_cells, (m, grid.n_cells))
     weights = node_weights(grid)
+    mu_ext = bc.mu_ext_value(t)
+
+    def evaluate(members, points):
+        return _diff_point(params, grid, F_cells[members], points, c_prev[members], tau, bc, mu_ext, weights)
+
     errors = {}
     live = _positive(c_prev)
     for i in (~live).nonzero()[0]:
         errors[int(i)] = PositivityLoss("implicit diffusion step requires strictly positive concentration")
-    c = c_prev.copy()
-    r = np.zeros_like(c)
-    mu = np.zeros_like(c)
-    rn = np.zeros(m)
     b = _subset(slice(None), live)
-    r[b], mu[b] = _diff_residual(params, grid, F_cells[b], c[b], c_prev[b], tau, bc, t, weights)
-    rn[b] = _dual_norm(r[b], weights)
-    iters = np.zeros(m, dtype=int)
-    # as in mechanical_step, the pass count is each active member's
-    # iteration count
-    for passes in itertools.count():
-        active = live & (rn > tol)
-        if not np.count_nonzero(active):
-            break
-        if passes >= max_newton:
-            for i in active.nonzero()[0]:
-                errors[int(i)] = NoConvergence(
-                    f"diffusion Newton exceeded {max_newton} iterations (residual {rn[i]:.3e})")
-            break
-        a = _subset(slice(None), active)
-        Fa, ca, cpa, rn_a = F_cells[a], c[a], c_prev[a], rn[a]
-        J = _diff_jacobian(params, grid, Fa, ca, tau, bc, weights, mu[a])
-        delta = _solve_bands(J, -r[a], 1e-30)
-        r_new, mu_new = np.empty((2,) + ca.shape)
-        rn_new = np.empty(len(ca))
-
-        def trial(rows, cand):
-            r_try, mu_try = _diff_residual(params, grid, Fa[rows], cand, cpa[rows], tau, bc, t, weights)
-            rn_try = _dual_norm(r_try, weights)
-            r_new[rows], mu_new[rows], rn_new[rows] = r_try, mu_try, rn_try
-            return rn_try < rn_a[rows]
-
-        points, accepted, only_positivity = _backtrack(
-            ca, (delta,), _diff_candidate, _positive, trial, max_backtrack
-        )
-        b = _subset(a, accepted)
-        if b is not a:
-            for j in (~accepted).nonzero()[0]:
-                errors[int(np.arange(m)[a][j])] = (
-                    PositivityLoss("no damping preserves c > 0") if only_positivity[j]
-                    else NoConvergence("diffusion line search failed to reduce the residual"))
-            live[_subset(a, ~accepted)] = False
-            points, r_new, mu_new, rn_new = points[accepted], r_new[accepted], mu_new[accepted], rn_new[accepted]
-        c[b], r[b], mu[b], rn[b] = points, r_new, mu_new, rn_new
-        iters[b] += 1
+    cur = evaluate(b, c_prev[b])
+    if not isinstance(b, slice):  # the members that are not evaluated keep zeros
+        cur, start = _DiffPoint(*(np.zeros((m,) + v.shape[1:]) for v in cur)), cur
+        _put(cur, b, start)
+    c, cur, iters = _lockstep_newton(
+        c_prev.copy(), cur, live, errors, evaluate,
+        lambda members, pt: _diff_band(params, grid, F_cells[members], tau, bc, weights, pt),
+        lambda rows, old, new: new.rn < old.rn[rows], _positive, lambda c, s, d: c + s * d,
+        floor=1e-30, fallback=False,
+        tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="diffusion",
+        screen_error=(PositivityLoss, "no damping preserves c > 0"),
+        descent_error="diffusion line search failed to reduce the residual",
+    )
     if single:
         if errors:
             raise errors[0]
-        return c[0], {"residual": float(rn[0]), "iterations": int(iters[0]), "mu": mu[0]}
-    return c, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": rn,
-               "mu": mu, "errors": errors}
+        return c[0], {"residual": float(cur.rn[0]), "iterations": int(iters[0]), "mu": cur.mu[0]}
+    return c, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": cur.rn,
+               "mu": cur.mu, "errors": errors}
 
 
 # ---------------------------------------------------------------------------

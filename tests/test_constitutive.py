@@ -20,7 +20,6 @@ from porovisco.constitutive import (
     planar_twin,
     power_difference_bound_constant,
     stress_elastic,
-    symmetric_eigenvalues,
     verification_grid,
 )
 
@@ -362,8 +361,14 @@ class TestTensorStructure:
 
     def test_planar_eigenvalues_match_difference_oracle(self, unit_params):
         pr = planar_twin(unit_params)
-        analytic = symmetric_eigenvalues(pr)
-        fd = symmetric_eigenvalues(pr, use_fd=True)
+        analytic = min_symmetric_eigenvalue(pr)
+        fd = min_symmetric_eigenvalue(pr, use_fd=True)
         assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-6)
+        # the whole spectrum of the closed-form tensor on the symmetric
+        # basis (e11, e22, (e12 + e21)/sqrt 2)
+        C = linearize(pr, fd_check=False).C
+        basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)]
+        spectrum = np.linalg.eigvalsh([[np.einsum("ijkl,kl,ij->", C, b, a) for b in basis] for a in basis])
         lam = pr.delta * pr.q_det * (pr.q_det + 1.0) + pr.M_B * pr.beta ** 2
-        assert np.allclose(np.sort(analytic), np.sort([2 * pr.kappa_e, 2 * pr.kappa_e, 2 * pr.kappa_e + 2 * lam]))
+        assert np.allclose(spectrum, np.sort([2 * pr.kappa_e, 2 * pr.kappa_e, 2 * pr.kappa_e + 2 * lam]))
+        assert np.allclose(analytic, spectrum[0])
