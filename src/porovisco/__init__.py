@@ -19,7 +19,7 @@ from .constitutive import (
     power_difference_bound_constant,
     stress_elastic,
 )
-from .discretization import BCSpec, Field, Grid1D
+from .discretization import BCSpec, Grid1D
 from .experiments import (
     eps_sweep,
     long_time_decay,

@@ -4,7 +4,7 @@ Configs are JSON key trees with an explicit schema version; outputs are
 CSV files (17 significant digits) plus a summary JSON carrying the config
 hash and per-invariant pass/fail results.  Exit codes: 0 success, 2 for
 "ran fine but a structure invariant failed" (the failing check is named),
-1 for usage or runtime errors.
+1 for usage, config or runtime errors.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ValidationError(ValueError):
 class ProblemConfig:
     """Validated run configuration binding all modules together."""
 
-    schema_version: int
     material: MaterialParams
     grid: Grid1D
     tau: float
@@ -88,8 +87,6 @@ class ProblemConfig:
     max_backtrack: int
     checks: dict
     seed: int
-    output_dir: Optional[str]
-    raw: dict
     config_hash: str
 
     def initial_fields(self):
@@ -117,202 +114,155 @@ DEFAULT_CHECKS = {
 }
 
 
-def _get(section: dict, key: str, default, errors: list, where: str, cast=None):
-    val = section.get(key, default)
-    if val is None and default is not None:
-        errors.append(f"{where}.{key}: cannot interpret None")
-        return default
-    if cast is not None and val is not None:
+# ---------------------------------------------------------------------------
+# config schema
+# ---------------------------------------------------------------------------
+# Each JSON object of a config is described by a table mapping every key it
+# may hold to (default, cast, condition).  An absent key takes the default;
+# the value then goes through the cast (None: taken as it is) and must meet
+# the condition, a (test, description) pair or None.  A null is allowed only
+# where the default is None, and a key the table does not list is an error.
+
+def _floats(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _matrix(value):
+    # M0 is a number or a list of rows
+    return tuple(tuple(row) for row in value) if isinstance(value, list) else value
+
+
+_POSITIVE = (lambda v: v > 0.0, "positive")  # false for NaN
+_DECREASING = (lambda v: bool(np.all(np.diff(v) < 0.0)), "strictly decreasing")
+
+
+def _walk(node, table: dict) -> dict:
+    """The fields of the JSON object ``node``, cast and checked by ``table``.
+
+    Raises :class:`ValidationError` with one entry per bad field, each
+    starting with the field's path.  A nested object's cast raises its own
+    entries, which get the key as a prefix here.
+    """
+    if not isinstance(node, dict):
+        raise TypeError(f"expected a JSON object, got {node!r}")
+    fields, errors = {}, []
+    for key, (default, cast, condition) in table.items():
+        value = node.get(key, default)
         try:
-            return cast(val)
-        except (TypeError, ValueError):
-            errors.append(f"{where}.{key}: cannot interpret {val!r}")
-            return default
-    return val
+            if value is None and default is not None:
+                raise TypeError("expected a value, got null")
+            if value is not None and cast is not None:
+                value = cast(value)
+            if condition is not None and not condition[0](value):
+                raise ValueError(f"must be {condition[1]}, got {value!r}")
+            fields[key] = value
+        except ValidationError as err:
+            errors.extend(f"{key}.{e}" for e in err.errors)
+        except (TypeError, ValueError, OverflowError) as err:
+            errors.append(f"{key}: {err}")
+    errors.extend(f"{key}: unknown field" for key in node if key not in table)
+    if errors:
+        raise ValidationError(errors)
+    return fields
 
 
-def _section(raw: dict, key: str, errors: list) -> dict:
-    node = raw.get(key, {})
-    if isinstance(node, dict):
-        return node
-    errors.append(f"{key}: expected a JSON object, got {node!r}")
-    return {}
+def _object(table: dict, make=dict):
+    """Cast of a nested JSON object: ``make`` called on its fields."""
+    return lambda node: make(**_walk(node, table))
 
 
-def _amplitude(node, errors, where) -> TimeAmplitude:
-    if node is None:
-        return TimeAmplitude()
-    try:
-        return TimeAmplitude(
-            kind=node.get("kind", "constant"),
-            scale=float(node.get("scale", 0.0)),
-            t_ramp=float(node.get("t_ramp", 1.0)),
-            rate=float(node.get("rate", 1.0)),
-        )
-    except (ValueError, AttributeError) as err:
-        errors.append(f"{where}: {err}")
-        return TimeAmplitude()
+_AMPLITUDE = _object({
+    "kind": ("constant", None, None),
+    "scale": (0.0, float, None),
+    "t_ramp": (1.0, float, None),
+    "rate": (1.0, float, None),
+}, TimeAmplitude)
+
+_PROFILE = _object({
+    "kind": ("zero", None, None),
+    "scale": (1.0, float, None),
+    "values": (None, _floats, None),
+}, SpatialProfile)
+
+_CONFIG = {
+    "schema_version": (None, None, (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))),
+    "material": ({}, _object({
+        name: (f.default, _matrix if name == "M0" else None, None)
+        for name, f in MaterialParams.__dataclass_fields__.items()
+    }, MaterialParams), None),
+    "grid": ({}, _object({"n_cells": (64, int, None)}, Grid1D), None),
+    "time": ({}, _object({
+        "tau": (1e-3, float, _POSITIVE),
+        "T": (1.0, float, _POSITIVE),
+        "checkpoint_times": (None, _floats, None),
+        "decay_tau": (0.02, float, _POSITIVE),
+        "decay_T": (50.0, float, _POSITIVE),
+    }), None),
+    "loading": ({}, _object({
+        "f_profile": ({}, _PROFILE, None),
+        "f_amplitude": ({}, _AMPLITUDE, None),
+        "g_amplitude": ({}, _AMPLITUDE, None),
+    }, LoadingSpec), None),
+    "bc": ({}, _object({
+        "kappa_left": (0.0, float, None),
+        "kappa_right": (0.0, float, None),
+        "mu_ext": ({}, _AMPLITUDE, None),
+        "zero_flux": (False, _flag, None),
+    }, BCSpec), None),
+    "initial": ({}, _object({"u0": ({}, _PROFILE, None), "rho0": ({}, _PROFILE, None)}), None),
+    "eps": (0.1, float, _POSITIVE),
+    "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _DECREASING),
+    "solver": ({}, _object({
+        "tol": (5e-11, float, _POSITIVE),
+        "max_newton": (50, int, None),
+        "max_backtrack": (40, int, None),
+    }), None),
+    "checks": ({}, _object({key: (value, float, None) for key, value in DEFAULT_CHECKS.items()}), None),
+    "seed": (0, int, None),
+}
 
 
-def _profile(node, errors, where) -> SpatialProfile:
-    if node is None:
-        return SpatialProfile()
-    try:
-        values = node.get("values")
-        return SpatialProfile(
-            kind=node.get("kind", "zero"),
-            scale=float(node.get("scale", 1.0)),
-            values=tuple(values) if values is not None else None,
-        )
-    except (ValueError, AttributeError) as err:
-        errors.append(f"{where}: {err}")
-        return SpatialProfile()
-
-
-def parse_config(path) -> ProblemConfig:
+def parse_config(path, overrides=None) -> ProblemConfig:
     """Load and validate a configuration file.
 
-    Raises :class:`ParseError` on malformed JSON and
-    :class:`ValidationError` (with every field-level error collected, the
-    violated model assumption named) on invalid contents.
+    ``overrides`` maps field paths such as ``"time.tau"`` to values that
+    replace the file's; they are validated like the file's own fields but
+    leave the config hash, the sha256 of the file's JSON, unchanged.
+
+    Raises :class:`ParseError` on an unreadable file or malformed JSON and
+    :class:`ValidationError` (with every bad field named, and the violated
+    model assumption for the material) on invalid contents.
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        raw = json.loads(p.read_text())
+        digest = hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     except OSError as err:
         raise ParseError(f"cannot read config {p}: {err}") from err
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise ParseError(f"config {p} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ParseError(f"config {p} must be a JSON object")
+    for where, value in (overrides or {}).items():
+        section, _, key = where.rpartition(".")
+        node = raw.setdefault(section, {}) if section else raw
+        if isinstance(node, dict):
+            node[key] = value
 
-    errors: list[str] = []
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-
-    mat_node = _section(raw, "material", errors)
-    material = None
-    try:
-        kwargs = dict(mat_node)
-        if "M0" in kwargs and isinstance(kwargs["M0"], list):
-            kwargs["M0"] = tuple(tuple(row) for row in kwargs["M0"])
-        material = MaterialParams(**kwargs)
-    except InadmissibleMaterial as err:
-        errors.append(f"material: {err}")
-    except TypeError as err:
-        errors.append(f"material: unknown or missing field ({err})")
-
-    grid_node = _section(raw, "grid", errors)
-    grid = None
-    try:
-        grid = Grid1D(int(grid_node.get("n_cells", 64)))
-    except (ValueError, TypeError) as err:
-        errors.append(f"grid: {err}")
-
-    time_node = _section(raw, "time", errors)
-    tau = _get(time_node, "tau", 1e-3, errors, "time", float)
-    T = _get(time_node, "T", 1.0, errors, "time", float)
-    if tau <= 0.0:
-        errors.append("time.tau must be positive")
-    if T <= 0.0:
-        errors.append("time.T must be positive")
-    checkpoints = _get(time_node, "checkpoint_times", None, errors, "time",
-                       lambda cps: tuple(float(t) for t in cps) if cps else None)
-    decay_T = _get(time_node, "decay_T", 50.0, errors, "time", float)
-    decay_tau = _get(time_node, "decay_tau", 0.02, errors, "time", float)
-    if decay_T <= 0.0:
-        errors.append("time.decay_T must be positive")
-    if decay_tau <= 0.0:
-        errors.append("time.decay_tau must be positive")
-
-    load_node = _section(raw, "loading", errors)
-    loading = None
-    try:
-        loading = LoadingSpec(
-            f_profile=_profile(load_node.get("f_profile"), errors, "loading.f_profile"),
-            f_amplitude=_amplitude(load_node.get("f_amplitude"), errors, "loading.f_amplitude"),
-            g_amplitude=_amplitude(load_node.get("g_amplitude"), errors, "loading.g_amplitude"),
-            eps=float(raw.get("eps", 1.0)),
-        )
-    except ValueError as err:
-        errors.append(f"loading: {err}")
-
-    bc_node = _section(raw, "bc", errors)
-    bc = None
-    try:
-        mu_ext = _amplitude(bc_node.get("mu_ext"), errors, "bc.mu_ext")
-        bc = BCSpec(
-            kappa_left=float(bc_node.get("kappa_left", 0.0)),
-            kappa_right=float(bc_node.get("kappa_right", 0.0)),
-            mu_ext=mu_ext,
-            zero_flux=bool(bc_node.get("zero_flux", False)),
-        )
-    except ValueError as err:
-        errors.append(f"bc: {err}")
-
-    init_node = _section(raw, "initial", errors)
-    u0_profile = _profile(init_node.get("u0"), errors, "initial.u0")
-    rho0_profile = _profile(init_node.get("rho0"), errors, "initial.rho0")
-
-    eps = _get(raw, "eps", 0.1, errors, "config", float)
-    if eps <= 0.0:
-        errors.append("eps must be positive")
-    eps_list = raw.get("eps_list", [0.2, 0.1, 0.05, 0.025])
-    try:
-        eps_list = tuple(float(e) for e in eps_list)
-        if len(eps_list) >= 2 and np.any(np.diff(eps_list) >= 0.0):
-            errors.append("eps_list must be strictly decreasing")
-    except (TypeError, ValueError):
-        errors.append("eps_list must be a list of numbers")
-        eps_list = (0.2, 0.1, 0.05)
-
-    solver_node = _section(raw, "solver", errors)
-    tol = _get(solver_node, "tol", 5e-11, errors, "solver", float)
-    max_newton = _get(solver_node, "max_newton", 50, errors, "solver", int)
-    max_backtrack = _get(solver_node, "max_backtrack", 40, errors, "solver", int)
-
-    checks = dict(DEFAULT_CHECKS)
-    checks_node = _section(raw, "checks", errors)
-    for key in checks_node:
-        if key not in DEFAULT_CHECKS:
-            errors.append(f"checks.{key}: unknown check name")
-        else:
-            checks[key] = _get(checks_node, key, DEFAULT_CHECKS[key], errors, "checks", float)
-
-    seed = _get(raw, "seed", 0, errors, "config", int)
-
-    if errors:
-        raise ValidationError(errors)
-
-    digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    fields = _walk(raw, _CONFIG)
+    del fields["schema_version"]
+    time, solver, initial = (fields.pop(key) for key in ("time", "solver", "initial"))
     return ProblemConfig(
-        schema_version=SCHEMA_VERSION,
-        material=material,
-        grid=grid,
-        tau=tau,
-        T=T,
-        decay_tau=decay_tau,
-        decay_T=decay_T,
-        checkpoint_times=checkpoints,
-        loading=loading,
-        bc=bc,
-        u0_profile=u0_profile,
-        rho0_profile=rho0_profile,
-        eps=eps,
-        eps_list=eps_list,
-        tol=tol,
-        max_newton=max_newton,
-        max_backtrack=max_backtrack,
-        checks=checks,
-        seed=seed,
-        output_dir=raw.get("output_dir"),
-        raw=raw,
-        config_hash=digest,
+        **fields, **time, **solver,
+        u0_profile=initial["u0"], rho0_profile=initial["rho0"], config_hash=digest,
     )
 
 
@@ -393,7 +343,7 @@ def _report(quiet: bool, invariants: list) -> bool:
     return ok
 
 
-def _fail_code(config: ProblemConfig, invariants: list, quiet: bool) -> int:
+def _fail_code(invariants: list, quiet: bool) -> int:
     if _report(quiet, invariants):
         return 0
     failing = [n for n, p, _, _ in invariants if not p]
@@ -405,14 +355,17 @@ def _fail_code(config: ProblemConfig, invariants: list, quiet: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _nonlinear_run(config: ProblemConfig):
     u0, rho0 = config.initial_fields()
-    bound = config.loading.bind(config.grid)
-    run = run_nonlinear(
-        config.material, config.grid, bound, config.bc,
+    return run_nonlinear(
+        config.material, config.grid, config.loading.bind(config.grid), config.bc,
         tau=config.tau, T=config.T, eps=config.eps, u0=u0, rho0=rho0,
         tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack,
     )
+
+
+def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> int:
+    run = _nonlinear_run(config)
     led = run.ledger
     violation = check_dissipation_inequality(led)
     masses = led.column("mass")
@@ -437,7 +390,7 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "nonlinear", invariants,
                    ["trajectory.csv", "ledger.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
@@ -462,41 +415,40 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "linear", invariants,
                    ["trajectory.csv", "ledger.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 def _cmd_static(config: ProblemConfig, out: Path, quiet: bool) -> int:
     tensors = linearize(config.material)
-    x = config.grid.nodes
-    f_nodes = config.loading.f_profile.sample(x) * _terminal_value(config.loading.f_amplitude)
-    g_value = _terminal_value(config.loading.g_amplitude)
+    f_nodes, g_value = _terminal_loads(config)
     _, rho0 = config.initial_fields()
     v, xi, nu, residual = static_solve(config.grid, tensors, f_nodes, g_value, mass(config.grid, rho0))
     chk = config.checks
     invariants = [("static_residual", residual <= chk["static_residual_tol"], residual, chk["static_residual_tol"])]
-    _write_csv(out / "static.csv", ["x", "v", "xi"], ((x[i], v[i], xi[i]) for i in range(len(x))))
+    _write_csv(out / "static.csv", ["x", "v", "xi"], zip(config.grid.nodes, v, xi))
     _write_summary(out / "summary.json", config, "static", invariants, ["static.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
-def _terminal_value(amplitude: TimeAmplitude) -> float:
-    # value of a loading amplitude once transients are over; requires a
-    # time-independent tail
-    if amplitude.kind in ("constant", "ramp"):
-        return amplitude.scale
-    if amplitude.kind == "linear" and amplitude.rate == 0.0:
-        return amplitude.scale
-    raise ValidationError(["loading amplitude must be time-independent for this experiment"])
+def _terminal_loads(config: ProblemConfig) -> tuple:
+    """Nodal body force and traction once the loading transients are
+    over; both amplitudes need a time-independent tail."""
+    scales = []
+    for name in ("f_amplitude", "g_amplitude"):
+        amplitude = getattr(config.loading, name)
+        if not (amplitude.kind in ("constant", "ramp") or (amplitude.kind == "linear" and amplitude.rate == 0.0)):
+            raise ValidationError([f"loading.{name}: must be time-independent for this experiment"])
+        scales.append(amplitude.scale)
+    return config.loading.f_profile.sample(config.grid.nodes) * scales[0], scales[1]
 
 
 def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
-    result = eps_sweep(
+    report = eps_sweep(
         config.material, config.grid, bound, config.eps_list,
         tau=config.tau, T=config.T, u0=u0, rho0=rho0, tol=config.tol,
     )
-    report = result.report
     chk = config.checks
     decreasing = all(
         all(np.diff(report.errors[name]) < 0.0) for name in report.errors
@@ -510,22 +462,10 @@ def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("energy_balance", report.energy_balance_residual <= chk["balance_tol"],
          report.energy_balance_residual, chk["balance_tol"]),
     ]
-    header = (
-        ["eps"]
-        + list(report.errors.keys())
-        + list(report.audit.keys())
-        + ["dissipation_violation"]
-    )
-    rows = []
-    for i, e in enumerate(report.eps):
-        rows.append(
-            (e, *[report.errors[n][i] for n in report.errors],
-             *[report.audit[n][i] for n in report.audit],
-             report.dissipation_violations[i])
-        )
-    _write_csv(out / "sweep.csv", header, rows)
+    rows = list(report.rows())
+    _write_csv(out / "sweep.csv", list(rows[0]), (row.values() for row in rows))
     _write_summary(out / "summary.json", config, "sweep", invariants, ["sweep.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
@@ -577,7 +517,7 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
     invariants.append(("elasticity_positive_definite", lam_min > 0.0, lam_min, 0.0))
 
     _write_summary(out / "summary.json", config, "verify", invariants, [])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 def _rel(a, b) -> float:
@@ -587,13 +527,7 @@ def _rel(a, b) -> float:
 
 
 def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
-    u0, rho0 = config.initial_fields()
-    bound = config.loading.bind(config.grid)
-    run = run_nonlinear(
-        config.material, config.grid, bound, config.bc,
-        tau=config.tau, T=config.T, eps=config.eps, u0=u0, rho0=rho0,
-        tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack,
-    )
+    run = _nonlinear_run(config)
     case = "I" if 1.0 <= config.material.m < 2.0 else config.material.case
     qs, norms, gap = moser_diagnostic(run, N=8, case=case, r=config.material.r)
     sup = norms[-1] + gap
@@ -607,14 +541,12 @@ def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
     ]
     _write_csv(out / "moser.csv", ["q", "sup_lq_norm"], zip(qs, norms))
     _write_summary(out / "summary.json", config, "moser", invariants, ["moser.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 def _cmd_decay(config: ProblemConfig, out: Path, quiet: bool) -> int:
     tensors = linearize(config.material)
-    x = config.grid.nodes
-    f_nodes = config.loading.f_profile.sample(x) * _terminal_value(config.loading.f_amplitude)
-    g_value = _terminal_value(config.loading.g_amplitude)
+    f_nodes, g_value = _terminal_loads(config)
     u0, rho0 = config.initial_fields()
     result = long_time_decay(config.grid, tensors, f_nodes, g_value, u0=u0, rho0=rho0,
                              tau=config.decay_tau, T=config.decay_T)
@@ -627,7 +559,7 @@ def _cmd_decay(config: ProblemConfig, out: Path, quiet: bool) -> int:
     _write_csv(out / "decay.csv", ["t", "energy_distance"],
                zip(result.times, result.curve))
     _write_summary(out / "summary.json", config, "decay", invariants, ["decay.csv"])
-    return _fail_code(config, invariants, quiet)
+    return _fail_code(invariants, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +604,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage()
         return 1
+    overrides = {"eps": args.eps, "time.tau": args.tau, "grid.n_cells": args.cells}
     try:
-        config = parse_config(args.config)
+        config = parse_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
@@ -681,15 +614,9 @@ def main(argv=None) -> int:
         for e in err.errors:
             print(f"validation error: {e}", file=sys.stderr)
         return 1
-    if args.eps is not None:
-        config.eps = args.eps
-    if args.tau is not None:
-        config.tau = args.tau
-    if args.cells is not None:
-        config.grid = Grid1D(args.cells)
-    out = Path(args.out or config.output_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out or "out")
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out, args.quiet)
     except (ValidationError, InadmissibleMaterial) as err:
         print(f"validation error: {err}", file=sys.stderr)

@@ -20,7 +20,6 @@ _ROW_BLOCK = 256
 
 __all__ = [
     "Grid1D",
-    "Field",
     "BCSpec",
     "node_weights",
     "map_row_blocks",
@@ -67,22 +66,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Field:
-    """Nodal values bound to a grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_nodes,):
-            raise ValueError("field length does not match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class BCSpec:
     """Boundary data: displacement pinned at x = 0, traction applied at
     x = 1 (carried by the loading), Robin flux data at both endpoints.
@@ -91,15 +74,12 @@ class BCSpec:
     system; it forces kappa = 0.
     """
 
-    dirichlet_value: float = 0.0
     kappa_left: float = 0.0
     kappa_right: float = 0.0
     mu_ext: Callable[[float], float] | float = 0.0
     zero_flux: bool = False
 
     def __post_init__(self) -> None:
-        if self.dirichlet_value != 0.0:
-            raise ValueError("the pinned end is the identity, so the stored displacement must vanish there")
         if self.kappa_left < 0.0 or self.kappa_right < 0.0:
             raise ValueError("boundary permeability kappa must be >= 0")
         if self.zero_flux and (self.kappa_left != 0.0 or self.kappa_right != 0.0):
@@ -112,7 +92,7 @@ class BCSpec:
 
 
 def _vals(grid: Grid1D, f) -> np.ndarray:
-    v = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
+    v = np.asarray(f, dtype=float)
     if v.ndim == 0 or v.shape[-1] != grid.n_nodes:
         raise ValueError("field length does not match grid")
     return v

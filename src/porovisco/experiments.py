@@ -45,7 +45,6 @@ from .nonlinear_solver import (
 
 __all__ = [
     "SweepReport",
-    "SweepResult",
     "eps_sweep",
     "moser_exponents",
     "moser_diagnostic",
@@ -81,6 +80,7 @@ class SweepReport:
     energy_balance_residual: float
 
     def rows(self):
+        """One dict per eps, keyed by the ``sweep.csv`` column names."""
         for i, e in enumerate(self.eps):
             row = {"eps": e}
             for name in ERROR_COLUMNS:
@@ -89,16 +89,6 @@ class SweepReport:
                 row[name] = self.audit[name][i]
             row["dissipation_violation"] = self.dissipation_violations[i]
             yield row
-
-
-@dataclass
-class SweepResult:
-    """Report plus the raw per-eps runs (kept for audits and diagnostics)."""
-
-    report: SweepReport
-    nonlinear_runs: tuple
-    rescaled: tuple
-    linear_run: LinearRun
 
 
 def _linear_flux(linear: LinearRun) -> np.ndarray:
@@ -125,7 +115,7 @@ def eps_sweep(
     u0: Optional[np.ndarray] = None,
     rho0: Optional[np.ndarray] = None,
     tol: float = 5e-11,
-) -> SweepResult:
+) -> SweepReport:
     """Run the finite-strain system at every eps and the linear system
     once, and tabulate the gap in max-in-time H1/L2 norms for u, the
     max-in-time L2 norm for rho, and the space-time L2 norm for the flux,
@@ -151,13 +141,11 @@ def eps_sweep(
         # an error raised before any member ran is the first member's
         eps = getattr(err, "eps", eps_list[0])
         raise RuntimeError(f"sweep member eps = {eps} failed: {err}") from err
-    scaled = []
     violations = []
     errors = {name: [] for name in ERROR_COLUMNS}
     audit = {name: [] for name in AUDIT_COLUMNS}
     for run in runs:
         rs = rescale(run)
-        scaled.append(rs)
         violations.append(check_dissipation_inequality(run.ledger))
         for name, value in _error_norms(grid, tau, rs, linear, lin_flux).items():
             errors[name].append(value)
@@ -173,7 +161,7 @@ def eps_sweep(
                 for i in range(len(eps_list) - 1)
             )
     ratios = {name: _max_min_ratio(audit[name]) for name in AUDIT_COLUMNS}
-    report = SweepReport(
+    return SweepReport(
         eps=eps_list,
         errors={k: tuple(v) for k, v in errors.items()},
         orders=orders,
@@ -182,7 +170,6 @@ def eps_sweep(
         dissipation_violations=tuple(violations),
         energy_balance_residual=check_energy_balance(linear.ledger),
     )
-    return SweepResult(report, runs, tuple(scaled), linear)
 
 
 def _max_min_ratio(column) -> float:
@@ -305,7 +292,6 @@ class DecayResult:
     times: np.ndarray
     curve: np.ndarray
     final_ratio: float
-    static_state: tuple  # (v, xi, nu)
     max_increase: float
 
 
@@ -327,7 +313,7 @@ def long_time_decay(
     loading = BoundLoading(f=lambda t: f_nodes, g=lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
     run = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
-    v, xi, nu, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
+    v, xi, _, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
     curve = map_row_blocks(
         run.n_steps + 1,
         lambda rows: {"curve": state_energy(grid, tensors, run.u[rows] - v, run.rho[rows] - xi)},
@@ -335,7 +321,7 @@ def long_time_decay(
     increases = np.diff(curve)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     final_ratio = float(curve[-1] / curve[0]) if curve[0] > 0.0 else 0.0
-    return DecayResult(run.times, curve, final_ratio, (v, xi, nu), max_increase)
+    return DecayResult(run.times, curve, final_ratio, max_increase)
 
 
 def uniqueness_test(

@@ -79,18 +79,12 @@ class SpatialProfile:
 
 @dataclass(frozen=True)
 class LoadingSpec:
-    """Body force profile with time amplitude, boundary traction with time
-    amplitude, and the small-load scale factor eps applied by the
-    finite-strain solver."""
+    """Body force profile with time amplitude, and boundary traction with
+    time amplitude."""
 
     f_profile: SpatialProfile = field(default_factory=SpatialProfile)
     f_amplitude: TimeAmplitude = field(default_factory=TimeAmplitude)
     g_amplitude: TimeAmplitude = field(default_factory=TimeAmplitude)
-    eps: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.eps <= 0.0:
-            raise ValueError("loading scale factor eps must be positive")
 
     def bind(self, grid: Grid1D) -> "BoundLoading":
         shape = self.f_profile.sample(grid.nodes)

@@ -735,7 +735,6 @@ def run_nonlinear(
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
-    cascade_q: Optional[tuple] = None,
 ):
     """Alternate mechanical and diffusion steps over ceil(T / tau) steps.
 
@@ -784,7 +783,7 @@ def run_nonlinear(
             err = PositivityLoss("initial concentration must be strictly positive", time=0.0)
         failure = (live, _member_error(err, eps_list[live]), None)
 
-    cascade = tuple(cascade_q) if cascade_q is not None else default_cascade(params.m)
+    cascade = default_cascade(params.m)
     n_steps = int(np.ceil(T / tau - 1e-12))
     times = tau * np.arange(n_steps + 1)
     W = np.empty((m, n_steps + 1, nn))

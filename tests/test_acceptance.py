@@ -143,7 +143,7 @@ def test_criterion_4_nonlinear_structure(biot_run):
 def test_criterion_5_limit_passage(biot_sweep):
     """eps in {0.2, 0.1, 0.05, 0.025}: every error column strictly
     decreases in eps and every audit column has max/min ratio <= 3."""
-    rep = biot_sweep.report
+    rep = biot_sweep
     for name, vals in rep.errors.items():
         assert all(np.diff(vals) < 0.0), f"{name} not strictly decreasing: {vals}"
     audited = ("u_linf_h1", "udot_grad_l2", "d2u_scaled_lp",

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import porovisco
 
@@ -15,6 +17,15 @@ from porovisco.cli import (
     main,
     parse_config,
 )
+
+
+def _merged(base, patch):
+    """``base`` with ``patch`` merged in, object by object."""
+    out = dict(base)
+    for key, value in patch.items():
+        both = isinstance(value, dict) and isinstance(base.get(key), dict)
+        out[key] = _merged(base[key], value) if both else value
+    return out
 
 
 @pytest.fixture()
@@ -91,15 +102,35 @@ class TestParse:
         ("time.tau", {"time": {"tau": None, "T": 1.0}}),
         ("grid", {"grid": [64]}),
         ("time.checkpoint_times", {"time": {"tau": 0.001, "T": 1.0, "checkpoint_times": ["x"]}}),
+        ("eps", {"eps": None}),
+        ("loading.f_amplitude.scale", {"loading": {"f_amplitude": {"scale": None}}}),
+        ("loading.f_amplitude.scale", {"loading": {"f_amplitude": {"scale": [1]}}}),
+        ("loading.f_profile.values", {"loading": {"f_profile": {"values": 5}}}),
+        ("initial.u0.values", {"initial": {"u0": {"values": 5}}}),
+        ("bc.kappa_left", {"bc": {"kappa_left": None}}),
+        ("bc.kappa_left", {"bc": {"kappa_left": [1]}}),
+        ("bc.mu_ext.scale", {"bc": {"mu_ext": {"scale": None}}}),
+        ("time.tau", {"time": {"tau": float("nan")}}),
+        ("bc.zero_flux", {"bc": {"zero_flux": "no"}}),
+        ("time.bogus", {"time": {"bogus": 1.0}}),
+        ("output_dir", {"output_dir": "out"}),
+        ("solver.tol", {"solver": {"tol": float("nan")}}),
     ])
-    def test_hostile_value_names_field(self, tmp_path, field, patch):
-        cfg = json.loads(default_config_path().read_text())
-        cfg.update(patch)
+    def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
+        cfg = _merged(json.loads(default_config_path().read_text()), patch)
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps(cfg))
         with pytest.raises(ValidationError) as err:
             parse_config(path)
         assert any(e.startswith(field) for e in err.value.errors)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"validation error: {field}" in capsys.readouterr().err
+
+    def test_binary_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError):
+            parse_config(path)
 
 
 class TestMain:
@@ -207,6 +238,17 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--cells", "2"], "grid"),
+        (["--tau", "nan"], "time.tau"),
+        (["--tau", "-1"], "time.tau"),
+        (["--eps", "0"], "eps"),
+    ])
+    def test_overrides_are_validated(self, tmp_path, capsys, flags, field):
+        code = main(["verify", "--config", str(default_config_path()), "--out", str(tmp_path), *flags])
+        assert code == 1
+        assert f"validation error: {field}" in capsys.readouterr().err
+
     def test_cells_and_eps_overrides(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "ov"
         assert main(["simulate-nonlinear", "--config", str(tiny_config),
@@ -224,3 +266,72 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# hostile configs: whatever the JSON, parsing gives a config, a ParseError or
+# a ValidationError naming fields, and the CLI exits 0, 1 or 2
+
+SHIPPED = json.loads(default_config_path().read_text())
+SECTIONS = set(SHIPPED) | {"checks"}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    # every key path of the JSON tree, and one new key in each object
+    yield prefix + ("new",)
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+SHIPPED_PATHS = sorted(_paths(SHIPPED))
+
+
+@st.composite
+def mutated_configs(draw):
+    """The shipped config with one field replaced by any JSON value, or
+    removed."""
+    path = draw(st.sampled_from(SHIPPED_PATHS))
+    cfg = json.loads(json.dumps(SHIPPED))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if draw(st.booleans()):
+        node[path[-1]] = draw(json_values)
+    else:
+        node.pop(path[-1], None)
+    return cfg
+
+
+def _check_hostile(tmp_path, cfg):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        parse_config(path)
+    except ParseError:
+        pass
+    except ValidationError as err:
+        named = SECTIONS | set(cfg) if isinstance(cfg, dict) else SECTIONS
+        assert err.errors
+        for entry in err.errors:
+            assert any(entry.startswith(f"{key}:") or entry.startswith(f"{key}.") for key in named), entry
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=json_values | st.dictionaries(st.sampled_from(sorted(SECTIONS)) | st.text(max_size=4), json_values))
+def test_arbitrary_json_never_escapes(tmp_path, capsys, cfg):
+    _check_hostile(tmp_path, cfg)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs())
+def test_mutated_shipped_config_never_escapes(tmp_path, capsys, cfg):
+    _check_hostile(tmp_path, cfg)

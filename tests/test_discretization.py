@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from porovisco.discretization import (
     BCSpec,
-    Field,
     Grid1D,
     cell_l2_norm,
     gradient,
@@ -27,15 +26,6 @@ def test_grid_invariants():
     assert np.all(np.diff(g.nodes) > 0)
     with pytest.raises(ValueError):
         Grid1D(3)
-
-
-def test_field_validation():
-    g = Grid1D(4)
-    Field(g, np.zeros(5))
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(4))
-    with pytest.raises(ValueError):
-        Field(g, np.array([0.0, 1.0, np.inf, 0.0, 0.0]))
 
 
 def test_bcspec_validation():

@@ -36,18 +36,17 @@ def ramp_loading(grid, t_ramp=0.05):
 class TestSweep:
     def test_equilibrium_sweep_all_zero(self, unit_params):
         grid = Grid1D(16)
-        result = eps_sweep(unit_params, grid, zero_loading(grid), (0.2, 0.1, 0.05),
+        report = eps_sweep(unit_params, grid, zero_loading(grid), (0.2, 0.1, 0.05),
                            tau=2e-3, T=0.02)
-        for vals in result.report.errors.values():
+        for vals in report.errors.values():
             assert all(v == 0.0 for v in vals)
-        for ratio in result.report.audit_ratios.values():
+        for ratio in report.audit_ratios.values():
             assert ratio == 1.0 or np.isfinite(ratio)
 
     def test_short_loaded_sweep_decreases(self, unit_params):
         grid = Grid1D(24)
-        result = eps_sweep(unit_params, grid, ramp_loading(grid), (0.2, 0.1, 0.05),
-                           tau=2e-3, T=0.2, tol=5e-11)
-        rep = result.report
+        rep = eps_sweep(unit_params, grid, ramp_loading(grid), (0.2, 0.1, 0.05),
+                        tau=2e-3, T=0.2, tol=5e-11)
         for name, vals in rep.errors.items():
             assert all(np.diff(vals) < 0.0), name
         assert max(rep.dissipation_violations) <= 1e-9
@@ -81,10 +80,10 @@ class TestSweep:
         # mechanical residual on the shipped problem
         config = parse_config(default_config_path())
         u0, rho0 = config.initial_fields()
-        result = eps_sweep(config.material, config.grid, config.loading.bind(config.grid), config.eps_list,
+        report = eps_sweep(config.material, config.grid, config.loading.bind(config.grid), config.eps_list,
                            tau=config.tau, T=0.05, u0=u0, rho0=rho0)
-        assert max(result.report.dissipation_violations) <= 1e-9
-        for name, vals in result.report.errors.items():
+        assert max(report.dissipation_violations) <= 1e-9
+        for name, vals in report.errors.items():
             assert all(v > 0.0 for v in vals), name
 
     def test_rejects_bad_eps_list(self, unit_params):
