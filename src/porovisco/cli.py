@@ -129,6 +129,13 @@ def _floats(value) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _count(value) -> int:
+    # JSON integers only: int() would take 2.9 as 2 and "7" or true as numbers
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -141,6 +148,8 @@ def _matrix(value):
 
 
 _POSITIVE = (lambda v: v > 0.0, "positive")  # false for NaN
+_NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")  # false for NaN
+_FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
 _DECREASING = (lambda v: bool(np.all(np.diff(v) < 0.0)), "strictly decreasing")
 
 
@@ -212,8 +221,8 @@ _CONFIG = {
         "g_amplitude": ({}, _AMPLITUDE, None),
     }, LoadingSpec), None),
     "bc": ({}, _object({
-        "kappa_left": (0.0, float, None),
-        "kappa_right": (0.0, float, None),
+        "kappa_left": (0.0, float, _FINITE_NONNEGATIVE),
+        "kappa_right": (0.0, float, _FINITE_NONNEGATIVE),
         "mu_ext": ({}, _AMPLITUDE, None),
         "zero_flux": (False, _flag, None),
     }, BCSpec), None),
@@ -222,10 +231,10 @@ _CONFIG = {
     "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _DECREASING),
     "solver": ({}, _object({
         "tol": (5e-11, float, _POSITIVE),
-        "max_newton": (50, int, None),
-        "max_backtrack": (40, int, None),
+        "max_newton": (50, _count, _NONNEGATIVE),
+        "max_backtrack": (40, _count, _NONNEGATIVE),
     }), None),
-    "checks": ({}, _object({key: (value, float, None) for key, value in DEFAULT_CHECKS.items()}), None),
+    "checks": ({}, _object({key: (value, float, _NONNEGATIVE) for key, value in DEFAULT_CHECKS.items()}), None),
     "seed": (0, int, None),
 }
 

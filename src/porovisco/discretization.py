@@ -80,8 +80,8 @@ class BCSpec:
     zero_flux: bool = False
 
     def __post_init__(self) -> None:
-        if self.kappa_left < 0.0 or self.kappa_right < 0.0:
-            raise ValueError("boundary permeability kappa must be >= 0")
+        if not (0.0 <= self.kappa_left < np.inf and 0.0 <= self.kappa_right < np.inf):
+            raise ValueError("boundary permeability kappa must be finite and >= 0")
         if self.zero_flux and (self.kappa_left != 0.0 or self.kappa_right != 0.0):
             raise ValueError("(L1) zero-flux runs require kappa = 0")
 

@@ -15,17 +15,24 @@ the equilibrium the evolution decays to under constant loading.
 
 The coupled matrix is constant in time.  In the interleaved dof order
 (rho_0, u_1, rho_1, ..., u_n, rho_n) it is banded with 5 sub- and 4
-superdiagonals, so it is assembled straight into LAPACK band storage,
-scaled symmetrically by d = |diag|^(-1/2) (at n = 64 this takes its
-condition number from about 2e7 to 7e3) and factorized once
-(``dgbtrf``).  A step is one ``dgbtrs`` solve, without refinement.  The
-species update is then taken in flux form,
+superdiagonals, so it is read into LAPACK band storage, scaled
+symmetrically by d = |diag|^(-1/2) (at n = 64 this takes its condition
+number from about 2e7 to 7e3) and factorized once (``dgbtrf``).  The two
+other per-step maps are linear and constant too, and are read into band
+storage with the scaling folded in: P, which takes the previous state to
+the homogeneous right-hand side (rows scaled by d), and Q, which takes
+the solved state to the cell differences of its nodal potential (columns
+scaled by d).  All three bands are read off the stencil formulas by one
+comb probe.  A step is then three banded kernels: one ``dgbmv`` of P, one
+``dgbtrs`` solve without refinement, and one ``dgbmv`` of Q.  The
+species update is taken in flux form,
 
     rho = rho_prev + tau s - tau W^-1 S mu,
 
 with mu the potential of the solved state, W the node weights and S the
-weighted mobility Laplacian.  The columns of S sum to zero, so the
-discrete mass telescopes whatever the round-off of the solve.
+weighted mobility Laplacian, applied as the divergence of Q's cell
+differences.  The divergence telescopes, so the discrete mass is
+conserved whatever the round-off of the solve.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .constitutive import LinearizedTensors
@@ -65,8 +73,11 @@ __all__ = [
     "nodal_potential",
 ]
 
-# sub- and superdiagonals of the coupled matrix in the interleaved order
+# sub- and superdiagonals of the coupled matrix A, the right-hand side map
+# P and the potential-difference map Q, in the interleaved orders
 KL, KU = 5, 4
+P_KL, P_KU = 0, 4
+Q_KL, Q_KU = 4, 3
 
 
 class SingularSystem(RuntimeError):
@@ -87,6 +98,33 @@ class LinearRun:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+
+def _interleave(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The vectors (rho_0, u_*, rho_1, u_*, ...) of the node values ``rho``
+    at the even places and ``u`` at the odd ones (one per row)."""
+    out = np.empty(rho.shape[:-1] + (rho.shape[-1] + u.shape[-1],))
+    out[..., 0::2], out[..., 1::2] = rho, u
+    return out
+
+
+def _band(apply, n_cols: int, kl: int, ku: int, left=None, right=None) -> np.ndarray:
+    """The band of diag(left) M diag(right), with M the matrix of the
+    linear map ``apply`` (acting on each row of a batch of ``n_cols``
+    vectors), in the BLAS band storage a[ku + i - j, j] = M[i, j] of
+    ``dgbmv``, in Fortran order.  Columns kl + ku + 1 apart share no row,
+    so applying M to the kl + ku + 1 combs of such columns reads off the
+    whole band."""
+    width = kl + ku + 1
+    rows = apply((np.arange(n_cols) % width == np.arange(width)[:, None]).astype(float))
+    n_rows = rows.shape[-1]
+    left = np.ones(n_rows) if left is None else left
+    right = np.ones(n_cols) if right is None else right
+    band = np.zeros((width, n_cols), order="F")
+    for k in range(width):  # row i = j + k - ku of column j
+        cols = np.arange(max(0, ku - k), min(n_cols, n_rows + ku - k))
+        band[k, cols] = left[cols + k - ku] * rows[cols % width, cols + k - ku] * right[cols]
+    return band
 
 
 def _divergence(q: np.ndarray) -> np.ndarray:
@@ -122,7 +160,10 @@ class LinearStepper:
     dense LU of the system under that seeded random symmetric
     permutation.  The two are independent solves whose results agree to
     solver precision, which is what the uniqueness experiment measures.
-    Both act on the symmetrically scaled matrix.
+    Both act on the symmetrically scaled matrix.  The right-hand side map
+    P and the potential-difference map Q are read into band storage once
+    as well; ``_rhs``, ``_rows`` and ``residual`` are the stencil formulas
+    the bands are read from.
     """
 
     def __init__(self, grid: Grid1D, tensors: LinearizedTensors, tau: float, seed: Optional[int] = None):
@@ -134,9 +175,19 @@ class LinearStepper:
         self.weights = node_weights(grid)
         self._visc = tensors.D / (tau * grid.h)
         self._flux_step = tau * tensors.M_eq / grid.h / self.weights
-        n_dofs = 2 * grid.n_cells + 1
-        ab, self._d = self._band(n_dofs)
+        n_dofs = self._n_dofs = 2 * grid.n_cells + 1
+        d = self._d = 1.0 / np.sqrt(np.abs(_band(self._apply, n_dofs, KL, KU)[KU]))
+        # P acts on (rho_0, u_0, rho_1, u_1, ..., rho_n, u_n): u_prev[0]
+        # enters the first viscous row; Q puts the difference mu_{i+1} - mu_i
+        # in the u_{i+1} slot
+        self._P = _band(self._homogeneous_rhs, n_dofs + 1, P_KL, P_KU, left=d)
+        self._Q = _band(self._potential_slots, n_dofs, Q_KL, Q_KU, right=d)
+        self._load = d[1::2] * self.weights[1:]  # scaled w f on the u rows
+        self._source = d[0::2] * tau * self.weights  # scaled tau w s on the rho rows
+        self._d_u = d[1::2].copy()
         if seed is None:
+            ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # KL spare rows: LAPACK factors in place
+            ab[KL:] = _band(self._apply, n_dofs, KL, KU, d, d)
             lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of gbtrf")
@@ -147,38 +198,51 @@ class LinearStepper:
             perm = np.random.default_rng(seed).permutation(n_dofs)
             inverse = np.argsort(perm)
             dense = _matrix(self._apply, n_dofs)
-            dense *= self._d[:, None]
-            dense *= self._d
+            dense *= d[:, None]
+            dense *= d
             lu_piv = lu_factor(dense[np.ix_(perm, perm)], overwrite_a=True, check_finite=False)
             if np.any(np.diag(lu_piv[0]) == 0.0):
                 raise SingularSystem("coupled-system factorization failed: zero pivot")
             self._solve = lambda b: lu_solve(lu_piv, b[perm], check_finite=False)[inverse]
 
-    def _species_flux(self, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """h times the discrete (mu')' of the nodal potential of (u, rho),
-        in divergence form.  Broadcasts over rows."""
+    def _potential_steps(self, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Cell differences mu_{i+1} - mu_i of the nodal potential of
+        (u, rho): h times its gradient.  Broadcasts over rows."""
         mu = nodal_potential(self.grid, self.tensors, u, rho)
-        return _divergence(mu[..., 1:] - mu[..., :-1])
+        return mu[..., 1:] - mu[..., :-1]
 
     def _rows(self, u: np.ndarray, rho: np.ndarray):
         """The coupled matrix applied to a state: its n displacement rows
         (nodes 1..n) and n + 1 species rows.  Broadcasts over rows."""
         t = self.tensors
         stress = (t.C + t.D / self.tau) * gradient(self.grid, u) + t.K * cell_average(rho)
-        return -_divergence(stress)[..., 1:], self.weights * (rho - self._flux_step * self._species_flux(u, rho))
+        species = rho - self._flux_step * _divergence(self._potential_steps(u, rho))
+        return -_divergence(stress)[..., 1:], self.weights * species
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The coupled matrix applied to vectors in the interleaved order
         (one per row)."""
-        out = np.empty_like(x)
-        out[..., 1::2], out[..., 0::2] = self._rows(_pad(x[..., 1::2], 1, 0), x[..., 0::2])
-        return out
+        r_u, r_r = self._rows(_pad(x[..., 1::2], 1, 0), x[..., 0::2])
+        return _interleave(r_r, r_u)
+
+    def _homogeneous_rhs(self, z: np.ndarray) -> np.ndarray:
+        """P: the right-hand side without loads, in the interleaved order,
+        of the previous states z = (rho_0, u_0, ..., rho_n, u_n)."""
+        u_prev = z[..., 1::2]
+        b_u, b_r = self._rhs(u_prev, z[..., 0::2], np.zeros_like(u_prev), 0.0, None)
+        return _interleave(b_r, b_u)
+
+    def _potential_slots(self, x: np.ndarray) -> np.ndarray:
+        """Q: the potential differences of interleaved states, each in the
+        u slot after it; the rho slots stay zero."""
+        rho = x[..., 0::2]
+        return _interleave(np.zeros_like(rho), self._potential_steps(_pad(x[..., 1::2], 1, 0), rho))
 
     def _rhs(self, u_prev, rho_prev, f_nodes, g_value, source_nodes):
         """Right-hand sides of the displacement and species rows."""
         visc = self._visc * (u_prev[..., 1:] - u_prev[..., :-1])
         b_u = self.weights[1:] * f_nodes[..., 1:]
-        # -_divergence(visc)[1:], written out: this runs once per step
+        # -_divergence(visc)[1:], written out
         b_u += visc
         b_u[..., :-1] -= visc[..., 1:]
         b_u[..., -1] += g_value
@@ -187,32 +251,22 @@ class LinearStepper:
             b_r = b_r + self.tau * self.weights * source_nodes
         return b_u, b_r
 
-    def _band(self, n_dofs: int):
-        """The scaled matrix D A D in the band storage of ``dgbtrf`` (KL
-        spare rows on top of ab[KL + KU + i - j, j]), and the scaling d.
-        Columns KL + KU + 1 apart share no row, so applying A to the
-        KL + KU + 1 combs of such columns reads off the whole band."""
-        width = KL + KU + 1
-        rows = self._apply((np.arange(n_dofs) % width == np.arange(width)[:, None]).astype(float))
-        diag = rows[np.arange(n_dofs) % width, np.arange(n_dofs)]
-        d = 1.0 / np.sqrt(np.abs(diag))
-        ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # Fortran order: LAPACK factors in place
-        for offset in range(-KU, KL + 1):
-            cols = np.arange(max(0, -offset), n_dofs - max(0, offset))
-            ab[KL + KU + offset, cols] = d[cols + offset] * rows[cols % width, cols + offset] * d[cols]
-        return ab, d
-
     def step(self, u_prev: np.ndarray, rho_prev: np.ndarray, f_nodes: np.ndarray, g_value: float,
              source_nodes: Optional[np.ndarray] = None):
         """One implicit Euler step: the new (u, rho)."""
-        b_u, b_r = self._rhs(u_prev, rho_prev, f_nodes, g_value, source_nodes)
-        b = np.empty(2 * len(b_u) + 1)
-        b[1::2], b[0::2] = b_u, b_r
-        x = self._d * self._solve(self._d * b)
-        u = _pad(x[1::2], 1, 0)
-        rho = rho_prev + self._flux_step * self._species_flux(u, x[0::2])
+        n_dofs = self._n_dofs
+        b = dgbmv(n_dofs, n_dofs + 1, P_KL, P_KU, 1.0, self._P, _interleave(rho_prev, u_prev))
+        b[1::2] += self._load * f_nodes[1:]
+        b[-2] += self._d_u[-1] * g_value
+        if source_nodes is not None:
+            b[0::2] += self._source * source_nodes
+        y = self._solve(b)
+        steps = dgbmv(n_dofs, n_dofs, Q_KL, Q_KU, 1.0, self._Q, y)[1::2]
+        rho = rho_prev + self._flux_step * _divergence(steps)
         if source_nodes is not None:
             rho = rho + self.tau * source_nodes
+        u = np.zeros(len(u_prev))
+        np.multiply(self._d_u, y[1::2], out=u[1:])
         return u, rho
 
     def residual(self, u_prev, rho_prev, u, rho, f_nodes, g_value, source_nodes=None):

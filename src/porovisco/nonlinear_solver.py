@@ -577,8 +577,11 @@ def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _
     mob = mat._mobility_1d(params, J, c_hat)
     q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
     r = weights * (c - c_prev) + tau * (_pad(q, 1, 0) - _pad(q, 0, 1))
-    r[..., 0] += tau * bc.kappa_left * (mu[..., 0] - mu_ext)
-    r[..., -1] += tau * bc.kappa_right * (mu[..., -1] - mu_ext)
+    # Robin rows; kappa = 0 would add exact zeros
+    if bc.kappa_left:
+        r[..., 0] += tau * bc.kappa_left * (mu[..., 0] - mu_ext)
+    if bc.kappa_right:
+        r[..., -1] += tau * bc.kappa_right * (mu[..., -1] - mu_ext)
     return _DiffPoint(r, _dual_norm(r, weights), mu, c_hat, mob)
 
 
@@ -612,11 +615,13 @@ def _diff_band(params, grid, F_cells, tau, bc, weights, pt: _DiffPoint):
     ab[3, ..., :-1] = q0
     ab[3, ..., :-2] -= qm1
     ab[4, ..., :-2] = qm1
-    # Robin rows
-    ab[2, ..., 0] += tau * bc.kappa_left * dd[..., 0]
-    ab[1, ..., 1] += tau * bc.kappa_left * upper[..., 0]
-    ab[2, ..., -1] += tau * bc.kappa_right * dd[..., -1]
-    ab[3, ..., -2] += tau * bc.kappa_right * lower[..., -1]
+    # Robin rows, as in _diff_point
+    if bc.kappa_left:
+        ab[2, ..., 0] += tau * bc.kappa_left * dd[..., 0]
+        ab[1, ..., 1] += tau * bc.kappa_left * upper[..., 0]
+    if bc.kappa_right:
+        ab[2, ..., -1] += tau * bc.kappa_right * dd[..., -1]
+        ab[3, ..., -2] += tau * bc.kappa_right * lower[..., -1]
     return ab
 
 

@@ -115,6 +115,14 @@ class TestParse:
         ("time.bogus", {"time": {"bogus": 1.0}}),
         ("output_dir", {"output_dir": "out"}),
         ("solver.tol", {"solver": {"tol": float("nan")}}),
+        ("checks.mass_tol", {"checks": {"mass_tol": float("nan")}}),
+        ("checks.balance_tol", {"checks": {"balance_tol": -0.1}}),
+        ("bc.kappa_left", {"bc": {"zero_flux": False, "kappa_left": float("nan")}}),
+        ("bc.kappa_right", {"bc": {"zero_flux": False, "kappa_right": float("inf")}}),
+        ("solver.max_backtrack", {"solver": {"max_backtrack": -3}}),
+        ("solver.max_newton", {"solver": {"max_newton": -1}}),
+        ("solver.max_newton", {"solver": {"max_newton": 2.5}}),
+        ("solver.max_backtrack", {"solver": {"max_backtrack": "7"}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)

@@ -30,8 +30,11 @@ def test_grid_invariants():
 
 def test_bcspec_validation():
     BCSpec(kappa_left=0.5)
-    with pytest.raises(ValueError):
-        BCSpec(kappa_left=-1.0)
+    for kappa in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BCSpec(kappa_left=kappa)
+        with pytest.raises(ValueError):
+            BCSpec(kappa_right=kappa)
     with pytest.raises(ValueError):
         BCSpec(kappa_right=0.1, zero_flux=True)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgbmv
 
 from porovisco import linear_solver
 from porovisco.constitutive import InadmissibleMaterial, LinearizedTensors, linearize
@@ -102,6 +103,16 @@ def _blocked_matrix(grid, tensors, tau):
     return A, Gu.T @ (h * tensors.D / tau * Gu)
 
 
+def _dense(band, kl, ku, n_rows):
+    # the matrix of a BLAS band a[ku + i - j, j]
+    n_cols = band.shape[1]
+    out = np.zeros((n_rows, n_cols))
+    for k in range(kl + ku + 1):
+        cols = np.arange(max(0, ku - k), min(n_cols, n_rows + ku - k))
+        out[cols + k - ku, cols] = band[k, cols]
+    return out
+
+
 def test_band_matches_operator_formulas(tensors):
     grid, tau = Grid1D(12), 1e-3
     n = grid.n_cells
@@ -109,14 +120,56 @@ def test_band_matches_operator_formulas(tensors):
     order = [n] + [i for j in range(1, n + 1) for i in (j - 1, n + j)]  # rho_0, u_1, rho_1, ...
     A = A[np.ix_(order, order)]
     stepper = LinearStepper(grid, tensors, tau)
-    ab, d = stepper._band(2 * n + 1)
-    band = np.zeros_like(A)
-    for offset in range(-4, 6):  # row minus column
-        cols = np.arange(max(0, -offset), 2 * n + 1 - max(0, offset))
-        band[cols + offset, cols] = ab[9 + offset, cols] / (d[cols + offset] * d[cols])
-    np.testing.assert_allclose(band, A, rtol=0.0, atol=1e-12 * np.max(np.abs(A)))
+    d = stepper._d
+    band = linear_solver._band(stepper._apply, 2 * n + 1, linear_solver.KL, linear_solver.KU, d, d)
+    scaled = _dense(band, linear_solver.KL, linear_solver.KU, 2 * n + 1)
+    np.testing.assert_allclose(scaled / np.outer(d, d), A, rtol=0.0, atol=1e-12 * np.max(np.abs(A)))
     # the scaled matrix has a unit diagonal
-    np.testing.assert_allclose(ab[9], 1.0, rtol=1e-14)
+    np.testing.assert_allclose(np.diag(scaled), 1.0, rtol=1e-14)
+
+
+def test_rhs_and_potential_bands_match_stencils(tensors):
+    # P applied to previous states (u_prev[0] included) gives the scaled
+    # right-hand side of _rhs without loads; Q applied to scaled solved
+    # states gives the potential differences in the u slots
+    grid, tau = Grid1D(12), 1e-3
+    n_dofs = 2 * grid.n_cells + 1
+    stepper = LinearStepper(grid, tensors, tau)
+    d = stepper._d
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u_prev, rho_prev = rng.standard_normal((2, grid.n_nodes))
+        b = dgbmv(n_dofs, n_dofs + 1, 0, 4, 1.0, stepper._P, linear_solver._interleave(rho_prev, u_prev))
+        b_u, b_r = stepper._rhs(u_prev, rho_prev, np.zeros(grid.n_nodes), 0.0, None)
+        np.testing.assert_allclose(b[1::2] / d[1::2], b_u, rtol=0.0, atol=1e-14 * np.max(np.abs(b_u)))
+        np.testing.assert_allclose(b[0::2] / d[0::2], b_r, rtol=1e-15, atol=0.0)
+        y = rng.standard_normal(n_dofs)
+        x = d * y
+        q = dgbmv(n_dofs, n_dofs, 4, 3, 1.0, stepper._Q, y)
+        mu = nodal_potential(grid, tensors, np.concatenate([[0.0], x[1::2]]), x[0::2])
+        steps = mu[1:] - mu[:-1]
+        np.testing.assert_allclose(q[1::2], steps, rtol=0.0, atol=1e-14 * np.max(np.abs(steps)))
+        assert np.all(q[0::2] == 0.0)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_step_is_two_band_products_and_one_solve(tensors, monkeypatch, seed):
+    grid = Grid1D(16)
+    stepper = LinearStepper(grid, tensors, 1e-3, seed=seed)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(linear_solver, "dgbmv", counted("dgbmv", dgbmv))
+    for name in ("dgbtrs", "lu_solve"):
+        monkeypatch.setattr(linear_solver, name, counted("solve", getattr(linear_solver, name)))
+    x = grid.nodes
+    stepper.step(0.1 * x, 0.2 * np.cos(np.pi * x), 0.5 * np.sin(np.pi * x), 0.2, 0.3 * np.cos(np.pi * x))
+    assert sorted(calls) == ["dgbmv", "dgbmv", "solve"]
 
 
 def test_residual_matches_operator_formulas(tensors):
