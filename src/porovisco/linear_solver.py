@@ -17,22 +17,18 @@ The coupled matrix is constant in time.  In the interleaved dof order
 (rho_0, u_1, rho_1, ..., u_n, rho_n) it is banded with 5 sub- and 4
 superdiagonals, so it is read into LAPACK band storage, scaled
 symmetrically by d = |diag|^(-1/2) (at n = 64 this takes its condition
-number from about 2e7 to 7e3) and factorized once (``dgbtrf``).  The two
-other per-step maps are linear and constant too, and are read into band
-storage with the scaling folded in: P, which takes the previous state to
-the homogeneous right-hand side (rows scaled by d), and Q, which takes
-the solved state to the cell differences of its nodal potential (columns
-scaled by d).  All three bands are read off the stencil formulas by one
-comb probe.  A step is then three banded kernels: one ``dgbmv`` of P, one
-``dgbtrs`` solve without refinement, and one ``dgbmv`` of Q.  The
-species update is taken in flux form,
-
-    rho = rho_prev + tau s - tau W^-1 S mu,
-
-with mu the potential of the solved state, W the node weights and S the
-weighted mobility Laplacian, applied as the divergence of Q's cell
-differences.  The divergence telescopes, so the discrete mass is
-conserved whatever the round-off of the solve.
+number from about 2e7 to 7e3) and factorized once (``dgbtrf``).  The map
+P, which takes the previous state to the homogeneous right-hand side, is
+linear and constant too, and is read into BLAS band storage with its rows
+scaled by d.  Both bands are read off the stencil formulas by one comb
+probe.  A step is then one ``dgbmv`` of P, one ``dgbtrs`` solve without
+refinement, and one constant added to the solved rho: the one that makes
+its discrete mass equal mass(rho_prev) + tau mass(s), the mass the
+zero-flux species equation conserves.  The node weights sum to 1, so the
+constant is the difference of the two masses.  It moves the nodal
+potential by L times itself, so the potential differences, and with them
+the flux, do not change.  The mass then drifts by the rounding of one
+weighted sum per step, not by the round-off of the solve.
 """
 
 from __future__ import annotations
@@ -73,11 +69,10 @@ __all__ = [
     "nodal_potential",
 ]
 
-# sub- and superdiagonals of the coupled matrix A, the right-hand side map
-# P and the potential-difference map Q, in the interleaved orders
+# sub- and superdiagonals of the coupled matrix A and the right-hand side
+# map P, in the interleaved orders
 KL, KU = 5, 4
 P_KL, P_KU = 0, 4
-Q_KL, Q_KU = 4, 3
 
 
 class SingularSystem(RuntimeError):
@@ -160,10 +155,10 @@ class LinearStepper:
     dense LU of the system under that seeded random symmetric
     permutation.  The two are independent solves whose results agree to
     solver precision, which is what the uniqueness experiment measures.
-    Both act on the symmetrically scaled matrix.  The right-hand side map
-    P and the potential-difference map Q are read into band storage once
-    as well; ``_rhs``, ``_rows`` and ``residual`` are the stencil formulas
-    the bands are read from.
+    Both act on the symmetrically scaled matrix, and both give rho up to
+    the one constant that ``step`` adds to pin its mass.  The right-hand
+    side map P is read into band storage once as well; ``_rhs``, ``_rows``
+    and ``residual`` are the stencil formulas the bands are read from.
     """
 
     def __init__(self, grid: Grid1D, tensors: LinearizedTensors, tau: float, seed: Optional[int] = None):
@@ -178,13 +173,12 @@ class LinearStepper:
         n_dofs = self._n_dofs = 2 * grid.n_cells + 1
         d = self._d = 1.0 / np.sqrt(np.abs(_band(self._apply, n_dofs, KL, KU)[KU]))
         # P acts on (rho_0, u_0, rho_1, u_1, ..., rho_n, u_n): u_prev[0]
-        # enters the first viscous row; Q puts the difference mu_{i+1} - mu_i
-        # in the u_{i+1} slot
+        # enters the first viscous row
         self._P = _band(self._homogeneous_rhs, n_dofs + 1, P_KL, P_KU, left=d)
-        self._Q = _band(self._potential_slots, n_dofs, Q_KL, Q_KU, right=d)
         self._load = d[1::2] * self.weights[1:]  # scaled w f on the u rows
         self._source = d[0::2] * tau * self.weights  # scaled tau w s on the rho rows
         self._d_u = d[1::2].copy()
+        self._d_rho = d[0::2].copy()
         if seed is None:
             ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # KL spare rows: LAPACK factors in place
             ab[KL:] = _band(self._apply, n_dofs, KL, KU, d, d)
@@ -205,18 +199,13 @@ class LinearStepper:
                 raise SingularSystem("coupled-system factorization failed: zero pivot")
             self._solve = lambda b: lu_solve(lu_piv, b[perm], check_finite=False)[inverse]
 
-    def _potential_steps(self, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Cell differences mu_{i+1} - mu_i of the nodal potential of
-        (u, rho): h times its gradient.  Broadcasts over rows."""
-        mu = nodal_potential(self.grid, self.tensors, u, rho)
-        return mu[..., 1:] - mu[..., :-1]
-
     def _rows(self, u: np.ndarray, rho: np.ndarray):
         """The coupled matrix applied to a state: its n displacement rows
         (nodes 1..n) and n + 1 species rows.  Broadcasts over rows."""
         t = self.tensors
         stress = (t.C + t.D / self.tau) * gradient(self.grid, u) + t.K * cell_average(rho)
-        species = rho - self._flux_step * _divergence(self._potential_steps(u, rho))
+        mu = nodal_potential(self.grid, t, u, rho)
+        species = rho - self._flux_step * _divergence(mu[..., 1:] - mu[..., :-1])
         return -_divergence(stress)[..., 1:], self.weights * species
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -231,12 +220,6 @@ class LinearStepper:
         u_prev = z[..., 1::2]
         b_u, b_r = self._rhs(u_prev, z[..., 0::2], np.zeros_like(u_prev), 0.0, None)
         return _interleave(b_r, b_u)
-
-    def _potential_slots(self, x: np.ndarray) -> np.ndarray:
-        """Q: the potential differences of interleaved states, each in the
-        u slot after it; the rho slots stay zero."""
-        rho = x[..., 0::2]
-        return _interleave(np.zeros_like(rho), self._potential_steps(_pad(x[..., 1::2], 1, 0), rho))
 
     def _rhs(self, u_prev, rho_prev, f_nodes, g_value, source_nodes):
         """Right-hand sides of the displacement and species rows."""
@@ -253,18 +236,19 @@ class LinearStepper:
 
     def step(self, u_prev: np.ndarray, rho_prev: np.ndarray, f_nodes: np.ndarray, g_value: float,
              source_nodes: Optional[np.ndarray] = None):
-        """One implicit Euler step: the new (u, rho)."""
+        """One implicit Euler step: the new (u, rho), with the mass of rho
+        set to mass(rho_prev) + tau mass(source_nodes)."""
         n_dofs = self._n_dofs
         b = dgbmv(n_dofs, n_dofs + 1, P_KL, P_KU, 1.0, self._P, _interleave(rho_prev, u_prev))
         b[1::2] += self._load * f_nodes[1:]
         b[-2] += self._d_u[-1] * g_value
+        target = self.weights @ rho_prev
         if source_nodes is not None:
             b[0::2] += self._source * source_nodes
+            target += self.tau * (self.weights @ source_nodes)
         y = self._solve(b)
-        steps = dgbmv(n_dofs, n_dofs, Q_KL, Q_KU, 1.0, self._Q, y)[1::2]
-        rho = rho_prev + self._flux_step * _divergence(steps)
-        if source_nodes is not None:
-            rho = rho + self.tau * source_nodes
+        rho = self._d_rho * y[0::2]
+        rho += target - self.weights @ rho  # the weights sum to 1
         u = np.zeros(len(u_prev))
         np.multiply(self._d_u, y[1::2], out=u[1:])
         return u, rho

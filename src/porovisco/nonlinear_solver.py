@@ -993,13 +993,3 @@ def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajector
     rho = (run.concentration - params.c_eq) / eps
     return RescaledTrajectory(run.times.copy(), u, rho, cols["mu_star"], cols["flux"])
 
-
-def direct_difference_flux(run: NonlinearRun, k: int) -> np.ndarray:
-    """Cellwise flux from direct differences of the nodal discrete
-    potential (oracle for the chain-rule flux)."""
-    params, grid = run.params, run.grid
-    w = run.displacement[k]
-    c = run.concentration[k]
-    F = 1.0 + gradient(grid, w)
-    mu = nodal_chemical_potential(params, grid, F, c)
-    return mat.mobility(params, F, cell_average(c)) * (mu[1:] - mu[:-1]) / grid.h / run.eps

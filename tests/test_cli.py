@@ -123,6 +123,11 @@ class TestParse:
         ("solver.max_newton", {"solver": {"max_newton": -1}}),
         ("solver.max_newton", {"solver": {"max_newton": 2.5}}),
         ("solver.max_backtrack", {"solver": {"max_backtrack": "7"}}),
+        ("grid.n_cells", {"grid": {"n_cells": "32"}}),
+        ("grid.n_cells", {"grid": {"n_cells": 64.9}}),
+        ("seed", {"seed": True}),
+        ("seed", {"seed": 2.5}),
+        ("seed", {"seed": -1}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -155,6 +160,14 @@ class TestMain:
         assert all(inv["passed"] for inv in summary["invariants"])
         assert summary["system"] == "verify"
 
+    def test_verify_fails_on_a_nan_derivative(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0: a plain fold of the errors would drop it
+        hyperstress = porovisco.constitutive.hyperstress
+        monkeypatch.setattr(porovisco.constitutive, "hyperstress", lambda pr, G: (hyperstress(pr, G)[0], float("nan")))
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", str(tiny_config), "--out", str(out), "--quiet"]) == 2
+        assert "invariant failure: derivative_cross_check" in capsys.readouterr().err
+
     def test_simulate_nonlinear_outputs(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "nl"
         code = main(["simulate-nonlinear", "--config", str(tiny_config),
@@ -184,6 +197,12 @@ class TestMain:
         assert main(["static", "--config", str(tiny_config),
                      "--out", str(tmp_path / "st"), "--quiet"]) == 0
         assert main(["decay", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "dec"), "--quiet"]) == 0
+
+    def test_decay_on_a_fine_grid(self, tmp_path, capsys):
+        # 2500 steps at n = 512 on the shipped config; run_linear rejects
+        # any step whose residual is over its tol of 1e-9
+        assert main(["decay", "--config", str(default_config_path()), "--cells", "512",
                      "--out", str(tmp_path / "dec"), "--quiet"]) == 0
 
     def test_moser_diag(self, tiny_config, tmp_path, capsys):

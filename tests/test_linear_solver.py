@@ -128,10 +128,9 @@ def test_band_matches_operator_formulas(tensors):
     np.testing.assert_allclose(np.diag(scaled), 1.0, rtol=1e-14)
 
 
-def test_rhs_and_potential_bands_match_stencils(tensors):
+def test_rhs_band_matches_stencils(tensors):
     # P applied to previous states (u_prev[0] included) gives the scaled
-    # right-hand side of _rhs without loads; Q applied to scaled solved
-    # states gives the potential differences in the u slots
+    # right-hand side of _rhs without loads
     grid, tau = Grid1D(12), 1e-3
     n_dofs = 2 * grid.n_cells + 1
     stepper = LinearStepper(grid, tensors, tau)
@@ -143,17 +142,10 @@ def test_rhs_and_potential_bands_match_stencils(tensors):
         b_u, b_r = stepper._rhs(u_prev, rho_prev, np.zeros(grid.n_nodes), 0.0, None)
         np.testing.assert_allclose(b[1::2] / d[1::2], b_u, rtol=0.0, atol=1e-14 * np.max(np.abs(b_u)))
         np.testing.assert_allclose(b[0::2] / d[0::2], b_r, rtol=1e-15, atol=0.0)
-        y = rng.standard_normal(n_dofs)
-        x = d * y
-        q = dgbmv(n_dofs, n_dofs, 4, 3, 1.0, stepper._Q, y)
-        mu = nodal_potential(grid, tensors, np.concatenate([[0.0], x[1::2]]), x[0::2])
-        steps = mu[1:] - mu[:-1]
-        np.testing.assert_allclose(q[1::2], steps, rtol=0.0, atol=1e-14 * np.max(np.abs(steps)))
-        assert np.all(q[0::2] == 0.0)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
-def test_step_is_two_band_products_and_one_solve(tensors, monkeypatch, seed):
+def test_step_is_one_band_product_and_one_solve(tensors, monkeypatch, seed):
     grid = Grid1D(16)
     stepper = LinearStepper(grid, tensors, 1e-3, seed=seed)
     calls = []
@@ -169,7 +161,7 @@ def test_step_is_two_band_products_and_one_solve(tensors, monkeypatch, seed):
         monkeypatch.setattr(linear_solver, name, counted("solve", getattr(linear_solver, name)))
     x = grid.nodes
     stepper.step(0.1 * x, 0.2 * np.cos(np.pi * x), 0.5 * np.sin(np.pi * x), 0.2, 0.3 * np.cos(np.pi * x))
-    assert sorted(calls) == ["dgbmv", "dgbmv", "solve"]
+    assert sorted(calls) == ["dgbmv", "solve"]
 
 
 def test_residual_matches_operator_formulas(tensors):
@@ -238,8 +230,9 @@ def test_single_step_mass_conserved(tensors):
 
 def test_long_horizon_mass_conserved(tensors):
     # the decay experiment's horizon and step under the shipped load:
-    # taking rho from the banded solve itself, not from the flux-form
-    # update, drifts by 2.0e-12 over these 2500 steps
+    # the constant that step adds to the solved rho holds this bound;
+    # without it the round-off of the solve drifts the mass by 2.4e-12 over
+    # these 2500 steps
     grid = Grid1D(64)
     x = grid.nodes
     loading = BoundLoading(f=lambda t: 0.6 * np.sin(np.pi * x), g=lambda t: 0.25)
