@@ -1,10 +1,10 @@
 """Command-line entry point, config schema and output-file contracts.
 
 Configs are JSON key trees with an explicit schema version; outputs are
-CSV files (17 significant digits) plus a summary JSON carrying the config
-hash and per-invariant pass/fail results.  Exit codes: 0 success, 2 for
-"ran fine but a structure invariant failed" (the failing check is named),
-1 for usage, config or runtime errors.
+CSV files (exact ``"%.17g"``, written in row blocks) plus a summary JSON
+carrying the config hash and per-invariant pass/fail results.  Exit codes:
+0 success, 2 for "ran fine but a structure invariant failed" (the failing
+check is named), 1 for usage, config or runtime errors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import constitutive as mat
+from ._csv17 import format_rows
 from .constitutive import (
     InadmissibleMaterial,
     MaterialParams,
@@ -38,7 +39,9 @@ from .experiments import (
 )
 from .linear_solver import check_energy_balance, run_linear, static_solve
 from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
-from .nonlinear_solver import check_dissipation_inequality, rescale, run_nonlinear
+# rescale is unused here but kept importable as cli.rescale: the
+# benchmark's traced run patches it by name at this module
+from .nonlinear_solver import check_dissipation_inequality, rescale, run_nonlinear  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -308,12 +311,26 @@ def _json17(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    # every value is a number, written with 17 significant digits
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(fmt % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+# values per formatted block: the file is written block by block, so
+# memory stays O(block) whatever the table's size
+_BLOCK_VALUES = 8192
+
+
+def _write_csv(path: Path, header: list, columns, rows=None) -> None:
+    """Write a CSV file: the header, then one line per row of ``columns``.
+
+    ``columns`` are float arrays sharing their first axis, each 1-D (one
+    column) or 2-D (several); ``rows`` selects and orders the rows (all of
+    them by default).  Every value is written as ``"%.17g"`` writes it.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = np.arange(len(columns[0])) if rows is None else rows
+    step = max(1, _BLOCK_VALUES // len(header))
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            f.write(format_rows(np.column_stack([c[block] for c in columns])))
 
 
 def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: list, outputs: list) -> None:
@@ -339,8 +356,7 @@ def _checkpoint_indices(times: np.ndarray, checkpoints: Optional[tuple]) -> np.n
 
 def _write_ledger(path: Path, ledger) -> None:
     names = list(ledger.column_names)
-    table = np.column_stack([ledger.column(n) for n in names])
-    _write_csv(path, names, (row.tolist() for row in table))
+    _write_csv(path, names, [ledger.column(n) for n in names])
 
 
 def _report(quiet: bool, invariants: list) -> bool:
@@ -390,12 +406,11 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     ]
     if kappa_free:
         invariants.insert(2, ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]))
-    rs = rescale(run)
     idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"c_{i:03d}" for i in range(nn)]
-    rows = (np.concatenate(([run.times[k]], rs.u[k], run.concentration[k])).tolist() for k in idx)
-    _write_csv(out / "trajectory.csv", header, rows)
+    u = run.displacement[idx] / run.eps  # rescale's u, without its other fields
+    _write_csv(out / "trajectory.csv", header, [run.times[idx], u, run.concentration[idx]])
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "nonlinear", invariants,
                    ["trajectory.csv", "ledger.csv"])
@@ -419,8 +434,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
     idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"rho_{i:03d}" for i in range(nn)]
-    rows = (np.concatenate(([run.times[k]], run.u[k], run.rho[k])).tolist() for k in idx)
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_csv(out / "trajectory.csv", header, [run.times, run.u, run.rho], idx)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "linear", invariants,
                    ["trajectory.csv", "ledger.csv"])
@@ -434,7 +448,7 @@ def _cmd_static(config: ProblemConfig, out: Path, quiet: bool) -> int:
     v, xi, nu, residual = static_solve(config.grid, tensors, f_nodes, g_value, mass(config.grid, rho0))
     chk = config.checks
     invariants = [("static_residual", residual <= chk["static_residual_tol"], residual, chk["static_residual_tol"])]
-    _write_csv(out / "static.csv", ["x", "v", "xi"], zip(config.grid.nodes, v, xi))
+    _write_csv(out / "static.csv", ["x", "v", "xi"], [config.grid.nodes, v, xi])
     _write_summary(out / "summary.json", config, "static", invariants, ["static.csv"])
     return _fail_code(invariants, quiet)
 
@@ -472,7 +486,7 @@ def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
          report.energy_balance_residual, chk["balance_tol"]),
     ]
     rows = list(report.rows())
-    _write_csv(out / "sweep.csv", list(rows[0]), (row.values() for row in rows))
+    _write_csv(out / "sweep.csv", list(rows[0]), [[list(row.values()) for row in rows]])
     _write_summary(out / "summary.json", config, "sweep", invariants, ["sweep.csv"])
     return _fail_code(invariants, quiet)
 
@@ -546,7 +560,7 @@ def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("ladder_bounded_by_sup", norms[-1] <= sup * (1.0 + 1e-8), norms[-1], sup * (1.0 + 1e-8)),
         ("ladder_gap", gap_ok, gap / sup if sup else 0.0, chk["moser_gap_rel"]),
     ]
-    _write_csv(out / "moser.csv", ["q", "sup_lq_norm"], zip(qs, norms))
+    _write_csv(out / "moser.csv", ["q", "sup_lq_norm"], [qs, norms])
     _write_summary(out / "summary.json", config, "moser", invariants, ["moser.csv"])
     return _fail_code(invariants, quiet)
 
@@ -563,8 +577,7 @@ def _cmd_decay(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("decay_final_ratio", result.final_ratio <= chk["decay_final_ratio"],
          result.final_ratio, chk["decay_final_ratio"]),
     ]
-    _write_csv(out / "decay.csv", ["t", "energy_distance"],
-               zip(result.times, result.curve))
+    _write_csv(out / "decay.csv", ["t", "energy_distance"], [result.times, result.curve])
     _write_summary(out / "summary.json", config, "decay", invariants, ["decay.csv"])
     return _fail_code(invariants, quiet)
 

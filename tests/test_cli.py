@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from porovisco.cli import (
     main,
     parse_config,
 )
+from porovisco.linear_solver import run_linear
 
 
 def _merged(base, patch):
@@ -204,6 +206,44 @@ class TestMain:
         # any step whose residual is over its tol of 1e-9
         assert main(["decay", "--config", str(default_config_path()), "--cells", "512",
                      "--out", str(tmp_path / "dec"), "--quiet"]) == 0
+
+    def test_simulate_linear_on_a_fine_grid(self, tmp_path, capsys):
+        # 1000 steps at n = 2048 on the shipped config: the flux-form rho
+        # update that the mass constant replaced failed here at step 414
+        cfg = _merged(json.loads(default_config_path().read_text()),
+                      {"time": {"checkpoint_times": [0.0, 0.5, 1.0]}})
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "lin"
+        assert main(["simulate-linear", "--config", str(path), "--cells", "2048",
+                     "--out", str(out), "--quiet"]) == 0
+        assert len((out / "trajectory.csv").read_bytes().splitlines()) == 4
+
+    @pytest.mark.parametrize("cells, T", [("4096", 0.005), ("64", 0.2)])
+    def test_csv_is_the_formatting_loop_across_blocks(self, tmp_path, capsys, monkeypatch, cells, T):
+        # the trajectory is written in blocks of whole rows: at n = 4096
+        # each 8195-value row is wider than one block; at n = 64, 201 rows
+        # take four blocks, the last one partial
+        runs = []
+
+        def keep(*args, **kwargs):
+            runs.append(run_linear(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr("porovisco.cli.run_linear", keep)
+        cfg = _merged(json.loads(default_config_path().read_text()), {"time": {"T": T}})
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "lin"
+        assert main(["simulate-linear", "--config", str(path), "--cells", cells,
+                     "--out", str(out), "--quiet"]) == 0
+        run, = runs
+        trajectory = [[t, *u, *rho] for t, u, rho in zip(run.times.tolist(), run.u.tolist(), run.rho.tolist())]
+        ledger = np.column_stack([run.ledger.column(n) for n in run.ledger.column_names]).tolist()
+        for name, rows in (("trajectory.csv", trajectory), ("ledger.csv", ledger)):
+            header, body = (out / name).read_bytes().split(b"\n", 1)
+            assert len(header.split(b",")) == len(rows[0])
+            assert body == "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode(), name
 
     def test_moser_diag(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "mo"

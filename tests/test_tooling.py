@@ -22,3 +22,15 @@ def test_benchmark_instrumentation_enters_and_exits(tmp_path, capsys):
     assert cli.parse_config is original
     names = {span[spans.NAME] for span in rec.spans}
     assert {"cli.parse_config", "cli._write_summary", "constitutive.linearize"} <= names
+
+
+def test_output_layer_is_traced(tmp_path, capsys):
+    # the benchmark's cli.io_s is the time in these spans: a writer that
+    # bypassed them would read as 0
+    rec = spans.Recorder()
+    with layers.Instrumentation(rec):
+        code = cli.main(["static", "--config", str(cli.default_config_path()), "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert {"cli._write_csv", "cli._write_summary"} <= {span[spans.NAME] for span in rec.spans}
+    io_s, _ = layers.layer_metrics(layers.SpanIndex(rec.spans))["cli.io_s"]
+    assert io_s > 0.0
