@@ -113,7 +113,6 @@ DEFAULT_CHECKS = {
     "moser_gap_rel": 0.01,
     "decay_final_ratio": 1e-6,
     "static_residual_tol": 1e-12,
-    "uniqueness_tol": 1e-10,
 }
 
 

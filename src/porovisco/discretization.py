@@ -13,10 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-# rows of a trajectory per vectorized diagnostic pass.  This amortizes the
-# per-call overhead and keeps the temporaries of a pass small: passes over
-# whole trajectories raised the peak memory of the n = 64 runs by about 7%.
-_ROW_BLOCK = 256
+# values per vectorized diagnostic pass: about 256 rows of an n = 64
+# trajectory.  This amortizes the per-call overhead and keeps the
+# temporaries of a pass small on every grid: passes over whole
+# trajectories raised the peak memory of the n = 64 runs by about 7%.
+_BLOCK_VALUES = 1 << 14
 
 __all__ = [
     "Grid1D",
@@ -112,15 +113,17 @@ def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
-def map_row_blocks(n_rows: int, fn) -> dict:
-    """Apply ``fn`` to consecutive row slices of at most ``_ROW_BLOCK``
-    rows and concatenate its results.
+def map_row_blocks(n_rows: int, row_size: int, fn) -> dict:
+    """Apply ``fn`` to consecutive row slices of about ``_BLOCK_VALUES``
+    values (at least one row) of ``row_size`` each, and concatenate its
+    results.
 
     ``fn(rows)`` returns a dict of arrays whose leading axis runs over the
     rows of the slice.  Trajectory diagnostics go through here so that
     their temporaries stay a block in size, not a whole trajectory.
     """
-    parts = [fn(slice(s, min(s + _ROW_BLOCK, n_rows))) for s in range(0, n_rows, _ROW_BLOCK)]
+    step = max(1, _BLOCK_VALUES // row_size)
+    parts = [fn(slice(s, min(s + step, n_rows))) for s in range(0, n_rows, step)]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 

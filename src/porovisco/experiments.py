@@ -102,7 +102,7 @@ def _linear_flux(linear: LinearRun) -> np.ndarray:
         d2u = cell_derivative(grid, gradient(grid, linear.u[rows]))
         return {"flux": tensors.M_eq * (tensors.K * d2u + tensors.L * gradient(grid, linear.rho[rows]))}
 
-    return map_row_blocks(linear.n_steps + 1, block)["flux"]
+    return map_row_blocks(linear.n_steps + 1, grid.n_nodes, block)["flux"]
 
 
 def eps_sweep(
@@ -194,7 +194,7 @@ def _error_norms(grid, tau, rs: RescaledTrajectory, linear: LinearRun, lin_flux:
             "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows] - lin_flux[rows]) ** 2,
         }
 
-    per_step = map_row_blocks(len(rs.times), block)
+    per_step = map_row_blocks(len(rs.times), grid.n_nodes, block)
     return {
         "err_u_h1": float(np.max(per_step["err_u_h1"])),
         "err_u_l2": float(np.max(per_step["err_u_l2"])),
@@ -216,8 +216,8 @@ def _audit_columns(run: NonlinearRun, rs: RescaledTrajectory) -> dict:
             "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows.start + 1 : rows.stop + 1]) ** 2,
         }
 
-    steps = map_row_blocks(run.n_steps, block)
-    u_h1 = map_row_blocks(run.n_steps + 1, lambda rows: {"h1": h1_norm(grid, rs.u[rows])})["h1"]
+    steps = map_row_blocks(run.n_steps, grid.n_nodes, block)
+    u_h1 = map_row_blocks(run.n_steps + 1, grid.n_nodes, lambda rows: {"h1": h1_norm(grid, rs.u[rows])})["h1"]
     return {
         "u_linf_h1": float(np.max(u_h1)),
         "udot_grad_l2": float(np.sqrt(np.sum(steps["udot_sq"]))),
@@ -276,7 +276,7 @@ def moser_diagnostic(
         c = run.concentration[rows]
         return {q: lq_norm(grid, c, q) for q in qs + (np.inf,)}
 
-    sups = {q: float(np.max(v)) for q, v in map_row_blocks(run.n_steps + 1, block).items()}
+    sups = {q: float(np.max(v)) for q, v in map_row_blocks(run.n_steps + 1, grid.n_nodes, block).items()}
     norms = [sups[q] for q in qs]
     sup_norm = sups[np.inf]
     gap = sup_norm - norms[-1]
@@ -316,6 +316,7 @@ def long_time_decay(
     v, xi, _, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
     curve = map_row_blocks(
         run.n_steps + 1,
+        grid.n_nodes,
         lambda rows: {"curve": state_energy(grid, tensors, run.u[rows] - v, run.rho[rows] - xi)},
     )["curve"]
     increases = np.diff(curve)

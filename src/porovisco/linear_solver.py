@@ -269,7 +269,7 @@ def _matrix(apply, size: int) -> np.ndarray:
     def block(rows):
         return {"A": apply(np.eye(rows.stop - rows.start, size, k=rows.start))}
 
-    return map_row_blocks(size, block)["A"].T
+    return map_row_blocks(size, size, block)["A"].T
 
 
 _LINEAR_EXTRAS = ("mass", "residual", "h1_u", "l2_rho", "linf_rho")
@@ -341,10 +341,10 @@ def _linear_ledger(grid, tensors, stepper, times, U, R, f_star, g_star, source, 
         }
 
     n_rows = len(times)
-    cols = map_row_blocks(n_rows, block)
+    cols = map_row_blocks(n_rows, grid.n_nodes, block)
     cols["diss_mech"], cols["load_power"], cols["residual"] = np.zeros((3, n_rows))
     if n_rows > 1:
-        for name, col in map_row_blocks(n_rows - 1, steps).items():
+        for name, col in map_row_blocks(n_rows - 1, grid.n_nodes, steps).items():
             cols[name][1:] = col
     over = np.flatnonzero(~(cols["residual"] <= tol))
     if over.size:
@@ -403,39 +403,38 @@ def static_solve(
     null mode of the cell-averaged potential is pinned to zero.  Returns
     (v, xi, nu, residual).
 
-    The unknowns are x = (v_1..v_n, xi_0..xi_n, nu); the (2n + 2)-square
-    matrix is solved by dense LU.
+    The discrete equations are solved by exact elimination, in O(n).  The
+    mechanical rows give each cell's stress s_k = g + sum_{i > k} w_i f_i.
+    The potential rows make every cell potential equal nu, so each cell
+    is the 2 x 2 system C v'_k + K m_k = s_k, K v'_k + L m_k = nu for its
+    slope v'_k and its mean m_k of xi, with det = C L - K^2 > 0.  Nodal xi
+    follows from its cell means up to the oscillatory mode (-1)^i, which
+    is removed, and nu from the mass row.  The residual is evaluated from
+    the original equations, every row included.
     """
     n = grid.n_cells
+    C, K, L = tensors.C, tensors.K, tensors.L
+    det = C * L - K ** 2
     weights = node_weights(grid)
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    alt = weights * (-1.0) ** np.arange(n + 1)
-
-    def equations(x):
-        # mechanical rows (nodes 1..n), weighted potential rows (all
-        # nodes), and the oscillatory-mode and mass constraints
-        v, xi, nu = _pad(x[..., :n], 1, 0), x[..., n : 2 * n + 1], x[..., 2 * n + 1]
-        stress = tensors.C * gradient(grid, v) + tensors.K * cell_average(xi)
-        pot = weights * (nodal_potential(grid, tensors, v, xi) - nu[..., None])
-        return -_divergence(stress)[..., 1:], pot, xi @ alt, xi @ weights
-
-    def matrix_rows(x):
-        # node 0's potential row is redundant; the oscillatory-mode
-        # constraint takes its place
-        mech, pot, osc, mass_row = equations(x)
-        return np.column_stack([mech, pot[:, 1:], osc, mass_row])
-
-    N = 2 * n + 2
-    b = np.zeros(N)
-    b[:n] = weights[1:] * f_nodes[1:]
-    b[n - 1] += g_value
-    b[2 * n + 1] = total_mass
-    lu_piv = lu_factor(_matrix(matrix_rows, N), overwrite_a=True, check_finite=False)
-    if np.any(np.diag(lu_piv[0]) == 0.0):
-        raise SingularSystem("static-system factorization failed: zero pivot")
-    x = lu_solve(lu_piv, b, check_finite=False)
-    # self-certify against the full original equations, including the
-    # replaced potential row
-    mech, pot, _, mass_x = equations(x)
-    residual = max(float(np.max(np.abs(mech - b[:n]))), float(np.max(np.abs(pot))), abs(float(mass_x) - total_mass))
-    return _pad(x[:n], 1, 0), x[n : 2 * n + 1], float(x[2 * n + 1]), residual
+    sign = (-1.0) ** np.arange(n + 1)
+    alt = weights * sign
+    b = weights[1:] * np.asarray(f_nodes, dtype=float)[1:]
+    b[-1] += g_value
+    stress = np.cumsum(b[::-1])[::-1]
+    # xi_{k+1} = 2 m_k - xi_k with the cell means m_k taken at nu = 0
+    xi = np.zeros(n + 1)
+    xi[1:] = sign[1:] * np.cumsum(sign[1:] * (-2.0 * K / det) * stress)
+    xi -= (alt @ xi) * sign
+    # nu adds the constant C nu / det to xi, which has no oscillatory part
+    shift = total_mass - weights @ xi  # the weights sum to 1
+    xi += shift
+    nu = float(det * shift / C)
+    v = np.zeros(n + 1)
+    np.cumsum(grid.h * (L * stress - K * nu) / det, out=v[1:])
+    # self-certify against the equations: mechanical rows, weighted
+    # potential rows (all nodes), and the oscillatory-mode and mass rows
+    mech = -_divergence(C * gradient(grid, v) + K * cell_average(xi))[1:]
+    pot = weights * (nodal_potential(grid, tensors, v, xi) - nu)
+    residual = max(float(np.max(np.abs(mech - b))), float(np.max(np.abs(pot))),
+                   abs(float(alt @ xi)), abs(float(weights @ xi) - total_mass))
+    return v, xi, nu, residual

@@ -162,13 +162,12 @@ class NonlinearRun:
 @dataclass(frozen=True)
 class RescaledTrajectory:
     """Small-strain variables derived from a finite-strain trajectory:
-    u = (chi - id)/eps, rho = (c - c_eq)/eps, mu_star = mu/eps nodal, and
-    the cellwise flux M(grad chi, c) grad mu_star."""
+    u = (chi - id)/eps, rho = (c - c_eq)/eps, and the cellwise flux
+    M(grad chi, c) grad mu/eps."""
 
     times: np.ndarray
     u: np.ndarray
     rho: np.ndarray
-    mu_star: np.ndarray
     flux: np.ndarray
 
 
@@ -889,13 +888,13 @@ def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, m
             ) / tau,
         }
 
-    cols = map_row_blocks(len(W), block)
+    cols = map_row_blocks(len(W), grid.n_nodes, block)
     # the rates belong to steps, not to the initial state
     cols["diss_diff"][0] = 0.0
     cols["flux_boundary"][0] = 0.0
     cols["diss_mech"], cols["load_power"] = np.zeros((2, len(W)))
     if len(W) > 1:
-        for name, col in map_row_blocks(len(W) - 1, steps).items():
+        for name, col in map_row_blocks(len(W) - 1, grid.n_nodes, steps).items():
             cols[name][1:] = col
     cols.update(t=times, residual_mech=residual_mech, residual_diff=residual_diff,
                 newton_mech=newton_mech, newton_diff=newton_diff)
@@ -964,8 +963,8 @@ def check_dissipation_inequality(ledger: EnergyLedger) -> float:
 
 
 def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajectory:
-    """Rescaled displacement, concentration variation, chemical potential
-    and mobility flux along a trajectory.
+    """Rescaled displacement, concentration variation and mobility flux
+    along a trajectory.
 
     The flux gradient uses the chain rule
         grad mu = d2_Fc Phi * D^2 chi + d2_cc Phi * grad c
@@ -983,13 +982,10 @@ def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajector
         c_hat = cell_average(c)
         _, fc, cc = mat.free_energy_hessian(params, F, c_hat)
         grad_mu = fc * cell_derivative(grid, F) + cc * gradient(grid, c)
-        return {
-            "mu_star": nodal_chemical_potential(params, grid, F, c) / eps,
-            "flux": mat.mobility(params, F, c_hat) * grad_mu / eps,
-        }
+        return {"flux": mat.mobility(params, F, c_hat) * grad_mu / eps}
 
-    cols = map_row_blocks(run.n_steps + 1, block)
+    flux = map_row_blocks(run.n_steps + 1, grid.n_nodes, block)["flux"]
     u = run.displacement / eps
     rho = (run.concentration - params.c_eq) / eps
-    return RescaledTrajectory(run.times.copy(), u, rho, cols["mu_star"], cols["flux"])
+    return RescaledTrajectory(run.times.copy(), u, rho, flux)
 

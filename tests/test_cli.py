@@ -82,12 +82,14 @@ class TestParse:
             parse_config(path)
 
     def test_unknown_check_name(self, tmp_path):
+        # uniqueness_tol was a field that no subcommand read
         cfg = json.loads(default_config_path().read_text())
-        cfg["checks"] = {"bogus": 1.0}
-        path = tmp_path / "chk.json"
-        path.write_text(json.dumps(cfg))
-        with pytest.raises(ValidationError):
-            parse_config(path)
+        for name in ("bogus", "uniqueness_tol"):
+            cfg["checks"] = {name: 1.0}
+            path = tmp_path / "chk.json"
+            path.write_text(json.dumps(cfg))
+            with pytest.raises(ValidationError, match=f"checks.{name}: unknown field"):
+                parse_config(path)
 
     def test_missing_solver_section_takes_the_shipped_tol(self, tmp_path):
         cfg = json.loads(default_config_path().read_text())
@@ -200,6 +202,11 @@ class TestMain:
                      "--out", str(tmp_path / "st"), "--quiet"]) == 0
         assert main(["decay", "--config", str(tiny_config),
                      "--out", str(tmp_path / "dec"), "--quiet"]) == 0
+
+    def test_static_on_a_fine_grid(self, tmp_path, capsys):
+        # a dense (2n + 2)-square static matrix would take 537 MB here
+        assert main(["static", "--config", str(default_config_path()), "--cells", "4096",
+                     "--out", str(tmp_path / "st"), "--quiet"]) == 0
 
     def test_decay_on_a_fine_grid(self, tmp_path, capsys):
         # 2500 steps at n = 512 on the shipped config; run_linear rejects

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dgbmv
 
-from porovisco import linear_solver
+from porovisco import discretization, linear_solver
 from porovisco.constitutive import InadmissibleMaterial, LinearizedTensors, linearize
-from porovisco.discretization import Grid1D, gradient, h1_norm, lq_norm, mass, node_weights
+from porovisco.discretization import (
+    Grid1D,
+    _pad,
+    cell_average,
+    gradient,
+    h1_norm,
+    lq_norm,
+    mass,
+    node_weights,
+)
 from porovisco.loading import BoundLoading
 from porovisco.linear_solver import (
     LinearStepper,
@@ -30,12 +39,13 @@ def smooth_loading(grid, f_scale=0.5, g_scale=0.3):
     )
 
 
-def test_ledger_matches_per_row_oracle(tensors):
-    # 600 steps cross two seams of the 256-row blocks the ledger is built
-    # in.  Each row is evaluated from the one-field formulas and the
-    # stored states; repeating each step from the stored previous state
-    # must give the stored state bit for bit.
+def test_ledger_matches_per_row_oracle(tensors, monkeypatch):
+    # the ledger is built in blocks of 256 rows here, so 600 steps cross
+    # two seams.  Each row is evaluated from the one-field formulas and
+    # the stored states; repeating each step from the stored previous
+    # state must give the stored state bit for bit.
     grid = Grid1D(16)
+    monkeypatch.setattr(discretization, "_BLOCK_VALUES", 256 * grid.n_nodes)
     x = grid.nodes
     loading = BoundLoading(
         f=lambda t: min(t / 0.1, 1.0) * 0.5 * np.sin(np.pi * x),
@@ -303,6 +313,43 @@ def test_uniqueness_under_reordering(tensors):
     b = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.2, seed=123)
     assert np.max(np.abs(a.u - b.u)) <= 1e-10
     assert np.max(np.abs(a.rho - b.rho)) <= 1e-10
+
+
+def dense_static_solve(grid, tensors, f_nodes, g_value, total_mass):
+    """The static system assembled as a (2n + 2)-square matrix and solved
+    by dense LU (oracle for the elimination of ``static_solve``).  The
+    unknowns are (v_1..v_n, xi_0..xi_n, nu)."""
+    n = grid.n_cells
+    weights = node_weights(grid)
+    alt = weights * (-1.0) ** np.arange(n + 1)
+
+    def rows(x):
+        # mechanical rows (nodes 1..n), weighted potential rows (nodes
+        # 1..n; node 0's is redundant), oscillatory-mode and mass rows
+        v, xi, nu = _pad(x[..., :n], 1, 0), x[..., n : 2 * n + 1], x[..., 2 * n + 1]
+        stress = tensors.C * gradient(grid, v) + tensors.K * cell_average(xi)
+        pot = weights * (nodal_potential(grid, tensors, v, xi) - nu[..., None])
+        return np.column_stack([-linear_solver._divergence(stress)[..., 1:], pot[..., 1:], xi @ alt, xi @ weights])
+
+    N = 2 * n + 2
+    b = np.zeros(N)
+    b[:n] = weights[1:] * f_nodes[1:]
+    b[n - 1] += g_value
+    b[N - 1] = total_mass
+    x = np.linalg.solve(rows(np.eye(N)).T, b)
+    return _pad(x[:n], 1, 0), x[n : 2 * n + 1], x[2 * n + 1]
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_static_matches_dense_solve(tensors, n):
+    grid = Grid1D(n)
+    f = 0.4 * np.sin(np.pi * grid.nodes) + 0.1 * grid.nodes
+    v, xi, nu, res = static_solve(grid, tensors, f, 0.2, 0.3)
+    v_ref, xi_ref, nu_ref = dense_static_solve(grid, tensors, f, 0.2, 0.3)
+    assert res <= 1e-12
+    assert np.max(np.abs(v - v_ref)) <= 1e-12
+    assert np.max(np.abs(xi - xi_ref)) <= 1e-12
+    assert abs(nu - nu_ref) <= 1e-12
 
 
 class TestStatic:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
-from porovisco import nonlinear_solver
+from porovisco import discretization, nonlinear_solver
 from porovisco.constitutive import (
     _entropy,
     chemical_potential,
@@ -560,10 +560,12 @@ def _ledger_oracle(run, loading, bc, tol):
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
-def test_ledger_matches_per_row_oracle(unit_params):
-    # 600 steps cross two seams of the 256-row blocks the ledger is built
-    # in; Robin data and a moving mu_ext make every core column nonzero
+def test_ledger_matches_per_row_oracle(unit_params, monkeypatch):
+    # the ledger is built in blocks of 256 rows here, so 600 steps cross
+    # two seams; Robin data and a moving mu_ext make every core column
+    # nonzero
     grid = Grid1D(16)
+    monkeypatch.setattr(discretization, "_BLOCK_VALUES", 256 * grid.n_nodes)
     bc = BCSpec(kappa_left=0.5, kappa_right=0.25, mu_ext=lambda t: 0.02 * np.sin(3.0 * t))
     loading = ramp_loading(grid)
     run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=600 * TAU, eps=0.1,
