@@ -152,7 +152,8 @@ def _matrix(value):
 _POSITIVE = (lambda v: v > 0.0, "positive")  # false for NaN
 _NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")  # false for NaN
 _FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
-_DECREASING = (lambda v: bool(np.all(np.diff(v) < 0.0)), "strictly decreasing")
+_POSITIVE_DECREASING = (lambda v: bool(np.all(np.asarray(v) > 0.0) and np.all(np.diff(v) < 0.0)),
+                        "positive and strictly decreasing")
 
 
 def _walk(node, table: dict) -> dict:
@@ -206,7 +207,7 @@ _PROFILE = _object({
 _CONFIG = {
     "schema_version": (None, None, (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))),
     "material": ({}, _object({
-        name: (f.default, _matrix if name == "M0" else None, None)
+        name: (f.default, _matrix if name == "M0" else None, (lambda v: v == 1, "1") if name == "dim" else None)
         for name, f in MaterialParams.__dataclass_fields__.items()
     }, MaterialParams), None),
     "grid": ({}, _object({"n_cells": (64, _count, None)}, Grid1D), None),
@@ -230,7 +231,7 @@ _CONFIG = {
     }, BCSpec), None),
     "initial": ({}, _object({"u0": ({}, _PROFILE, None), "rho0": ({}, _PROFILE, None)}), None),
     "eps": (0.1, float, _POSITIVE),
-    "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _DECREASING),
+    "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _POSITIVE_DECREASING),
     "solver": ({}, _object({
         "tol": (5e-11, float, _POSITIVE),
         "max_newton": (50, _count, _NONNEGATIVE),

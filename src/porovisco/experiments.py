@@ -39,6 +39,7 @@ from .nonlinear_solver import (
     NonlinearRun,
     RescaledTrajectory,
     check_dissipation_inequality,
+    moser_exponents,
     rescale,
     run_nonlinear,
 )
@@ -232,28 +233,6 @@ def _audit_columns(run: NonlinearRun, rs: RescaledTrajectory) -> dict:
 # ---------------------------------------------------------------------------
 # norm-ladder diagnostic
 # ---------------------------------------------------------------------------
-
-def moser_exponents(m: float, N: int, case: str = "I", r: float = 0.0) -> tuple:
-    """Exponent ladder q_n of the L^q bootstrap:
-
-        Case I:   q_n = 2^n (2 - m) + m - 1      (1 <= m < 2)
-        Case IIa: q_n = 2^n (3 + r - m) + m - 1  (0 < m < 3 + r)
-        Case IIb: q_n = 2^n (2 - m) + m + r      (0 < m < 2)
-    """
-    if case == "I":
-        if not (1.0 <= m < 2.0):
-            raise ValueError("Case I ladder requires 1 <= m <= 2 - eta")
-        return tuple(2.0 ** n * (2.0 - m) + m - 1.0 for n in range(N + 1))
-    if case == "IIa":
-        if not (0.0 < m < 3.0 + r):
-            raise ValueError("Case IIa ladder requires 0 < m <= 3 + r - eta")
-        return tuple(2.0 ** n * (3.0 + r - m) + m - 1.0 for n in range(N + 1))
-    if case == "IIb":
-        if not (0.0 < m < 2.0):
-            raise ValueError("Case IIb ladder requires 0 < m <= 2 - eta")
-        return tuple(2.0 ** n * (2.0 - m) + m + r for n in range(N + 1))
-    raise ValueError("case must be 'I', 'IIa' or 'IIb'")
-
 
 def moser_diagnostic(
     run: NonlinearRun,

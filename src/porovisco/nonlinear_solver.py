@@ -67,6 +67,7 @@ __all__ = [
     "run_nonlinear",
     "check_dissipation_inequality",
     "rescale",
+    "moser_exponents",
 ]
 
 TIKHONOV_SHIFT = 1e-10  # regularizes the degenerate hyperstress Hessian at G = 0
@@ -176,11 +177,12 @@ class RescaledTrajectory:
 # ---------------------------------------------------------------------------
 #
 # The step functions advance a batch of members: states are (members,
-# nodes) arrays, and a 1-D state is the one-member batch.  Each point
-# evaluation and each derivative band covers all the members it concerns
-# at once, while Newton and the line searches keep their state per member.
-# Every expression keeps the order of evaluation of a one-member step, and
-# the row reductions sum each row as they would sum it alone, so a member's
+# nodes) arrays, and a 1-D state is the one-member batch.  Every pass of
+# the Newton driver works on the whole batch under masks: each point
+# evaluation and each derivative band covers every member, and a member
+# that is not moving is evaluated at its own current point.  Every
+# expression keeps the order of evaluation of a one-member step, and the
+# row reductions sum each row as they would sum it alone, so a member's
 # result does not depend on its company.  A point is evaluated once, into
 # a record (a namedtuple of per-row arrays with the residual ``r`` and its
 # dual norm ``rn``) that carries what the derivative band there needs.
@@ -232,90 +234,35 @@ def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _subset(rows, mask: np.ndarray):
-    """The entries of ``rows`` where ``mask`` is set.  ``rows`` selects
-    rows of a batch: a slice over all of them or an index array.  The
-    result is ``rows`` itself when every entry is set, so the common case
-    of a batch that moves as a whole keeps cheap slice views."""
+def _select(mask: np.ndarray, new, old):
+    """The rows of ``new`` where ``mask`` is set and of ``old`` elsewhere,
+    for states and records alike; ``new`` itself when every row is set."""
     if np.count_nonzero(mask) == len(mask):
-        return rows
-    idx = mask.nonzero()[0]
-    return idx if isinstance(rows, slice) else rows[idx]
-
-
-def _rows(record, rows):
-    return type(record)(*(v[rows] for v in record))
-
-
-def _put(record, rows, values) -> None:
-    for v, u in zip(record, values):
-        v[rows] = u
-
-
-def _backtrack(x, directions, step, admissible, trial, max_backtrack):
-    """Backtracking line search of every row of ``x``, in lockstep.
-
-    Row i tries ``step(x[i], s, d[i])`` for s = 1, 1/2, ... (at most
-    ``max_backtrack + 1`` lengths) along each direction in turn, until
-    ``trial`` accepts the point.  A direction is built, by a call on the
-    rows still searching (as in :func:`_subset`), when they come to it.  A
-    rejected row halves s whatever rejected it, so every row still
-    searching tries the same s.  ``admissible(points)`` screens the
-    points, and ``trial(rows, points)`` evaluates the admissible ones
-    (``rows`` selects them from ``x``) and returns which it accepts.
-    Returns the accepted points, the mask of rows that accepted one, and
-    the mask of rows that only ever failed the screen.
-    """
-    k = len(x)
-    points = np.empty_like(x)
-    accepted = np.zeros(k, dtype=bool)
-    only_inadmissible = np.ones(k, dtype=bool)
-    pending = slice(None)
-    for direction in directions:
-        xp, dp = x[pending], direction(pending)
-        s = 1.0
-        for _ in range(max_backtrack + 1):
-            cand = step(xp, s, dp)
-            ok = admissible(cand)
-            tried = _subset(pending, ok)
-            if tried is pending:
-                acc = trial(tried, cand)
-            else:
-                acc = np.zeros(len(cand), dtype=bool)
-                if np.count_nonzero(ok):
-                    acc[ok] = trial(tried, cand[ok])
-            only_inadmissible[tried] = False
-            done = _subset(pending, acc)
-            if done is pending:
-                if isinstance(pending, slice):  # every row accepts at once
-                    return cand, acc, only_inadmissible
-                points[done] = cand
-                accepted[done] = True
-                return points, accepted, only_inadmissible
-            points[done] = cand[acc]
-            accepted[done] = True
-            pending = _subset(pending, ~acc)
-            xp, dp = xp[~acc], dp[~acc]
-            s *= 0.5
-    return points, accepted, only_inadmissible
+        return new
+    if isinstance(new, tuple):
+        return type(new)(*(_select(mask, v, u) for v, u in zip(new, old)))
+    return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
 
 
 def _lockstep_newton(x, cur, live, errors, evaluate, band, accept, admissible, step, *, floor, fallback,
                      tol, max_newton, max_backtrack, kind, screen_error, descent_error):
     """Damped Newton on the live rows of ``x`` whose residual norm exceeds
-    ``tol``, in lockstep: one band solve per iteration covers them all.
+    ``tol``, in lockstep: each pass moves the whole batch under masks.
 
-    ``cur`` holds the records of the rows' points, and ``band(members,
-    records)`` builds the bands of the active ones.  The line search of
-    :func:`_backtrack` tries the Newton direction, then (with
-    ``fallback``) the scaled gradient, built only for the rows the Newton
-    direction failed.  ``evaluate(members, points)`` evaluates the trial
-    points and ``accept(rows, old, new)`` decides on them, ``old`` being
-    the records of the active rows.  A row that fails gets
-    ``screen_error`` (error class, message) if no trial point passed the
-    screen, ``descent_error`` otherwise, or :class:`NoConvergence` after
-    ``max_newton`` iterations, in ``errors``, and leaves ``live``.
-    Returns the new states, their records and the iteration counts.
+    ``cur`` holds the records of the rows' points, ``band(records)`` builds
+    their bands, and one band solve covers them.  The line search tries
+    ``step(x, s, direction)`` for s = 1, 1/2, ... (at most ``max_backtrack
+    + 1`` lengths) along the Newton direction, then (with ``fallback``) the
+    scaled gradient, built only in a pass where some row rejected its
+    Newton direction; every row still searching tries the same s.  Each
+    length screens the trial points with ``admissible``, evaluates them
+    with ``evaluate(points)``, where a row that is not searching or failed
+    the screen stands at its own current point, and decides on them with
+    ``accept(old, new)``.  A row that fails gets ``screen_error`` (error
+    class, message) if no trial point passed the screen, ``descent_error``
+    otherwise, or :class:`NoConvergence` after ``max_newton`` iterations,
+    in ``errors``, and leaves ``live``.  Returns the new states, their
+    records and the iteration counts.
     """
     iters = np.zeros(len(x), dtype=int)
     # every member still iterating has taken part in each pass so far, so
@@ -329,41 +276,31 @@ def _lockstep_newton(x, cur, live, errors, evaluate, band, accept, admissible, s
                 errors[int(i)] = NoConvergence(
                     f"{kind} Newton exceeded {max_newton} iterations (residual {cur.rn[i]:.3e})")
             break
-        a = _subset(slice(None), active)
-        old = cur if isinstance(a, slice) else _rows(cur, a)
-        ab = band(a, old)
-        rhs = -old.r
-        delta = _solve_bands(ab, rhs, floor)
-        directions = [lambda rows: delta[rows]]
-        if fallback:
-            directions.append(lambda rows: _scaled_gradient(ab[:, rows], rhs[rows], floor))
-        trials = []
+        ab = band(cur)
+        rhs = -cur.r
 
-        def trial(rows, cand):
-            new = evaluate(rows if isinstance(a, slice) else a[rows], cand)
-            trials.append((rows, new))
-            return accept(rows, old, new)
+        def directions():
+            yield _solve_bands(ab, rhs, floor)
+            if fallback:  # reached only when some row rejected its Newton direction
+                yield _scaled_gradient(ab, rhs, floor)
 
-        points, accepted, only_screened = _backtrack(x[a], directions, step, admissible, trial, max_backtrack)
-        if len(trials) == 1 and isinstance(trials[0][0], slice):
-            new = trials[0][1]
-        else:  # a row's last trial is the one it accepted
-            new = type(old)(*(np.empty_like(v) for v in old))
-            for rows, values in trials:
-                _put(new, rows, values)
-        b = _subset(a, accepted)
-        if b is not a:
-            for j in (~accepted).nonzero()[0]:
-                errors[int(j if isinstance(a, slice) else a[j])] = (
-                    screen_error[0](screen_error[1]) if only_screened[j] else NoConvergence(descent_error))
-            live[_subset(a, ~accepted)] = False
-            points, new = points[accepted], _rows(new, accepted)
-        if isinstance(b, slice):  # every row moves: take the new arrays whole
-            x, cur = points, new
-        else:
-            x[b] = points
-            _put(cur, b, new)
-        iters[b] += 1
+        searching, screened = active.copy(), active.copy()
+        moved, new = x, cur
+        for direction, s in ((d, 0.5 ** j) for d in directions() for j in range(max_backtrack + 1)):
+            cand = step(x, s, direction)
+            ok = searching & admissible(cand)
+            screened &= ~ok
+            trial = evaluate(_select(ok, cand, x))
+            acc = ok & accept(cur, trial)
+            moved, new = _select(acc, cand, moved), _select(acc, trial, new)
+            searching &= ~acc
+            if not np.count_nonzero(searching):
+                break
+        for i in searching.nonzero()[0]:
+            errors[int(i)] = screen_error[0](screen_error[1]) if screened[i] else NoConvergence(descent_error)
+        live &= ~searching
+        iters += active & ~searching
+        x, cur = moved, new
     return x, cur, iters
 
 
@@ -437,19 +374,19 @@ def _oriented(grid, w):
     return ~((1.0 + gradient(grid, w)).min(axis=-1) <= 0.0)
 
 
-def _mech_accept(rows, old: _MechPoint, new: _MechPoint):
+def _mech_accept(old: _MechPoint, new: _MechPoint):
     # clear descent accepts outright.  Near the minimum the evaluated
     # energy and residual disagree at round-off level, so the final Newton
     # polish may raise the energy by ~1e-18; admit such increases only
     # under a strong residual contraction and a tiny absolute budget.  A
     # trial descends from the smallest energy along the path.
-    e_old = old.path_min[rows]
-    noise = 1024.0 * np.finfo(float).eps * np.maximum(old.scale[rows], new.scale)
+    e_old = old.path_min
+    noise = 1024.0 * np.finfo(float).eps * np.maximum(old.scale, new.scale)
     finite = np.isfinite(new.value)
     accept = finite & (new.value <= e_old - noise)
     if np.count_nonzero(accept) < len(accept):
         near = finite & ~accept & (new.value <= e_old + noise + 1e-15)
-        accept[near] = new.rn[near] <= 0.5 * old.rn[rows][near]
+        accept[near] = new.rn[near] <= 0.5 * old.rn[near]
     np.copyto(new.path_min, e_old, where=e_old < new.value)
     return accept
 
@@ -480,12 +417,13 @@ def mechanical_step(
 
     A (members, nodes) batch of displacements, with ``c_prev`` and
     ``C_prev`` to match and the loads ``f_nodes`` and ``g_value`` given
-    per member, is minimized member by member in lockstep: one band solve
-    per Newton iteration covers every unconverged member.  It returns the
-    batch and an info dict with the total ``iterations`` (an int), the
-    per-member ``member_iterations``, ``member_residual``,
+    per member, is minimized member by member in lockstep: each Newton
+    pass evaluates the whole batch and solves its bands at once.  It
+    returns the batch and an info dict with the total ``iterations`` (an
+    int), the per-member ``member_iterations``, ``member_residual``,
     ``member_energy`` and ``member_energy_start``, and ``errors``, which
-    maps the index of each failed member to the error it raises alone.
+    maps the index of each failed member to the error it raises alone
+    (its row of the batch is not a result).
 
     ``start``, shaped like ``w_prev``, proposes a start iterate per
     member.  Newton starts from it only where it preserves orientation
@@ -509,9 +447,8 @@ def mechanical_step(
     load = weights * np.reshape(f_nodes, w.shape)
     g_value = np.reshape(g_value, m)
 
-    def evaluate(members, points):
-        return _mech_point(params, grid, points, c_hat[members], ent[members], C_prev[members], tau,
-                           load[members], g_value[members], weights)
+    def evaluate(points):
+        return _mech_point(params, grid, points, c_hat, ent, C_prev, tau, load, g_value, weights)
 
     errors = {}
     # w_prev and the start (the last layer; w_prev if there is none) are
@@ -520,22 +457,17 @@ def mechanical_step(
     pair = np.array([w] if start is None else [w, np.reshape(start, w.shape)], dtype=float)
     folded = ~_oriented(grid, pair)
     pair[folded] = 0.0
-    both = evaluate(slice(None), pair)
-    both.value[folded] = np.inf
-    both.rn[folded] = 0.0
-    live = np.isfinite(both.value[0])
+    both = evaluate(pair)
+    energy = np.where(folded, np.inf, both.value)
+    e_start = energy[0]
+    live = np.isfinite(e_start)
     for i in (~live).nonzero()[0]:
         errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
-    e_start = both.value[0].copy()
-    take = live & np.isfinite(both.value[-1]) & (both.value[-1] <= e_start)
-    if np.count_nonzero(take) == m:
-        w, cur = pair[-1], _rows(both, -1)
-    else:
-        w[take] = pair[-1, take]
-        cur = _rows(both, 0)
-        _put(cur, take, _rows(_rows(both, -1), take))
+    take = live & np.isfinite(energy[-1]) & (energy[-1] <= e_start)
+    first, last = (_MechPoint(*(v[j] for v in both)) for j in (0, -1))
     w, cur, iters = _lockstep_newton(
-        w, cur, live, errors, evaluate, lambda members, pt: _mech_band(params, grid, tau, pt), _mech_accept,
+        _select(take, pair[-1], pair[0]), _select(take, last, first), live, errors, evaluate,
+        lambda pt: _mech_band(params, grid, tau, pt), _mech_accept,
         lambda points: _oriented(grid, points), _mech_candidate, floor=1.0, fallback=True,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="mechanical",
         screen_error=(OrientationLoss, "no backtracking step preserves chi' > 0"),
@@ -662,22 +594,17 @@ def diffusion_step(
     weights = node_weights(grid)
     mu_ext = bc.mu_ext_value(t)
 
-    def evaluate(members, points):
-        return _diff_point(params, grid, F_cells[members], points, c_prev[members], tau, bc, mu_ext, weights)
+    def evaluate(points):
+        return _diff_point(params, grid, F_cells, points, c_prev, tau, bc, mu_ext, weights)
 
     errors = {}
     live = _positive(c_prev)
     for i in (~live).nonzero()[0]:
         errors[int(i)] = PositivityLoss("implicit diffusion step requires strictly positive concentration")
-    b = _subset(slice(None), live)
-    cur = evaluate(b, c_prev[b])
-    if not isinstance(b, slice):  # the members that are not evaluated keep zeros
-        cur, start = _DiffPoint(*(np.zeros((m,) + v.shape[1:]) for v in cur)), cur
-        _put(cur, b, start)
+    c = _select(live, c_prev, params.c_eq)  # c_eq stands in for a member that is not positive
     c, cur, iters = _lockstep_newton(
-        c_prev.copy(), cur, live, errors, evaluate,
-        lambda members, pt: _diff_band(params, grid, F_cells[members], tau, bc, weights, pt),
-        lambda rows, old, new: new.rn < old.rn[rows], _positive, lambda c, s, d: c + s * d,
+        c, evaluate(c), live, errors, evaluate, lambda pt: _diff_band(params, grid, F_cells, tau, bc, weights, pt),
+        lambda old, new: new.rn < old.rn, _positive, lambda c, s, d: c + s * d,
         floor=1e-30, fallback=False,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="diffusion",
         screen_error=(PositivityLoss, "no damping preserves c > 0"),
@@ -695,12 +622,26 @@ def diffusion_step(
 # full run
 # ---------------------------------------------------------------------------
 
-def default_cascade(m: float, n_levels: int = 8) -> tuple:
-    """Norm-exponent ladder recorded in the ledger: q_n = 2^n (2 - m) + m - 1
-    (valid for 1 <= m < 2, the plain doubling ladder otherwise)."""
-    if 1.0 <= m < 2.0:
-        return tuple(2.0 ** nn * (2.0 - m) + m - 1.0 for nn in range(n_levels + 1))
-    return tuple(float(2 ** nn) for nn in range(n_levels + 1))
+def moser_exponents(m: float, N: int, case: str = "I", r: float = 0.0) -> tuple:
+    """Exponent ladder q_n of the L^q bootstrap:
+
+        Case I:   q_n = 2^n (2 - m) + m - 1      (1 <= m < 2)
+        Case IIa: q_n = 2^n (3 + r - m) + m - 1  (0 < m < 3 + r)
+        Case IIb: q_n = 2^n (2 - m) + m + r      (0 < m < 2)
+    """
+    if case == "I":
+        if not (1.0 <= m < 2.0):
+            raise ValueError("Case I ladder requires 1 <= m <= 2 - eta")
+        return tuple(2.0 ** n * (2.0 - m) + m - 1.0 for n in range(N + 1))
+    if case == "IIa":
+        if not (0.0 < m < 3.0 + r):
+            raise ValueError("Case IIa ladder requires 0 < m <= 3 + r - eta")
+        return tuple(2.0 ** n * (3.0 + r - m) + m - 1.0 for n in range(N + 1))
+    if case == "IIb":
+        if not (0.0 < m < 2.0):
+            raise ValueError("Case IIb ladder requires 0 < m <= 2 - eta")
+        return tuple(2.0 ** n * (2.0 - m) + m + r for n in range(N + 1))
+    raise ValueError("case must be 'I', 'IIa' or 'IIb'")
 
 
 def _ledger_columns(cascade_q: tuple) -> tuple:
@@ -787,7 +728,8 @@ def run_nonlinear(
             err = PositivityLoss("initial concentration must be strictly positive", time=0.0)
         failure = (live, _member_error(err, eps_list[live]), None)
 
-    cascade = default_cascade(params.m)
+    # the ledger's norm ladder: Case I where it holds, the doubling ladder otherwise
+    cascade = moser_exponents(params.m, 8) if 1.0 <= params.m < 2.0 else tuple(float(2 ** n) for n in range(9))
     n_steps = int(np.ceil(T / tau - 1e-12))
     times = tau * np.arange(n_steps + 1)
     W = np.empty((m, n_steps + 1, nn))

@@ -132,6 +132,8 @@ class TestParse:
         ("seed", {"seed": True}),
         ("seed", {"seed": 2.5}),
         ("seed", {"seed": -1}),
+        ("material.dim", {"material": {"dim": 2, "q_det": 6.0}}),
+        ("eps_list", {"eps_list": [0.2, 0.1, -0.1]}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)

@@ -43,7 +43,6 @@ from porovisco.nonlinear_solver import (
     nodal_chemical_potential,
     rescale,
     run_nonlinear,
-    default_cascade,
     _diff_band,
     _diff_point,
     _dual_norm,
@@ -553,7 +552,9 @@ def _ledger_oracle(run, loading, bc, tol):
             mu_left=mu[0],
             mu_right=mu[-1],
         )
-        for q in default_cascade(params.m):
+        # Moser's Case I ladder q_n = 2^n (2 - m) + m - 1, n = 0..8, at m = 1
+        assert params.m == 1.0
+        for q in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
             row[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
         row.update(newton_mech=newton[0], newton_diff=newton[1])
         rows.append(row)
@@ -784,28 +785,25 @@ class TestLockstep:
         assert calls["singular"] > 0 and calls["solved"] > 0
 
     def test_bands_come_from_the_records_of_their_points(self, unit_params, monkeypatch):
-        # every band the driver builds from a stored record equals the band
-        # of its point evaluated afresh, for one member alone.  A point is
-        # found again by the bytes of its residual.
+        # every band the driver builds from stored records equals the band
+        # of their points evaluated afresh.  A point is found again by the
+        # bytes of its residual.
         checked = {"mechanical": 0, "diffusion": 0}
         driver = nonlinear_solver._lockstep_newton
 
         def checking(x, cur, live, errors, evaluate, band, *args, **kwargs):
-            points = {cur.r[j].tobytes(): (j, x[j]) for j in live.nonzero()[0]}
+            points = {r.tobytes(): p for p, r in zip(x, cur.r)}
 
-            def remember(members, cand):
-                record = evaluate(members, cand)
-                for j, p, r in zip(np.arange(len(x))[members], cand, record.r):
-                    points[r.tobytes()] = (j, p)
+            def remember(batch):
+                record = evaluate(batch)
+                points.update((r.tobytes(), p) for p, r in zip(batch, record.r))
                 return record
 
-            def check(members, record):
-                ab = band(members, record)
-                for i, r in enumerate(record.r):
-                    j, p = points[r.tobytes()]
-                    alone = np.array([j])
-                    assert np.array_equal(band(alone, evaluate(alone, p[None]))[:, 0], ab[:, i])
-                    checked[kwargs["kind"]] += 1
+            def check(record):
+                ab = band(record)
+                fresh = np.array([points[r.tobytes()] for r in record.r])
+                assert np.array_equal(band(evaluate(fresh)), ab)
+                checked[kwargs["kind"]] += len(fresh)
                 return ab
 
             return driver(x, cur, live, errors, remember, check, *args, **kwargs)
@@ -815,10 +813,10 @@ class TestLockstep:
         assert checked["mechanical"] >= len(SWEEP_EPS) * runs[0].n_steps
         assert checked["diffusion"] >= len(SWEEP_EPS) * runs[0].n_steps
 
-    def test_fallback_is_built_only_for_the_rejected_member(self, unit_params, monkeypatch):
+    def test_rejected_member_takes_the_scaled_gradient_of_its_own_band(self, unit_params, monkeypatch):
         # member 1's Newton direction is replaced by zero, which the line
         # search never accepts: it must take the scaled gradient of its own
-        # band and residual, and the others must never build one
+        # band and residual.  The fallback is built once, for the batch.
         runs = self.solve(unit_params, SWEEP_EPS[:3])
         grid, k = runs[0].grid, 30
         t = runs[0].times[k + 1]
@@ -852,10 +850,56 @@ class TestLockstep:
         pt = _mech_point(unit_params, grid, w[1], c_hat, _entropy(unit_params, c_hat), (1.0 + gradient(grid, w[1])) ** 2,
                          TAU, weights * f[1], g[1], weights)
         H = _mech_band(unit_params, grid, TAU, pt)
-        assert np.array_equal(ab, H[:, None]) and np.array_equal(rhs, -pt.r[None]) and floor == 1.0
-        assert np.array_equal(direction, _scaled_gradient(H, -pt.r, 1.0)[None])
+        assert direction.shape == w[:, 1:].shape
+        assert np.array_equal(ab[:, 1], H) and np.array_equal(rhs[1], -pt.r) and floor == 1.0
+        assert np.array_equal(direction[1], _scaled_gradient(H, -pt.r, 1.0))
         steps = [0.5 ** j for j in range(41)]
-        assert any(np.array_equal(w_new[1, 1:], w[1, 1:] + s * direction[0]) for s in steps)
+        assert any(np.array_equal(w_new[1, 1:], w[1, 1:] + s * direction[1]) for s in steps)
+
+    def batch_at_step(self, params, k):
+        # the states of three lockstep members at steps k - 1, k and k + 1,
+        # and the time and loads of the step from k to k + 1
+        runs = self.solve(params, SWEEP_EPS[:3])
+        grid, t = runs[0].grid, runs[0].times[k + 1]
+        loading = ramp_loading(grid)
+        eps = np.array(SWEEP_EPS[:3])
+        W = np.array([run.displacement[k - 1 : k + 2] for run in runs])
+        C = np.array([run.concentration[k - 1 : k + 2] for run in runs])
+        return grid, t, W, C, eps[:, None] * loading.f_star(t), eps * loading.g_star(t)
+
+    def test_folded_member_leaves_its_company_as_alone(self, unit_params):
+        # member 1's w_prev folds the bar: the identity stands in for it,
+        # and the others step bit for bit as alone
+        grid, _, W, C, f, g = self.batch_at_step(unit_params, 30)
+        w, c, start = W[:, 1].copy(), C[:, 1], 2.0 * W[:, 1] - W[:, 0]
+        w[1] = -2.0 * grid.nodes
+        w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11, start=start)
+        with pytest.raises(OrientationLoss) as solo:
+            mechanical_step(unit_params, grid, w[1], c[1], TAU, f[1], g[1], tol=5e-11, start=start[1])
+        assert list(info["errors"]) == [1]
+        assert type(info["errors"][1]) is OrientationLoss and str(info["errors"][1]) == str(solo.value)
+        for i in (0, 2):
+            w1, m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, start=start[i])
+            assert np.array_equal(w_new[i], w1)
+            assert info["member_iterations"][i] == m1["iterations"] >= 1
+
+    def test_nonpositive_member_leaves_its_company_as_alone(self, unit_params):
+        # one node of member 1's c_prev is so far below zero that its cell
+        # averages are too, where no point can be evaluated: c_eq stands
+        # in for it, and the others step bit for bit as alone
+        grid, t, W, C, _, _ = self.batch_at_step(unit_params, 30)
+        bc, _ = robin_problem(grid)
+        F, c = 1.0 + gradient(grid, W[:, 2]), C[:, 1].copy()
+        c[1, 5] = -5.0
+        c_new, info = diffusion_step(unit_params, grid, F, c, TAU, bc, t, tol=5e-11)
+        with pytest.raises(PositivityLoss) as solo:
+            diffusion_step(unit_params, grid, F[1], c[1], TAU, bc, t, tol=5e-11)
+        assert list(info["errors"]) == [1]
+        assert type(info["errors"][1]) is PositivityLoss and str(info["errors"][1]) == str(solo.value)
+        for i in (0, 2):
+            c1, d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
+            assert np.array_equal(c_new[i], c1) and np.array_equal(info["mu"][i], d1["mu"])
+            assert info["member_iterations"][i] == d1["iterations"] >= 1
 
     def test_illegal_gbsv_argument_raises(self, monkeypatch):
         monkeypatch.setattr(nonlinear_solver, "dgbsv", lambda kl, ku, ab, b, **kwargs: (ab, None, b, -4))
