@@ -320,17 +320,18 @@ def _write_csv(path: Path, header: list, columns, rows=None) -> None:
     """Write a CSV file: the header, then one line per row of ``columns``.
 
     ``columns`` are float arrays sharing their first axis, each 1-D (one
-    column) or 2-D (several); ``rows`` selects and orders the rows (all of
-    them by default).  Every value is written as ``"%.17g"`` writes it.
+    column) or 2-D (several), or functions giving the rows of one at an
+    index array; ``rows`` selects and orders the rows (all of them by
+    default).  Every value is written as ``"%.17g"`` writes it.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
     rows = np.arange(len(columns[0])) if rows is None else rows
+    columns = [c if callable(c) else np.asarray(c, dtype=float).__getitem__ for c in columns]
     step = max(1, _BLOCK_VALUES // len(header))
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
-            f.write(format_rows(np.column_stack([c[block] for c in columns])))
+            f.write(format_rows(np.column_stack([c(block) for c in columns])))
 
 
 def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: list, outputs: list) -> None:
@@ -409,8 +410,9 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     idx = _checkpoint_indices(run.times, config.checkpoint_times)
     nn = config.grid.n_nodes
     header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"c_{i:03d}" for i in range(nn)]
-    u = run.displacement[idx] / run.eps  # rescale's u, without its other fields
-    _write_csv(out / "trajectory.csv", header, [run.times[idx], u, run.concentration[idx]])
+    # the u columns are rescale's u, formed a row block at a time
+    columns = [run.times, lambda rows: run.displacement[rows] / run.eps, run.concentration]
+    _write_csv(out / "trajectory.csv", header, columns, idx)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "nonlinear", invariants,
                    ["trajectory.csv", "ledger.csv"])

@@ -3,9 +3,9 @@ the norm-ladder diagnostic, long-time decay and uniqueness.
 
 The sweep runs the finite-strain solver at a decreasing list of load
 scales eps with loading eps * (f_star, g_star) and initial data
-(id + eps u0, c_eq + eps rho0), rescales each trajectory, and compares
-against a single linear run on the same grid and time step, so the error
-columns measure the eps-gap alone.
+(id + eps u0, c_eq + eps rho0), rescales each trajectory a row block at a
+time, and compares against a single linear run on the same grid and time
+step, so the error columns measure the eps-gap alone.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ from .linear_solver import (
     static_solve,
 )
 from .loading import BoundLoading
-from .nonlinear_solver import (
+# rescale is unused here but kept importable as experiments.rescale: the
+# benchmark's traced run patches it at every module that looks it up
+from .nonlinear_solver import (  # noqa: F401
     NonlinearRun,
-    RescaledTrajectory,
+    _rescaled_rows,
     check_dissipation_inequality,
     moser_exponents,
     rescale,
@@ -92,20 +94,6 @@ class SweepReport:
             yield row
 
 
-def _linear_flux(linear: LinearRun) -> np.ndarray:
-    # grad mu_star = K u'' + L rho', discretized with the same stencils the
-    # finite-strain rescaling uses (centered cell differences for u'',
-    # nodal differences for rho'), so the sweep errors measure the
-    # eps-gap and not a stencil mismatch
-    grid, tensors = linear.grid, linear.tensors
-
-    def block(rows):
-        d2u = cell_derivative(grid, gradient(grid, linear.u[rows]))
-        return {"flux": tensors.M_eq * (tensors.K * d2u + tensors.L * gradient(grid, linear.rho[rows]))}
-
-    return map_row_blocks(linear.n_steps + 1, grid.n_nodes, block)["flux"]
-
-
 def eps_sweep(
     params: MaterialParams,
     grid: Grid1D,
@@ -133,7 +121,6 @@ def eps_sweep(
     bc = BCSpec(zero_flux=True)
     tensors = linearize(params)
     linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
-    lin_flux = _linear_flux(linear)
     try:
         runs = run_nonlinear(
             params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol
@@ -145,13 +132,10 @@ def eps_sweep(
     violations = []
     errors = {name: [] for name in ERROR_COLUMNS}
     audit = {name: [] for name in AUDIT_COLUMNS}
-    for run in runs:
-        rs = rescale(run)
+    for run, terms in zip(runs, _per_row_terms(grid, tau, linear, runs)):
         violations.append(check_dissipation_inequality(run.ledger))
-        for name, value in _error_norms(grid, tau, rs, linear, lin_flux).items():
-            errors[name].append(value)
-        for name, value in _audit_columns(run, rs).items():
-            audit[name].append(value)
+        for name, value in _member_columns(run, terms).items():
+            (errors if name in errors else audit)[name].append(value)
     orders = {}
     for name in ERROR_COLUMNS:
         e = np.asarray(errors[name])
@@ -183,50 +167,59 @@ def _max_min_ratio(column) -> float:
     return float(np.max(v)) / lo
 
 
-def _error_norms(grid, tau, rs: RescaledTrajectory, linear: LinearRun, lin_flux: np.ndarray) -> dict:
-    # max-in-time H1/L2 norms of the u and rho gaps, and the space-time
-    # L2 norm of the flux gap over the steps after the initial state
-    def block(rows):
-        du = rs.u[rows] - linear.u[rows]
-        return {
-            "err_u_h1": h1_norm(grid, du),
-            "err_u_l2": lq_norm(grid, du, 2),
-            "err_rho_l2": lq_norm(grid, rs.rho[rows] - linear.rho[rows], 2),
-            "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows] - lin_flux[rows]) ** 2,
-        }
-
-    per_step = map_row_blocks(len(rs.times), grid.n_nodes, block)
-    return {
-        "err_u_h1": float(np.max(per_step["err_u_h1"])),
-        "err_u_l2": float(np.max(per_step["err_u_l2"])),
-        "err_rho_l2": float(np.max(per_step["err_rho_l2"])),
-        "err_flux_l2": float(np.sqrt(np.sum(per_step["flux_sq"][1:]))),
-    }
-
-
-def _audit_columns(run: NonlinearRun, rs: RescaledTrajectory) -> dict:
-    grid, params, eps = run.grid, run.params, run.eps
-    tau = float(run.times[1] - run.times[0])
-    ledger = run.ledger
+def _per_row_terms(grid, tau, linear: LinearRun, runs) -> list:
+    """For each member, the per-row and per-step terms of its error and
+    audit columns, from one pass over row blocks: the rescaled fields and
+    the linear flux exist a block at a time.  A block holds its rows and
+    the next one, for the rates of its steps."""
+    n_rows, t = linear.n_steps + 1, linear.tensors
 
     def block(rows):
-        # row j of the rate block is the step from j to j + 1
-        rate = (rs.u[rows.start + 1 : rows.stop + 1] - rs.u[rows]) / tau
-        return {
-            "udot_sq": tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
-            "flux_sq": tau * cell_l2_norm(grid, rs.flux[rows.start + 1 : rows.stop + 1]) ** 2,
-        }
+        n = rows.stop - rows.start
+        lin_u, lin_rho = linear.u[rows], linear.rho[rows]
+        # grad mu_star = K u'' + L rho', discretized with the same stencils
+        # the finite-strain rescaling uses (centered cell differences for
+        # u'', nodal differences for rho'), so the sweep errors measure
+        # the eps-gap and not a stencil mismatch
+        lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, lin_u)) + t.L * gradient(grid, lin_rho))
+        out = {}
+        for i, run in enumerate(runs):
+            rs = _rescaled_rows(run, slice(rows.start, min(rows.stop + 1, n_rows)), run.eps)
+            u, flux = rs["u"], rs["flux"]
+            du = u[:n] - lin_u
+            rate = (u[1:] - u[:-1]) / tau  # row j is the step from j to j + 1
+            out.update({
+                (i, "err_u_h1"): h1_norm(grid, du),
+                (i, "err_u_l2"): lq_norm(grid, du, 2),
+                (i, "err_rho_l2"): lq_norm(grid, rs["rho"][:n] - lin_rho, 2),
+                (i, "err_flux_sq"): tau * cell_l2_norm(grid, flux[:n] - lin_flux) ** 2,
+                (i, "u_h1"): h1_norm(grid, u[:n]),
+                (i, "udot_sq"): tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
+                (i, "flux_sq"): tau * cell_l2_norm(grid, flux[1:]) ** 2,
+            })
+        return out
 
-    steps = map_row_blocks(run.n_steps, grid.n_nodes, block)
-    u_h1 = map_row_blocks(run.n_steps + 1, grid.n_nodes, lambda rows: {"h1": h1_norm(grid, rs.u[rows])})["h1"]
+    terms = map_row_blocks(n_rows, grid.n_nodes, block)
+    return [{name: col for (j, name), col in terms.items() if j == i} for i in range(len(runs))]
+
+
+def _member_columns(run: NonlinearRun, terms: dict) -> dict:
+    """A member's error columns (max-in-time H1/L2 norms of the u and rho
+    gaps, and the space-time L2 norm of the flux gap over the steps after
+    the initial state) and audit columns."""
+    params, eps, ledger = run.params, run.eps, run.ledger
     return {
-        "u_linf_h1": float(np.max(u_h1)),
-        "udot_grad_l2": float(np.sqrt(np.sum(steps["udot_sq"]))),
+        "err_u_h1": float(np.max(terms["err_u_h1"])),
+        "err_u_l2": float(np.max(terms["err_u_l2"])),
+        "err_rho_l2": float(np.max(terms["err_rho_l2"])),
+        "err_flux_l2": float(np.sqrt(np.sum(terms["err_flux_sq"][1:]))),
+        "u_linf_h1": float(np.max(terms["u_h1"])),
+        "udot_grad_l2": float(np.sqrt(np.sum(terms["udot_sq"]))),
         "d2u_scaled_lp": eps ** (1.0 - 2.0 / params.p) * float(np.max(ledger.column("lp_d2u"))),
         "llogl_over_eps2": float(np.max(ledger.column("llogl"))) / eps ** 2,
         "rho_linf_l2": float(np.max(ledger.column("l2_rho"))),
         "c_linf_linf": float(np.max(ledger.column("linf_c"))),
-        "flux_l2": float(np.sqrt(np.sum(steps["flux_sq"]))),
+        "flux_l2": float(np.sqrt(np.sum(terms["flux_sq"]))),
     }
 
 
@@ -288,8 +281,7 @@ def long_time_decay(
     linear state under constant loading and the static equilibrium with
     the same loading and total mass; the curve is nonincreasing and decays
     to the round-off floor."""
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    loading = BoundLoading(f=lambda t: f_nodes, g=lambda t: g_value)
+    loading = BoundLoading.separable(lambda t: 1.0, f_nodes, lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
     run = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
     v, xi, _, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))

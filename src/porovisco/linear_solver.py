@@ -306,38 +306,39 @@ def run_linear(
     U[0] = u0
     R[0] = rho0
     ts = times.tolist()
-    f_star = np.array([loading.f_star(t) for t in ts])
+    f = loading.f_steps(ts)
     g_star = np.array([loading.g_star(t) for t in ts])
-    source = None if loading.source is None else np.array([loading.source_values(t, nn) for t in ts])
+    source = loading.source_steps(ts)
     for k in range(1, n_steps + 1):
-        U[k], R[k] = stepper.step(U[k - 1], R[k - 1], f_star[k], g_star[k], None if source is None else source[k])
-    ledger = _linear_ledger(grid, tensors, stepper, times, U, R, f_star, g_star, source, tol)
+        U[k], R[k] = stepper.step(U[k - 1], R[k - 1], f(k), g_star[k], None if source is None else source(k))
+    ledger = _linear_ledger(grid, tensors, stepper, times, U, R, f, g_star, source, tol)
     return LinearRun(grid, tensors, times, U, R, ledger)
 
 
-def _linear_ledger(grid, tensors, stepper, times, U, R, f_star, g_star, source, tol) -> EnergyLedger:
-    """The ledger of one run, from its stored trajectory, filled in row
-    blocks.  Raises ``SingularSystem`` at the first step whose residual
-    is over ``tol`` (or not finite)."""
+def _linear_ledger(grid, tensors, stepper, times, U, R, f, g_star, source, tol) -> EnergyLedger:
+    """The ledger of one run, from its stored trajectory and its loads by
+    step, filled in row blocks.  Raises ``SingularSystem`` at the first
+    step whose residual is over ``tol`` (or not finite)."""
     weights = node_weights(grid)
     tau = stepper.tau
 
     def block(rows):
-        return _linear_columns(grid, tensors, U[rows], R[rows], f_star[rows], g_star[rows])
+        return _linear_columns(grid, tensors, U[rows], R[rows], f(rows), g_star[rows])
 
     def steps(rows):
         # row j of the block is the step from j to j + 1
         after = slice(rows.start + 1, rows.stop + 1)
         u = U[rows]
         up_rate = (gradient(grid, U[after]) - gradient(grid, u)) / tau
+        f_both = f(slice(rows.start, rows.stop + 1))
         return {
             "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
             "load_power": (
-                np.sum(weights * (f_star[after] - f_star[rows]) * u, axis=-1)
+                np.sum(weights * (f_both[1:] - f_both[:-1]) * u, axis=-1)
                 + (g_star[after] - g_star[rows]) * u[:, -1]
             ) / tau,
-            "residual": stepper.residual(u, R[rows], U[after], R[after], f_star[after], g_star[after],
-                                         None if source is None else source[after]),
+            "residual": stepper.residual(u, R[rows], U[after], R[after], f_both[1:], g_star[after],
+                                         None if source is None else source(after)),
         }
 
     n_rows = len(times)

@@ -7,12 +7,13 @@ arbitrary callables through :class:`BoundLoading` directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .discretization import Grid1D
+from .discretization import _BLOCK_VALUES, Grid1D
 
 __all__ = ["TimeAmplitude", "SpatialProfile", "LoadingSpec", "BoundLoading"]
 
@@ -87,18 +88,14 @@ class LoadingSpec:
     g_amplitude: TimeAmplitude = field(default_factory=TimeAmplitude)
 
     def bind(self, grid: Grid1D) -> "BoundLoading":
-        shape = self.f_profile.sample(grid.nodes)
-        amp_f, amp_g = self.f_amplitude, self.g_amplitude
-        return BoundLoading(
-            f=lambda t: amp_f(t) * shape,
-            g=lambda t: amp_g(t),
-        )
+        return BoundLoading.separable(self.f_amplitude, self.f_profile.sample(grid.nodes), self.g_amplitude)
 
 
 class BoundLoading:
     """Loads ready for a solver: nodal body force f(t), traction scalar
     g(t), optional volumetric source s(t) in the species equation (used by
-    manufactured-solution studies only)."""
+    manufactured-solution studies only).  A force made by ``separable``
+    keeps its factors a(t) and profile as ``amplitude`` and ``profile``."""
 
     def __init__(
         self,
@@ -109,6 +106,16 @@ class BoundLoading:
         self.f = f
         self.g = g
         self.source = source
+        self.amplitude = self.profile = None
+
+    @classmethod
+    def separable(cls, amplitude: Callable[[float], float], profile: np.ndarray, g: Callable[[float], float],
+                  source: Optional[Callable[[float], np.ndarray]] = None):
+        """The loading with body force f(t) = amplitude(t) * profile."""
+        profile = np.asarray(profile, dtype=float)
+        loading = cls(f=lambda t: amplitude(t) * profile, g=g, source=source)
+        loading.amplitude, loading.profile = amplitude, profile
+        return loading
 
     def f_star(self, t: float) -> np.ndarray:
         return np.asarray(self.f(t), dtype=float)
@@ -116,7 +123,22 @@ class BoundLoading:
     def g_star(self, t: float) -> float:
         return float(self.g(t))
 
-    def source_values(self, t: float, n_nodes: int) -> np.ndarray:
-        if self.source is None:
-            return np.zeros(n_nodes)
-        return np.asarray(self.source(t), dtype=float)
+    def f_steps(self, ts: list):
+        """The body force at the times ``ts``, by step index (a nodal
+        vector) or slice of steps (a row each).  A separable force keeps
+        a(t) per step and forms a[k] * profile, the products f(t) forms (a
+        block of steps at a time); any other force is called per step."""
+        if self.profile is None:
+            return _at_steps(self.f_star, ts)
+        a = np.array([self.amplitude(t) for t in ts], dtype=float)
+        size = max(1, _BLOCK_VALUES // len(self.profile))
+        block = functools.lru_cache(maxsize=1)(lambda j: a[j * size:(j + 1) * size, None] * self.profile)
+        return lambda k: a[k, None] * self.profile if isinstance(k, slice) else block(k // size)[k % size]
+
+    def source_steps(self, ts: list):
+        """The source at the times ``ts`` as ``f_steps`` gives the force."""
+        return None if self.source is None else _at_steps(lambda t: np.asarray(self.source(t), dtype=float), ts)
+
+
+def _at_steps(fn, ts: list):
+    return lambda k: np.array([fn(t) for t in ts[k]]) if isinstance(k, slice) else fn(ts[k])

@@ -700,6 +700,8 @@ def run_nonlinear(
     eps_list = [float(eps)] if single else [float(e) for e in eps]
     if not eps_list:
         raise ValueError("eps needs at least one load scale")
+    if loading.source is not None:
+        raise ValueError("loading.source is not supported: the finite-strain species equation has no source term")
     nn = grid.n_nodes
     u0 = np.zeros(nn) if u0 is None else np.asarray(u0, dtype=float)
     rho0 = np.zeros(nn) if rho0 is None else np.asarray(rho0, dtype=float)
@@ -737,7 +739,7 @@ def run_nonlinear(
     W[:, 0] = w
     C[:, 0] = c
     ts = times.tolist()
-    f_star = np.array([loading.f_star(t) for t in ts])
+    f = loading.f_steps(ts)
     g_star = np.array([loading.g_star(t) for t in ts])
     mu_ext = np.array([bc.mu_ext_value(t) for t in ts])
     # the ledger columns that need the step's solver data; the others are
@@ -763,7 +765,7 @@ def run_nonlinear(
         else:
             start = 3.0 * (W[:live, k - 1] - W[:live, k - 2]) + W[:live, k - 3]
         w_new, minfo = mechanical_step(
-            params, grid, w, c, tau, eps_col[:live] * f_star[k], eps_row[:live] * g_star[k],
+            params, grid, w, c, tau, eps_col[:live] * f(k), eps_row[:live] * g_star[k],
             C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
             start=start,
         )
@@ -798,7 +800,7 @@ def run_nonlinear(
 
     runs = tuple(
         NonlinearRun(params, grid, e, times.copy(), W[i], C[i], _nonlinear_ledger(
-            params, grid, bc, tau, e, times, W[i], C[i], f_star, g_star, mu_ext, cascade,
+            params, grid, bc, tau, e, times, W[i], C[i], f, g_star, mu_ext, cascade,
             residual_mech[i], residual_diff[i], newton_mech[i], newton_diff[i],
         ))
         for i, e in enumerate(eps_list)
@@ -806,15 +808,15 @@ def run_nonlinear(
     return runs[0] if single else runs
 
 
-def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, mu_ext, cascade,
+def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f, g_star, mu_ext, cascade,
                       residual_mech, residual_diff, newton_mech, newton_diff) -> EnergyLedger:
-    """The ledger of one run, from its stored trajectory and the Newton
-    residuals and iteration counts of its steps, filled in row blocks."""
+    """The ledger of one run, from its stored trajectory, its force rows
+    ``f`` and its steps' Newton residuals and iterations, in row blocks."""
     weights = node_weights(grid)
 
     def block(rows):
         return _nonlinear_columns(
-            params, grid, bc, eps, W[rows], C[rows], f_star[rows], g_star[rows], mu_ext[rows], cascade
+            params, grid, bc, eps, W[rows], C[rows], f(rows), g_star[rows], mu_ext[rows], cascade
         )
 
     def steps(rows):
@@ -822,10 +824,11 @@ def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f_star, g_star, m
         after = slice(rows.start + 1, rows.stop + 1)
         w = W[rows]
         cdot = ((1.0 + gradient(grid, W[after])) ** 2 - (1.0 + gradient(grid, w)) ** 2) / tau
+        f_both = f(slice(rows.start, rows.stop + 1))
         return {
             "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
             "load_power": (
-                (weights * (f_star[after] - f_star[rows]) * (w / eps)).sum(axis=-1)
+                (weights * (f_both[1:] - f_both[:-1]) * (w / eps)).sum(axis=-1)
                 + (g_star[after] - g_star[rows]) * (w[:, -1] / eps)
             ) / tau,
         }
@@ -915,19 +918,19 @@ def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajector
     eps = run.eps if eps is None else eps
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    cols = map_row_blocks(run.n_steps + 1, run.grid.n_nodes, lambda rows: _rescaled_rows(run, rows, eps))
+    return RescaledTrajectory(run.times.copy(), cols["u"], cols["rho"], cols["flux"])
+
+
+def _rescaled_rows(run: NonlinearRun, rows: slice, eps: float) -> dict:
+    """The fields of ``rescale`` at a slice of the trajectory's rows, as
+    the arrays "u", "rho" and "flux"."""
     params, grid = run.params, run.grid
-
-    def block(rows):
-        w = run.displacement[rows]
-        c = run.concentration[rows]
-        F = 1.0 + gradient(grid, w)
-        c_hat = cell_average(c)
-        _, fc, cc = mat.free_energy_hessian(params, F, c_hat)
-        grad_mu = fc * cell_derivative(grid, F) + cc * gradient(grid, c)
-        return {"flux": mat.mobility(params, F, c_hat) * grad_mu / eps}
-
-    flux = map_row_blocks(run.n_steps + 1, grid.n_nodes, block)["flux"]
-    u = run.displacement / eps
-    rho = (run.concentration - params.c_eq) / eps
-    return RescaledTrajectory(run.times.copy(), u, rho, flux)
+    w = run.displacement[rows]
+    c = run.concentration[rows]
+    F = 1.0 + gradient(grid, w)
+    c_hat = cell_average(c)
+    _, fc, cc = mat.free_energy_hessian(params, F, c_hat)
+    grad_mu = fc * cell_derivative(grid, F) + cc * gradient(grid, c)
+    return {"u": w / eps, "rho": (c - params.c_eq) / eps, "flux": mat.mobility(params, F, c_hat) * grad_mu / eps}
 

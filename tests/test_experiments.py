@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from porovisco import discretization
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
-from porovisco.discretization import Grid1D
+from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, gradient, h1_norm, lq_norm
 from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
@@ -13,7 +16,9 @@ from porovisco.experiments import (
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
-from porovisco.nonlinear_solver import EnergyLedger, NoConvergence, NonlinearRun, run_nonlinear
+from porovisco.linear_solver import run_linear
+from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
+from porovisco.nonlinear_solver import EnergyLedger, NoConvergence, NonlinearRun, rescale, run_nonlinear
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +28,16 @@ def tensors(unit_params):
 
 def zero_loading(grid):
     return BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of the memory numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ramp_loading(grid, t_ramp=0.05):
@@ -85,6 +100,58 @@ class TestSweep:
         assert max(report.dissipation_violations) <= 1e-9
         for name, vals in report.errors.items():
             assert all(v > 0.0 for v in vals), name
+
+    def test_block_pass_matches_whole_trajectory_oracle(self, unit_params, monkeypatch):
+        # the sweep forms the rescaled fields and the linear flux a row
+        # block at a time; its columns equal, bit for bit, the ones made
+        # from rescale(run) and the linear flux of the whole trajectory.
+        # 101 rows in blocks of 10 leave a last block of one row, which
+        # has no rate
+        grid = Grid1D(16)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 10 * grid.n_nodes)
+        loading, eps_list, tau, T = ramp_loading(grid), (0.2, 0.1, 0.05), 2e-3, 0.2
+        init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
+        report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
+        tensors = linearize(unit_params)
+        linear = run_linear(grid, tensors, loading, tau=tau, T=T, **init)
+        assert linear.n_steps == 100
+        lin_flux = tensors.M_eq * (tensors.K * cell_derivative(grid, gradient(grid, linear.u))
+                                   + tensors.L * gradient(grid, linear.rho))
+        runs = run_nonlinear(unit_params, grid, loading, BCSpec(zero_flux=True), tau=tau, T=T, eps=eps_list,
+                             tol=5e-11, **init)
+        for i, run in enumerate(runs):
+            rs = rescale(run)
+            du = rs.u - linear.u
+            rate = (rs.u[1:] - rs.u[:-1]) / tau
+            expected = {
+                "err_u_h1": float(np.max(h1_norm(grid, du))),
+                "err_u_l2": float(np.max(lq_norm(grid, du, 2))),
+                "err_rho_l2": float(np.max(lq_norm(grid, rs.rho - linear.rho, 2))),
+                "err_flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux - lin_flux)[1:] ** 2))),
+                "u_linf_h1": float(np.max(h1_norm(grid, rs.u))),
+                "udot_grad_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2))),
+                "flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux[1:]) ** 2))),
+            }
+            got = {**report.errors, **report.audit}
+            for name, value in expected.items():
+                assert got[name][i] == value, (name, i)
+            assert all(value > 0.0 for value in expected.values())
+
+    def test_peak_holds_no_whole_rescaled_trajectory(self, unit_params, monkeypatch):
+        # three members and the linear run store 8 trajectories of states,
+        # and their ledgers at n = 64 about 2 more.  Rescaled copies of the
+        # members (u, rho and flux) and a whole linear flux took the peak
+        # to 18.2 trajectories; a row-block pass peaks at about 12.4.
+        # Blocks of 32 rows keep the block terms small against 301 rows
+        grid = Grid1D(64)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 32 * grid.n_nodes)
+        spec = LoadingSpec(SpatialProfile("sin_pi", 0.6), TimeAmplitude("ramp", 1.0, t_ramp=0.25),
+                           TimeAmplitude("ramp", 0.25, t_ramp=0.25))
+        peak = peak_traced_bytes(lambda: eps_sweep(
+            unit_params, grid, spec.bind(grid), (0.2, 0.1, 0.05), tau=1e-3, T=0.3,
+            rho0=0.2 * np.cos(np.pi * grid.nodes),
+        ))
+        assert peak <= 14.0 * 301 * grid.n_nodes * 8
 
     def test_rejects_bad_eps_list(self, unit_params):
         grid = Grid1D(16)
@@ -154,6 +221,17 @@ class TestDecay:
         assert result.curve[0] > 0.0
         assert result.max_increase <= 1e-12
         assert result.final_ratio <= 1e-3
+
+
+    def test_peak_holds_two_trajectories_and_blocks(self, tensors):
+        # the run stores u and rho (two trajectories of 2001 x 257); the
+        # constant load is kept as its profile, not as a force per step
+        grid = Grid1D(256)
+        f = 0.3 * np.sin(np.pi * grid.nodes)
+        peak = peak_traced_bytes(lambda: long_time_decay(
+            grid, tensors, f, 0.1, rho0=0.2 * np.cos(np.pi * grid.nodes), tau=0.02, T=40.0,
+        ))
+        assert peak <= 2.6 * 2001 * grid.n_nodes * 8
 
 
 class TestUniqueness:

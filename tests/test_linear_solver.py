@@ -14,7 +14,7 @@ from porovisco.discretization import (
     mass,
     node_weights,
 )
-from porovisco.loading import BoundLoading
+from porovisco.loading import BoundLoading, LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.linear_solver import (
     LinearStepper,
     SingularSystem,
@@ -77,7 +77,7 @@ def test_ledger_matches_per_row_oracle(tensors, monkeypatch):
         }
         if k > 0:
             t_prev, u_prev = run.times[k - 1], run.u[k - 1]
-            src = loading.source_values(t, grid.n_nodes)
+            src = np.asarray(loading.source(t), dtype=float)
             u_new, rho_new = stepper.step(u_prev, run.rho[k - 1], loading.f_star(t), loading.g_star(t), src)
             assert np.array_equal(u_new, u) and np.array_equal(rho_new, rho)
             residual = stepper.residual(u_prev, run.rho[k - 1], u, rho, loading.f_star(t), loading.g_star(t), src)
@@ -93,6 +93,56 @@ def test_ledger_matches_per_row_oracle(tensors, monkeypatch):
     for name in rows[0]:
         expected = np.array([row[name] for row in rows])
         np.testing.assert_allclose(run.ledger.column(name), expected, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+
+@pytest.mark.parametrize("amplitude", [
+    TimeAmplitude("constant", 0.4),
+    TimeAmplitude("ramp", 0.7, t_ramp=0.3),
+    TimeAmplitude("linear", 0.5, rate=-2.0),
+    TimeAmplitude("sin", 0.6, rate=7.0),
+])
+def test_bound_loading_rows_are_its_calls(amplitude):
+    # a bound config loading keeps its amplitude per step and forms the
+    # force rows from it: each row and each block of rows is the force
+    # f_star gives at that time, bit for bit.  Single rows come from
+    # blocks of 963 rows at n = 16, so 2000 steps cross two seams
+    grid = Grid1D(16)
+    bound = LoadingSpec(f_profile=SpatialProfile("hat", 0.9), f_amplitude=amplitude).bind(grid)
+    ts = (0.001 * np.arange(2000)).tolist()
+    f = bound.f_steps(ts)
+    calls = np.array([bound.f_star(t) for t in ts])
+    assert np.array_equal(np.array([f(k) for k in range(len(ts))]), calls)
+    assert np.array_equal(np.concatenate([f(slice(k, k + 7)) for k in range(0, len(ts), 7)]), calls)
+    assert bound.source_steps(ts) is None
+
+
+def test_separable_loading_gives_the_run_of_its_callable(tensors, monkeypatch):
+    # the separable force is rebuilt per step and per ledger block from
+    # its amplitude column, the callable one is called at each step; both
+    # runs, source included, agree bit for bit across block seams
+    grid = Grid1D(16)
+    monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+    x = grid.nodes
+    amplitude = TimeAmplitude("sin", 0.5, rate=9.0)
+    profile = SpatialProfile("sin_pi").sample(x)
+
+    def g(t):
+        return 0.2 * np.sin(t)
+
+    def source(t):
+        return 0.3 * np.cos(5.0 * t) * np.cos(np.pi * x)
+
+    a, b = (
+        run_linear(grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=1e-3, T=0.1)
+        for loading in (BoundLoading.separable(amplitude, profile, g, source),
+                        BoundLoading(f=lambda t: amplitude(t) * profile, g=g, source=source))
+    )
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho)
+    assert a.ledger.column_names == b.ledger.column_names
+    for name in a.ledger.column_names:
+        assert np.array_equal(a.ledger.column(name), b.ledger.column(name)), name
+    assert np.all(a.ledger.column("load_power")[1:] != 0.0)
 
 
 def _blocked_matrix(grid, tensors, tau):

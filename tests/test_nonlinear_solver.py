@@ -31,7 +31,7 @@ from porovisco.discretization import (
     node_weights,
     second_derivative,
 )
-from porovisco.loading import BoundLoading
+from porovisco.loading import BoundLoading, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
     EnergyLedger,
     NoConvergence,
@@ -746,6 +746,42 @@ class TestLockstep:
         assert err.value.eps == 0.0
         with pytest.raises(ValueError, match="at least one"):
             run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=())
+
+    def test_source_is_rejected_by_name(self, unit_params, monkeypatch):
+        # the finite-strain species equation has no source term: a loading
+        # that carries one is refused, not run without it
+        grid = Grid1D(16)
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(nonlinear_solver, "mechanical_step", no_steps)
+        loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0,
+                               source=lambda t: np.ones(grid.n_nodes))
+        with pytest.raises(ValueError, match=r"^loading\.source is not supported"):
+            run_nonlinear(unit_params, grid, loading, BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.05))
+
+    def test_separable_loading_gives_the_runs_of_its_callable(self, unit_params, monkeypatch):
+        # the separable force is rebuilt per step and per ledger block from
+        # its amplitude column, the callable one is called at each step;
+        # both give the same members bit for bit across block seams
+        grid = Grid1D(16)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+        bc, init = robin_problem(grid)
+        amplitude = TimeAmplitude("sin", 0.6, rate=9.0)
+        profile = SpatialProfile("sin_pi").sample(grid.nodes)
+
+        def g(t):
+            return 0.25 * min(t / 0.02, 1.0)
+
+        separable, bare = (
+            run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=60 * TAU, eps=(0.2, 0.1), tol=5e-11, **init)
+            for loading in (BoundLoading.separable(amplitude, profile, g),
+                            BoundLoading(f=lambda t: amplitude(t) * profile, g=g))
+        )
+        for run, solo in zip(separable, bare):
+            assert_runs_equal(run, solo)
+        assert np.all(separable[0].ledger.column("load_power")[1:] != 0.0)
 
     def test_singular_joint_band_solves_blocks_alone(self, unit_params, monkeypatch):
         solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]

@@ -2,6 +2,7 @@
 porovisco's functions by name at every module that looks them up.  A
 rename or removal under ``src/`` that breaks it fails here."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -34,3 +35,23 @@ def test_output_layer_is_traced(tmp_path, capsys):
     assert {"cli._write_csv", "cli._write_summary"} <= {span[spans.NAME] for span in rec.spans}
     io_s, _ = layers.layer_metrics(layers.SpanIndex(rec.spans))["cli.io_s"]
     assert io_s > 0.0
+
+
+def test_traced_sweep_records_its_layers(tmp_path, capsys):
+    # the sweep no longer calls rescale, but the benchmark still patches
+    # it at every module that imports it; the sweep and its finite-strain
+    # run must still show up as spans
+    cfg = json.loads(cli.default_config_path().read_text())
+    cfg["grid"] = {"n_cells": 16}
+    cfg["time"] = {"tau": 2e-3, "T": 0.1, "checkpoint_times": None}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    original = cli.eps_sweep
+    rec = spans.Recorder()
+    with layers.Instrumentation(rec):
+        assert cli.eps_sweep is not original
+        code = cli.main(["sweep-eps", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    assert cli.eps_sweep is original
+    names = {span[spans.NAME] for span in rec.spans}
+    assert {"experiments.eps_sweep", "nonlinear_solver.run_nonlinear"} <= names
