@@ -25,7 +25,6 @@ from .experiments import (
     long_time_decay,
     moser_diagnostic,
     moser_exponents,
-    uniqueness_test,
 )
 from .linear_solver import (
     SingularSystem,

@@ -1,0 +1,31 @@
+"""The LAPACK and BLAS routines the solvers call: scipy's compiled
+wrappers ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded
+from their files so that the ``scipy.linalg`` package, whose ``__init__``
+brings in scipy's array-API layer, is never imported.  They are
+registered under their real names, so these are the objects that
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hand out, whichever is
+imported first."""
+
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
+from pathlib import Path
+
+__all__ = ["dgbsv", "dgbtrf", "dgbtrs", "dgbmv"]
+
+
+def _wrapper(name: str):
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        scipy = find_spec("scipy")  # locates the package without importing it
+        where = Path(scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
+        spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
+        if spec is None:
+            raise ImportError(f"no compiled {full} in {where}", name=full, path=str(where))
+        sys.modules[full] = module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+dgbsv, dgbtrf, dgbtrs = (getattr(_wrapper("_flapack"), f) for f in ("dgbsv", "dgbtrf", "dgbtrs"))
+dgbmv = _wrapper("_fblas").dgbmv

@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy  # the top-level package only, for its version
 
 from . import constitutive as mat
 from ._csv17 import format_rows
@@ -344,6 +346,7 @@ def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: l
             for (n, p, v, t) in invariants
         ],
         "outputs": list(outputs),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
     }
     path.write_text(_json17(doc) + "\n")
 

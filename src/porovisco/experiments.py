@@ -1,5 +1,5 @@
 """Desk-scale experiments: the small-load limit sweep, scaling audits,
-the norm-ladder diagnostic, long-time decay and uniqueness.
+the norm-ladder diagnostic and long-time decay.
 
 The sweep runs the finite-strain solver at a decreasing list of load
 scales eps with loading eps * (f_star, g_star) and initial data
@@ -52,7 +52,6 @@ __all__ = [
     "moser_exponents",
     "moser_diagnostic",
     "long_time_decay",
-    "uniqueness_test",
     "DecayResult",
 ]
 
@@ -256,7 +255,7 @@ def moser_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# decay and uniqueness
+# decay
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -294,23 +293,3 @@ def long_time_decay(
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     final_ratio = float(curve[-1] / curve[0]) if curve[0] > 0.0 else 0.0
     return DecayResult(run.times, curve, final_ratio, max_increase)
-
-
-def uniqueness_test(
-    grid: Grid1D,
-    tensors,
-    loading: BoundLoading,
-    u0: Optional[np.ndarray] = None,
-    rho0: Optional[np.ndarray] = None,
-    tau: float = 1e-3,
-    T: float = 0.5,
-    seed: int = 7,
-) -> float:
-    """Maximum state discrepancy between two independent solves of the
-    same data: banded LU in the interleaved dof order, and dense LU under
-    a seeded random permutation; bounded by direct-solver precision."""
-    a = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
-    b = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, seed=seed)
-    du = float(np.max(np.abs(a.u - b.u)))
-    drho = float(np.max(np.abs(a.rho - b.rho)))
-    return max(du, drho)

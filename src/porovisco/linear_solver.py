@@ -37,10 +37,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbmv, dgbtrf, dgbtrs
 from .constitutive import LinearizedTensors
 from .discretization import (
     Grid1D,
@@ -150,18 +148,15 @@ def state_energy(grid: Grid1D, tensors: LinearizedTensors, u: np.ndarray, rho: n
 class LinearStepper:
     """Factorized implicit-Euler operator for the coupled system.
 
-    The matrix is constant in time, so it is assembled and factorized
-    once: by banded LU in the interleaved order, or, given a ``seed``, by
-    dense LU of the system under that seeded random symmetric
-    permutation.  The two are independent solves whose results agree to
-    solver precision, which is what the uniqueness experiment measures.
-    Both act on the symmetrically scaled matrix, and both give rho up to
-    the one constant that ``step`` adds to pin its mass.  The right-hand
-    side map P is read into band storage once as well; ``_rhs``, ``_rows``
-    and ``residual`` are the stencil formulas the bands are read from.
+    The matrix is constant in time, so it is assembled, scaled
+    symmetrically and factorized once, by banded LU in the interleaved
+    order.  The solve gives rho up to the one constant that ``step`` adds
+    to pin its mass.  The right-hand side map P is read into band storage
+    once as well; ``_rhs``, ``_rows`` and ``residual`` are the stencil
+    formulas the bands are read from.
     """
 
-    def __init__(self, grid: Grid1D, tensors: LinearizedTensors, tau: float, seed: Optional[int] = None):
+    def __init__(self, grid: Grid1D, tensors: LinearizedTensors, tau: float):
         if tau <= 0.0:
             raise ValueError("tau must be positive")
         self.grid = grid
@@ -179,25 +174,14 @@ class LinearStepper:
         self._source = d[0::2] * tau * self.weights  # scaled tau w s on the rho rows
         self._d_u = d[1::2].copy()
         self._d_rho = d[0::2].copy()
-        if seed is None:
-            ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # KL spare rows: LAPACK factors in place
-            ab[KL:] = _band(self._apply, n_dofs, KL, KU, d, d)
-            lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=True)
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of gbtrf")
-            if info > 0:
-                raise SingularSystem(f"coupled-system factorization failed: zero pivot {info} in gbtrf")
-            self._solve = lambda b: dgbtrs(lu, KL, KU, b, piv, overwrite_b=True)[0]
-        else:
-            perm = np.random.default_rng(seed).permutation(n_dofs)
-            inverse = np.argsort(perm)
-            dense = _matrix(self._apply, n_dofs)
-            dense *= d[:, None]
-            dense *= d
-            lu_piv = lu_factor(dense[np.ix_(perm, perm)], overwrite_a=True, check_finite=False)
-            if np.any(np.diag(lu_piv[0]) == 0.0):
-                raise SingularSystem("coupled-system factorization failed: zero pivot")
-            self._solve = lambda b: lu_solve(lu_piv, b[perm], check_finite=False)[inverse]
+        ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # KL spare rows: LAPACK factors in place
+        ab[KL:] = _band(self._apply, n_dofs, KL, KU, d, d)
+        lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbtrf")
+        if info > 0:
+            raise SingularSystem(f"coupled-system factorization failed: zero pivot {info} in gbtrf")
+        self._solve = lambda b: dgbtrs(lu, KL, KU, b, piv, overwrite_b=True)[0]
 
     def _rows(self, u: np.ndarray, rho: np.ndarray):
         """The coupled matrix applied to a state: its n displacement rows
@@ -261,17 +245,6 @@ class LinearStepper:
         return np.maximum(np.max(np.abs(r_u - b_u), axis=-1), np.max(np.abs(r_r - b_r), axis=-1))
 
 
-def _matrix(apply, size: int) -> np.ndarray:
-    """The square matrix of the linear map ``apply``, which acts on each
-    row of a batch, read off from the unit vectors in row blocks.  It is
-    in Fortran order, so LAPACK factors it in place."""
-
-    def block(rows):
-        return {"A": apply(np.eye(rows.stop - rows.start, size, k=rows.start))}
-
-    return map_row_blocks(size, size, block)["A"].T
-
-
 _LINEAR_EXTRAS = ("mass", "residual", "h1_u", "l2_rho", "linf_rho")
 
 
@@ -283,7 +256,6 @@ def run_linear(
     rho0: Optional[np.ndarray] = None,
     tau: float = 1e-3,
     T: float = 1.0,
-    seed: Optional[int] = None,
     tol: float = 1e-9,
 ) -> LinearRun:
     """Full trajectory of the coupled linear system with its ledger of
@@ -291,14 +263,13 @@ def run_linear(
     power (zero-flux boundary: the discrete mass of rho is conserved).
 
     Every step's residual in the unscaled equations must meet ``tol``;
-    otherwise ``SingularSystem`` names the first step that does not.
-    ``seed`` selects the permuted dense solve of ``LinearStepper``."""
+    otherwise ``SingularSystem`` names the first step that does not."""
     nn = grid.n_nodes
     u0 = np.zeros(nn) if u0 is None else np.asarray(u0, dtype=float)
     rho0 = np.zeros(nn) if rho0 is None else np.asarray(rho0, dtype=float)
     if abs(u0[0]) > 1e-14:
         raise ValueError("initial displacement must vanish at the pinned end")
-    stepper = LinearStepper(grid, tensors, tau, seed=seed)
+    stepper = LinearStepper(grid, tensors, tau)
     n_steps = int(np.ceil(T / tau - 1e-12))
     times = tau * np.arange(n_steps + 1)
     U = np.empty((n_steps + 1, nn))

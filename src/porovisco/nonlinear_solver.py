@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from . import constitutive as mat
+from ._lapack import dgbsv
 from .constitutive import MaterialParams
 from .discretization import (
     BCSpec,

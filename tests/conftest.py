@@ -1,6 +1,10 @@
-import pytest
+from unittest import mock
 
-from porovisco import MaterialParams
+import numpy as np
+import pytest
+from scipy.linalg import lu_factor, lu_solve
+
+from porovisco import MaterialParams, linear_solver
 from porovisco.discretization import BCSpec, Grid1D
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import run_nonlinear
@@ -32,3 +36,45 @@ def biot_run(unit_params):
         unit_params, grid, default_loading(grid), bc,
         tau=1e-3, T=1.0, eps=0.1, tol=5e-11,
     )
+
+
+def band_to_dense(band, kl, ku, n_rows):
+    """The matrix of a BLAS band a[ku + i - j, j]."""
+    n_cols = band.shape[1]
+    out = np.zeros((n_rows, n_cols))
+    for k in range(kl + ku + 1):
+        cols = np.arange(max(0, ku - k), min(n_cols, n_rows + ku - k))
+        out[cols + k - ku, cols] = band[k, cols]
+    return out
+
+
+def permuted_dense_stepper(stepper, seed):
+    """``stepper`` with its banded solve replaced by dense LU of the same
+    scaled matrix under a seeded random symmetric permutation: a second,
+    independent solve of each step, for the uniqueness check."""
+    n, d = stepper._n_dofs, stepper._d
+    kl, ku = linear_solver.KL, linear_solver.KU
+    dense = band_to_dense(linear_solver._band(stepper._apply, n, kl, ku, d, d), kl, ku, n)
+    perm = np.random.default_rng(seed).permutation(n)
+    inverse = np.argsort(perm)
+    lu_piv = lu_factor(dense[np.ix_(perm, perm)], check_finite=False)
+    assert np.all(np.diag(lu_piv[0]) != 0.0)
+    stepper._solve = lambda b: lu_solve(lu_piv, b[perm], check_finite=False)[inverse]
+    return stepper
+
+
+def dense_resolve_run(grid, tensors, loading, seed=7, **kwargs):
+    """``run_linear`` with every step solved by ``permuted_dense_stepper``
+    (its ledger and residual gate included)."""
+    banded = linear_solver.LinearStepper
+    with mock.patch.object(linear_solver, "LinearStepper",
+                           lambda *args: permuted_dense_stepper(banded(*args), seed)):
+        return linear_solver.run_linear(grid, tensors, loading, **kwargs)
+
+
+def uniqueness_discrepancy(grid, tensors, loading, seed=7, **kwargs):
+    """Largest state difference between the banded run and its permuted
+    dense re-solve; bounded by direct-solver precision."""
+    a = linear_solver.run_linear(grid, tensors, loading, **kwargs)
+    b = dense_resolve_run(grid, tensors, loading, seed, **kwargs)
+    return max(float(np.max(np.abs(a.u - b.u))), float(np.max(np.abs(a.rho - b.rho))))

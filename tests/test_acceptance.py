@@ -24,13 +24,12 @@ from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
     moser_diagnostic,
-    uniqueness_test,
 )
 from porovisco.linear_solver import check_energy_balance, run_linear
 from porovisco.loading import BoundLoading
 from porovisco.nonlinear_solver import check_dissipation_inequality
 
-from conftest import default_loading
+from conftest import default_loading, uniqueness_discrepancy
 
 
 def report(name, **measured):
@@ -231,8 +230,8 @@ def test_criterion_8_uniqueness_and_decay(unit_params):
         f=lambda t: min(t / 0.1, 1.0) * 0.6 * np.sin(np.pi * x),
         g=lambda t: min(t / 0.1, 1.0) * 0.25,
     )
-    discrepancy = uniqueness_test(grid, tensors, loading,
-                                  rho0=0.2 * np.cos(np.pi * x), tau=1e-3, T=0.5)
+    discrepancy = uniqueness_discrepancy(grid, tensors, loading,
+                                         rho0=0.2 * np.cos(np.pi * x), tau=1e-3, T=0.5)
     assert discrepancy <= 1e-10
 
     f_static = 0.6 * np.sin(np.pi * x)

@@ -1,11 +1,13 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -280,6 +282,16 @@ class TestMain:
         for name in ("trajectory.csv", "ledger.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_summary_records_versions(self, tiny_config, tmp_path, capsys):
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["static", "--config", str(tiny_config), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert summary["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        }
+        assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
     @pytest.mark.parametrize("command", ["simulate-nonlinear", "simulate-linear", "decay"])
     def test_reruns_in_one_process_are_byte_identical(self, tiny_config, tmp_path, capsys, command):
         cfg = json.loads(tiny_config.read_text())
@@ -342,6 +354,32 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _fresh_python(code):
+    # run ``code`` in a new interpreter that imports porovisco from this tree
+    env = dict(os.environ, PYTHONPATH=str(Path(porovisco.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the solvers load scipy's compiled LAPACK and BLAS wrappers by file:
+    # the scipy.linalg package (and its array-API layer) would be most of
+    # every command's start-up time and about 20 MiB of its peak memory
+    code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    assert _fresh_python(code).strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+
+
+@pytest.mark.parametrize("first", ["porovisco._lapack", "scipy.linalg.lapack, scipy.linalg.blas"])
+def test_lapack_wrappers_are_scipys(first):
+    # whichever is imported first, both hand out the same wrapper objects
+    code = (
+        f"import {first}\n"
+        "import porovisco._lapack as ours, scipy.linalg.lapack as lapack, scipy.linalg.blas as blas\n"
+        "print([getattr(ours, f) is getattr(lapack, f) for f in ('dgbsv', 'dgbtrf', 'dgbtrs')],"
+        " ours.dgbmv is blas.dgbmv)"
+    )
+    assert _fresh_python(code).strip() == "[True, True, True] True"
 
 
 # hostile configs: whatever the JSON, parsing gives a config, a ParseError or

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import uniqueness_discrepancy
 from porovisco import discretization
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
@@ -12,7 +13,6 @@ from porovisco.experiments import (
     long_time_decay,
     moser_diagnostic,
     moser_exponents,
-    uniqueness_test,
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
@@ -237,13 +237,13 @@ class TestDecay:
 class TestUniqueness:
     def test_zero_data(self, tensors):
         grid = Grid1D(16)
-        assert uniqueness_test(grid, tensors, zero_loading(grid), tau=1e-3, T=0.05) == 0.0
+        assert uniqueness_discrepancy(grid, tensors, zero_loading(grid), tau=1e-3, T=0.05) == 0.0
 
     def test_biot_defaults(self, tensors):
         grid = Grid1D(32)
         loading = ramp_loading(grid)
-        d = uniqueness_test(grid, tensors, loading, rho0=0.2 * np.cos(np.pi * grid.nodes),
-                            tau=1e-3, T=0.3)
+        d = uniqueness_discrepancy(grid, tensors, loading, rho0=0.2 * np.cos(np.pi * grid.nodes),
+                                   tau=1e-3, T=0.3)
         assert d <= 1e-10
 
     def test_sensitivity_to_data_change(self, tensors):
