@@ -10,6 +10,7 @@ check is named), 1 for usage, config or runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -602,6 +603,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)  # 2 ms to build; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="porovisco",

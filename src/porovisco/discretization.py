@@ -113,18 +113,47 @@ def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
+def block_rows(row_size: int) -> int:
+    """Rows of ``row_size`` values in a block of about ``_BLOCK_VALUES``."""
+    return max(1, _BLOCK_VALUES // row_size)
+
+
 def map_row_blocks(n_rows: int, row_size: int, fn) -> dict:
-    """Apply ``fn`` to consecutive row slices of about ``_BLOCK_VALUES``
-    values (at least one row) of ``row_size`` each, and concatenate its
-    results.
+    """Apply ``fn`` to consecutive row slices of ``block_rows(row_size)``
+    rows, and concatenate its results.
 
     ``fn(rows)`` returns a dict of arrays whose leading axis runs over the
     rows of the slice.  Trajectory diagnostics go through here so that
     their temporaries stay a block in size, not a whole trajectory.
     """
-    step = max(1, _BLOCK_VALUES // row_size)
+    step = block_rows(row_size)
     parts = [fn(slice(s, min(s + step, n_rows))) for s in range(0, n_rows, step)]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def put_rows(cols: dict, part: dict, start: int, n_rows: int) -> None:
+    """Write the arrays of ``part`` into the columns of ``n_rows`` values
+    (zeros until written) of their names in ``cols``, from row ``start``."""
+    for name, values in part.items():
+        if name not in cols:
+            cols[name] = np.zeros(n_rows)
+        cols[name][start:start + len(values)] = values
+
+
+def time_steps(T: float, tau: float) -> int:
+    """The number of steps of size ``tau`` that reach the horizon ``T``."""
+    return int(np.ceil(T / tau - 1e-12))
+
+
+def drain(blocks, fn=lambda *block: None):
+    """Pass each block the generator ``blocks`` yields to ``fn``; return
+    the generator's return value."""
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as stop:
+            return stop.value
+        fn(*block)
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,9 +3,10 @@ the norm-ladder diagnostic and long-time decay.
 
 The sweep runs the finite-strain solver at a decreasing list of load
 scales eps with loading eps * (f_star, g_star) and initial data
-(id + eps u0, c_eq + eps rho0), rescales each trajectory a row block at a
-time, and compares against a single linear run on the same grid and time
-step, so the error columns measure the eps-gap alone.
+(id + eps u0, c_eq + eps rho0), and compares against a single linear run
+on the same grid and time step, so the error columns measure the eps-gap
+alone.  The sweep and decay store no trajectory: they take each run's
+rows a block at a time, as its time loop makes them.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from .discretization import (
     cell_derivative,
     cell_l2_norm,
     gradient,
+    drain,
     h1_norm,
     lq_norm,
     mass,
     map_row_blocks,
+    put_rows,
+    time_steps,
 )
 from .linear_solver import (
-    LinearRun,
+    SingularSystem,
     check_energy_balance,
     run_linear,
     state_energy,
@@ -110,30 +114,46 @@ def eps_sweep(
     together with Richardson orders and the uniform-boundedness audit.
 
     The sweep uses the zero-flux boundary regime.  The finite-strain
-    members advance in lockstep through one ``run_nonlinear`` call; a
-    solver failure aborts with the failing eps attached, the first failed
-    member in the given order.
+    members advance in lockstep through one ``run_nonlinear`` call, and
+    the linear run in the same row blocks; each block is rescaled and
+    compared as it is made.  A solver failure aborts with the failing eps
+    attached, the first failed member in the given order; a failure of
+    the linear run is raised as it is.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("eps list must be strictly decreasing with at least 3 entries")
     bc = BCSpec(zero_flux=True)
     tensors = linearize(params)
-    linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
+    linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, blocks=True)
+    n_steps = time_steps(T, tau)
+    terms = {}
+
+    def consume(rows, W, C):
+        _, lin_u, lin_rho = next(linear)
+        states, steps = _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_rho)
+        put_rows(terms, states, rows.start, n_steps + 1)
+        put_rows(terms, steps, rows.start, n_steps)
+
     try:
         runs = run_nonlinear(
-            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol
+            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol, consume=consume
         )
+    except SingularSystem:  # the linear reference's, from consume
+        raise
     except Exception as err:
+        drain(linear)  # a failure of the linear reference still comes first
         # an error raised before any member ran is the first member's
         eps = getattr(err, "eps", eps_list[0])
         raise RuntimeError(f"sweep member eps = {eps} failed: {err}") from err
+    linear_ledger = drain(linear)
     violations = []
     errors = {name: [] for name in ERROR_COLUMNS}
     audit = {name: [] for name in AUDIT_COLUMNS}
-    for run, terms in zip(runs, _per_row_terms(grid, tau, linear, runs)):
+    for i, run in enumerate(runs):
         violations.append(check_dissipation_inequality(run.ledger))
-        for name, value in _member_columns(run, terms).items():
+        member = {name: col for (j, name), col in terms.items() if j == i}
+        for name, value in _member_columns(run, member).items():
             (errors if name in errors else audit)[name].append(value)
     orders = {}
     for name in ERROR_COLUMNS:
@@ -152,7 +172,7 @@ def eps_sweep(
         audit={k: tuple(v) for k, v in audit.items()},
         audit_ratios=ratios,
         dissipation_violations=tuple(violations),
-        energy_balance_residual=check_energy_balance(linear.ledger),
+        energy_balance_residual=check_energy_balance(linear_ledger),
     )
 
 
@@ -166,40 +186,37 @@ def _max_min_ratio(column) -> float:
     return float(np.max(v)) / lo
 
 
-def _per_row_terms(grid, tau, linear: LinearRun, runs) -> list:
-    """For each member, the per-row and per-step terms of its error and
-    audit columns, from one pass over row blocks: the rescaled fields and
-    the linear flux exist a block at a time.  A block holds its rows and
-    the next one, for the rates of its steps."""
-    n_rows, t = linear.n_steps + 1, linear.tensors
-
-    def block(rows):
-        n = rows.stop - rows.start
-        lin_u, lin_rho = linear.u[rows], linear.rho[rows]
-        # grad mu_star = K u'' + L rho', discretized with the same stencils
-        # the finite-strain rescaling uses (centered cell differences for
-        # u'', nodal differences for rho'), so the sweep errors measure
-        # the eps-gap and not a stencil mismatch
-        lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, lin_u)) + t.L * gradient(grid, lin_rho))
-        out = {}
-        for i, run in enumerate(runs):
-            rs = _rescaled_rows(run, slice(rows.start, min(rows.stop + 1, n_rows)), run.eps)
-            u, flux = rs["u"], rs["flux"]
-            du = u[:n] - lin_u
-            rate = (u[1:] - u[:-1]) / tau  # row j is the step from j to j + 1
-            out.update({
-                (i, "err_u_h1"): h1_norm(grid, du),
-                (i, "err_u_l2"): lq_norm(grid, du, 2),
-                (i, "err_rho_l2"): lq_norm(grid, rs["rho"][:n] - lin_rho, 2),
-                (i, "err_flux_sq"): tau * cell_l2_norm(grid, flux[:n] - lin_flux) ** 2,
-                (i, "u_h1"): h1_norm(grid, u[:n]),
-                (i, "udot_sq"): tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
-                (i, "flux_sq"): tau * cell_l2_norm(grid, flux[1:]) ** 2,
-            })
-        return out
-
-    terms = map_row_blocks(n_rows, grid.n_nodes, block)
-    return [{name: col for (j, name), col in terms.items() if j == i} for i in range(len(runs))]
+def _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_rho):
+    """The per-row and the per-step terms of the members' error and audit
+    columns, keyed by (member, term), on a block: the states ``W``, ``C``,
+    ``lin_u`` and ``lin_rho`` at the rows of the slice ``rows`` and at the
+    next row if there is one."""
+    n = rows.stop - rows.start
+    lin_u, lin_rho = lin_u[:n], lin_rho[:n]
+    t = tensors
+    # grad mu_star = K u'' + L rho', discretized with the same stencils
+    # the finite-strain rescaling uses (centered cell differences for
+    # u'', nodal differences for rho'), so the sweep errors measure
+    # the eps-gap and not a stencil mismatch
+    lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, lin_u)) + t.L * gradient(grid, lin_rho))
+    states, steps = {}, {}
+    for i, eps in enumerate(eps_list):
+        rs = _rescaled_rows(params, grid, W[i], C[i], eps)
+        u, flux = rs["u"], rs["flux"]
+        du = u[:n] - lin_u
+        rate = (u[1:] - u[:-1]) / tau  # row j is the step from j to j + 1
+        states.update({
+            (i, "err_u_h1"): h1_norm(grid, du),
+            (i, "err_u_l2"): lq_norm(grid, du, 2),
+            (i, "err_rho_l2"): lq_norm(grid, rs["rho"][:n] - lin_rho, 2),
+            (i, "err_flux_sq"): tau * cell_l2_norm(grid, flux[:n] - lin_flux) ** 2,
+            (i, "u_h1"): h1_norm(grid, u[:n]),
+        })
+        steps.update({
+            (i, "udot_sq"): tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
+            (i, "flux_sq"): tau * cell_l2_norm(grid, flux[1:]) ** 2,
+        })
+    return states, steps
 
 
 def _member_columns(run: NonlinearRun, terms: dict) -> dict:
@@ -279,17 +296,19 @@ def long_time_decay(
     """Distance (in the homogeneous quadratic energy) between the evolving
     linear state under constant loading and the static equilibrium with
     the same loading and total mass; the curve is nonincreasing and decays
-    to the round-off floor."""
+    to the round-off floor.  It is made a row block at a time as the
+    linear run makes its rows."""
     loading = BoundLoading.separable(lambda t: 1.0, f_nodes, lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
-    run = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
+    blocks = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T, blocks=True)
     v, xi, _, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
-    curve = map_row_blocks(
-        run.n_steps + 1,
-        grid.n_nodes,
-        lambda rows: {"curve": state_energy(grid, tensors, run.u[rows] - v, run.rho[rows] - xi)},
-    )["curve"]
+    curve = np.empty(time_steps(T, tau) + 1)
+
+    def consume(rows, u, rho):
+        curve[rows] = state_energy(grid, tensors, u[:rows.stop - rows.start] - v, rho[:rows.stop - rows.start] - xi)
+
+    drain(blocks, consume)
     increases = np.diff(curve)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     final_ratio = float(curve[-1] / curve[0]) if curve[0] > 0.0 else 0.0
-    return DecayResult(run.times, curve, final_ratio, max_increase)
+    return DecayResult(tau * np.arange(len(curve)), curve, final_ratio, max_increase)

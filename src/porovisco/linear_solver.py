@@ -51,7 +51,10 @@ from .discretization import (
     mass,
     node_average,
     node_weights,
-    map_row_blocks,
+    block_rows,
+    drain,
+    put_rows,
+    time_steps,
 )
 from .loading import BoundLoading
 from .nonlinear_solver import EnergyLedger
@@ -257,87 +260,101 @@ def run_linear(
     tau: float = 1e-3,
     T: float = 1.0,
     tol: float = 1e-9,
-) -> LinearRun:
-    """Full trajectory of the coupled linear system with its ledger of
-    stored energy, viscous and mobility dissipation rates, and loading
-    power (zero-flux boundary: the discrete mass of rho is conserved).
+    blocks: bool = False,
+):
+    """Trajectory of the coupled linear system with its ledger of stored
+    energy, viscous and mobility dissipation rates, and loading power
+    (zero-flux boundary: the discrete mass of rho is conserved).
+
+    The time loop makes the rows a block at a time, and the returned run
+    stores them.  With ``blocks`` nothing is stored: the call returns the
+    generator of the blocks ``(rows, u, rho)``, the states at the rows of
+    the slice ``rows`` and at the next row if there is one (reused by the
+    next block), which returns the ledger (see ``drain``).
 
     Every step's residual in the unscaled equations must meet ``tol``;
-    otherwise ``SingularSystem`` names the first step that does not."""
+    otherwise ``SingularSystem`` names the first step that does not, as
+    soon as its block is made."""
     nn = grid.n_nodes
     u0 = np.zeros(nn) if u0 is None else np.asarray(u0, dtype=float)
     rho0 = np.zeros(nn) if rho0 is None else np.asarray(rho0, dtype=float)
     if abs(u0[0]) > 1e-14:
         raise ValueError("initial displacement must vanish at the pinned end")
     stepper = LinearStepper(grid, tensors, tau)
-    n_steps = int(np.ceil(T / tau - 1e-12))
-    times = tau * np.arange(n_steps + 1)
-    U = np.empty((n_steps + 1, nn))
-    R = np.empty((n_steps + 1, nn))
-    U[0] = u0
-    R[0] = rho0
+    times = tau * np.arange(time_steps(T, tau) + 1)
+    steps = _linear_blocks(grid, tensors, stepper, loading, times, u0, rho0, tol)
+    if blocks:
+        return steps
+    U, R = np.empty((2, len(times), nn))
+
+    def store(rows, u, rho):
+        U[rows], R[rows] = u[:rows.stop - rows.start], rho[:rows.stop - rows.start]
+
+    return LinearRun(grid, tensors, times, U, R, drain(steps, store))
+
+
+def _linear_blocks(grid, tensors, stepper, loading, times, u0, rho0, tol):
+    """The time loop of ``run_linear``: a generator of its row blocks that
+    returns the run's ledger.  A block's ledger rows are made, and its
+    residuals checked, before it is handed on; only they outlive it."""
     ts = times.tolist()
     f = loading.f_steps(ts)
     g_star = np.array([loading.g_star(t) for t in ts])
     source = loading.source_steps(ts)
-    for k in range(1, n_steps + 1):
-        U[k], R[k] = stepper.step(U[k - 1], R[k - 1], f(k), g_star[k], None if source is None else source(k))
-    ledger = _linear_ledger(grid, tensors, stepper, times, U, R, f, g_star, source, tol)
-    return LinearRun(grid, tensors, times, U, R, ledger)
-
-
-def _linear_ledger(grid, tensors, stepper, times, U, R, f, g_star, source, tol) -> EnergyLedger:
-    """The ledger of one run, from its stored trajectory and its loads by
-    step, filled in row blocks.  Raises ``SingularSystem`` at the first
-    step whose residual is over ``tol`` (or not finite)."""
-    weights = node_weights(grid)
-    tau = stepper.tau
-
-    def block(rows):
-        return _linear_columns(grid, tensors, U[rows], R[rows], f(rows), g_star[rows])
-
-    def steps(rows):
-        # row j of the block is the step from j to j + 1
-        after = slice(rows.start + 1, rows.stop + 1)
-        u = U[rows]
-        up_rate = (gradient(grid, U[after]) - gradient(grid, u)) / tau
-        f_both = f(slice(rows.start, rows.stop + 1))
-        return {
-            "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
-            "load_power": (
-                np.sum(weights * (f_both[1:] - f_both[:-1]) * u, axis=-1)
-                + (g_star[after] - g_star[rows]) * u[:, -1]
-            ) / tau,
-            "residual": stepper.residual(u, R[rows], U[after], R[after], f_both[1:], g_star[after],
-                                         None if source is None else source(after)),
-        }
-
     n_rows = len(times)
-    cols = map_row_blocks(n_rows, grid.n_nodes, block)
-    cols["diss_mech"], cols["load_power"], cols["residual"] = np.zeros((3, n_rows))
-    if n_rows > 1:
-        for name, col in map_row_blocks(n_rows - 1, grid.n_nodes, steps).items():
-            cols[name][1:] = col
-    over = np.flatnonzero(~(cols["residual"] <= tol))
-    if over.size:
-        k = over[0]
-        raise SingularSystem(f"step {k} (t = {times[k]:.9g}): residual {cols['residual'][k]:.3e} exceeds tol {tol:.3e}")
+    size = min(block_rows(grid.n_nodes), n_rows)
+    # the block's rows and the next one, which the rates of its steps need
+    U, R = np.empty((2, size + 1, grid.n_nodes))
+    U[0], R[0] = u0, rho0
+    cols, first = {}, 0  # the block's first row is at buffer row 0
+    for k in range(1, n_rows + 1):
+        i = k - first
+        if k < n_rows:
+            U[i], R[i] = stepper.step(U[i - 1], R[i - 1], f(k), g_star[k], None if source is None else source(k))
+        if i == size or k == n_rows:
+            u, rho = U[:i + (k < n_rows)], R[:i + (k < n_rows)]  # and the next row, if there is one
+            states, rates = _linear_columns(grid, tensors, stepper, slice(first, k), u, rho, f, g_star, source)
+            res = rates["residual"]
+            over = np.flatnonzero(~(res <= tol))
+            if over.size:
+                j = first + 1 + over[0]
+                raise SingularSystem(f"step {j} (t = {times[j]:.9g}): residual {res[over[0]]:.3e} exceeds tol {tol:.3e}")
+            put_rows(cols, states, first, n_rows)
+            put_rows(cols, rates, first + 1, n_rows)  # a step's row is the one it reaches
+            yield slice(first, k), u, rho
+            U[0], R[0] = U[i], R[i]
+            first = k
     cols.update(t=times, flux_boundary=np.zeros(n_rows))
-    return EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _LINEAR_EXTRAS})
+    return EnergyLedger(stepper.tau, {name: cols[name] for name in EnergyLedger.CORE + _LINEAR_EXTRAS})
 
 
-def _linear_columns(grid, tensors, u, rho, f_star, g_star) -> dict:
-    """The ledger columns that depend only on the state, for a (rows,
-    nodes) block of a trajectory and the loading at the same steps."""
-    grad_mu = gradient(grid, nodal_potential(grid, tensors, u, rho))
-    load_pair = np.sum(node_weights(grid) * f_star * u, axis=-1) + g_star * u[:, -1]
+def _linear_columns(grid, tensors, stepper, rows, u, rho, f, g_star, source):
+    """The ledger rows of a block of a run: the columns of the states at
+    the rows ``rows``, and the rates and residuals of the steps from each
+    of them to the next, of which ``u`` and ``rho`` hold one more row if
+    there is one."""
+    n, tau = rows.stop - rows.start, stepper.tau
+    both = slice(rows.start, rows.start + len(u))
+    f_both, g_both = f(both), g_star[both]
+    us, rhos = u[:n], rho[:n]
+    grad_mu = gradient(grid, nodal_potential(grid, tensors, us, rhos))
+    load_pair = np.sum(node_weights(grid) * f_both[:n] * us, axis=-1) + g_both[:n] * us[:, -1]
+    up_rate = (gradient(grid, u[1:]) - gradient(grid, u[:-1])) / tau
     return {
-        "energy": state_energy(grid, tensors, u, rho) - load_pair,
+        "energy": state_energy(grid, tensors, us, rhos) - load_pair,
         "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
-        "mass": mass(grid, rho),
-        "h1_u": h1_norm(grid, u),
-        "l2_rho": lq_norm(grid, rho, 2),
-        "linf_rho": lq_norm(grid, rho, np.inf),
+        "mass": mass(grid, rhos),
+        "h1_u": h1_norm(grid, us),
+        "l2_rho": lq_norm(grid, rhos, 2),
+        "linf_rho": lq_norm(grid, rhos, np.inf),
+    }, {
+        "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
+        "load_power": (
+            np.sum(node_weights(grid) * (f_both[1:] - f_both[:-1]) * u[:-1], axis=-1)
+            + (g_both[1:] - g_both[:-1]) * u[:-1, -1]
+        ) / tau,
+        "residual": stepper.residual(u[:-1], rho[:-1], u[1:], rho[1:], f_both[1:], g_both[1:],
+                                     None if source is None else source(slice(rows.start + 1, both.stop))),
     }
 
 

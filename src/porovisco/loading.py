@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discretization import _BLOCK_VALUES, Grid1D
+from .discretization import Grid1D, block_rows
 
 __all__ = ["TimeAmplitude", "SpatialProfile", "LoadingSpec", "BoundLoading"]
 
@@ -131,7 +131,7 @@ class BoundLoading:
         if self.profile is None:
             return _at_steps(self.f_star, ts)
         a = np.array([self.amplitude(t) for t in ts], dtype=float)
-        size = max(1, _BLOCK_VALUES // len(self.profile))
+        size = block_rows(len(self.profile))
         block = functools.lru_cache(maxsize=1)(lambda j: a[j * size:(j + 1) * size, None] * self.profile)
         return lambda k: a[k, None] * self.profile if isinstance(k, slice) else block(k // size)[k % size]
 

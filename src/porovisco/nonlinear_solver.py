@@ -48,8 +48,11 @@ from .discretization import (
     mass,
     node_average,
     node_weights,
+    block_rows,
     map_row_blocks,
+    put_rows,
     second_derivative,
+    time_steps,
 )
 from .loading import BoundLoading
 
@@ -145,14 +148,14 @@ class EnergyLedger:
 
 @dataclass
 class NonlinearRun:
-    """Full trajectory of a staggered run plus its energy ledger."""
+    """A staggered run: its energy ledger, and its trajectory if stored."""
 
     params: MaterialParams
     grid: Grid1D
     eps: float
     times: np.ndarray
-    displacement: np.ndarray  # (steps+1, nodes), chi - id
-    concentration: np.ndarray  # (steps+1, nodes)
+    displacement: Optional[np.ndarray]  # (steps+1, nodes), chi - id; None if not stored
+    concentration: Optional[np.ndarray]  # (steps+1, nodes); None if not stored
     ledger: EnergyLedger
 
     @property
@@ -680,13 +683,21 @@ def run_nonlinear(
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
+    consume=None,
 ):
     """Alternate mechanical and diffusion steps over ceil(T / tau) steps.
 
     The loading is applied as eps * (f_star, g_star) and the initial data
-    are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  The returned run stores
-    every step (desk scale) and a filled energy ledger in rescaled units.
+    are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  The returned run holds
+    a filled energy ledger in rescaled units and, by default, every step.
     Step failures propagate with the failing time attached.
+
+    The time loop makes the rows a block at a time, for the ledger and
+    for ``consume(rows, W, C)``, which by default stores them: ``W`` and
+    ``C`` hold the (members, rows, nodes) states at the rows of the slice
+    ``rows`` and at the next row if there is one, reused by the next
+    block.  With a ``consume`` given the runs hold no trajectory (None),
+    and a failed run hands on no block after its failure.
 
     ``eps`` may also be a sequence of load scales.  The members then
     advance in lockstep through one time loop, and a tuple of runs, one
@@ -732,28 +743,47 @@ def run_nonlinear(
 
     # the ledger's norm ladder: Case I where it holds, the doubling ladder otherwise
     cascade = moser_exponents(params.m, 8) if 1.0 <= params.m < 2.0 else tuple(float(2 ** n) for n in range(9))
-    n_steps = int(np.ceil(T / tau - 1e-12))
-    times = tau * np.arange(n_steps + 1)
-    W = np.empty((m, n_steps + 1, nn))
-    C = np.empty((m, n_steps + 1, nn))
-    W[:, 0] = w
-    C[:, 0] = c
+    n_rows = time_steps(T, tau) + 1
+    size = min(block_rows(nn), n_rows)
+    times = tau * np.arange(n_rows)
+    # the block's rows from buffer row 2 on, the next row, and the two
+    # rows before the block, which the start extrapolation needs
+    Wb, Cb = np.empty((2, m, size + 3, nn))
+    Wb[:, 2], Cb[:, 2] = w, c
     ts = times.tolist()
     f = loading.f_steps(ts)
     g_star = np.array([loading.g_star(t) for t in ts])
     mu_ext = np.array([bc.mu_ext_value(t) for t in ts])
     # the ledger columns that need the step's solver data; the others are
-    # functions of the stored trajectory and are filled after the loop
-    residual_mech, residual_diff = np.zeros((2, m, n_steps + 1))
-    newton_mech, newton_diff = np.zeros((2, m, n_steps + 1), dtype=int)
+    # made a block at a time from the states
+    residual_mech, residual_diff = np.zeros((2, m, n_rows))
+    newton_mech, newton_diff = np.zeros((2, m, n_rows), dtype=int)
+    cols = [{} for _ in eps_list]
+    W_all = C_all = [None] * m  # the stored states, if consume stores them
+    if consume is None:
+        W_all, C_all = np.empty((2, m, n_rows, nn))
+
+        def consume(rows, W, C):
+            W_all[:, rows], C_all[:, rows] = W[:, :rows.stop - rows.start], C[:, :rows.stop - rows.start]
+
+    def block(rows):
+        count = rows.stop - rows.start + (rows.stop < n_rows)
+        W, C = Wb[:, 2:2 + count], Cb[:, 2:2 + count]
+        for i, e in enumerate(eps_list):
+            states, rates = _nonlinear_columns(params, grid, bc, tau, e, rows, W[i], C[i], f, g_star, mu_ext, cascade)
+            put_rows(cols[i], states, rows.start, n_rows)
+            put_rows(cols[i], rates, rows.start + 1, n_rows)  # a step's row is the one it reaches
+        consume(rows, W, C)
 
     w, c = w[:live], c[:live]
     C_prev_cells = (1.0 + gradient(grid, w)) ** 2
-    for k in range(1, n_steps + 1):
+    first = 0  # the block's first row, at buffer row 2
+    for k in range(1, n_rows):
         if not live:
             break
         t = ts[k]
-        # Newton starts from the polynomial extrapolation of the stored
+        j = k - first + 2
+        # Newton starts from the polynomial extrapolation of the last
         # states: at w itself the viscous stress of the last step is
         # missing from the residual, which puts w O(eps) from the minimizer.
         # Quadratic, not linear: a linear extrapolation from step 2 on
@@ -761,9 +791,9 @@ def run_nonlinear(
         if k == 1:
             start = None
         elif k == 2:
-            start = 2.0 * W[:live, 1] - W[:live, 0]
+            start = 2.0 * Wb[:live, j - 1] - Wb[:live, j - 2]
         else:
-            start = 3.0 * (W[:live, k - 1] - W[:live, k - 2]) + W[:live, k - 3]
+            start = 3.0 * (Wb[:live, j - 1] - Wb[:live, j - 2]) + Wb[:live, j - 3]
         w_new, minfo = mechanical_step(
             params, grid, w, c, tau, eps_col[:live] * f(k), eps_row[:live] * g_star[k],
             C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
@@ -788,67 +818,51 @@ def run_nonlinear(
         newton_mech[rows, k] = minfo["member_iterations"][rows]
         newton_diff[rows, k] = dinfo["member_iterations"][rows]
         w, c = w_new[rows], c_new[rows]
-        W[rows, k] = w
-        C[rows, k] = c
+        Wb[rows, j], Cb[rows, j] = w, c
         C_prev_cells = F_new[rows] ** 2
+        if j == size + 2:
+            # a failed run hands on nothing: only its error is left to find
+            if failure is None:
+                block(slice(first, k))
+            Wb[:, :3], Cb[:, :3] = Wb[:, -3:], Cb[:, -3:]
+            first = k
 
     if failure is not None:
         i, err, t = failure
         if t is None:
             raise err
         raise _member_error(type(err)(str(err), time=t), eps_list[i]) from err
+    block(slice(first, n_rows))
 
-    runs = tuple(
-        NonlinearRun(params, grid, e, times.copy(), W[i], C[i], _nonlinear_ledger(
-            params, grid, bc, tau, e, times, W[i], C[i], f, g_star, mu_ext, cascade,
-            residual_mech[i], residual_diff[i], newton_mech[i], newton_diff[i],
-        ))
-        for i, e in enumerate(eps_list)
-    )
-    return runs[0] if single else runs
-
-
-def _nonlinear_ledger(params, grid, bc, tau, eps, times, W, C, f, g_star, mu_ext, cascade,
-                      residual_mech, residual_diff, newton_mech, newton_diff) -> EnergyLedger:
-    """The ledger of one run, from its stored trajectory, its force rows
-    ``f`` and its steps' Newton residuals and iterations, in row blocks."""
-    weights = node_weights(grid)
-
-    def block(rows):
-        return _nonlinear_columns(
-            params, grid, bc, eps, W[rows], C[rows], f(rows), g_star[rows], mu_ext[rows], cascade
-        )
-
-    def steps(rows):
-        # row j of the block is the step from j to j + 1
-        after = slice(rows.start + 1, rows.stop + 1)
-        w = W[rows]
-        cdot = ((1.0 + gradient(grid, W[after])) ** 2 - (1.0 + gradient(grid, w)) ** 2) / tau
-        f_both = f(slice(rows.start, rows.stop + 1))
-        return {
-            "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
-            "load_power": (
-                (weights * (f_both[1:] - f_both[:-1]) * (w / eps)).sum(axis=-1)
-                + (g_star[after] - g_star[rows]) * (w[:, -1] / eps)
-            ) / tau,
-        }
-
-    cols = map_row_blocks(len(W), grid.n_nodes, block)
-    # the rates belong to steps, not to the initial state
-    cols["diss_diff"][0] = 0.0
-    cols["flux_boundary"][0] = 0.0
-    cols["diss_mech"], cols["load_power"] = np.zeros((2, len(W)))
-    if len(W) > 1:
-        for name, col in map_row_blocks(len(W) - 1, grid.n_nodes, steps).items():
-            cols[name][1:] = col
-    cols.update(t=times, residual_mech=residual_mech, residual_diff=residual_diff,
-                newton_mech=newton_mech, newton_diff=newton_diff)
-    return EnergyLedger(tau, {name: cols[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
+    runs = []
+    for i, e in enumerate(eps_list):
+        member = cols.pop(0)  # let go as soon as the ledger has copied it
+        # the rates belong to steps, not to the initial state
+        member["diss_diff"][0] = member["flux_boundary"][0] = 0.0
+        member.update(t=times, residual_mech=residual_mech[i], residual_diff=residual_diff[i],
+                      newton_mech=newton_mech[i], newton_diff=newton_diff[i])
+        ledger = EnergyLedger(tau, {name: member[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
+        runs.append(NonlinearRun(params, grid, e, times.copy(), W_all[i], C_all[i], ledger))
+    return runs[0] if single else tuple(runs)
 
 
-def _nonlinear_columns(params, grid, bc, eps, w, c, f_star, g_star, mu_ext, cascade) -> dict:
-    """The ledger columns that depend only on the state, for a (rows,
-    nodes) block of a trajectory and the loading at the same steps."""
+def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext, cascade):
+    """The ledger rows of a block of a run: the columns of the states at
+    the rows ``rows``, and the rates of the steps from each of them to the
+    next, of which ``w`` and ``c`` hold one more row if there is one."""
+    n = rows.stop - rows.start
+    both = slice(rows.start, rows.start + len(w))
+    f_both, g_both = f(both), g_star[both]
+    cdot = ((1.0 + gradient(grid, w[1:])) ** 2 - (1.0 + gradient(grid, w[:-1])) ** 2) / tau
+    rates = {
+        "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
+        "load_power": (
+            (node_weights(grid) * (f_both[1:] - f_both[:-1]) * (w[:-1] / eps)).sum(axis=-1)
+            + (g_both[1:] - g_both[:-1]) * (w[:-1, -1] / eps)
+        ) / tau,
+    }
+    # the state columns are those of the block's own rows
+    w, c, f_star, g_star, mu_ext = w[:n], c[:n], f_both[:n], g_both[:n], mu_ext[rows]
     h = grid.h
     weights = node_weights(grid)
     F = 1.0 + gradient(grid, w)
@@ -859,7 +873,8 @@ def _nonlinear_columns(params, grid, bc, eps, w, c, f_star, g_star, mu_ext, casc
     u = w / eps
     load_pair = np.sum(weights * f_star * u, axis=-1) + g_star * u[:, -1]
     mu = nodal_chemical_potential(params, grid, F, c)
-    mu_left, mu_right = mu[:, 0], mu[:, -1]
+    # copies, not views: a view would keep the whole block of mu alive
+    mu_left, mu_right = mu[:, 0].copy(), mu[:, -1].copy()
     cols = {
         "energy": stored / eps ** 2 - load_pair,
         "diss_diff": h * np.sum(mat.mobility(params, F, c_hat) * gradient(grid, mu) ** 2, axis=-1) / eps ** 2,
@@ -880,7 +895,7 @@ def _nonlinear_columns(params, grid, bc, eps, w, c, f_star, g_star, mu_ext, casc
     }
     for q in cascade:
         cols[f"lq_c_{q:g}"] = lq_norm(grid, c, q)
-    return cols
+    return cols, rates
 
 
 # ---------------------------------------------------------------------------
@@ -918,19 +933,18 @@ def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajector
     eps = run.eps if eps is None else eps
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    cols = map_row_blocks(run.n_steps + 1, run.grid.n_nodes, lambda rows: _rescaled_rows(run, rows, eps))
+    cols = map_row_blocks(
+        run.n_steps + 1, run.grid.n_nodes,
+        lambda rows: _rescaled_rows(run.params, run.grid, run.displacement[rows], run.concentration[rows], eps),
+    )
     return RescaledTrajectory(run.times.copy(), cols["u"], cols["rho"], cols["flux"])
 
 
-def _rescaled_rows(run: NonlinearRun, rows: slice, eps: float) -> dict:
-    """The fields of ``rescale`` at a slice of the trajectory's rows, as
-    the arrays "u", "rho" and "flux"."""
-    params, grid = run.params, run.grid
-    w = run.displacement[rows]
-    c = run.concentration[rows]
+def _rescaled_rows(params: MaterialParams, grid: Grid1D, w: np.ndarray, c: np.ndarray, eps: float) -> dict:
+    """The fields of ``rescale`` at rows ``w`` and ``c`` of a trajectory,
+    as the arrays "u", "rho" and "flux"."""
     F = 1.0 + gradient(grid, w)
     c_hat = cell_average(c)
     _, fc, cc = mat.free_energy_hessian(params, F, c_hat)
     grad_mu = fc * cell_derivative(grid, F) + cc * gradient(grid, c)
     return {"u": w / eps, "rho": (c - params.c_eq) / eps, "flux": mat.mobility(params, F, c_hat) * grad_mu / eps}
-

@@ -78,3 +78,10 @@ def uniqueness_discrepancy(grid, tensors, loading, seed=7, **kwargs):
     a = linear_solver.run_linear(grid, tensors, loading, **kwargs)
     b = dense_resolve_run(grid, tensors, loading, seed, **kwargs)
     return max(float(np.max(np.abs(a.u - b.u))), float(np.max(np.abs(a.rho - b.rho))))
+
+
+def assert_ledgers_equal(ledger, oracle):
+    """The two ledgers have the same columns, bit for bit."""
+    assert ledger.column_names == oracle.column_names
+    for name in oracle.column_names:
+        assert np.array_equal(ledger.column(name), oracle.column(name)), name

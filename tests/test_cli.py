@@ -16,6 +16,7 @@ import porovisco
 from porovisco.cli import (
     ParseError,
     ValidationError,
+    _build_parser,
     default_config_path,
     main,
     parse_config,
@@ -160,6 +161,17 @@ class TestMain:
 
     def test_no_subcommand_exits_one(self, capsys):
         assert main([]) == 1
+
+    def test_parser_is_built_once(self, tiny_config, tmp_path, capsys):
+        # one parser serves every call in a process: a bad argv after a
+        # good one still exits 1, and two good runs write the same summary
+        outs = [tmp_path / "first", tmp_path / "second"]
+        assert main(["static", "--config", str(tiny_config), "--out", str(outs[0]), "--quiet"]) == 0
+        assert main(["static", "--config", str(tiny_config), "--cells", "many"]) == 1
+        assert main(["static", "--out", str(outs[1])]) == 1
+        assert main(["static", "--config", str(tiny_config), "--out", str(outs[1]), "--quiet"]) == 0
+        assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+        assert _build_parser() is _build_parser()
 
     def test_verify_passes(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "verify"

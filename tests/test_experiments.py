@@ -1,13 +1,14 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import uniqueness_discrepancy
-from porovisco import discretization
+from conftest import assert_ledgers_equal, uniqueness_discrepancy
+from porovisco import discretization, experiments
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
-from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, gradient, h1_norm, lq_norm
+from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, drain, gradient, h1_norm, lq_norm
 from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
@@ -16,9 +17,16 @@ from porovisco.experiments import (
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
-from porovisco.linear_solver import run_linear
+from porovisco.linear_solver import SingularSystem, check_energy_balance, run_linear
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
-from porovisco.nonlinear_solver import EnergyLedger, NoConvergence, NonlinearRun, rescale, run_nonlinear
+from porovisco.nonlinear_solver import (
+    EnergyLedger,
+    NoConvergence,
+    NonlinearRun,
+    check_dissipation_inequality,
+    rescale,
+    run_nonlinear,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +46,29 @@ def peak_traced_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def sweep_oracle(grid, tau, linear, runs) -> dict:
+    """The sweep's columns that come from its trajectories, one value per
+    member, made from the stored runs, ``rescale`` and the linear flux of
+    the whole trajectory."""
+    t = linear.tensors
+    lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, linear.u)) + t.L * gradient(grid, linear.rho))
+    columns = []
+    for run in runs:
+        rs = rescale(run)
+        du = rs.u - linear.u
+        rate = (rs.u[1:] - rs.u[:-1]) / tau
+        columns.append({
+            "err_u_h1": float(np.max(h1_norm(grid, du))),
+            "err_u_l2": float(np.max(lq_norm(grid, du, 2))),
+            "err_rho_l2": float(np.max(lq_norm(grid, rs.rho - linear.rho, 2))),
+            "err_flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux - lin_flux)[1:] ** 2))),
+            "u_linf_h1": float(np.max(h1_norm(grid, rs.u))),
+            "udot_grad_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2))),
+            "flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux[1:]) ** 2))),
+        })
+    return {name: tuple(c[name] for c in columns) for name in columns[0]}
 
 
 def ramp_loading(grid, t_ramp=0.05):
@@ -112,30 +143,82 @@ class TestSweep:
         loading, eps_list, tau, T = ramp_loading(grid), (0.2, 0.1, 0.05), 2e-3, 0.2
         init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
         report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
-        tensors = linearize(unit_params)
-        linear = run_linear(grid, tensors, loading, tau=tau, T=T, **init)
+        linear = run_linear(grid, linearize(unit_params), loading, tau=tau, T=T, **init)
         assert linear.n_steps == 100
-        lin_flux = tensors.M_eq * (tensors.K * cell_derivative(grid, gradient(grid, linear.u))
-                                   + tensors.L * gradient(grid, linear.rho))
         runs = run_nonlinear(unit_params, grid, loading, BCSpec(zero_flux=True), tau=tau, T=T, eps=eps_list,
                              tol=5e-11, **init)
-        for i, run in enumerate(runs):
-            rs = rescale(run)
-            du = rs.u - linear.u
-            rate = (rs.u[1:] - rs.u[:-1]) / tau
-            expected = {
-                "err_u_h1": float(np.max(h1_norm(grid, du))),
-                "err_u_l2": float(np.max(lq_norm(grid, du, 2))),
-                "err_rho_l2": float(np.max(lq_norm(grid, rs.rho - linear.rho, 2))),
-                "err_flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux - lin_flux)[1:] ** 2))),
-                "u_linf_h1": float(np.max(h1_norm(grid, rs.u))),
-                "udot_grad_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2))),
-                "flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux[1:]) ** 2))),
-            }
-            got = {**report.errors, **report.audit}
-            for name, value in expected.items():
-                assert got[name][i] == value, (name, i)
-            assert all(value > 0.0 for value in expected.values())
+        got = {**report.errors, **report.audit}
+        for name, values in sweep_oracle(grid, tau, linear, runs).items():
+            assert got[name] == values, name
+            assert all(value > 0.0 for value in values)
+
+    def test_streamed_sweep_matches_the_stored_oracle(self, unit_params, monkeypatch):
+        # the members and the linear reference hand their rows on in
+        # blocks of 7 as their time loops make them, and 71 rows leave a
+        # last block of one row.  The columns and every ledger equal, bit
+        # for bit, those of stored runs whose ledgers and rescaled fields
+        # come from the whole arrays at once
+        grid = Grid1D(16)
+        loading, eps_list, tau, T = ramp_loading(grid), (0.2, 0.1, 0.05), 2e-3, 0.14
+        init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
+        tensors, bc = linearize(unit_params), BCSpec(zero_flux=True)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 1 << 20)
+        linear = run_linear(grid, tensors, loading, tau=tau, T=T, **init)
+        runs = run_nonlinear(unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11, **init)
+        assert linear.n_steps == 70
+        expected = sweep_oracle(grid, tau, linear, runs)
+
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+        report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
+        got = {**report.errors, **report.audit}
+        for name, values in expected.items():
+            assert got[name] == values, name
+        assert report.dissipation_violations == tuple(check_dissipation_inequality(run.ledger) for run in runs)
+        assert report.energy_balance_residual == check_energy_balance(linear.ledger)
+        blocks = []
+        streamed = run_nonlinear(unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11,
+                                 consume=lambda rows, W, C: blocks.append((rows, W.shape)), **init)
+        assert blocks[-2:] == [(slice(63, 70), (3, 8, 17)), (slice(70, 71), (3, 1, 17))]
+        for run, oracle in zip(streamed, runs):
+            assert run.displacement is None and run.concentration is None
+            assert_ledgers_equal(run.ledger, oracle.ledger)
+        assert_ledgers_equal(drain(run_linear(grid, tensors, loading, tau=tau, T=T, blocks=True, **init)),
+                             linear.ledger)
+
+    def test_streamed_failures_are_the_stored_ones(self, unit_params, monkeypatch):
+        # at tol 1.7e-12, below the round-off floor, the last of three
+        # members fails at step 28 and the others run through.  The step
+        # that makes row 28 would close the block [21, 28): a failed run
+        # hands on no block after its failure.  The sweep reports the
+        # member's own error, as it did when the trajectories were stored
+        grid = Grid1D(16)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+        x = grid.nodes
+        loading = BoundLoading(f=lambda t: min(t / 0.05, 1.0) * 0.6 * np.sin(np.pi * x),
+                               g=lambda t: min(t / 0.05, 1.0) * 0.2)
+        kw = dict(tau=2e-3, T=0.1, tol=1.7e-12)
+        bc = BCSpec(zero_flux=True)
+        run_nonlinear(unit_params, grid, loading, bc, eps=0.1, **kw)
+        with pytest.raises(NoConvergence) as solo:
+            run_nonlinear(unit_params, grid, loading, bc, eps=0.05, **kw)
+        assert solo.value.time == pytest.approx(0.056)
+        blocks = []
+        with pytest.raises(NoConvergence) as err:
+            run_nonlinear(unit_params, grid, loading, bc, eps=(0.3, 0.1, 0.05),
+                          consume=lambda rows, W, C: blocks.append(rows), **kw)
+        assert blocks == [slice(0, 7), slice(7, 14), slice(14, 21)]
+        assert (str(err.value), err.value.eps, err.value.time) == (str(solo.value), 0.05, solo.value.time)
+        with pytest.raises(RuntimeError) as err:
+            eps_sweep(unit_params, grid, loading, (0.3, 0.1, 0.05), **kw)
+        assert str(err.value) == f"sweep member eps = 0.05 failed: {solo.value}"
+        assert type(err.value.__cause__) is NoConvergence
+        assert (err.value.__cause__.eps, err.value.__cause__.time) == (0.05, solo.value.time)
+        # the linear reference's failure is raised as itself, and first
+        with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
+            run_linear(grid, linearize(unit_params), loading, tau=2e-3, T=0.1, tol=0.0)
+        monkeypatch.setattr(experiments, "run_linear", functools.partial(run_linear, tol=0.0))
+        with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
+            eps_sweep(unit_params, grid, loading, (0.3, 0.1, 0.05), **kw)
 
     def test_peak_holds_no_whole_rescaled_trajectory(self, unit_params, monkeypatch):
         # three members and the linear run store 8 trajectories of states,
@@ -152,6 +235,23 @@ class TestSweep:
             rho0=0.2 * np.cos(np.pi * grid.nodes),
         ))
         assert peak <= 14.0 * 301 * grid.n_nodes * 8
+
+    def test_peak_grows_by_columns_not_trajectories(self, unit_params, monkeypatch):
+        # doubling the horizon adds 300 rows.  Stored states added about
+        # 11.4 member trajectories of 301 x 65 values; streamed, what grows
+        # is the per-row columns: the three members' ledgers (29 columns
+        # each, 1.3 trajectories by themselves), the linear ledger, the
+        # sweep's terms and the time grids, together about 2.4.  Under 3
+        # leaves no room for one more stored trajectory
+        grid = Grid1D(64)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 32 * grid.n_nodes)
+        spec = LoadingSpec(SpatialProfile("sin_pi", 0.6), TimeAmplitude("ramp", 1.0, t_ramp=0.25),
+                           TimeAmplitude("ramp", 0.25, t_ramp=0.25))
+        short, long = (peak_traced_bytes(lambda: eps_sweep(
+            unit_params, grid, spec.bind(grid), (0.2, 0.1, 0.05), tau=1e-3, T=T,
+            rho0=0.2 * np.cos(np.pi * grid.nodes),
+        )) for T in (0.3, 0.6))
+        assert long - short < 3.0 * 301 * grid.n_nodes * 8
 
     def test_rejects_bad_eps_list(self, unit_params):
         grid = Grid1D(16)
@@ -232,6 +332,18 @@ class TestDecay:
             grid, tensors, f, 0.1, rho0=0.2 * np.cos(np.pi * grid.nodes), tau=0.02, T=40.0,
         ))
         assert peak <= 2.6 * 2001 * grid.n_nodes * 8
+
+    def test_peak_does_not_grow_with_the_trajectory(self, tensors, monkeypatch):
+        # the curve is made a block at a time as the linear run makes its
+        # rows: doubling the horizon adds less than one trajectory of
+        # 1001 x 257 values (stored u and rho added two)
+        grid = Grid1D(256)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 32 * grid.n_nodes)
+        f = 0.3 * np.sin(np.pi * grid.nodes)
+        short, long = (peak_traced_bytes(lambda: long_time_decay(
+            grid, tensors, f, 0.1, rho0=0.2 * np.cos(np.pi * grid.nodes), tau=0.02, T=T,
+        )) for T in (20.0, 40.0))
+        assert long - short < 1001 * grid.n_nodes * 8
 
 
 class TestUniqueness:

@@ -264,6 +264,31 @@ def test_first_step_over_tol_is_named(tensors):
         run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=np.max(res[:k]))
 
 
+def test_residual_gate_stops_at_the_failing_block(tensors, monkeypatch):
+    # each block is checked as the time loop makes it: a tol under every
+    # residual fails step 1, named as before, and the run stops within
+    # its 7-row block instead of taking all 50 steps first
+    grid = Grid1D(16)
+    monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+    rho0 = 0.3 * np.cos(np.pi * grid.nodes)
+    run = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05)
+    res = run.ledger.column("residual")
+    tol = 0.5 * np.min(res[1:])
+    assert tol > 0.0
+    step, calls = LinearStepper.step, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearStepper, "step", counted)
+    message = f"step 1 (t = {run.times[1]:.9g}): residual {res[1]:.3e} exceeds tol {tol:.3e}"
+    with pytest.raises(SingularSystem) as err:
+        run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=tol)
+    assert str(err.value) == message
+    assert len(calls) == 7 < run.n_steps
+
+
 def test_zero_data_stays_zero(tensors):
     grid = Grid1D(16)
     loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)

@@ -52,7 +52,7 @@ from porovisco.nonlinear_solver import (
     _solve_bands,
 )
 
-from conftest import default_loading
+from conftest import assert_ledgers_equal, default_loading
 
 TAU = 1e-3
 
@@ -623,9 +623,7 @@ def assert_runs_equal(run, solo):
     assert np.array_equal(run.times, solo.times)
     assert np.array_equal(run.displacement, solo.displacement)
     assert np.array_equal(run.concentration, solo.concentration)
-    assert run.ledger.column_names == solo.ledger.column_names
-    for name in solo.ledger.column_names:
-        assert np.array_equal(run.ledger.column(name), solo.ledger.column(name)), name
+    assert_ledgers_equal(run.ledger, solo.ledger)
 
 
 class TestLockstep:

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
@@ -55,3 +57,28 @@ def test_traced_sweep_records_its_layers(tmp_path, capsys):
     assert cli.eps_sweep is original
     names = {span[spans.NAME] for span in rec.spans}
     assert {"experiments.eps_sweep", "nonlinear_solver.run_nonlinear"} <= names
+
+
+@pytest.mark.parametrize("command, span, steps", [
+    ("decay", "experiments.long_time_decay", 200),
+    ("sweep-eps", "experiments.eps_sweep", 50),
+])
+def test_traced_streamed_runs_record_their_layers(tmp_path, capsys, command, span, steps):
+    # decay and the sweep take the linear run's blocks as its time loop
+    # makes them; each of its steps must still be one traced
+    # LinearStepper.step, so the benchmark's linear layers measure them
+    cfg = json.loads(cli.default_config_path().read_text())
+    cfg["grid"] = {"n_cells": 16}
+    cfg["time"] = {"tau": 2e-3, "T": 0.1, "decay_tau": 0.1, "decay_T": 20.0, "checkpoint_times": None}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    rec = spans.Recorder()
+    with layers.Instrumentation(rec):
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    names = [s[spans.NAME] for s in rec.spans]
+    assert {span, layers.RUN_LINEAR} <= set(names)
+    assert (layers.RUN_NONLINEAR in names) == (command == "sweep-eps")
+    assert names.count(layers.STEPPER_STEP) == steps
+    metrics = layers.layer_metrics(layers.SpanIndex(rec.spans))
+    assert metrics["linear.steps"] == (steps, "count")
