@@ -34,6 +34,7 @@ import numpy as np
 _LO, _HI = 1e-30, 1e30
 _TIE = 1e-9
 _SMALL = 128  # the "%.17g" loop is faster below about 100-200 values
+_PASS = 4096  # values per kernel pass
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _X_MIN, _X_MAX = -31, 30  # decimal exponents reached, before and after rounding
 # slot layout: sign, the "0.000" prefix of -4 <= X <= -1, the 17 digits
@@ -119,13 +120,19 @@ def format_rows(block) -> bytes:
 
 
 def _kernel(a) -> bytes:
+    # in passes of _PASS values, each ending its rows' lines where they
+    # fall in it: a call's temporaries are one pass's, whatever its size
+    x, n_cols = a.ravel(), a.shape[1]
+    return b"".join(_pass(x[s:s + _PASS], (n_cols - 1 - s) % n_cols, n_cols) for s in range(0, x.size, _PASS))
+
+
+def _pass(x, first_end: int, n_cols: int) -> bytes:
     powers, templates, leads, groups, trailing, keep = _tables()
-    n_rows, n_cols = a.shape
-    x = a.ravel()
     ax = np.abs(x)
     regular = (ax >= _LO) & (ax < _HI)  # false for NaN
     zero = ax == 0.0
     v = np.where(regular, ax, 1.0)  # zeros go through as 1, then get the digit 0
+    del ax  # each array goes once it is used up: a pass peaks at about 80 B a value
 
     X = np.floor(np.log10(v)).astype(np.intp)
     p, t = _scaled(v, X, powers)
@@ -135,22 +142,22 @@ def _kernel(a) -> bytes:
     if fix.size:
         X[fix] += high[fix].astype(np.intp) - low[fix]
         p[fix], t[fix] = _scaled(v[fix], X[fix], powers)
+    del v, low, high
     whole = np.floor(t)
-    frac = t - whole
-    D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    t -= whole  # the fraction
+    D = p.astype(np.int64) + whole.astype(np.int64) + (t > 0.5)
+    odd = np.flatnonzero(~(regular | zero) | (np.abs(t - 0.5) <= _TIE))
+    del p, t, whole, regular
     up = D == 10 ** 17
     D[up] = 10 ** 16
     X[up] += 1
 
     # the 17 digits, in ASCII: the lead digit and four groups of four
-    lead = D // 10 ** 16
-    rest = D - lead * 10 ** 16
-    g12 = rest // 10 ** 8
-    g34 = rest - g12 * 10 ** 8
-    g1 = g12 // 10 ** 4
-    g3 = g34 // 10 ** 4
-    g2 = g12 - g1 * 10 ** 4
-    g4 = g34 - g3 * 10 ** 4
+    lead, D = np.divmod(D, 10 ** 16)
+    g12, g34 = np.divmod(D, 10 ** 8)
+    g1, g2 = np.divmod(g12, 10 ** 4)
+    g3, g4 = np.divmod(g34, 10 ** 4)
+    del D, g12, g34
     words = np.empty((x.size, 5), np.uint32)
     words[:, 0] = leads.take(lead)
     for k, g in enumerate((g1, g2, g3, g4), 1):
@@ -158,6 +165,7 @@ def _kernel(a) -> bytes:
     tz = trailing.take(g1)
     for g in (g2, g3, g4):
         tz = trailing.take(g) + (g == 0) * tz
+    del lead, g, g1, g2, g3, g4
     # the trailing zeros of the fraction go; those of the integer part stay
     significant = 17 - tz
     whole_digits = np.where((X < -4) | (X > 16), 1, X + 1)
@@ -168,10 +176,10 @@ def _kernel(a) -> bytes:
     buf = templates.take(2 * (X - _X_MIN) + point, axis=0)
     buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     buf[:, _DIGITS:_EXP:2] = words.view(np.uint8)[:, 3:]
-    odd = np.flatnonzero(~(regular | zero) | (np.abs(frac - 0.5) <= _TIE))
+    del words, X, point, significant, whole_digits, tz, zero
     if odd.size:
         text = b"".join(("%.17g" % y).encode().ljust(_WIDTH - 1, b"\0") for y in x[odd].tolist())
         buf[odd, :-1] = np.frombuffer(text, np.uint8).reshape(odd.size, _WIDTH - 1)
     buf[:, -1] = ord(",")
-    buf.reshape(n_rows, n_cols * _WIDTH)[:, -1] = ord("\n")
+    buf[first_end::n_cols, -1] = ord("\n")
     return buf.tobytes().translate(None, b"\0")

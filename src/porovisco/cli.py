@@ -10,6 +10,7 @@ check is named), 1 for usage, config or runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -20,10 +21,10 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy  # the top-level package only, for its version
 
 from . import constitutive as mat
 from ._csv17 import format_rows
+from ._lapack import scipy_version
 from .constitutive import (
     InadmissibleMaterial,
     MaterialParams,
@@ -34,12 +35,8 @@ from .constitutive import (
     power_difference_bound_constant,
     verification_grid,
 )
-from .discretization import BCSpec, Grid1D, mass
-from .experiments import (
-    eps_sweep,
-    long_time_decay,
-    moser_diagnostic,
-)
+from .discretization import BCSpec, Grid1D, drain, mass, time_steps
+from .experiments import eps_sweep, long_time_decay, moser_exponents, moser_rows
 from .linear_solver import check_energy_balance, run_linear, static_solve
 from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
 # rescale is unused here but kept importable as cli.rescale: the
@@ -155,6 +152,7 @@ def _matrix(value):
 _POSITIVE = (lambda v: v > 0.0, "positive")  # false for NaN
 _NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")  # false for NaN
 _FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
+_FINITE = (lambda v: bool(np.all(np.isfinite(() if v is None else v))), "finite")
 _POSITIVE_DECREASING = (lambda v: bool(np.all(np.asarray(v) > 0.0) and np.all(np.diff(v) < 0.0)),
                         "positive and strictly decreasing")
 
@@ -196,15 +194,15 @@ def _object(table: dict, make=dict):
 
 _AMPLITUDE = _object({
     "kind": ("constant", None, None),
-    "scale": (0.0, float, None),
-    "t_ramp": (1.0, float, None),
-    "rate": (1.0, float, None),
+    "scale": (0.0, float, _FINITE),
+    "t_ramp": (1.0, float, _FINITE),
+    "rate": (1.0, float, _FINITE),
 }, TimeAmplitude)
 
 _PROFILE = _object({
     "kind": ("zero", None, None),
-    "scale": (1.0, float, None),
-    "values": (None, _floats, None),
+    "scale": (1.0, float, _FINITE),
+    "values": (None, _floats, _FINITE),
 }, SpatialProfile)
 
 _CONFIG = {
@@ -217,7 +215,7 @@ _CONFIG = {
     "time": ({}, _object({
         "tau": (1e-3, float, _POSITIVE),
         "T": (1.0, float, _POSITIVE),
-        "checkpoint_times": (None, _floats, None),
+        "checkpoint_times": (None, _floats, _FINITE),
         "decay_tau": (0.02, float, _POSITIVE),
         "decay_T": (50.0, float, _POSITIVE),
     }), None),
@@ -275,6 +273,9 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     fields = _walk(raw, _CONFIG)
     del fields["schema_version"]
     time, solver, initial = (fields.pop(key) for key in ("time", "solver", "initial"))
+    late = [t for t in time["checkpoint_times"] or () if not 0.0 <= t <= time["T"]]  # no row to snap to
+    if late:
+        raise ValidationError([f"time.checkpoint_times: must lie in [0, time.T], got {late[0]!r}"])
     return ProblemConfig(
         **fields, **time, **solver,
         u0_profile=initial["u0"], rho0_profile=initial["rho0"], config_hash=digest,
@@ -319,8 +320,10 @@ def _json17(obj, indent: int = 0) -> str:
 _BLOCK_VALUES = 8192
 
 
-def _write_csv(path: Path, header: list, columns, rows=None) -> None:
-    """Write a CSV file: the header, then one line per row of ``columns``.
+def _write_csv(path: Path, header: list, columns, rows=None, append: bool = False) -> None:
+    """Write a CSV file: the header, then one line per row of ``columns``;
+    with ``append``, add the lines to its end (one call per row block of a
+    run writes its trajectory).
 
     ``columns`` are float arrays sharing their first axis, each 1-D (one
     column) or 2-D (several), or functions giving the rows of one at an
@@ -330,8 +333,9 @@ def _write_csv(path: Path, header: list, columns, rows=None) -> None:
     rows = np.arange(len(columns[0])) if rows is None else rows
     columns = [c if callable(c) else np.asarray(c, dtype=float).__getitem__ for c in columns]
     step = max(1, _BLOCK_VALUES // len(header))
-    with path.open("wb") as f:
-        f.write((",".join(header) + "\n").encode())
+    with path.open("ab" if append else "wb") as f:
+        if not append:
+            f.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             f.write(format_rows(np.column_stack([c(block) for c in columns])))
@@ -347,16 +351,33 @@ def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: l
             for (n, p, v, t) in invariants
         ],
         "outputs": list(outputs),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy_version()},
     }
     path.write_text(_json17(doc) + "\n")
 
 
-def _checkpoint_indices(times: np.ndarray, checkpoints: Optional[tuple]) -> np.ndarray:
-    if not checkpoints:
-        return np.arange(len(times))
-    idx = sorted({int(np.argmin(np.abs(times - t))) for t in checkpoints})
-    return np.asarray(idx, dtype=int)
+@contextlib.contextmanager
+def _trajectory(config: ProblemConfig, out: Path, second: str):
+    """The consumer of a run's row blocks ``(rows, u, second field)``,
+    which appends their checkpoint rows (each checkpoint time's nearest
+    row; every row without checkpoints) to ``out/trajectory.csv``.  The
+    file is written under a temporary name, renamed once the block of the
+    ``with`` statement ends without an error and removed if it fails."""
+    times = config.tau * np.arange(time_steps(config.T, config.tau) + 1)  # the runs' times
+    checkpoints = config.checkpoint_times
+    idx = np.unique([np.argmin(np.abs(times - t)) for t in checkpoints]) if checkpoints else np.arange(len(times))
+    header = ["t"] + [f"{field}_{i:03d}" for field in ("u", second) for i in range(config.grid.n_nodes)]
+    part = out / "trajectory.csv.part"
+
+    def write(rows, u, v):
+        lo, hi = np.searchsorted(idx, (rows.start, rows.stop))
+        _write_csv(part, header, [times[rows], u, v], idx[lo:hi] - rows.start, append=rows.start > 0)
+
+    try:
+        yield write
+        part.replace(out / "trajectory.csv")
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _write_ledger(path: Path, ledger) -> None:
@@ -385,17 +406,22 @@ def _fail_code(invariants: list, quiet: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _nonlinear_run(config: ProblemConfig):
+def _nonlinear_run(config: ProblemConfig, consume):
+    # the run stores no trajectory: consume(rows, W, C) takes its blocks
     u0, rho0 = config.initial_fields()
     return run_nonlinear(
         config.material, config.grid, config.loading.bind(config.grid), config.bc,
         tau=config.tau, T=config.T, eps=config.eps, u0=u0, rho0=rho0,
-        tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack,
+        tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack, consume=consume,
     )
 
 
 def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> int:
-    run = _nonlinear_run(config)
+    """The finite-strain run: its checkpoint rows are written block by
+    block as the run makes them (u as rescale gives it, (chi - id)/eps),
+    then its ledger and invariants."""
+    with _trajectory(config, out, "c") as write:
+        run = _nonlinear_run(config, lambda rows, W, C: write(rows, lambda r: W[0, r] / config.eps, C[0]))
     led = run.ledger
     violation = check_dissipation_inequality(led)
     masses = led.column("mass")
@@ -411,12 +437,6 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     ]
     if kappa_free:
         invariants.insert(2, ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]))
-    idx = _checkpoint_indices(run.times, config.checkpoint_times)
-    nn = config.grid.n_nodes
-    header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"c_{i:03d}" for i in range(nn)]
-    # the u columns are rescale's u, formed a row block at a time
-    columns = [run.times, lambda rows: run.displacement[rows] / run.eps, run.concentration]
-    _write_csv(out / "trajectory.csv", header, columns, idx)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "nonlinear", invariants,
                    ["trajectory.csv", "ledger.csv"])
@@ -424,11 +444,14 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
 
 
 def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
+    """The small-strain run: its checkpoint rows are written block by block
+    as the run makes them, then its ledger and invariants."""
     tensors = linearize(config.material)
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
-    run = run_linear(config.grid, tensors, bound, u0=u0, rho0=rho0, tau=config.tau, T=config.T)
-    led = run.ledger
+    with _trajectory(config, out, "rho") as write:
+        led = drain(run_linear(config.grid, tensors, bound, u0=u0, rho0=rho0, tau=config.tau, T=config.T,
+                               blocks=True), write)
     balance = check_energy_balance(led)
     masses = led.column("mass")
     drift = float(np.max(np.abs(masses - masses[0])))
@@ -437,10 +460,6 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]),
         ("energy_balance", balance <= chk["balance_tol"], balance, chk["balance_tol"]),
     ]
-    idx = _checkpoint_indices(run.times, config.checkpoint_times)
-    nn = config.grid.n_nodes
-    header = ["t"] + [f"u_{i:03d}" for i in range(nn)] + [f"rho_{i:03d}" for i in range(nn)]
-    _write_csv(out / "trajectory.csv", header, [run.times, run.u, run.rho], idx)
     _write_ledger(out / "ledger.csv", led)
     _write_summary(out / "summary.json", config, "linear", invariants,
                    ["trajectory.csv", "ledger.csv"])
@@ -554,9 +573,12 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
-    run = _nonlinear_run(config)
-    case = "I" if 1.0 <= config.material.m < 2.0 else config.material.case
-    qs, norms, gap = moser_diagnostic(run, N=8, case=case, r=config.material.r)
+    """``moser_diagnostic``'s ladder, raised block by block as the run goes."""
+    pr = config.material
+    qs = moser_exponents(pr.m, 8, case="I" if 1.0 <= pr.m < 2.0 else pr.case, r=pr.r)
+    sups = np.zeros(len(qs) + 1)
+    _nonlinear_run(config, lambda rows, W, C: moser_rows(config.grid, qs, C[0, :rows.stop - rows.start], sups))
+    norms, gap = tuple(sups[:-1].tolist()), float(sups[-1] - sups[-2])
     sup = norms[-1] + gap
     chk = config.checks
     nondecreasing = bool(np.all(np.diff(norms) >= -1e-12))

@@ -27,7 +27,7 @@ from .discretization import (
     h1_norm,
     lq_norm,
     mass,
-    map_row_blocks,
+    block_rows,
     put_rows,
     time_steps,
 )
@@ -55,6 +55,7 @@ __all__ = [
     "eps_sweep",
     "moser_exponents",
     "moser_diagnostic",
+    "moser_rows",
     "long_time_decay",
     "DecayResult",
 ]
@@ -254,21 +255,24 @@ def moser_diagnostic(
 
     On the unit domain the sequence is nondecreasing in n and bounded by
     the recorded sup-norm; the returned gap is that bound minus the last
-    entry.  Returns (q_list, norm_list, gap).
+    entry.  Returns (q_list, norm_list, gap).  The stored trajectory goes
+    through ``moser_rows`` a row block at a time, as a streamed run's
+    blocks do.
     """
     m = run.params.m if m is None else m
-    grid = run.grid
     qs = moser_exponents(m, N, case=case, r=r)
+    sups = np.zeros(len(qs) + 1)
+    step = block_rows(run.grid.n_nodes)
+    for start in range(0, run.n_steps + 1, step):
+        moser_rows(run.grid, qs, run.concentration[start:start + step], sups)
+    return qs, tuple(sups[:-1].tolist()), float(sups[-1] - sups[-2])
 
-    def block(rows):
-        c = run.concentration[rows]
-        return {q: lq_norm(grid, c, q) for q in qs + (np.inf,)}
 
-    sups = {q: float(np.max(v)) for q, v in map_row_blocks(run.n_steps + 1, grid.n_nodes, block).items()}
-    norms = [sups[q] for q in qs]
-    sup_norm = sups[np.inf]
-    gap = sup_norm - norms[-1]
-    return qs, tuple(norms), gap
+def moser_rows(grid: Grid1D, qs: tuple, c: np.ndarray, sups: np.ndarray) -> None:
+    """Raise ``sups`` (zeros before the first rows) to the largest L^q norm
+    among the rows ``c`` of a trajectory, for each q of ``qs`` and then
+    q = inf: the ladder and the sup-norm of the rows so far."""
+    np.maximum(sups, [np.max(lq_norm(grid, c, q)) for q in qs + (np.inf,)], out=sups)
 
 
 # ---------------------------------------------------------------------------

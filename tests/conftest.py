@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,16 @@ from porovisco import MaterialParams, linear_solver
 from porovisco.discretization import BCSpec, Grid1D
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import run_nonlinear
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of the memory numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import porovisco
+import porovisco._csv17
+import porovisco.discretization
 
+from conftest import peak_traced_bytes
 from porovisco.cli import (
     ParseError,
     ValidationError,
@@ -137,6 +142,17 @@ class TestParse:
         ("seed", {"seed": -1}),
         ("material.dim", {"material": {"dim": 2, "q_det": 6.0}}),
         ("eps_list", {"eps_list": [0.2, 0.1, -0.1]}),
+        # Python's JSON parser takes NaN and Infinity: unchecked, each parses
+        # and fails later, or, as a checkpoint, snaps to the first or last row
+        ("time.checkpoint_times", {"time": {"checkpoint_times": [float("nan")]}}),
+        ("time.checkpoint_times", {"time": {"checkpoint_times": [float("inf")]}}),
+        ("time.checkpoint_times", {"time": {"checkpoint_times": [-1.0, 0.5]}}),
+        ("time.checkpoint_times", {"time": {"T": 0.01, "checkpoint_times": [2.0]}}),
+        ("bc.mu_ext.scale", {"bc": {"mu_ext": {"scale": float("nan")}}}),
+        ("loading.f_profile.scale", {"loading": {"f_profile": {"scale": float("nan")}}}),
+        ("loading.f_amplitude.rate", {"loading": {"f_amplitude": {"kind": "linear", "rate": float("inf")}}}),
+        ("loading.g_amplitude.t_ramp", {"loading": {"g_amplitude": {"t_ramp": float("nan")}}}),
+        ("initial.rho0.values", {"initial": {"rho0": {"kind": "array", "values": [0.0, float("-inf")]}}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -246,12 +262,13 @@ class TestMain:
     def test_csv_is_the_formatting_loop_across_blocks(self, tmp_path, capsys, monkeypatch, cells, T):
         # the trajectory is written in blocks of whole rows: at n = 4096
         # each 8195-value row is wider than one block; at n = 64, 201 rows
-        # take four blocks, the last one partial
+        # take four blocks, the last one partial.  The CLI streams the
+        # run's blocks; a stored run of the same call is the reference
         runs = []
 
-        def keep(*args, **kwargs):
+        def keep(*args, blocks=False, **kwargs):
             runs.append(run_linear(*args, **kwargs))
-            return runs[-1]
+            return run_linear(*args, blocks=blocks, **kwargs)
 
         monkeypatch.setattr("porovisco.cli.run_linear", keep)
         cfg = _merged(json.loads(default_config_path().read_text()), {"time": {"T": T}})
@@ -276,14 +293,64 @@ class TestMain:
         assert lines[0] == "q,sup_lq_norm"
         assert len(lines) == 10
 
-    @pytest.mark.parametrize("command", ["simulate-nonlinear", "moser-diag"])
-    def test_newton_cap_is_honoured(self, tiny_config, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, cap", [
+        pytest.param("simulate-nonlinear", 1, id="simulate-nonlinear"),
+        pytest.param("moser-diag", 1, id="moser-diag"),
+        pytest.param("simulate-nonlinear", 0, id="simulate-nonlinear-0"),
+        pytest.param("moser-diag", 0, id="moser-diag-0"),
+    ])
+    def test_newton_cap_is_honoured(self, tiny_config, tmp_path, capsys, command, cap):
         cfg = json.loads(tiny_config.read_text())
-        cfg["solver"]["max_newton"] = 1
+        cfg["solver"]["max_newton"] = cap
         path = tmp_path / "capped.json"
         path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "capped"), "--quiet"]) == 1
-        assert "Newton exceeded 1 iterations" in capsys.readouterr().err
+        out = tmp_path / "capped"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert f"error: mechanical Newton exceeded {cap} iterations" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate-linear", "simulate-nonlinear", "moser-diag"])
+    def test_run_failing_after_its_first_blocks_leaves_nothing(self, tiny_config, tmp_path, capsys, monkeypatch,
+                                                               command):
+        # blocks of 10 rows: two have gone to the trajectory file when
+        # step 26 fails, so the file under its temporary name must go too
+        monkeypatch.setattr(porovisco.discretization, "_BLOCK_VALUES", 10 * 25)
+        calls = itertools.count()
+        if command == "simulate-linear":
+            step = porovisco.linear_solver.LinearStepper.step
+
+            def nan_after_25(self, *args):
+                u, rho = step(self, *args)
+                return (u, rho) if next(calls) < 25 else (u * np.nan, rho * np.nan)
+
+            monkeypatch.setattr(porovisco.linear_solver.LinearStepper, "step", nan_after_25)
+            message = r"error: step 26 \(t = 0\.052\): residual nan exceeds tol 1\.000e-09"
+        else:
+            step = porovisco.nonlinear_solver.mechanical_step
+            monkeypatch.setattr(porovisco.nonlinear_solver, "mechanical_step", lambda *args, **kwargs: step(
+                *args, **dict(kwargs, max_newton=0 if next(calls) >= 25 else kwargs["max_newton"])))
+            message = r"error: mechanical Newton exceeded 0 iterations \(residual .*\) \(t = 0\.052\)"
+        out = tmp_path / "failed"
+        assert main([command, "--config", str(tiny_config), "--out", str(out), "--quiet"]) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate-linear", "moser-diag"])
+    def test_peak_does_not_grow_with_the_trajectory(self, tmp_path, capsys, monkeypatch, command):
+        # the command takes its run a row block at a time: doubling the
+        # horizon adds 300 rows of ledger columns, less than one trajectory
+        # of 301 x 65 values of each of two fields (a stored run added it)
+        monkeypatch.setattr(porovisco.discretization, "_BLOCK_VALUES", 32 * 65)
+        porovisco._csv17._tables()  # built once per process, not in the first traced run
+        peaks = []
+        for T in (0.3, 0.6):
+            path = tmp_path / f"T{T}.json"
+            path.write_text(json.dumps(_merged(json.loads(default_config_path().read_text()), {"time": {"T": T}})))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / f"out{T}"), "--quiet"]
+            codes = []
+            peaks.append(peak_traced_bytes(lambda: codes.append(main(argv))))
+            assert codes == [0]
+        assert peaks[1] - peaks[0] < 301 * 65 * 2 * 8
 
     def test_outputs_byte_identical(self, tiny_config, tmp_path, capsys):
         out1 = tmp_path / "a"
@@ -377,8 +444,9 @@ def _fresh_python(code):
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # the solvers load scipy's compiled LAPACK and BLAS wrappers by file:
     # the scipy.linalg package (and its array-API layer) would be most of
-    # every command's start-up time and about 20 MiB of its peak memory
-    code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    # every command's start-up time and about 20 MiB of its peak memory;
+    # the scipy package itself, about 1.3 MiB, only to read its version
+    code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _fresh_python(code).strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
 
 

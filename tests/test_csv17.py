@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import peak_traced_bytes
 from porovisco._csv17 import _SMALL, _kernel, format_rows
 
 
@@ -87,4 +88,15 @@ def test_block_shapes(shape):
 @pytest.mark.parametrize("size", [1, _SMALL - 1, _SMALL, 3 * _SMALL])
 def test_format_rows_on_either_side_of_the_small_block_size(size):
     block = np.random.default_rng(size).standard_normal((1, size)) * 1e-3
+    assert format_rows(block) == reference(block)
+
+
+@pytest.mark.parametrize("shape", [(64, 128), (1, 8192), (8192, 1)])
+def test_one_call_holds_a_pass_not_the_block(shape):
+    # the kernel works in passes of _PASS values and frees each array once
+    # it is used up; holding every temporary of an 8192-value block to the
+    # end traces 2.32 MiB
+    block = np.random.default_rng(5).standard_normal(shape) * 10.0 ** np.arange(-8, 8).repeat(512).reshape(shape)
+    format_rows(block)  # the tables are built once per process
+    assert peak_traced_bytes(lambda: format_rows(block)) <= 1.25 * 2 ** 20
     assert format_rows(block) == reference(block)

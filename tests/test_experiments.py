@@ -1,10 +1,9 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_ledgers_equal, uniqueness_discrepancy
+from conftest import assert_ledgers_equal, peak_traced_bytes, uniqueness_discrepancy
 from porovisco import discretization, experiments
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
@@ -36,16 +35,6 @@ def tensors(unit_params):
 
 def zero_loading(grid):
     return BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)
-
-
-def peak_traced_bytes(fn) -> int:
-    """The peak of the memory numpy and Python allocate while ``fn`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def sweep_oracle(grid, tau, linear, runs) -> dict:

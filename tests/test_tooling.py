@@ -62,11 +62,14 @@ def test_traced_sweep_records_its_layers(tmp_path, capsys):
 @pytest.mark.parametrize("command, span, steps", [
     ("decay", "experiments.long_time_decay", 200),
     ("sweep-eps", "experiments.eps_sweep", 50),
+    ("simulate-linear", layers.RUN_LINEAR, 50),
+    ("simulate-nonlinear", layers.RUN_NONLINEAR, 0),
 ])
 def test_traced_streamed_runs_record_their_layers(tmp_path, capsys, command, span, steps):
-    # decay and the sweep take the linear run's blocks as its time loop
-    # makes them; each of its steps must still be one traced
-    # LinearStepper.step, so the benchmark's linear layers measure them
+    # every command takes its runs' blocks as their time loops make them;
+    # each linear step must still be one traced LinearStepper.step, so the
+    # benchmark's linear layers measure them, and each written block one
+    # traced _write_csv, so its cli.io_s does
     cfg = json.loads(cli.default_config_path().read_text())
     cfg["grid"] = {"n_cells": 16}
     cfg["time"] = {"tau": 2e-3, "T": 0.1, "decay_tau": 0.1, "decay_T": 20.0, "checkpoint_times": None}
@@ -77,8 +80,10 @@ def test_traced_streamed_runs_record_their_layers(tmp_path, capsys, command, spa
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
     names = [s[spans.NAME] for s in rec.spans]
-    assert {span, layers.RUN_LINEAR} <= set(names)
-    assert (layers.RUN_NONLINEAR in names) == (command == "sweep-eps")
+    assert {span, "cli._write_csv"} <= set(names)
+    assert (layers.RUN_LINEAR in names) == (command != "simulate-nonlinear")
+    assert (layers.RUN_NONLINEAR in names) == (command in ("sweep-eps", "simulate-nonlinear"))
     assert names.count(layers.STEPPER_STEP) == steps
     metrics = layers.layer_metrics(layers.SpanIndex(rec.spans))
     assert metrics["linear.steps"] == (steps, "count")
+    assert metrics["cli.io_s"][0] > 0.0
