@@ -23,8 +23,8 @@ from .discretization import BCSpec, Grid1D
 from .experiments import (
     eps_sweep,
     long_time_decay,
-    moser_diagnostic,
     moser_exponents,
+    moser_rows,
 )
 from .linear_solver import (
     SingularSystem,

@@ -35,7 +35,7 @@ from .constitutive import (
     power_difference_bound_constant,
     verification_grid,
 )
-from .discretization import BCSpec, Grid1D, drain, mass, time_steps
+from .discretization import BCSpec, Grid1D, drain, mass, time_grid
 from .experiments import eps_sweep, long_time_decay, moser_exponents, moser_rows
 from .linear_solver import check_energy_balance, run_linear, static_solve
 from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
@@ -149,12 +149,12 @@ def _matrix(value):
     return tuple(tuple(row) for row in value) if isinstance(value, list) else value
 
 
-_POSITIVE = (lambda v: v > 0.0, "positive")  # false for NaN
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")  # false for NaN
 _NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")  # false for NaN
 _FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
 _FINITE = (lambda v: bool(np.all(np.isfinite(() if v is None else v))), "finite")
-_POSITIVE_DECREASING = (lambda v: bool(np.all(np.asarray(v) > 0.0) and np.all(np.diff(v) < 0.0)),
-                        "positive and strictly decreasing")
+_POSITIVE_DECREASING = (lambda v: all(map(_POSITIVE[0], v)) and bool(np.all(np.diff(v) < 0.0)),
+                        "finite, positive and strictly decreasing")
 
 
 def _walk(node, table: dict) -> dict:
@@ -363,7 +363,7 @@ def _trajectory(config: ProblemConfig, out: Path, second: str):
     row; every row without checkpoints) to ``out/trajectory.csv``.  The
     file is written under a temporary name, renamed once the block of the
     ``with`` statement ends without an error and removed if it fails."""
-    times = config.tau * np.arange(time_steps(config.T, config.tau) + 1)  # the runs' times
+    times = time_grid(config.T, config.tau)
     checkpoints = config.checkpoint_times
     idx = np.unique([np.argmin(np.abs(times - t)) for t in checkpoints]) if checkpoints else np.arange(len(times))
     header = ["t"] + [f"{field}_{i:03d}" for field in ("u", second) for i in range(config.grid.n_nodes)]
@@ -407,7 +407,7 @@ def _fail_code(invariants: list, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _nonlinear_run(config: ProblemConfig, consume):
-    # the run stores no trajectory: consume(rows, W, C) takes its blocks
+    # consume(rows, W, C) takes the run's blocks; the ledger is returned
     u0, rho0 = config.initial_fields()
     return run_nonlinear(
         config.material, config.grid, config.loading.bind(config.grid), config.bc,
@@ -418,11 +418,10 @@ def _nonlinear_run(config: ProblemConfig, consume):
 
 def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> int:
     """The finite-strain run: its checkpoint rows are written block by
-    block as the run makes them (u as rescale gives it, (chi - id)/eps),
-    then its ledger and invariants."""
+    block as the run makes them (u = (chi - id)/eps, the "u" of
+    ``rescale``), then its ledger and invariants."""
     with _trajectory(config, out, "c") as write:
-        run = _nonlinear_run(config, lambda rows, W, C: write(rows, lambda r: W[0, r] / config.eps, C[0]))
-    led = run.ledger
+        led = _nonlinear_run(config, lambda rows, W, C: write(rows, lambda r: W[0, r] / config.eps, C[0]))
     violation = check_dissipation_inequality(led)
     masses = led.column("mass")
     drift = float(np.max(np.abs(masses - masses[0])))
@@ -450,8 +449,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
     with _trajectory(config, out, "rho") as write:
-        led = drain(run_linear(config.grid, tensors, bound, u0=u0, rho0=rho0, tau=config.tau, T=config.T,
-                               blocks=True), write)
+        led = drain(run_linear(config.grid, tensors, bound, u0=u0, rho0=rho0, tau=config.tau, T=config.T), write)
     balance = check_energy_balance(led)
     masses = led.column("mass")
     drift = float(np.max(np.abs(masses - masses[0])))
@@ -573,7 +571,8 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
-    """``moser_diagnostic``'s ladder, raised block by block as the run goes."""
+    """The norm ladder of the finite-strain run's concentration, raised
+    by ``moser_rows`` block by block as the run makes them."""
     pr = config.material
     qs = moser_exponents(pr.m, 8, case="I" if 1.0 <= pr.m < 2.0 else pr.case, r=pr.r)
     sups = np.zeros(len(qs) + 1)

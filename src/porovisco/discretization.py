@@ -13,17 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-# values per vectorized diagnostic pass: about 256 rows of an n = 64
-# trajectory.  This amortizes the per-call overhead and keeps the
-# temporaries of a pass small on every grid: passes over whole
-# trajectories raised the peak memory of the n = 64 runs by about 7%.
+# values per row block of a run's time loop: about 256 rows of an n = 64
+# trajectory.  This amortizes the per-call overhead of the vectorized
+# diagnostics and keeps the temporaries of a block small on every grid.
 _BLOCK_VALUES = 1 << 14
 
 __all__ = [
     "Grid1D",
     "BCSpec",
     "node_weights",
-    "map_row_blocks",
     "gradient",
     "second_derivative",
     "cell_derivative",
@@ -118,19 +116,6 @@ def block_rows(row_size: int) -> int:
     return max(1, _BLOCK_VALUES // row_size)
 
 
-def map_row_blocks(n_rows: int, row_size: int, fn) -> dict:
-    """Apply ``fn`` to consecutive row slices of ``block_rows(row_size)``
-    rows, and concatenate its results.
-
-    ``fn(rows)`` returns a dict of arrays whose leading axis runs over the
-    rows of the slice.  Trajectory diagnostics go through here so that
-    their temporaries stay a block in size, not a whole trajectory.
-    """
-    step = block_rows(row_size)
-    parts = [fn(slice(s, min(s + step, n_rows))) for s in range(0, n_rows, step)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-
-
 def put_rows(cols: dict, part: dict, start: int, n_rows: int) -> None:
     """Write the arrays of ``part`` into the columns of ``n_rows`` values
     (zeros until written) of their names in ``cols``, from row ``start``."""
@@ -140,9 +125,10 @@ def put_rows(cols: dict, part: dict, start: int, n_rows: int) -> None:
         cols[name][start:start + len(values)] = values
 
 
-def time_steps(T: float, tau: float) -> int:
-    """The number of steps of size ``tau`` that reach the horizon ``T``."""
-    return int(np.ceil(T / tau - 1e-12))
+def time_grid(T: float, tau: float) -> np.ndarray:
+    """The times of a run: 0 and every step of size ``tau`` up to the
+    first that reaches the horizon ``T``."""
+    return tau * np.arange(int(np.ceil(T / tau - 1e-12)) + 1)
 
 
 def drain(blocks, fn=lambda *block: None):

@@ -27,9 +27,8 @@ from .discretization import (
     h1_norm,
     lq_norm,
     mass,
-    block_rows,
     put_rows,
-    time_steps,
+    time_grid,
 )
 from .linear_solver import (
     SingularSystem,
@@ -39,11 +38,9 @@ from .linear_solver import (
     static_solve,
 )
 from .loading import BoundLoading
-# rescale is unused here but kept importable as experiments.rescale: the
-# benchmark's traced run patches it at every module that looks it up
-from .nonlinear_solver import (  # noqa: F401
-    NonlinearRun,
-    _rescaled_rows,
+# the sweep looks rescale up here, at call time, so that the benchmark's
+# traced run, which patches it at this module, books the sweep's calls
+from .nonlinear_solver import (
     check_dissipation_inequality,
     moser_exponents,
     rescale,
@@ -54,7 +51,6 @@ __all__ = [
     "SweepReport",
     "eps_sweep",
     "moser_exponents",
-    "moser_diagnostic",
     "moser_rows",
     "long_time_decay",
     "DecayResult",
@@ -126,18 +122,18 @@ def eps_sweep(
         raise ValueError("eps list must be strictly decreasing with at least 3 entries")
     bc = BCSpec(zero_flux=True)
     tensors = linearize(params)
-    linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T, blocks=True)
-    n_steps = time_steps(T, tau)
+    linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
+    n_rows = len(time_grid(T, tau))
     terms = {}
 
     def consume(rows, W, C):
         _, lin_u, lin_rho = next(linear)
         states, steps = _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_rho)
-        put_rows(terms, states, rows.start, n_steps + 1)
-        put_rows(terms, steps, rows.start, n_steps)
+        put_rows(terms, states, rows.start, n_rows)
+        put_rows(terms, steps, rows.start, n_rows - 1)
 
     try:
-        runs = run_nonlinear(
+        ledgers = run_nonlinear(
             params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol, consume=consume
         )
     except SingularSystem:  # the linear reference's, from consume
@@ -151,10 +147,10 @@ def eps_sweep(
     violations = []
     errors = {name: [] for name in ERROR_COLUMNS}
     audit = {name: [] for name in AUDIT_COLUMNS}
-    for i, run in enumerate(runs):
-        violations.append(check_dissipation_inequality(run.ledger))
+    for i, (eps, ledger) in enumerate(zip(eps_list, ledgers)):
+        violations.append(check_dissipation_inequality(ledger))
         member = {name: col for (j, name), col in terms.items() if j == i}
-        for name, value in _member_columns(run, member).items():
+        for name, value in _member_columns(params.p, eps, ledger, member).items():
             (errors if name in errors else audit)[name].append(value)
     orders = {}
     for name in ERROR_COLUMNS:
@@ -202,7 +198,7 @@ def _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_
     lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, lin_u)) + t.L * gradient(grid, lin_rho))
     states, steps = {}, {}
     for i, eps in enumerate(eps_list):
-        rs = _rescaled_rows(params, grid, W[i], C[i], eps)
+        rs = rescale(params, grid, W[i], C[i], eps)
         u, flux = rs["u"], rs["flux"]
         du = u[:n] - lin_u
         rate = (u[1:] - u[:-1]) / tau  # row j is the step from j to j + 1
@@ -220,11 +216,11 @@ def _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_
     return states, steps
 
 
-def _member_columns(run: NonlinearRun, terms: dict) -> dict:
+def _member_columns(p: float, eps: float, ledger, terms: dict) -> dict:
     """A member's error columns (max-in-time H1/L2 norms of the u and rho
     gaps, and the space-time L2 norm of the flux gap over the steps after
-    the initial state) and audit columns."""
-    params, eps, ledger = run.params, run.eps, run.ledger
+    the initial state) and audit columns; ``p`` is the hyperstress
+    exponent."""
     return {
         "err_u_h1": float(np.max(terms["err_u_h1"])),
         "err_u_l2": float(np.max(terms["err_u_l2"])),
@@ -232,7 +228,7 @@ def _member_columns(run: NonlinearRun, terms: dict) -> dict:
         "err_flux_l2": float(np.sqrt(np.sum(terms["err_flux_sq"][1:]))),
         "u_linf_h1": float(np.max(terms["u_h1"])),
         "udot_grad_l2": float(np.sqrt(np.sum(terms["udot_sq"]))),
-        "d2u_scaled_lp": eps ** (1.0 - 2.0 / params.p) * float(np.max(ledger.column("lp_d2u"))),
+        "d2u_scaled_lp": eps ** (1.0 - 2.0 / p) * float(np.max(ledger.column("lp_d2u"))),
         "llogl_over_eps2": float(np.max(ledger.column("llogl"))) / eps ** 2,
         "rho_linf_l2": float(np.max(ledger.column("l2_rho"))),
         "c_linf_linf": float(np.max(ledger.column("linf_c"))),
@@ -244,34 +240,15 @@ def _member_columns(run: NonlinearRun, terms: dict) -> dict:
 # norm-ladder diagnostic
 # ---------------------------------------------------------------------------
 
-def moser_diagnostic(
-    run: NonlinearRun,
-    m: Optional[float] = None,
-    N: int = 8,
-    case: str = "I",
-    r: float = 0.0,
-):
-    """Ladder of sup-in-time L^{q_n} norms of the concentration.
-
-    On the unit domain the sequence is nondecreasing in n and bounded by
-    the recorded sup-norm; the returned gap is that bound minus the last
-    entry.  Returns (q_list, norm_list, gap).  The stored trajectory goes
-    through ``moser_rows`` a row block at a time, as a streamed run's
-    blocks do.
-    """
-    m = run.params.m if m is None else m
-    qs = moser_exponents(m, N, case=case, r=r)
-    sups = np.zeros(len(qs) + 1)
-    step = block_rows(run.grid.n_nodes)
-    for start in range(0, run.n_steps + 1, step):
-        moser_rows(run.grid, qs, run.concentration[start:start + step], sups)
-    return qs, tuple(sups[:-1].tolist()), float(sups[-1] - sups[-2])
-
-
 def moser_rows(grid: Grid1D, qs: tuple, c: np.ndarray, sups: np.ndarray) -> None:
     """Raise ``sups`` (zeros before the first rows) to the largest L^q norm
-    among the rows ``c`` of a trajectory, for each q of ``qs`` and then
-    q = inf: the ladder and the sup-norm of the rows so far."""
+    among the rows ``c`` of a trajectory, for each q of ``qs`` (the
+    ``moser_exponents`` ladder) and then q = inf: the ladder of sup-in-time
+    norms of the rows so far, and their sup-norm.
+
+    On the unit domain the ladder is nondecreasing in q and bounded by the
+    sup-norm.  Fed a run's concentration block by block, it gives the
+    run's ladder, and the gap of its last entry to the sup-norm."""
     np.maximum(sups, [np.max(lq_norm(grid, c, q)) for q in qs + (np.inf,)], out=sups)
 
 
@@ -304,9 +281,10 @@ def long_time_decay(
     linear run makes its rows."""
     loading = BoundLoading.separable(lambda t: 1.0, f_nodes, lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
-    blocks = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T, blocks=True)
+    blocks = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
     v, xi, _, _ = static_solve(grid, tensors, f_nodes, g_value, mass(grid, rho_init))
-    curve = np.empty(time_steps(T, tau) + 1)
+    times = time_grid(T, tau)
+    curve = np.empty(len(times))
 
     def consume(rows, u, rho):
         curve[rows] = state_energy(grid, tensors, u[:rows.stop - rows.start] - v, rho[:rows.stop - rows.start] - xi)
@@ -315,4 +293,4 @@ def long_time_decay(
     increases = np.diff(curve)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     final_ratio = float(curve[-1] / curve[0]) if curve[0] > 0.0 else 0.0
-    return DecayResult(tau * np.arange(len(curve)), curve, final_ratio, max_increase)
+    return DecayResult(times, curve, final_ratio, max_increase)

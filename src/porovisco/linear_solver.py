@@ -33,7 +33,6 @@ weighted sum per step, not by the round-off of the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,16 +51,14 @@ from .discretization import (
     node_average,
     node_weights,
     block_rows,
-    drain,
     put_rows,
-    time_steps,
+    time_grid,
 )
 from .loading import BoundLoading
 from .nonlinear_solver import EnergyLedger
 
 __all__ = [
     "SingularSystem",
-    "LinearRun",
     "LinearStepper",
     "run_linear",
     "check_energy_balance",
@@ -80,20 +77,6 @@ class SingularSystem(RuntimeError):
     """The coupled system's factorization failed, or a step missed its
     residual tolerance; valid tensors cannot produce this, so it signals
     config corruption."""
-
-
-@dataclass
-class LinearRun:
-    grid: Grid1D
-    tensors: LinearizedTensors
-    times: np.ndarray
-    u: np.ndarray  # (steps+1, nodes)
-    rho: np.ndarray  # (steps+1, nodes)
-    ledger: EnergyLedger
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
 
 def _interleave(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -260,17 +243,13 @@ def run_linear(
     tau: float = 1e-3,
     T: float = 1.0,
     tol: float = 1e-9,
-    blocks: bool = False,
 ):
-    """Trajectory of the coupled linear system with its ledger of stored
-    energy, viscous and mobility dissipation rates, and loading power
-    (zero-flux boundary: the discrete mass of rho is conserved).
-
-    The time loop makes the rows a block at a time, and the returned run
-    stores them.  With ``blocks`` nothing is stored: the call returns the
-    generator of the blocks ``(rows, u, rho)``, the states at the rows of
-    the slice ``rows`` and at the next row if there is one (reused by the
-    next block), which returns the ledger (see ``drain``).
+    """The run of the coupled linear system: the generator of its row
+    blocks ``(rows, u, rho)``, the states at the rows of the slice ``rows``
+    and at the next row if there is one (reused by the next block), which
+    returns the run's ledger of stored energy, viscous and mobility
+    dissipation rates, and loading power (see ``drain``).  The boundary
+    has zero flux, so the discrete mass of rho is conserved.
 
     Every step's residual in the unscaled equations must meet ``tol``;
     otherwise ``SingularSystem`` names the first step that does not, as
@@ -281,16 +260,7 @@ def run_linear(
     if abs(u0[0]) > 1e-14:
         raise ValueError("initial displacement must vanish at the pinned end")
     stepper = LinearStepper(grid, tensors, tau)
-    times = tau * np.arange(time_steps(T, tau) + 1)
-    steps = _linear_blocks(grid, tensors, stepper, loading, times, u0, rho0, tol)
-    if blocks:
-        return steps
-    U, R = np.empty((2, len(times), nn))
-
-    def store(rows, u, rho):
-        U[rows], R[rows] = u[:rows.stop - rows.start], rho[:rows.stop - rows.start]
-
-    return LinearRun(grid, tensors, times, U, R, drain(steps, store))
+    return _linear_blocks(grid, tensors, stepper, loading, time_grid(T, tau), u0, rho0, tol)
 
 
 def _linear_blocks(grid, tensors, stepper, loading, times, u0, rho0, tol):

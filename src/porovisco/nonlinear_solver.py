@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,10 +48,9 @@ from .discretization import (
     node_average,
     node_weights,
     block_rows,
-    map_row_blocks,
     put_rows,
     second_derivative,
-    time_steps,
+    time_grid,
 )
 from .loading import BoundLoading
 
@@ -62,8 +60,6 @@ __all__ = [
     "OrientationLoss",
     "PositivityLoss",
     "EnergyLedger",
-    "NonlinearRun",
-    "RescaledTrajectory",
     "mechanical_step",
     "diffusion_step",
     "nodal_chemical_potential",
@@ -140,39 +136,6 @@ class EnergyLedger:
     def column(self, name: str) -> np.ndarray:
         """A copy of the column: changing it leaves the ledger as it is."""
         return np.array(self._cols[name], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# states and runs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NonlinearRun:
-    """A staggered run: its energy ledger, and its trajectory if stored."""
-
-    params: MaterialParams
-    grid: Grid1D
-    eps: float
-    times: np.ndarray
-    displacement: Optional[np.ndarray]  # (steps+1, nodes), chi - id; None if not stored
-    concentration: Optional[np.ndarray]  # (steps+1, nodes); None if not stored
-    ledger: EnergyLedger
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-
-@dataclass(frozen=True)
-class RescaledTrajectory:
-    """Small-strain variables derived from a finite-strain trajectory:
-    u = (chi - id)/eps, rho = (c - c_eq)/eps, and the cellwise flux
-    M(grad chi, c) grad mu/eps."""
-
-    times: np.ndarray
-    u: np.ndarray
-    rho: np.ndarray
-    flux: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -683,29 +646,30 @@ def run_nonlinear(
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
-    consume=None,
+    *,
+    consume,
 ):
     """Alternate mechanical and diffusion steps over ceil(T / tau) steps.
 
     The loading is applied as eps * (f_star, g_star) and the initial data
-    are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  The returned run holds
-    a filled energy ledger in rescaled units and, by default, every step.
-    Step failures propagate with the failing time attached.
+    are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  Returns the run's
+    energy ledger, in rescaled units.  Step failures propagate with the
+    failing time attached.
 
-    The time loop makes the rows a block at a time, for the ledger and
-    for ``consume(rows, W, C)``, which by default stores them: ``W`` and
-    ``C`` hold the (members, rows, nodes) states at the rows of the slice
-    ``rows`` and at the next row if there is one, reused by the next
-    block.  With a ``consume`` given the runs hold no trajectory (None),
-    and a failed run hands on no block after its failure.
+    The time loop makes the rows a block at a time, for the ledger and for
+    ``consume(rows, W, C)``: ``W`` and ``C`` hold the (members, rows,
+    nodes) states at the rows of the slice ``rows`` and at the next row if
+    there is one, reused by the next block.  No trajectory is stored, and
+    a failed run hands on no block after its failure.
 
     ``eps`` may also be a sequence of load scales.  The members then
-    advance in lockstep through one time loop, and a tuple of runs, one
-    per member, is returned; each is bit for bit the run of its eps alone.
-    A failed member stops (with every member after it, whose outcome can
-    no longer matter), and after the loop the first failed member in the
-    given order raises the error its own run raises.  An error that
-    belongs to a member carries that member's load scale as ``err.eps``.
+    advance in lockstep through one time loop, and a tuple of ledgers, one
+    per member, is returned; each is bit for bit the ledger of its eps
+    alone, and so are the member's blocks.  A failed member stops (with
+    every member after it, whose outcome can no longer matter), and after
+    the loop the first failed member in the given order raises the error
+    its own run raises.  An error that belongs to a member carries that
+    member's load scale as ``err.eps``.
     """
     single = np.ndim(eps) == 0
     eps_list = [float(eps)] if single else [float(e) for e in eps]
@@ -743,9 +707,9 @@ def run_nonlinear(
 
     # the ledger's norm ladder: Case I where it holds, the doubling ladder otherwise
     cascade = moser_exponents(params.m, 8) if 1.0 <= params.m < 2.0 else tuple(float(2 ** n) for n in range(9))
-    n_rows = time_steps(T, tau) + 1
+    times = time_grid(T, tau)
+    n_rows = len(times)
     size = min(block_rows(nn), n_rows)
-    times = tau * np.arange(n_rows)
     # the block's rows from buffer row 2 on, the next row, and the two
     # rows before the block, which the start extrapolation needs
     Wb, Cb = np.empty((2, m, size + 3, nn))
@@ -759,12 +723,6 @@ def run_nonlinear(
     residual_mech, residual_diff = np.zeros((2, m, n_rows))
     newton_mech, newton_diff = np.zeros((2, m, n_rows), dtype=int)
     cols = [{} for _ in eps_list]
-    W_all = C_all = [None] * m  # the stored states, if consume stores them
-    if consume is None:
-        W_all, C_all = np.empty((2, m, n_rows, nn))
-
-        def consume(rows, W, C):
-            W_all[:, rows], C_all[:, rows] = W[:, :rows.stop - rows.start], C[:, :rows.stop - rows.start]
 
     def block(rows):
         count = rows.stop - rows.start + (rows.stop < n_rows)
@@ -834,16 +792,15 @@ def run_nonlinear(
         raise _member_error(type(err)(str(err), time=t), eps_list[i]) from err
     block(slice(first, n_rows))
 
-    runs = []
-    for i, e in enumerate(eps_list):
+    ledgers = []
+    for i in range(m):
         member = cols.pop(0)  # let go as soon as the ledger has copied it
         # the rates belong to steps, not to the initial state
         member["diss_diff"][0] = member["flux_boundary"][0] = 0.0
         member.update(t=times, residual_mech=residual_mech[i], residual_diff=residual_diff[i],
                       newton_mech=newton_mech[i], newton_diff=newton_diff[i])
-        ledger = EnergyLedger(tau, {name: member[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)})
-        runs.append(NonlinearRun(params, grid, e, times.copy(), W_all[i], C_all[i], ledger))
-    return runs[0] if single else tuple(runs)
+        ledgers.append(EnergyLedger(tau, {name: member[name] for name in EnergyLedger.CORE + _ledger_columns(cascade)}))
+    return ledgers[0] if single else tuple(ledgers)
 
 
 def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext, cascade):
@@ -922,27 +879,16 @@ def check_dissipation_inequality(ledger: EnergyLedger) -> float:
     return float(np.max(expr))
 
 
-def rescale(run: NonlinearRun, eps: Optional[float] = None) -> RescaledTrajectory:
-    """Rescaled displacement, concentration variation and mobility flux
-    along a trajectory.
+def rescale(params: MaterialParams, grid: Grid1D, w: np.ndarray, c: np.ndarray, eps: float) -> dict:
+    """The small-strain variables of rows ``w`` (chi - id) and ``c`` of a
+    finite-strain trajectory at load scale ``eps``: the arrays "u" =
+    (chi - id)/eps, "rho" = (c - c_eq)/eps and "flux", the cellwise
+    mobility flux M(grad chi, c) grad mu/eps.
 
     The flux gradient uses the chain rule
         grad mu = d2_Fc Phi * D^2 chi + d2_cc Phi * grad c
     with centered cell differences for D^2 chi.
     """
-    eps = run.eps if eps is None else eps
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    cols = map_row_blocks(
-        run.n_steps + 1, run.grid.n_nodes,
-        lambda rows: _rescaled_rows(run.params, run.grid, run.displacement[rows], run.concentration[rows], eps),
-    )
-    return RescaledTrajectory(run.times.copy(), cols["u"], cols["rho"], cols["flux"])
-
-
-def _rescaled_rows(params: MaterialParams, grid: Grid1D, w: np.ndarray, c: np.ndarray, eps: float) -> dict:
-    """The fields of ``rescale`` at rows ``w`` and ``c`` of a trajectory,
-    as the arrays "u", "rho" and "flux"."""
     F = 1.0 + gradient(grid, w)
     c_hat = cell_average(c)
     _, fc, cc = mat.free_energy_hessian(params, F, c_hat)

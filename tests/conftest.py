@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,33 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from porovisco import MaterialParams, linear_solver
-from porovisco.discretization import BCSpec, Grid1D
+from porovisco.discretization import BCSpec, Grid1D, drain
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import run_nonlinear
+
+
+def stored(solver, *args, **kwargs):
+    """Drain a streamed run of ``solver`` (``run_linear``, or
+    ``run_nonlinear`` at one eps or a list) into stored arrays: a namespace
+    with ``times``, ``ledger`` and the states, ``u`` and ``rho`` for the
+    linear system and ``displacement`` and ``concentration`` for the
+    finite-strain one; a tuple of one per member for an eps list."""
+    parts = []
+
+    def keep(rows, *fields):  # copies: the run reuses its buffers
+        parts.append([np.array(f[:, :rows.stop - rows.start]) for f in fields])
+
+    if solver.__name__ == "run_linear":
+        names = ("u", "rho")
+        ledgers = drain(solver(*args, **kwargs), lambda rows, u, rho: keep(rows, u[None], rho[None]))
+    else:
+        names = ("displacement", "concentration")
+        ledgers = solver(*args, consume=keep, **kwargs)
+    many = isinstance(ledgers, tuple)
+    fields = [np.concatenate(field, axis=1) for field in zip(*parts)]
+    runs = [SimpleNamespace(times=ledger.column("t"), ledger=ledger, **{name: f[i] for name, f in zip(names, fields)})
+            for i, ledger in enumerate(ledgers if many else (ledgers,))]
+    return tuple(runs) if many else runs[0]
 
 
 def peak_traced_bytes(fn) -> int:
@@ -43,10 +68,7 @@ def biot_run(unit_params):
     eps = 0.1, ramped body force and traction (shared across tests)."""
     grid = Grid1D(64)
     bc = BCSpec(zero_flux=True)
-    return run_nonlinear(
-        unit_params, grid, default_loading(grid), bc,
-        tau=1e-3, T=1.0, eps=0.1, tol=5e-11,
-    )
+    return stored(run_nonlinear, unit_params, grid, default_loading(grid), bc, tau=1e-3, T=1.0, eps=0.1, tol=5e-11)
 
 
 def band_to_dense(band, kl, ku, n_rows):
@@ -75,18 +97,18 @@ def permuted_dense_stepper(stepper, seed):
 
 
 def dense_resolve_run(grid, tensors, loading, seed=7, **kwargs):
-    """``run_linear`` with every step solved by ``permuted_dense_stepper``
-    (its ledger and residual gate included)."""
+    """The stored ``run_linear`` with every step solved by
+    ``permuted_dense_stepper`` (its ledger and residual gate included)."""
     banded = linear_solver.LinearStepper
     with mock.patch.object(linear_solver, "LinearStepper",
                            lambda *args: permuted_dense_stepper(banded(*args), seed)):
-        return linear_solver.run_linear(grid, tensors, loading, **kwargs)
+        return stored(linear_solver.run_linear, grid, tensors, loading, **kwargs)
 
 
 def uniqueness_discrepancy(grid, tensors, loading, seed=7, **kwargs):
     """Largest state difference between the banded run and its permuted
     dense re-solve; bounded by direct-solver precision."""
-    a = linear_solver.run_linear(grid, tensors, loading, **kwargs)
+    a = stored(linear_solver.run_linear, grid, tensors, loading, **kwargs)
     b = dense_resolve_run(grid, tensors, loading, seed, **kwargs)
     return max(float(np.max(np.abs(a.u - b.u))), float(np.max(np.abs(a.rho - b.rho))))
 

@@ -19,17 +19,18 @@ from porovisco.constitutive import (
     power_difference_bound_constant,
     verification_grid,
 )
-from porovisco.discretization import Grid1D, lq_norm
+from porovisco.discretization import Grid1D, drain, lq_norm
 from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
-    moser_diagnostic,
+    moser_exponents,
+    moser_rows,
 )
 from porovisco.linear_solver import check_energy_balance, run_linear
 from porovisco.loading import BoundLoading
 from porovisco.nonlinear_solver import check_dissipation_inequality
 
-from conftest import default_loading, uniqueness_discrepancy
+from conftest import default_loading, stored, uniqueness_discrepancy
 
 
 def report(name, **measured):
@@ -169,8 +170,8 @@ def test_criterion_6_energy_balance_order(unit_params):
     taus = (4e-3, 2e-3, 1e-3)
     residuals = []
     for tau in taus:
-        run = run_linear(grid, tensors, loading, rho0=rho0, tau=tau, T=0.48)
-        residuals.append(check_energy_balance(run.ledger))
+        ledger = drain(run_linear(grid, tensors, loading, rho0=rho0, tau=tau, T=0.48))
+        residuals.append(check_energy_balance(ledger))
     slope = np.polyfit(np.log(taus), np.log(residuals), 1)[0]
     assert slope >= 0.9
     report("6 energy balance order", measured_order=slope,
@@ -210,8 +211,8 @@ def test_criterion_7_manufactured_convergence(unit_params):
             g=lambda t: float(g_fn(t)),
             source=lambda t, x=x: s_fn(t, x),
         )
-        run = run_linear(grid, tensors, loading, u0=u_fn(0.0, x), rho0=r_fn(0.0, x),
-                         tau=tau, T=T)
+        run = stored(run_linear, grid, tensors, loading, u0=u_fn(0.0, x), rho0=r_fn(0.0, x),
+                     tau=tau, T=T)
         eu = lq_norm(grid, run.u[-1] - u_fn(T, x), 2)
         er = lq_norm(grid, run.rho[-1] - r_fn(T, x), 2)
         errors.append(float(np.hypot(eu, er)))
@@ -244,12 +245,15 @@ def test_criterion_8_uniqueness_and_decay(unit_params):
            decay_final_ratio=result.final_ratio)
 
 
-def test_criterion_9_moser_ladder(biot_run):
+def test_criterion_9_moser_ladder(unit_params, biot_run):
     """The exponent ladder matches 2^n (2 - m) + m - 1 exactly; the norm
     sequence is nondecreasing and lands within 1% of the recorded sup
     norm at n = 8."""
-    m = biot_run.params.m
-    qs, norms, gap = moser_diagnostic(biot_run, N=8, case="I")
+    m = unit_params.m
+    qs = moser_exponents(m, 8, case="I")
+    sups = np.zeros(len(qs) + 1)
+    moser_rows(Grid1D(64), qs, biot_run.concentration, sups)
+    norms, gap = sups[:-1], sups[-1] - sups[-2]
     expected = tuple(2.0 ** n * (2.0 - m) + m - 1.0 for n in range(9))
     assert qs == expected
     assert np.all(np.diff(norms) >= -1e-12)

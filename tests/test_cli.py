@@ -17,7 +17,7 @@ import porovisco
 import porovisco._csv17
 import porovisco.discretization
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, stored
 from porovisco.cli import (
     ParseError,
     ValidationError,
@@ -153,6 +153,15 @@ class TestParse:
         ("loading.f_amplitude.rate", {"loading": {"f_amplitude": {"kind": "linear", "rate": float("inf")}}}),
         ("loading.g_amplitude.t_ramp", {"loading": {"g_amplitude": {"t_ramp": float("nan")}}}),
         ("initial.rho0.values", {"initial": {"rho0": {"kind": "array", "values": [0.0, float("-inf")]}}}),
+        # a field declared positive takes no Infinity either: unchecked,
+        # each fails later with a message that does not name it, or runs
+        ("time.T", {"time": {"T": float("inf")}}),
+        ("time.decay_T", {"time": {"decay_T": float("inf")}}),
+        ("time.tau", {"time": {"tau": float("inf")}}),
+        ("time.decay_tau", {"time": {"decay_tau": float("inf")}}),
+        ("eps", {"eps": float("inf")}),
+        ("solver.tol", {"solver": {"tol": float("inf")}}),
+        ("eps_list", {"eps_list": [float("inf"), 0.1, 0.05]}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -266,9 +275,9 @@ class TestMain:
         # run's blocks; a stored run of the same call is the reference
         runs = []
 
-        def keep(*args, blocks=False, **kwargs):
-            runs.append(run_linear(*args, **kwargs))
-            return run_linear(*args, blocks=blocks, **kwargs)
+        def keep(*args, **kwargs):
+            runs.append(stored(run_linear, *args, **kwargs))
+            return run_linear(*args, **kwargs)
 
         monkeypatch.setattr("porovisco.cli.run_linear", keep)
         cfg = _merged(json.loads(default_config_path().read_text()), {"time": {"T": T}})
@@ -410,6 +419,7 @@ class TestMain:
         (["--tau", "nan"], "time.tau"),
         (["--tau", "-1"], "time.tau"),
         (["--eps", "0"], "eps"),
+        (["--tau", "inf"], "time.tau"),
     ])
     def test_overrides_are_validated(self, tmp_path, capsys, flags, field):
         code = main(["verify", "--config", str(default_config_path()), "--out", str(tmp_path), *flags])

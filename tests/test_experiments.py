@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import assert_ledgers_equal, peak_traced_bytes, uniqueness_discrepancy
+from conftest import assert_ledgers_equal, peak_traced_bytes, stored, uniqueness_discrepancy
 from porovisco import discretization, experiments
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
@@ -11,17 +11,15 @@ from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, drai
 from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
-    moser_diagnostic,
     moser_exponents,
+    moser_rows,
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
 from porovisco.linear_solver import SingularSystem, check_energy_balance, run_linear
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
-    EnergyLedger,
     NoConvergence,
-    NonlinearRun,
     check_dissipation_inequality,
     rescale,
     run_nonlinear,
@@ -37,25 +35,25 @@ def zero_loading(grid):
     return BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)
 
 
-def sweep_oracle(grid, tau, linear, runs) -> dict:
+def sweep_oracle(params, grid, tau, eps_list, linear, runs) -> dict:
     """The sweep's columns that come from its trajectories, one value per
-    member, made from the stored runs, ``rescale`` and the linear flux of
-    the whole trajectory."""
-    t = linear.tensors
+    member, made from the stored runs, ``rescale`` of their whole arrays
+    and the linear flux of the whole trajectory."""
+    t = linearize(params)
     lin_flux = t.M_eq * (t.K * cell_derivative(grid, gradient(grid, linear.u)) + t.L * gradient(grid, linear.rho))
     columns = []
-    for run in runs:
-        rs = rescale(run)
-        du = rs.u - linear.u
-        rate = (rs.u[1:] - rs.u[:-1]) / tau
+    for eps, run in zip(eps_list, runs):
+        rs = rescale(params, grid, run.displacement, run.concentration, eps)
+        du = rs["u"] - linear.u
+        rate = (rs["u"][1:] - rs["u"][:-1]) / tau
         columns.append({
             "err_u_h1": float(np.max(h1_norm(grid, du))),
             "err_u_l2": float(np.max(lq_norm(grid, du, 2))),
-            "err_rho_l2": float(np.max(lq_norm(grid, rs.rho - linear.rho, 2))),
-            "err_flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux - lin_flux)[1:] ** 2))),
-            "u_linf_h1": float(np.max(h1_norm(grid, rs.u))),
+            "err_rho_l2": float(np.max(lq_norm(grid, rs["rho"] - linear.rho, 2))),
+            "err_flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs["flux"] - lin_flux)[1:] ** 2))),
+            "u_linf_h1": float(np.max(h1_norm(grid, rs["u"]))),
             "udot_grad_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2))),
-            "flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs.flux[1:]) ** 2))),
+            "flux_l2": float(np.sqrt(np.sum(tau * cell_l2_norm(grid, rs["flux"][1:]) ** 2))),
         })
     return {name: tuple(c[name] for c in columns) for name in columns[0]}
 
@@ -98,8 +96,8 @@ class TestSweep:
         solo = {}
         for eps in (0.2, 0.1):
             with pytest.raises(NoConvergence) as err:
-                run_nonlinear(unit_params, grid, loading, BCSpec(zero_flux=True), tau=2e-3, T=0.1,
-                              eps=eps, tol=1e-12)
+                stored(run_nonlinear, unit_params, grid, loading, BCSpec(zero_flux=True), tau=2e-3, T=0.1,
+                       eps=eps, tol=1e-12)
             solo[eps] = err.value
         assert solo[0.1].time < solo[0.2].time
         with pytest.raises(RuntimeError) as err:
@@ -124,7 +122,7 @@ class TestSweep:
     def test_block_pass_matches_whole_trajectory_oracle(self, unit_params, monkeypatch):
         # the sweep forms the rescaled fields and the linear flux a row
         # block at a time; its columns equal, bit for bit, the ones made
-        # from rescale(run) and the linear flux of the whole trajectory.
+        # by rescale and the linear flux from the whole trajectories.
         # 101 rows in blocks of 10 leave a last block of one row, which
         # has no rate
         grid = Grid1D(16)
@@ -132,12 +130,12 @@ class TestSweep:
         loading, eps_list, tau, T = ramp_loading(grid), (0.2, 0.1, 0.05), 2e-3, 0.2
         init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
         report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
-        linear = run_linear(grid, linearize(unit_params), loading, tau=tau, T=T, **init)
-        assert linear.n_steps == 100
-        runs = run_nonlinear(unit_params, grid, loading, BCSpec(zero_flux=True), tau=tau, T=T, eps=eps_list,
-                             tol=5e-11, **init)
+        linear = stored(run_linear, grid, linearize(unit_params), loading, tau=tau, T=T, **init)
+        assert len(linear.times) == 101
+        runs = stored(run_nonlinear, unit_params, grid, loading, BCSpec(zero_flux=True), tau=tau, T=T,
+                      eps=eps_list, tol=5e-11, **init)
         got = {**report.errors, **report.audit}
-        for name, values in sweep_oracle(grid, tau, linear, runs).items():
+        for name, values in sweep_oracle(unit_params, grid, tau, eps_list, linear, runs).items():
             assert got[name] == values, name
             assert all(value > 0.0 for value in values)
 
@@ -152,10 +150,10 @@ class TestSweep:
         init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
         tensors, bc = linearize(unit_params), BCSpec(zero_flux=True)
         monkeypatch.setattr(discretization, "_BLOCK_VALUES", 1 << 20)
-        linear = run_linear(grid, tensors, loading, tau=tau, T=T, **init)
-        runs = run_nonlinear(unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11, **init)
-        assert linear.n_steps == 70
-        expected = sweep_oracle(grid, tau, linear, runs)
+        linear = stored(run_linear, grid, tensors, loading, tau=tau, T=T, **init)
+        runs = stored(run_nonlinear, unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11, **init)
+        assert len(linear.times) == 71
+        expected = sweep_oracle(unit_params, grid, tau, eps_list, linear, runs)
 
         monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
         report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
@@ -168,11 +166,9 @@ class TestSweep:
         streamed = run_nonlinear(unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11,
                                  consume=lambda rows, W, C: blocks.append((rows, W.shape)), **init)
         assert blocks[-2:] == [(slice(63, 70), (3, 8, 17)), (slice(70, 71), (3, 1, 17))]
-        for run, oracle in zip(streamed, runs):
-            assert run.displacement is None and run.concentration is None
-            assert_ledgers_equal(run.ledger, oracle.ledger)
-        assert_ledgers_equal(drain(run_linear(grid, tensors, loading, tau=tau, T=T, blocks=True, **init)),
-                             linear.ledger)
+        for ledger, oracle in zip(streamed, runs):
+            assert_ledgers_equal(ledger, oracle.ledger)
+        assert_ledgers_equal(drain(run_linear(grid, tensors, loading, tau=tau, T=T, **init)), linear.ledger)
 
     def test_streamed_failures_are_the_stored_ones(self, unit_params, monkeypatch):
         # at tol 1.7e-12, below the round-off floor, the last of three
@@ -187,9 +183,9 @@ class TestSweep:
                                g=lambda t: min(t / 0.05, 1.0) * 0.2)
         kw = dict(tau=2e-3, T=0.1, tol=1.7e-12)
         bc = BCSpec(zero_flux=True)
-        run_nonlinear(unit_params, grid, loading, bc, eps=0.1, **kw)
+        stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.1, **kw)
         with pytest.raises(NoConvergence) as solo:
-            run_nonlinear(unit_params, grid, loading, bc, eps=0.05, **kw)
+            stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.05, **kw)
         assert solo.value.time == pytest.approx(0.056)
         blocks = []
         with pytest.raises(NoConvergence) as err:
@@ -204,7 +200,7 @@ class TestSweep:
         assert (err.value.__cause__.eps, err.value.__cause__.time) == (0.05, solo.value.time)
         # the linear reference's failure is raised as itself, and first
         with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
-            run_linear(grid, linearize(unit_params), loading, tau=2e-3, T=0.1, tol=0.0)
+            stored(run_linear, grid, linearize(unit_params), loading, tau=2e-3, T=0.1, tol=0.0)
         monkeypatch.setattr(experiments, "run_linear", functools.partial(run_linear, tol=0.0))
         with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
             eps_sweep(unit_params, grid, loading, (0.3, 0.1, 0.05), **kw)
@@ -272,20 +268,18 @@ class TestMoser:
 
     def test_constant_concentration_saturates(self, unit_params):
         grid = Grid1D(16)
-        K = 3
-        run = NonlinearRun(
-            params=unit_params, grid=grid, eps=0.1,
-            times=1e-3 * np.arange(K + 1),
-            displacement=np.zeros((K + 1, grid.n_nodes)),
-            concentration=np.full((K + 1, grid.n_nodes), 2.0),
-            ledger=EnergyLedger(1e-3),
-        )
-        qs, norms, gap = moser_diagnostic(run, N=5, case="I")
+        qs = moser_exponents(unit_params.m, 5, case="I")
+        sups = np.zeros(len(qs) + 1)
+        moser_rows(grid, qs, np.full((4, grid.n_nodes), 2.0), sups)
+        norms, gap = sups[:-1], sups[-1] - sups[-2]
         assert all(v == pytest.approx(2.0, rel=1e-13) for v in norms)
         assert abs(gap) <= 1e-12
 
-    def test_biot_run_ladder(self, biot_run):
-        qs, norms, gap = moser_diagnostic(biot_run, N=8, case="I")
+    def test_biot_run_ladder(self, unit_params, biot_run):
+        qs = moser_exponents(unit_params.m, 8, case="I")
+        sups = np.zeros(len(qs) + 1)
+        moser_rows(Grid1D(64), qs, biot_run.concentration, sups)
+        norms, gap = sups[:-1], sups[-1] - sups[-2]
         assert qs == tuple(2.0 ** n for n in range(9))
         assert np.all(np.diff(norms) >= -1e-12)
         sup = norms[-1] + gap
@@ -355,7 +349,7 @@ class TestUniqueness:
         grid = Grid1D(32)
         loading = ramp_loading(grid)
         rho0 = 0.2 * np.cos(np.pi * grid.nodes)
-        a = run_linear(grid, tensors, loading, rho0=rho0, tau=1e-3, T=0.3)
-        b = run_linear(grid, tensors, loading, rho0=rho0 + 1e-6, tau=1e-3, T=0.3)
+        a = stored(run_linear, grid, tensors, loading, rho0=rho0, tau=1e-3, T=0.3)
+        b = stored(run_linear, grid, tensors, loading, rho0=rho0 + 1e-6, tau=1e-3, T=0.3)
         d = max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.rho - b.rho)))
         assert d >= 1e-7

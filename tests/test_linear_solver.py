@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg.blas import dgbmv
 
 import conftest
-from conftest import band_to_dense, dense_resolve_run, permuted_dense_stepper
+from conftest import band_to_dense, dense_resolve_run, permuted_dense_stepper, stored
 from porovisco import discretization, linear_solver
 from porovisco.constitutive import InadmissibleMaterial, LinearizedTensors, linearize
 from porovisco.discretization import (
@@ -55,8 +55,8 @@ def test_ledger_matches_per_row_oracle(tensors, monkeypatch):
         source=lambda t: 0.3 * np.cos(5.0 * t) * np.cos(np.pi * x),
     )
     tau = 1e-3
-    run = run_linear(grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=tau, T=0.6)
-    assert run.n_steps == 600
+    run = stored(run_linear, grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=tau, T=0.6)
+    assert len(run.times) == 601
     stepper = LinearStepper(grid, tensors, tau)
     weights = node_weights(grid)
     rows = []
@@ -136,7 +136,7 @@ def test_separable_loading_gives_the_run_of_its_callable(tensors, monkeypatch):
         return 0.3 * np.cos(5.0 * t) * np.cos(np.pi * x)
 
     a, b = (
-        run_linear(grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=1e-3, T=0.1)
+        stored(run_linear, grid, tensors, loading, u0=0.05 * x, rho0=0.2 * np.cos(np.pi * x), tau=1e-3, T=0.1)
         for loading in (BoundLoading.separable(amplitude, profile, g, source),
                         BoundLoading(f=lambda t: amplitude(t) * profile, g=g, source=source))
     )
@@ -256,12 +256,12 @@ def test_illegal_gbtrf_argument_raises(tensors, monkeypatch):
 def test_first_step_over_tol_is_named(tensors):
     grid = Grid1D(16)
     rho0 = 0.3 * np.cos(np.pi * grid.nodes)
-    run = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05)
+    run = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05)
     res = run.ledger.column("residual")
     k = int(np.argmax(res))  # the first step at the largest residual
     assert k >= 1 and res[k] > 0.0
     with pytest.raises(SingularSystem, match=rf"^step {k} \(t = "):
-        run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=np.max(res[:k]))
+        stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=np.max(res[:k]))
 
 
 def test_residual_gate_stops_at_the_failing_block(tensors, monkeypatch):
@@ -271,7 +271,7 @@ def test_residual_gate_stops_at_the_failing_block(tensors, monkeypatch):
     grid = Grid1D(16)
     monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
     rho0 = 0.3 * np.cos(np.pi * grid.nodes)
-    run = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05)
+    run = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05)
     res = run.ledger.column("residual")
     tol = 0.5 * np.min(res[1:])
     assert tol > 0.0
@@ -284,15 +284,15 @@ def test_residual_gate_stops_at_the_failing_block(tensors, monkeypatch):
     monkeypatch.setattr(LinearStepper, "step", counted)
     message = f"step 1 (t = {run.times[1]:.9g}): residual {res[1]:.3e} exceeds tol {tol:.3e}"
     with pytest.raises(SingularSystem) as err:
-        run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=tol)
+        stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.05, tol=tol)
     assert str(err.value) == message
-    assert len(calls) == 7 < run.n_steps
+    assert len(calls) == 7 < len(run.times) - 1
 
 
 def test_zero_data_stays_zero(tensors):
     grid = Grid1D(16)
     loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)
-    run = run_linear(grid, tensors, loading, tau=1e-3, T=0.01)
+    run = stored(run_linear, grid, tensors, loading, tau=1e-3, T=0.01)
     assert np.max(np.abs(run.u)) == 0.0
     assert np.max(np.abs(run.rho)) == 0.0
     assert check_energy_balance(run.ledger) == 0.0
@@ -301,8 +301,8 @@ def test_zero_data_stays_zero(tensors):
 def test_single_step_mass_conserved(tensors):
     grid = Grid1D(32)
     loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.1)
-    run = run_linear(grid, tensors, loading, rho0=0.3 * np.cos(np.pi * grid.nodes), tau=1e-3, T=1e-3)
-    assert run.n_steps == 1
+    run = stored(run_linear, grid, tensors, loading, rho0=0.3 * np.cos(np.pi * grid.nodes), tau=1e-3, T=1e-3)
+    assert len(run.times) == 2
     assert abs(mass(grid, run.rho[1]) - mass(grid, run.rho[0])) <= 1e-13
     assert run.times[1] == pytest.approx(1e-3)
 
@@ -315,15 +315,15 @@ def test_long_horizon_mass_conserved(tensors):
     grid = Grid1D(64)
     x = grid.nodes
     loading = BoundLoading(f=lambda t: 0.6 * np.sin(np.pi * x), g=lambda t: 0.25)
-    run = run_linear(grid, tensors, loading, rho0=0.4 * np.cos(np.pi * x), tau=0.02, T=50.0)
+    run = stored(run_linear, grid, tensors, loading, rho0=0.4 * np.cos(np.pi * x), tau=0.02, T=50.0)
     m = run.ledger.column("mass")
     assert np.max(np.abs(m - m[0])) <= 1e-12
 
 
 def test_mass_conserved_along_trajectory(tensors):
     grid = Grid1D(48)
-    run = run_linear(grid, tensors, smooth_loading(grid), rho0=0.3 * np.cos(np.pi * grid.nodes),
-                     tau=1e-3, T=0.3)
+    run = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=0.3 * np.cos(np.pi * grid.nodes),
+                 tau=1e-3, T=0.3)
     m = run.ledger.column("mass")
     assert np.max(np.abs(m - m[0])) <= 1e-12
 
@@ -333,7 +333,7 @@ def test_balance_residual_halves_with_tau(tensors):
     rho0 = 0.3 * np.cos(np.pi * grid.nodes)
     res = {}
     for tau in (2e-3, 1e-3):
-        run = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=tau, T=0.4)
+        run = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=tau, T=0.4)
         res[tau] = check_energy_balance(run.ledger)
     ratio = res[1e-3] / res[2e-3]
     assert 0.4 <= ratio <= 0.6
@@ -345,7 +345,7 @@ def test_balance_detector_inflates_under_corrupted_viscosity(tensors):
     # viscosity entry stands out
     grid = Grid1D(48)
     loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.3)
-    run = run_linear(grid, tensors, loading, tau=1e-4, T=0.3)
+    run = stored(run_linear, grid, tensors, loading, tau=1e-4, T=0.3)
     base = check_energy_balance(run.ledger)
     run.ledger._cols["diss_mech"] = [1.1 * v for v in run.ledger._cols["diss_mech"]]
     corrupted = check_energy_balance(run.ledger)
@@ -357,7 +357,7 @@ def test_tau_refinement_first_order(tensors):
     rho0 = 0.3 * np.cos(np.pi * grid.nodes)
     finals = {}
     for tau in (2e-3, 1e-3, 5e-4):
-        run = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=tau, T=0.3)
+        run = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=tau, T=0.3)
         finals[tau] = np.concatenate([run.u[-1], run.rho[-1]])
     d1 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
     d2 = np.max(np.abs(finals[1e-3] - finals[5e-4]))
@@ -368,8 +368,8 @@ def test_tau_refinement_first_order(tensors):
 def test_energy_nonincreasing_without_loading(tensors):
     grid = Grid1D(32)
     loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0)
-    run = run_linear(grid, tensors, loading, rho0=0.4 * np.cos(np.pi * grid.nodes),
-                     tau=2e-3, T=0.5)
+    run = stored(run_linear, grid, tensors, loading, rho0=0.4 * np.cos(np.pi * grid.nodes),
+                 tau=2e-3, T=0.5)
     E = run.ledger.column("energy")
     assert np.all(np.diff(E) <= 1e-14)
     assert E[-1] < E[0]
@@ -378,7 +378,7 @@ def test_energy_nonincreasing_without_loading(tensors):
 def test_uniqueness_under_reordering(tensors):
     grid = Grid1D(40)
     rho0 = 0.3 * np.cos(np.pi * grid.nodes)
-    a = run_linear(grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.2)
+    a = stored(run_linear, grid, tensors, smooth_loading(grid), rho0=rho0, tau=1e-3, T=0.2)
     b = dense_resolve_run(grid, tensors, smooth_loading(grid), seed=123, rho0=rho0, tau=1e-3, T=0.2)
     assert np.max(np.abs(a.u - b.u)) <= 1e-10
     assert np.max(np.abs(a.rho - b.rho)) <= 1e-10
@@ -451,8 +451,8 @@ class TestStatic:
         g = 0.1
         v, xi, nu, _ = static_solve(grid, tensors, f, g, 0.2)
         loading = BoundLoading(f=lambda t: f, g=lambda t: g)
-        run = run_linear(grid, tensors, loading, u0=v, rho0=xi, tau=1e-2, T=1e-2)
-        assert run.n_steps == 1
+        run = stored(run_linear, grid, tensors, loading, u0=v, rho0=xi, tau=1e-2, T=1e-2)
+        assert len(run.times) == 2
         assert np.max(np.abs(run.u[1] - v)) <= 1e-11
         assert np.max(np.abs(run.rho[1] - xi)) <= 1e-11
 

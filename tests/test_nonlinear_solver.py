@@ -52,7 +52,7 @@ from porovisco.nonlinear_solver import (
     _solve_bands,
 )
 
-from conftest import assert_ledgers_equal, default_loading
+from conftest import assert_ledgers_equal, default_loading, stored
 
 TAU = 1e-3
 
@@ -339,8 +339,8 @@ class TestDiffusionStep:
 class TestRun:
     def test_equilibrium_trajectory_constant(self, unit_params):
         grid = Grid1D(16)
-        run = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=0.02, eps=0.1)
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.02, eps=0.1)
         assert np.max(np.abs(run.displacement)) == 0.0
         assert np.max(np.abs(run.concentration - 1.0)) == 0.0
         assert np.max(run.ledger.column("diss_mech")) == 0.0
@@ -349,8 +349,8 @@ class TestRun:
 
     def test_structure_preserved_on_short_run(self, unit_params):
         grid = Grid1D(32)
-        run = run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=0.1, eps=0.1, tol=5e-11)
+        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.1, eps=0.1, tol=5e-11)
         led = run.ledger
         assert check_dissipation_inequality(led) <= 1e-9
         masses = led.column("mass")
@@ -362,8 +362,8 @@ class TestRun:
 
     def test_detector_flags_corrupted_energy(self, unit_params):
         grid = Grid1D(16)
-        run = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=0.02, eps=0.1)
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.02, eps=0.1)
         run.ledger._cols["energy"][5] += 1e-3
         violation = check_dissipation_inequality(run.ledger)
         assert violation == pytest.approx(1e-3, rel=1e-6)
@@ -371,17 +371,17 @@ class TestRun:
     def test_failures_carry_time(self, unit_params):
         grid = Grid1D(16)
         with pytest.raises(NoConvergence) as err:
-            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                          tau=TAU, T=0.05, eps=0.1, max_newton=0)
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                   tau=TAU, T=0.05, eps=0.1, max_newton=0)
         assert err.value.time is not None
 
     def test_reference_problem_at_n1024(self, unit_params):
         # three steps of the reference problem on a 1024-cell grid; the
         # banded Newton solves make this a matter of milliseconds
         grid = Grid1D(1024)
-        run = run_nonlinear(unit_params, grid, default_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=3 * TAU, eps=0.1, tol=1e-9)
-        assert run.n_steps == 3
+        run = stored(run_nonlinear, unit_params, grid, default_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=3 * TAU, eps=0.1, tol=1e-9)
+        assert len(run.times) == 4
         assert check_dissipation_inequality(run.ledger) <= 1e-12
         assert run.ledger.column("residual_mech").max() <= 1e-9
         assert run.ledger.column("residual_diff").max() <= 1e-9
@@ -390,15 +390,15 @@ class TestRun:
         grid = Grid1D(16)
         rho0 = np.full(grid.n_nodes, -15.0)  # c0 = 1 - 1.5 < 0 at eps = 0.1
         with pytest.raises(PositivityLoss):
-            run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
-                          tau=TAU, T=0.01, eps=0.1, rho0=rho0)
+            stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+                   tau=TAU, T=0.01, eps=0.1, rho0=rho0)
 
     def test_tau_refinement_first_order(self, unit_params):
         grid = Grid1D(32)
         finals = {}
         for tau in (2e-3, 1e-3, 5e-4):
-            run = run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                                tau=tau, T=0.25, eps=0.1, tol=5e-11)
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                         tau=tau, T=0.25, eps=0.1, tol=5e-11)
             finals[tau] = np.concatenate([run.displacement[-1], run.concentration[-1]])
         d1 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
         d2 = np.max(np.abs(finals[1e-3] - finals[5e-4]))
@@ -409,48 +409,46 @@ class TestRun:
         grid = Grid1D(32)
         sups = []
         for tau in (2e-3, 1e-3, 5e-4):
-            run = run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                                tau=tau, T=0.25, eps=0.1, tol=5e-11)
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                         tau=tau, T=0.25, eps=0.1, tol=5e-11)
             sups.append(run.ledger.column("linf_c").max())
         assert max(sups) / min(sups) <= 1.01
 
 
-def direct_difference_flux(run, k):
+def direct_difference_flux(params, grid, eps, w, c):
     """Cellwise flux from direct differences of the nodal discrete
     potential (oracle for the chain-rule flux of ``rescale``)."""
-    params, grid = run.params, run.grid
-    c = run.concentration[k]
-    F = 1.0 + gradient(grid, run.displacement[k])
+    F = 1.0 + gradient(grid, w)
     mu = nodal_chemical_potential(params, grid, F, c)
-    return mobility(params, F, cell_average(c)) * (mu[1:] - mu[:-1]) / grid.h / run.eps
+    return mobility(params, F, cell_average(c)) * (mu[1:] - mu[:-1]) / grid.h / eps
 
 
 class TestRescale:
     def test_equilibrium_rescales_to_zero(self, unit_params):
         grid = Grid1D(16)
-        run = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=0.02, eps=0.1)
-        rs = rescale(run)
-        assert np.max(np.abs(rs.u)) == 0.0
-        assert np.max(np.abs(rs.rho)) == 0.0
-        assert np.max(np.abs(rs.flux)) == 0.0
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.02, eps=0.1)
+        rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
+        assert np.max(np.abs(rs["u"])) == 0.0
+        assert np.max(np.abs(rs["rho"])) == 0.0
+        assert np.max(np.abs(rs["flux"])) == 0.0
 
     def test_linearity_roundtrip(self, unit_params):
         grid = Grid1D(24)
-        run = run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                            tau=TAU, T=0.05, eps=0.1, tol=5e-11)
-        rs = rescale(run)
-        assert np.max(np.abs(rs.u * run.eps - run.displacement)) <= 1e-14
+        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.05, eps=0.1, tol=5e-11)
+        rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
+        assert np.max(np.abs(rs["u"] * 0.1 - run.displacement)) <= 1e-14
 
     def test_flux_matches_direct_difference_to_first_order(self, unit_params):
         errs = []
         for n in (32, 64):
             grid = Grid1D(n)
-            run = run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
-                                tau=2e-3, T=0.2, eps=0.1, tol=5e-11)
-            rs = rescale(run)
-            k = run.n_steps
-            diff = rs.flux[k] - direct_difference_flux(run, k)
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+                         tau=2e-3, T=0.2, eps=0.1, tol=5e-11)
+            rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
+            w, c = run.displacement[-1], run.concentration[-1]
+            diff = rs["flux"][-1] - direct_difference_flux(unit_params, grid, 0.1, w, c)
             errs.append(np.sqrt(np.sum(grid.h * diff ** 2)))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] >= 1.5  # at least O(h)
@@ -486,12 +484,12 @@ class TestLedger:
         assert led.column("energy")[0] == 1.0
 
 
-def _ledger_oracle(run, loading, bc, tol):
-    """The ledger of a finite-strain run evaluated row by row from the
-    one-field formulas; the residual columns are recomputed from the
+def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
+    """The ledger of a stored finite-strain run evaluated row by row from
+    the one-field formulas; the residual columns are recomputed from the
     stored states, and the Newton counts by repeating each step from the
     stored states with the start the run extrapolates from them."""
-    params, grid, eps, tau = run.params, run.grid, run.eps, run.ledger.tau
+    tau = run.ledger.tau
     W = run.displacement
     h = grid.h
     weights = node_weights(grid)
@@ -569,10 +567,10 @@ def test_ledger_matches_per_row_oracle(unit_params, monkeypatch):
     monkeypatch.setattr(discretization, "_BLOCK_VALUES", 256 * grid.n_nodes)
     bc = BCSpec(kappa_left=0.5, kappa_right=0.25, mu_ext=lambda t: 0.02 * np.sin(3.0 * t))
     loading = ramp_loading(grid)
-    run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=600 * TAU, eps=0.1,
-                        u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes), tol=5e-11)
-    assert run.n_steps == 600
-    expected = _ledger_oracle(run, loading, bc, tol=5e-11)
+    run = stored(run_nonlinear, unit_params, grid, loading, bc, tau=TAU, T=600 * TAU, eps=0.1,
+                 u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes), tol=5e-11)
+    assert len(run.times) == 601
+    expected = _ledger_oracle(unit_params, grid, 0.1, run, loading, bc, tol=5e-11)
     assert run.ledger.column_names == tuple(expected)
     for name, col in expected.items():
         np.testing.assert_allclose(run.ledger.column(name), col, rtol=1e-13, atol=0.0, err_msg=name)
@@ -619,7 +617,6 @@ def robin_problem(grid):
 
 
 def assert_runs_equal(run, solo):
-    assert run.eps == solo.eps
     assert np.array_equal(run.times, solo.times)
     assert np.array_equal(run.displacement, solo.displacement)
     assert np.array_equal(run.concentration, solo.concentration)
@@ -630,8 +627,8 @@ class TestLockstep:
     def solve(self, params, eps, **kw):
         grid = Grid1D(16)
         bc, init = robin_problem(grid)
-        return run_nonlinear(params, grid, ramp_loading(grid), bc, tau=TAU, T=60 * TAU, eps=eps,
-                             tol=5e-11, **init, **kw)
+        return stored(run_nonlinear, params, grid, ramp_loading(grid), bc, tau=TAU, T=60 * TAU, eps=eps,
+                      tol=5e-11, **init, **kw)
 
     def test_members_equal_solo_runs(self, unit_params):
         runs = self.solve(unit_params, SWEEP_EPS)
@@ -645,7 +642,7 @@ class TestLockstep:
 
     def test_batch_steps_equal_row_calls(self, unit_params):
         runs = self.solve(unit_params, SWEEP_EPS[:3])
-        grid, k, t = runs[0].grid, 30, runs[0].times[31]
+        grid, k, t = Grid1D(16), 30, runs[0].times[31]
         bc, _ = robin_problem(grid)
         loading = ramp_loading(grid)
         eps = np.array(SWEEP_EPS[:3])
@@ -685,8 +682,8 @@ class TestLockstep:
                                g=lambda t: amplitude(t) * 1.0)
 
         def solve(eps):
-            return run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=0.05, eps=eps,
-                                 tol=1e-10, max_newton=2)
+            return stored(run_nonlinear, unit_params, grid, loading, bc, tau=TAU, T=0.05, eps=eps,
+                          tol=1e-10, max_newton=2)
 
         solo = {}
         for eps in (0.2, 0.8):
@@ -726,9 +723,9 @@ class TestLockstep:
         grid = Grid1D(16)
         kw = dict(tau=TAU, T=10 * TAU, u0=-2.0 * grid.nodes)
         with pytest.raises(OrientationLoss) as solo:
-            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=0.6, **kw)
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=0.6, **kw)
         with pytest.raises(OrientationLoss) as err:
-            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=(0.1, 0.6), **kw)
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=(0.1, 0.6), **kw)
         assert str(err.value) == str(solo.value) and err.value.time == 0.0
         assert err.value.eps == 0.6
 
@@ -740,10 +737,10 @@ class TestLockstep:
 
         monkeypatch.setattr(nonlinear_solver, "mechanical_step", no_steps)
         with pytest.raises(ValueError, match="must be positive") as err:
-            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.0))
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.0))
         assert err.value.eps == 0.0
         with pytest.raises(ValueError, match="at least one"):
-            run_nonlinear(unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=())
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(), tau=TAU, T=0.01, eps=())
 
     def test_source_is_rejected_by_name(self, unit_params, monkeypatch):
         # the finite-strain species equation has no source term: a loading
@@ -757,7 +754,7 @@ class TestLockstep:
         loading = BoundLoading(f=lambda t: np.zeros(grid.n_nodes), g=lambda t: 0.0,
                                source=lambda t: np.ones(grid.n_nodes))
         with pytest.raises(ValueError, match=r"^loading\.source is not supported"):
-            run_nonlinear(unit_params, grid, loading, BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.05))
+            stored(run_nonlinear, unit_params, grid, loading, BCSpec(), tau=TAU, T=0.01, eps=(0.1, 0.05))
 
     def test_separable_loading_gives_the_runs_of_its_callable(self, unit_params, monkeypatch):
         # the separable force is rebuilt per step and per ledger block from
@@ -773,7 +770,7 @@ class TestLockstep:
             return 0.25 * min(t / 0.02, 1.0)
 
         separable, bare = (
-            run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=60 * TAU, eps=(0.2, 0.1), tol=5e-11, **init)
+            stored(run_nonlinear, unit_params, grid, loading, bc, tau=TAU, T=60 * TAU, eps=(0.2, 0.1), tol=5e-11, **init)
             for loading in (BoundLoading.separable(amplitude, profile, g),
                             BoundLoading(f=lambda t: amplitude(t) * profile, g=g))
         )
@@ -844,15 +841,15 @@ class TestLockstep:
 
         monkeypatch.setattr(nonlinear_solver, "_lockstep_newton", checking)
         runs = self.solve(unit_params, SWEEP_EPS)
-        assert checked["mechanical"] >= len(SWEEP_EPS) * runs[0].n_steps
-        assert checked["diffusion"] >= len(SWEEP_EPS) * runs[0].n_steps
+        assert checked["mechanical"] >= len(SWEEP_EPS) * (len(runs[0].times) - 1)
+        assert checked["diffusion"] >= len(SWEEP_EPS) * (len(runs[0].times) - 1)
 
     def test_rejected_member_takes_the_scaled_gradient_of_its_own_band(self, unit_params, monkeypatch):
         # member 1's Newton direction is replaced by zero, which the line
         # search never accepts: it must take the scaled gradient of its own
         # band and residual.  The fallback is built once, for the batch.
         runs = self.solve(unit_params, SWEEP_EPS[:3])
-        grid, k = runs[0].grid, 30
+        grid, k = Grid1D(16), 30
         t = runs[0].times[k + 1]
         loading = ramp_loading(grid)
         eps = np.array(SWEEP_EPS[:3])
@@ -894,7 +891,7 @@ class TestLockstep:
         # the states of three lockstep members at steps k - 1, k and k + 1,
         # and the time and loads of the step from k to k + 1
         runs = self.solve(params, SWEEP_EPS[:3])
-        grid, t = runs[0].grid, runs[0].times[k + 1]
+        grid, t = Grid1D(16), runs[0].times[k + 1]
         loading = ramp_loading(grid)
         eps = np.array(SWEEP_EPS[:3])
         W = np.array([run.displacement[k - 1 : k + 2] for run in runs])
@@ -988,8 +985,8 @@ class TestPredictor:
         loading = ramp_loading(grid)
         weights = node_weights(grid)
         for eps in (0.2, 0.05):
-            run = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=n_steps * TAU, eps=eps,
-                                tol=tol, **init)
+            run = stored(run_nonlinear, unit_params, grid, loading, bc, tau=TAU, T=n_steps * TAU, eps=eps,
+                         tol=tol, **init)
             w, c = run.displacement[0], run.concentration[0]
             iterations = 0
             for k in range(1, n_steps + 1):
@@ -998,8 +995,8 @@ class TestPredictor:
                                           eps * loading.g_star(t), tol=tol)
                 c, _ = diffusion_step(unit_params, grid, 1.0 + gradient(grid, w), c, TAU, bc, t, tol=tol)
                 iterations += info["iterations"]
-                for field, stored in ((w, run.displacement[k]), (c, run.concentration[k])):
-                    assert np.sqrt(np.sum(weights * (field - stored) ** 2)) <= bound
+                for field, kept in ((w, run.displacement[k]), (c, run.concentration[k])):
+                    assert np.sqrt(np.sum(weights * (field - kept) ** 2)) <= bound
             # the extrapolated start saves Newton iterations
             assert run.ledger.column("newton_mech").sum() < iterations
 
@@ -1014,7 +1011,7 @@ class TestPredictor:
             return out
 
         monkeypatch.setattr(nonlinear_solver, "mechanical_step", recorder)
-        run_nonlinear(params, grid, loading, BCSpec(zero_flux=True), tau=TAU, T=T, eps=eps, tol=5e-11)
+        stored(run_nonlinear, params, grid, loading, BCSpec(zero_flux=True), tau=TAU, T=T, eps=eps, tol=5e-11)
         return calls
 
     @staticmethod
@@ -1077,8 +1074,8 @@ class TestPredictor:
         grid = Grid1D(16)
         bc, init = robin_problem(grid)
         loading = ramp_loading(grid)
-        runs = run_nonlinear(unit_params, grid, loading, bc, tau=TAU, T=40 * TAU, eps=(0.2, 0.1), tol=5e-11,
-                             **init)
+        runs = stored(run_nonlinear, unit_params, grid, loading, bc, tau=TAU, T=40 * TAU, eps=(0.2, 0.1), tol=5e-11,
+                      **init)
         k, t = 30, runs[0].times[31]
         eps = np.array([0.2, 0.1])
         w = np.array([run.displacement[k] for run in runs])

@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 from porovisco import cli  # noqa: E402
+from porovisco.discretization import block_rows  # noqa: E402
 
 
 def test_benchmark_instrumentation_enters_and_exits(tmp_path, capsys):
@@ -40,9 +41,9 @@ def test_output_layer_is_traced(tmp_path, capsys):
 
 
 def test_traced_sweep_records_its_layers(tmp_path, capsys):
-    # the sweep no longer calls rescale, but the benchmark still patches
-    # it at every module that imports it; the sweep and its finite-strain
-    # run must still show up as spans
+    # the sweep and its finite-strain run show up as spans, and so does
+    # the sweep's rescaling: one rescale call per member per row block,
+    # which the benchmark books as experiments.rescale_s
     cfg = json.loads(cli.default_config_path().read_text())
     cfg["grid"] = {"n_cells": 16}
     cfg["time"] = {"tau": 2e-3, "T": 0.1, "checkpoint_times": None}
@@ -55,8 +56,12 @@ def test_traced_sweep_records_its_layers(tmp_path, capsys):
         code = cli.main(["sweep-eps", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
     assert cli.eps_sweep is original
-    names = {span[spans.NAME] for span in rec.spans}
-    assert {"experiments.eps_sweep", "nonlinear_solver.run_nonlinear"} <= names
+    names = [span[spans.NAME] for span in rec.spans]
+    assert {"experiments.eps_sweep", "nonlinear_solver.run_nonlinear"} <= set(names)
+    n_blocks = -(-51 // block_rows(17))  # the run's 51 rows of 17 nodes
+    assert names.count("nonlinear_solver.rescale") == len(cfg["eps_list"]) * n_blocks
+    rescale_s, _ = layers.layer_metrics(layers.SpanIndex(rec.spans))["experiments.rescale_s"]
+    assert rescale_s > 0.0
 
 
 @pytest.mark.parametrize("command, span, steps", [
