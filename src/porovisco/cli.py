@@ -493,7 +493,8 @@ def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
     bound = config.loading.bind(config.grid)
     report = eps_sweep(
         config.material, config.grid, bound, config.eps_list,
-        tau=config.tau, T=config.T, u0=u0, rho0=rho0, tol=config.tol,
+        tau=config.tau, T=config.T, u0=u0, rho0=rho0,
+        tol=config.tol, max_newton=config.max_newton, max_backtrack=config.max_backtrack,
     )
     chk = config.checks
     decreasing = all(
@@ -561,7 +562,7 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
         invariants.append(("power_bound_unit_fixture", sup2_a <= 1.0 + 1e-9, sup2_a, 1.0 + 1e-9))
 
     twin = mat.planar_twin(pr)
-    max_c, max_d = max_antisymmetric_action(twin, n_samples=10, seed=config.seed)
+    max_c, max_d = max_antisymmetric_action(twin, seed=config.seed)
     lam_min = min_symmetric_eigenvalue(twin)
     invariants.append(("antisymmetric_action", max(max_c, max_d) <= chk["antisym_tol"], max(max_c, max_d), chk["antisym_tol"]))
     invariants.append(("elasticity_positive_definite", lam_min > 0.0, lam_min, 0.0))

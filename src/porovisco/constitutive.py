@@ -19,7 +19,8 @@ The material is described by four ingredients:
 
 All evaluations are closed-form.  Scalar/array inputs are supported for
 dim = 1 (the PDE solvers are one-dimensional); dim = 2 operates on single
-2x2 matrices and exists for the tensor-structure diagnostics.
+2x2 matrices for the tensor-structure diagnostics, and has no Hessian,
+hyperstress or mobility derivative.
 
 Material admissibility is policed against the coded assumption set
 (A1)-(A8) / (L1)-(L4) documented in the README; violations raise
@@ -56,6 +57,7 @@ __all__ = [
 # 2x2 rotation generator used by the polar decomposition helpers.
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _I2 = np.eye(2)
+_FD_STEP = 1e-5  # central-difference step of the self-check and the diagnostics
 
 
 class InadmissibleMaterial(ValueError):
@@ -199,14 +201,6 @@ def _cof2(F: np.ndarray) -> np.ndarray:
     return np.array([[F[1, 1], -F[1, 0]], [-F[0, 1], F[0, 0]]])
 
 
-# d Cof(F) / dF for 2x2 matrices (constant 4-tensor).
-_DCOF2 = np.zeros((2, 2, 2, 2))
-_DCOF2[0, 0, 1, 1] = 1.0
-_DCOF2[0, 1, 1, 0] = -1.0
-_DCOF2[1, 0, 0, 1] = -1.0
-_DCOF2[1, 1, 0, 0] = 1.0
-
-
 def _det_penalty(pr: MaterialParams, J):
     q = pr.q_det
     return pr.delta * (J ** (-q) + q * J - (q + 1.0))
@@ -315,40 +309,17 @@ def chemical_potential(params: MaterialParams, F, c):
     return _potential(params, c, dev)
 
 
-def _rotation_derivative(F: np.ndarray) -> np.ndarray:
-    # dR_ij/dF_kl for the 2-D polar factor R = (a I + b J)/s.
-    a = F[0, 0] + F[1, 1]
-    b = F[1, 0] - F[0, 1]
-    s2 = a * a + b * b
-    s = np.sqrt(s2)
-    M = a * _I2 + b * _J2
-    dR = (
-        np.einsum("ij,kl->ijkl", _I2, _I2) + np.einsum("ij,kl->ijkl", _J2, _J2)
-    ) / s - np.einsum("ij,kl->ijkl", M, a * _I2 + b * _J2) / (s2 * s)
-    return dR
-
-
 def free_energy_hessian(params: MaterialParams, F, c):
-    """Second derivatives (d2_FF, d2_Fc, d2_cc) of the free energy.
-
-    In dim = 1 the blocks broadcast over array input; in dim = 2 the FF
-    block is a (2,2,2,2) tensor and the Fc block a (2,2) matrix.
+    """Second derivatives (d2_FF, d2_Fc, d2_cc) of the free energy, for
+    dim = 1; the blocks broadcast over array input.  No command needs the
+    planar Hessian, so dim = 2 raises NotImplementedError.
     """
-    F, J, c, _, dev = _state(params, F, c)
-    d2cc = _d2cc(params, c)
-    if params.dim == 1:
-        d2FF = _stiffness_1d(params, J) * np.ones_like(F)
-        d2Fc = -params.M_B * params.beta * np.ones_like(F)
-        return d2FF, d2Fc, d2cc
-    cof = _cof2(F)
-    sym4 = np.einsum("ik,jl->ijkl", _I2, _I2)
-    d2FF = (
-        2.0 * params.kappa_e * (sym4 - _rotation_derivative(F))
-        + (_det_penalty_d2(params, J) + params.M_B * params.beta ** 2) * np.einsum("ij,kl->ijkl", cof, cof)
-        + (_det_penalty_d1(params, J) + _pressure(params, dev)) * _DCOF2
-    )
-    d2Fc = -params.M_B * params.beta * cof
-    return d2FF, d2Fc, d2cc
+    if params.dim != 1:
+        raise NotImplementedError("free_energy_hessian is implemented for dim = 1")
+    F, J, c, _, _ = _state(params, F, c)
+    d2FF = _stiffness_1d(params, J) * np.ones_like(F)
+    d2Fc = -params.M_B * params.beta * np.ones_like(F)
+    return d2FF, d2Fc, _d2cc(params, c)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +329,13 @@ def free_energy_hessian(params: MaterialParams, F, c):
 def hyperstress(params: MaterialParams, G):
     """Hyperstress potential and its derivative, (H(G), h(G)).
 
-    H(G) = (nu_h / p) |G|^p, h(G) = nu_h |G|^(p-2) G.  For dim = 1 the
-    evaluation is elementwise over arrays; for dim = 2 the argument is a
-    third-order tensor measured in the Frobenius norm.
+    H(G) = (nu_h / p) |G|^p, h(G) = nu_h |G|^(p-2) G, elementwise over
+    arrays, for dim = 1.  No command needs the planar hyperstress, so
+    dim = 2 raises NotImplementedError.
     """
-    if params.dim == 1:
-        return _hyper_1d(params, np.asarray(G, dtype=float))[:2]
-    p, nu = params.p, params.nu_h
-    Gt = np.asarray(G, dtype=float)
-    mag = float(np.sqrt(np.sum(Gt ** 2)))
-    if mag == 0.0:
-        return 0.0, np.zeros_like(Gt)
-    return (nu / p) * mag ** p, nu * mag ** (p - 2.0) * Gt
+    if params.dim != 1:
+        raise NotImplementedError("hyperstress is implemented for dim = 1")
+    return _hyper_1d(params, np.asarray(G, dtype=float))[:2]
 
 
 def hyperstress_dG(params: MaterialParams, G):
@@ -459,7 +425,7 @@ class LinearizedTensors:
                 raise InadmissibleMaterial("(A5) linearization requires D > 0")
 
 
-def linearize(params: MaterialParams, fd_check: bool = True, fd_step: float = 1e-5) -> LinearizedTensors:
+def linearize(params: MaterialParams, fd_check: bool = True) -> LinearizedTensors:
     """Linearization tensors (C, K, L, D, M_eq) at (I, c_eq).
 
     Closed forms:
@@ -469,7 +435,7 @@ def linearize(params: MaterialParams, fd_check: bool = True, fd_step: float = 1e
         D U = 4 D_tilde U^sym,
         M_eq = c_eq^m M0.
     Each analytic value is cross-checked against a central finite
-    difference of the corresponding first derivative (step ``fd_step``);
+    difference of the corresponding first derivative (step ``_FD_STEP``);
     disagreement beyond relative 1e-6 raises RuntimeError.
     """
     pr = params
@@ -498,7 +464,7 @@ def linearize(params: MaterialParams, fd_check: bool = True, fd_step: float = 1e
             dim=2,
         )
     if fd_check:
-        _linearize_fd_check(pr, tensors, fd_step)
+        _linearize_fd_check(pr, tensors)
     return tensors
 
 
@@ -509,10 +475,10 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _fd_tensors(pr: MaterialParams, s: float):
+def _fd_tensors(pr: MaterialParams):
     """The elasticity and viscosity tensors (C, D) at (I, c_eq) from central
-    differences (step ``s``) of the elastic and viscous stresses."""
-    ceq = pr.c_eq
+    differences (step ``_FD_STEP``) of the elastic and viscous stresses."""
+    ceq, s = pr.c_eq, _FD_STEP
     if pr.dim == 1:
         C = (stress_elastic(pr, 1.0 + s, ceq) - stress_elastic(pr, 1.0 - s, ceq)) / (2 * s)
         return C, (dissipation(pr, 1.0, s, ceq)[1] - dissipation(pr, 1.0, -s, ceq)[1]) / (2 * s)
@@ -527,10 +493,10 @@ def _fd_tensors(pr: MaterialParams, s: float):
     return C, D
 
 
-def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors, s: float) -> None:
-    ceq = pr.c_eq
+def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors) -> None:
+    ceq, s = pr.c_eq, _FD_STEP
     identity = 1.0 if pr.dim == 1 else _I2
-    C_fd, D_fd = _fd_tensors(pr, s)
+    C_fd, D_fd = _fd_tensors(pr)
     K_fd = (stress_elastic(pr, identity, ceq + s) - stress_elastic(pr, identity, ceq - s)) / (2 * s)
     L_fd = (chemical_potential(pr, identity, ceq + s) - chemical_potential(pr, identity, ceq - s)) / (2 * s)
     pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, identity, ceq))]
@@ -592,10 +558,8 @@ def verification_grid(c_eq: float, n: int = 2000) -> np.ndarray:
     return g[np.abs(g - c_eq) > 1e-12 * c_eq]
 
 
-def max_antisymmetric_action(
-    params: MaterialParams, n_samples: int = 10, seed: int = 0, step: float = 1e-5
-):
-    """Maximum of |C : W| and |D : W| over random antisymmetric W (dim = 2).
+def max_antisymmetric_action(params: MaterialParams, seed: int = 0):
+    """Maximum of |C : W| and |D : W| over 10 random antisymmetric W (dim = 2).
 
     The tensors are measured by central finite differences of the analytic
     first derivatives at (I, c_eq); for a frame-indifferent model both
@@ -603,11 +567,11 @@ def max_antisymmetric_action(
     """
     if params.dim != 2:
         raise ValueError("antisymmetric action check requires dim = 2")
-    C_fd, D_fd = _fd_tensors(params, step)
+    C_fd, D_fd = _fd_tensors(params)
     rng = np.random.default_rng(seed)
     max_c = 0.0
     max_d = 0.0
-    for _ in range(n_samples):
+    for _ in range(10):
         w = rng.uniform(-1.0, 1.0)
         W = w * _J2
         max_c = max(max_c, float(np.sqrt(np.sum(np.einsum("ijkl,kl->ij", C_fd, W) ** 2))))
@@ -638,14 +602,14 @@ def _sym_basis_2d():
     return (e1, e2, e3)
 
 
-def min_symmetric_eigenvalue(params: MaterialParams, use_fd: bool = False, step: float = 1e-5) -> float:
+def min_symmetric_eigenvalue(params: MaterialParams, use_fd: bool = False) -> float:
     """Smallest eigenvalue of the elasticity tensor restricted to symmetric
     matrices; strictly positive for admissible parameters.
 
     With ``use_fd`` the tensor comes from finite differences of the stress
     instead of the closed form (oracle mode).
     """
-    C = _fd_tensors(params, step)[0] if use_fd else linearize(params, fd_check=False).C
+    C = _fd_tensors(params)[0] if use_fd else linearize(params, fd_check=False).C
     if params.dim == 1:
         return float(C)
     basis = _sym_basis_2d()

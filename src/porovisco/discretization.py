@@ -27,6 +27,7 @@ __all__ = [
     "cell_derivative",
     "cell_average",
     "node_average",
+    "divergence",
     "lq_norm",
     "linf_norm",
     "h1_seminorm",
@@ -58,10 +59,6 @@ class Grid1D:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_cells + 1)
-
-    @property
-    def cell_midpoints(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.h
 
 
 @dataclass(frozen=True)
@@ -199,11 +196,20 @@ def node_average(cell_values) -> np.ndarray:
     return out
 
 
+def divergence(q: np.ndarray) -> np.ndarray:
+    """Nodal difference q_i - q_{i-1} of a cell flux, with zero flux
+    outside the grid: minus the transpose of the gradient, times h."""
+    out = np.zeros(q.shape[:-1] + (q.shape[-1] + 1,))
+    out[..., :-1] += q
+    out[..., 1:] -= q
+    return out
+
+
 def lq_norm(grid: Grid1D, f, q):
     """Trapezoidal L^q norm; q = inf gives the max nodal absolute value."""
     v = np.abs(_vals(grid, f))
     peak = np.max(v, axis=-1)
-    if q == np.inf or q == "inf":
+    if q == np.inf:
         return _per_row(peak)
     q = float(q)
     if q < 1.0:

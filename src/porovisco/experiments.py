@@ -104,13 +104,17 @@ def eps_sweep(
     u0: Optional[np.ndarray] = None,
     rho0: Optional[np.ndarray] = None,
     tol: float = 5e-11,
+    max_newton: int = 50,
+    max_backtrack: int = 40,
 ) -> SweepReport:
     """Run the finite-strain system at every eps and the linear system
     once, and tabulate the gap in max-in-time H1/L2 norms for u, the
     max-in-time L2 norm for rho, and the space-time L2 norm for the flux,
     together with Richardson orders and the uniform-boundedness audit.
 
-    The sweep uses the zero-flux boundary regime.  The finite-strain
+    The sweep uses the zero-flux boundary regime.  ``tol``,
+    ``max_newton`` and ``max_backtrack`` are the Newton controls of the
+    finite-strain members, as in :func:`run_nonlinear`.  The finite-strain
     members advance in lockstep through one ``run_nonlinear`` call, and
     the linear run in the same row blocks; each block is rescaled and
     compared as it is made.  A solver failure aborts with the failing eps
@@ -134,7 +138,8 @@ def eps_sweep(
 
     try:
         ledgers = run_nonlinear(
-            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol, consume=consume
+            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol,
+            max_newton=max_newton, max_backtrack=max_backtrack, consume=consume,
         )
     except SingularSystem:  # the linear reference's, from consume
         raise

@@ -44,6 +44,7 @@ from .discretization import (
     _pad,
     _per_row,
     cell_average,
+    divergence,
     gradient,
     h1_norm,
     lq_norm,
@@ -106,15 +107,6 @@ def _band(apply, n_cols: int, kl: int, ku: int, left=None, right=None) -> np.nda
     return band
 
 
-def _divergence(q: np.ndarray) -> np.ndarray:
-    """Nodal difference q_i - q_{i-1} of a cell flux, with zero flux
-    outside the grid: minus the transpose of the gradient, times h."""
-    out = np.zeros(q.shape[:-1] + (q.shape[-1] + 1,))
-    out[..., :-1] += q
-    out[..., 1:] -= q
-    return out
-
-
 def nodal_potential(grid: Grid1D, tensors: LinearizedTensors, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Discrete linearized potential mu_star = K u' + L rho, reconstructed
     at nodes from the cell quadrature (variational gradient form).
@@ -175,8 +167,8 @@ class LinearStepper:
         t = self.tensors
         stress = (t.C + t.D / self.tau) * gradient(self.grid, u) + t.K * cell_average(rho)
         mu = nodal_potential(self.grid, t, u, rho)
-        species = rho - self._flux_step * _divergence(mu[..., 1:] - mu[..., :-1])
-        return -_divergence(stress)[..., 1:], self.weights * species
+        species = rho - self._flux_step * divergence(mu[..., 1:] - mu[..., :-1])
+        return -divergence(stress)[..., 1:], self.weights * species
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The coupled matrix applied to vectors in the interleaved order
@@ -195,7 +187,7 @@ class LinearStepper:
         """Right-hand sides of the displacement and species rows."""
         visc = self._visc * (u_prev[..., 1:] - u_prev[..., :-1])
         b_u = self.weights[1:] * f_nodes[..., 1:]
-        # -_divergence(visc)[1:], written out
+        # -divergence(visc)[1:], written out: the two sums round differently
         b_u += visc
         b_u[..., :-1] -= visc[..., 1:]
         b_u[..., -1] += g_value
@@ -392,7 +384,7 @@ def static_solve(
     np.cumsum(grid.h * (L * stress - K * nu) / det, out=v[1:])
     # self-certify against the equations: mechanical rows, weighted
     # potential rows (all nodes), and the oscillatory-mode and mass rows
-    mech = -_divergence(C * gradient(grid, v) + K * cell_average(xi))[1:]
+    mech = -divergence(C * gradient(grid, v) + K * cell_average(xi))[1:]
     pot = weights * (nodal_potential(grid, tensors, v, xi) - nu)
     residual = max(float(np.max(np.abs(mech - b))), float(np.max(np.abs(pot))),
                    abs(float(alt @ xi)), abs(float(weights @ xi) - total_mass))

@@ -39,6 +39,7 @@ from .discretization import (
     _pad,
     cell_average,
     cell_derivative,
+    divergence,
     gradient,
     h1_norm,
     linf_norm,
@@ -301,8 +302,7 @@ def _mech_point(params, grid, w, c_hat, ent, C_prev, tau, load, g_value, weights
     scale = abs(phi) + hyp + visc + abs(work)  # hyp and visc sum nonnegative terms
     sigma = mat._stress_1d(params, J, Jm1, dev) + 2.0 * F * params.D_tilde * cdot
     # r_i = sigma_i - sigma_{i+1} (sigma_{n+1} = 0) + hyperstress stencil
-    r = sigma.copy()
-    r[..., :-1] -= sigma[..., 1:]
+    r = -divergence(sigma)[..., 1:]
     hpad = _pad(hy, 0, 1)
     r += (hpad[..., 0:n] - 2.0 * hpad[..., 1 : n + 1] + hpad[..., 2 : n + 2]) / h
     r -= load[..., 1:]
@@ -365,31 +365,27 @@ def mechanical_step(
     tau: float,
     f_nodes: np.ndarray,
     g_value,
-    C_prev: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_newton: int = 50,
     max_backtrack: int = 40,
     start: Optional[np.ndarray] = None,
 ):
     """Minimize the incremental mechanical functional at frozen
-    concentration.
+    concentration, for a (members, nodes) batch of displacements ``w_prev``
+    (a 1-D displacement is the one-member batch), with ``c_prev`` to match
+    and the loads ``f_nodes`` and ``g_value`` given per member.  The
+    viscous term is taken from C_prev = (1 + w_prev')^2.  The members are
+    minimized in lockstep: each Newton pass evaluates the whole batch and
+    solves its bands at once.
 
-    For one displacement, returns the new displacement together with an
-    info dict carrying the achieved residual dual norm, iteration count,
-    and the incremental energies before/after (the descent certificate).
-    Raises :class:`OrientationLoss` when no backtracking step keeps
-    chi' > 0 and :class:`NoConvergence` when the iteration caps are
-    exhausted.
-
-    A (members, nodes) batch of displacements, with ``c_prev`` and
-    ``C_prev`` to match and the loads ``f_nodes`` and ``g_value`` given
-    per member, is minimized member by member in lockstep: each Newton
-    pass evaluates the whole batch and solves its bands at once.  It
-    returns the batch and an info dict with the total ``iterations`` (an
-    int), the per-member ``member_iterations``, ``member_residual``,
-    ``member_energy`` and ``member_energy_start``, and ``errors``, which
-    maps the index of each failed member to the error it raises alone
-    (its row of the batch is not a result).
+    Returns the (members, nodes) displacements and an info dict with the
+    total ``iterations`` (an int), the per-member ``member_iterations``,
+    ``member_residual`` (the achieved residual dual norm),
+    ``member_energy`` and ``member_energy_start`` (the descent
+    certificate), and ``errors``, which maps the index of each failed
+    member to its error (its row of the batch is not a result):
+    :class:`OrientationLoss` when no backtracking step keeps chi' > 0,
+    :class:`NoConvergence` when the iteration caps are exhausted.
 
     ``start``, shaped like ``w_prev``, proposes a start iterate per
     member.  Newton starts from it only where it preserves orientation
@@ -402,11 +398,10 @@ def mechanical_step(
     larger round-off scale of the two points, plus 1e-15), so energy <=
     energy_start holds up to that budget.
     """
-    single = np.ndim(w_prev) == 1
     w = np.array(w_prev, dtype=float, ndmin=2)
     m = len(w)
     weights = node_weights(grid)
-    C_prev = (1.0 + gradient(grid, w)) ** 2 if C_prev is None else np.reshape(C_prev, (m, grid.n_cells))
+    C_prev = (1.0 + gradient(grid, w)) ** 2
     # the per-step invariants: the frozen concentration, its entropy and the loads
     c_hat = cell_average(np.reshape(c_prev, w.shape))
     ent = mat._entropy(params, c_hat)
@@ -439,11 +434,6 @@ def mechanical_step(
         screen_error=(OrientationLoss, "no backtracking step preserves chi' > 0"),
         descent_error="mechanical line search failed to descend",
     )
-    if single:
-        if errors:
-            raise errors[0]
-        return w[0], {"residual": float(cur.rn[0]), "iterations": int(iters[0]),
-                      "energy": float(cur.value[0]), "energy_start": float(e_start[0])}
     return w, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": cur.rn,
                "member_energy": cur.value, "member_energy_start": e_start, "errors": errors}
 
@@ -473,7 +463,7 @@ def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _
     mu = node_average(mat._potential(params, c_hat, dev))
     mob = mat._mobility_1d(params, J, c_hat)
     q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
-    r = weights * (c - c_prev) + tau * (_pad(q, 1, 0) - _pad(q, 0, 1))
+    r = weights * (c - c_prev) - tau * divergence(q)
     # Robin rows; kappa = 0 would add exact zeros
     if bc.kappa_left:
         r[..., 0] += tau * bc.kappa_left * (mu[..., 0] - mu_ext)
@@ -539,21 +529,19 @@ def diffusion_step(
     max_backtrack: int = 40,
 ):
     """One implicit Euler step of the degenerate diffusion equation at
-    frozen deformation, solved by damped Newton.
+    frozen deformation, solved by damped Newton, for a (members, nodes)
+    batch of concentrations ``c_prev`` (a 1-D concentration is the
+    one-member batch) with ``F_cells`` per member, advanced member by
+    member in lockstep as in :func:`mechanical_step`.
 
     Damping rejects any iterate with min c <= 0.  With kappa = 0 the flux
     form telescopes, so the discrete mass is conserved to the residual
-    tolerance.  For one concentration, raises :class:`PositivityLoss`
-    when no damping preserves positivity and :class:`NoConvergence` on
-    iteration-cap exhaustion.
-
-    A (members, nodes) batch of concentrations, with ``F_cells`` per
-    member, is advanced member by member in lockstep, as in
-    :func:`mechanical_step`; its info dict has the total ``iterations``,
-    ``member_iterations``, ``member_residual``, the nodal potentials
-    ``mu`` and the ``errors`` of the failed members.
+    tolerance.  Returns the (members, nodes) concentrations and an info
+    dict with the total ``iterations``, ``member_iterations``,
+    ``member_residual``, the nodal potentials ``mu`` and the ``errors`` of
+    the failed members: :class:`PositivityLoss` when no damping preserves
+    positivity, :class:`NoConvergence` on iteration-cap exhaustion.
     """
-    single = np.ndim(c_prev) == 1
     c_prev = np.array(c_prev, dtype=float, ndmin=2)
     m = len(c_prev)
     F_cells = np.reshape(F_cells, (m, grid.n_cells))
@@ -576,10 +564,6 @@ def diffusion_step(
         screen_error=(PositivityLoss, "no damping preserves c > 0"),
         descent_error="diffusion line search failed to reduce the residual",
     )
-    if single:
-        if errors:
-            raise errors[0]
-        return c[0], {"residual": float(cur.rn[0]), "iterations": int(iters[0]), "mu": cur.mu[0]}
     return c, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": cur.rn,
                "mu": cur.mu, "errors": errors}
 
@@ -734,7 +718,6 @@ def run_nonlinear(
         consume(rows, W, C)
 
     w, c = w[:live], c[:live]
-    C_prev_cells = (1.0 + gradient(grid, w)) ** 2
     first = 0  # the block's first row, at buffer row 2
     for k in range(1, n_rows):
         if not live:
@@ -754,8 +737,7 @@ def run_nonlinear(
             start = 3.0 * (Wb[:live, j - 1] - Wb[:live, j - 2]) + Wb[:live, j - 3]
         w_new, minfo = mechanical_step(
             params, grid, w, c, tau, eps_col[:live] * f(k), eps_row[:live] * g_star[k],
-            C_prev=C_prev_cells, tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
-            start=start,
+            tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, start=start,
         )
         if minfo["errors"]:
             live = min(minfo["errors"])
@@ -777,7 +759,6 @@ def run_nonlinear(
         newton_diff[rows, k] = dinfo["member_iterations"][rows]
         w, c = w_new[rows], c_new[rows]
         Wb[rows, j], Cb[rows, j] = w, c
-        C_prev_cells = F_new[rows] ** 2
         if j == size + 2:
             # a failed run hands on nothing: only its error is left to find
             if failure is None:

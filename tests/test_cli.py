@@ -307,6 +307,8 @@ class TestMain:
         pytest.param("moser-diag", 1, id="moser-diag"),
         pytest.param("simulate-nonlinear", 0, id="simulate-nonlinear-0"),
         pytest.param("moser-diag", 0, id="moser-diag-0"),
+        pytest.param("sweep-eps", 1, id="sweep-eps"),
+        pytest.param("sweep-eps", 0, id="sweep-eps-0"),
     ])
     def test_newton_cap_is_honoured(self, tiny_config, tmp_path, capsys, command, cap):
         cfg = json.loads(tiny_config.read_text())
@@ -315,8 +317,24 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "capped"
         assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
-        assert f"error: mechanical Newton exceeded {cap} iterations" in capsys.readouterr().err
+        member = "sweep member eps = 0.2 failed: " if command == "sweep-eps" else ""
+        assert f"error: {member}mechanical Newton exceeded {cap} iterations" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_sweep_passes_the_newton_caps(self, tiny_config, tmp_path, capsys, monkeypatch):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["solver"].update(max_newton=7, max_backtrack=3)
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(cfg))
+        seen = {}
+
+        def recorded(*args, **kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(porovisco.experiments, "run_nonlinear", recorded)
+        assert main(["sweep-eps", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert (seen["tol"], seen["max_newton"], seen["max_backtrack"]) == (cfg["solver"]["tol"], 7, 3)
 
     @pytest.mark.parametrize("command", ["simulate-linear", "simulate-nonlinear", "moser-diag"])
     def test_run_failing_after_its_first_blocks_leaves_nothing(self, tiny_config, tmp_path, capsys, monkeypatch,

@@ -398,7 +398,7 @@ def dense_static_solve(grid, tensors, f_nodes, g_value, total_mass):
         v, xi, nu = _pad(x[..., :n], 1, 0), x[..., n : 2 * n + 1], x[..., 2 * n + 1]
         stress = tensors.C * gradient(grid, v) + tensors.K * cell_average(xi)
         pot = weights * (nodal_potential(grid, tensors, v, xi) - nu[..., None])
-        return np.column_stack([-linear_solver._divergence(stress)[..., 1:], pot[..., 1:], xi @ alt, xi @ weights])
+        return np.column_stack([-discretization.divergence(stress)[..., 1:], pot[..., 1:], xi @ alt, xi @ weights])
 
     N = 2 * n + 2
     b = np.zeros(N)

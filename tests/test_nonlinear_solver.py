@@ -75,16 +75,16 @@ class TestMechanicalStep:
         w = np.zeros(grid.n_nodes)
         c = np.ones(grid.n_nodes)
         w_new, info = mechanical_step(unit_params, grid, w, c, TAU, np.zeros(grid.n_nodes), 0.0)
-        assert np.array_equal(w_new, w)
+        assert np.array_equal(w_new[0], w)
         assert info["iterations"] == 0
-        assert info["residual"] == 0.0
+        assert info["member_residual"][0] == 0.0
 
     def test_descends_incremental_energy(self, unit_params):
         grid = Grid1D(32)
         w = np.zeros(grid.n_nodes)
         c = np.ones(grid.n_nodes)
         w_new, info = mechanical_step(unit_params, grid, w, c, TAU, np.zeros(grid.n_nodes), 0.1 * 0.1)
-        assert info["energy"] < info["energy_start"]
+        assert info["member_energy"][0] < info["member_energy_start"][0]
         assert np.max(np.abs(w_new)) > 0.0
 
     def test_residual_certified(self, unit_params):
@@ -93,21 +93,23 @@ class TestMechanicalStep:
         c = np.ones(grid.n_nodes)
         f = 0.1 * 0.6 * np.sin(np.pi * grid.nodes)
         w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, 0.02, tol=1e-10)
-        assert info["residual"] <= 1e-10
+        assert info["member_residual"][0] <= 1e-10
 
     def test_rejects_inadmissible_start(self, unit_params):
         grid = Grid1D(8)
         w = np.zeros(grid.n_nodes)
         w[1:] = -grid.nodes[1:] * 1.5  # chi' < 0 everywhere
-        with pytest.raises(OrientationLoss):
-            mechanical_step(unit_params, grid, w, np.ones(grid.n_nodes), TAU, np.zeros(grid.n_nodes), 0.0)
+        _, info = mechanical_step(unit_params, grid, w, np.ones(grid.n_nodes), TAU, np.zeros(grid.n_nodes), 0.0)
+        assert type(info["errors"][0]) is OrientationLoss
+        assert str(info["errors"][0]) == "previous state is not orientation-admissible"
 
     def test_iteration_cap(self, unit_params):
         grid = Grid1D(16)
         w = np.zeros(grid.n_nodes)
         c = np.ones(grid.n_nodes)
-        with pytest.raises(NoConvergence):
-            mechanical_step(unit_params, grid, w, c, TAU, np.zeros(grid.n_nodes), 0.05, max_newton=0)
+        _, info = mechanical_step(unit_params, grid, w, c, TAU, np.zeros(grid.n_nodes), 0.05, max_newton=0)
+        assert type(info["errors"][0]) is NoConvergence
+        assert str(info["errors"][0]).startswith("mechanical Newton exceeded 0 iterations")
 
 
 def dense_from_band(ab, lower, upper):
@@ -308,14 +310,14 @@ class TestDiffusionStep:
         F = np.ones(grid.n_cells)
         c = np.ones(grid.n_nodes)
         c_new, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0)
-        assert np.array_equal(c_new, c)
+        assert np.array_equal(c_new[0], c)
         assert info["iterations"] == 0
 
     def test_mass_conserved_per_step(self, unit_params):
         grid = Grid1D(32)
-        F = 1.0 + 0.05 * np.sin(2 * np.pi * grid.cell_midpoints)
+        F = 1.0 + 0.05 * np.sin(2 * np.pi * (np.arange(grid.n_cells) + 0.5) * grid.h)
         c = 1.0 + 0.2 * np.cos(np.pi * grid.nodes)
-        c_new, _ = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0, tol=1e-12)
+        (c_new,), _ = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0, tol=1e-12)
         assert abs(mass(grid, c_new) - mass(grid, c)) <= 1e-13
         assert np.min(c_new) > 0.0
 
@@ -324,7 +326,7 @@ class TestDiffusionStep:
         bc = BCSpec(kappa_left=0.5, kappa_right=0.5, mu_ext=2.0)
         F = np.ones(grid.n_cells)
         c = np.ones(grid.n_nodes)
-        c_new, _ = diffusion_step(unit_params, grid, F, c, TAU, bc, 0.0, tol=1e-12)
+        (c_new,), _ = diffusion_step(unit_params, grid, F, c, TAU, bc, 0.0, tol=1e-12)
         assert mass(grid, c_new) > mass(grid, c)
 
     def test_positivity_guard(self, unit_params):
@@ -332,8 +334,9 @@ class TestDiffusionStep:
         F = np.ones(grid.n_cells)
         c = np.ones(grid.n_nodes)
         c[3] = 0.0
-        with pytest.raises(PositivityLoss):
-            diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0)
+        _, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0)
+        assert type(info["errors"][0]) is PositivityLoss
+        assert str(info["errors"][0]) == "implicit diffusion step requires strictly positive concentration"
 
 
 class TestRun:
@@ -524,9 +527,9 @@ def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
                                  weights * (eps * loading.f_star(t)), eps * loading.g_star(t), weights).r
             r_diff = _diff_point(params, grid, F, c, c_prev, tau, bc, mu_ext, weights).r
             start = None if k == 1 else 2.0 * W[1] - W[0] if k == 2 else 3.0 * (W[k - 1] - W[k - 2]) + W[k - 3]
-            w_step, minfo = mechanical_step(params, grid, w_prev, c_prev, tau, eps * loading.f_star(t),
-                                            eps * loading.g_star(t), tol=tol, start=start)
-            c_step, dinfo = diffusion_step(params, grid, F, c_prev, tau, bc, t, tol=tol)
+            (w_step,), minfo = mechanical_step(params, grid, w_prev, c_prev, tau, eps * loading.f_star(t),
+                                               eps * loading.g_star(t), tol=tol, start=start)
+            (c_step,), dinfo = diffusion_step(params, grid, F, c_prev, tau, bc, t, tol=tol)
             assert np.array_equal(w_step, w) and np.array_equal(c_step, c)
             newton = (minfo["iterations"], dinfo["iterations"])
             row.update(
@@ -658,15 +661,15 @@ class TestLockstep:
             assert info["iterations"] == int(np.sum(info["member_iterations"]))
             assert info["errors"] == {}
         for i in range(3):
-            w1, m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11)
-            c1, d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
+            (w1,), m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11)
+            (c1,), d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
             assert np.array_equal(w_new[i], w1) and np.array_equal(c_new[i], c1)
-            assert np.array_equal(dinfo["mu"][i], d1["mu"])
+            assert np.array_equal(dinfo["mu"][i], d1["mu"][0])
             assert minfo["member_iterations"][i] == m1["iterations"] >= 1
             assert dinfo["member_iterations"][i] == d1["iterations"] >= 1
-            assert minfo["member_residual"][i] == m1["residual"]
-            assert minfo["member_energy"][i] == m1["energy"]
-            assert dinfo["member_residual"][i] == d1["residual"]
+            assert minfo["member_residual"][i] == m1["member_residual"][0]
+            assert minfo["member_energy"][i] == m1["member_energy"][0]
+            assert dinfo["member_residual"][i] == d1["member_residual"][0]
 
     def test_first_failed_member_in_order_raises_its_own_error(self, unit_params):
         # with two Newton iterations at most, the larger members fail at
@@ -905,12 +908,12 @@ class TestLockstep:
         w, c, start = W[:, 1].copy(), C[:, 1], 2.0 * W[:, 1] - W[:, 0]
         w[1] = -2.0 * grid.nodes
         w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11, start=start)
-        with pytest.raises(OrientationLoss) as solo:
-            mechanical_step(unit_params, grid, w[1], c[1], TAU, f[1], g[1], tol=5e-11, start=start[1])
+        _, solo = mechanical_step(unit_params, grid, w[1], c[1], TAU, f[1], g[1], tol=5e-11, start=start[1])
+        assert list(solo["errors"]) == [0] and type(solo["errors"][0]) is OrientationLoss
         assert list(info["errors"]) == [1]
-        assert type(info["errors"][1]) is OrientationLoss and str(info["errors"][1]) == str(solo.value)
+        assert type(info["errors"][1]) is OrientationLoss and str(info["errors"][1]) == str(solo["errors"][0])
         for i in (0, 2):
-            w1, m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, start=start[i])
+            (w1,), m1 = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, start=start[i])
             assert np.array_equal(w_new[i], w1)
             assert info["member_iterations"][i] == m1["iterations"] >= 1
 
@@ -923,13 +926,13 @@ class TestLockstep:
         F, c = 1.0 + gradient(grid, W[:, 2]), C[:, 1].copy()
         c[1, 5] = -5.0
         c_new, info = diffusion_step(unit_params, grid, F, c, TAU, bc, t, tol=5e-11)
-        with pytest.raises(PositivityLoss) as solo:
-            diffusion_step(unit_params, grid, F[1], c[1], TAU, bc, t, tol=5e-11)
+        _, solo = diffusion_step(unit_params, grid, F[1], c[1], TAU, bc, t, tol=5e-11)
+        assert list(solo["errors"]) == [0] and type(solo["errors"][0]) is PositivityLoss
         assert list(info["errors"]) == [1]
-        assert type(info["errors"][1]) is PositivityLoss and str(info["errors"][1]) == str(solo.value)
+        assert type(info["errors"][1]) is PositivityLoss and str(info["errors"][1]) == str(solo["errors"][0])
         for i in (0, 2):
-            c1, d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
-            assert np.array_equal(c_new[i], c1) and np.array_equal(info["mu"][i], d1["mu"])
+            (c1,), d1 = diffusion_step(unit_params, grid, F[i], c[i], TAU, bc, t, tol=5e-11)
+            assert np.array_equal(c_new[i], c1) and np.array_equal(info["mu"][i], d1["mu"][0])
             assert info["member_iterations"][i] == d1["iterations"] >= 1
 
     def test_illegal_gbsv_argument_raises(self, monkeypatch):
@@ -991,9 +994,9 @@ class TestPredictor:
             iterations = 0
             for k in range(1, n_steps + 1):
                 t = run.times[k]
-                w, info = mechanical_step(unit_params, grid, w, c, TAU, eps * loading.f_star(t),
-                                          eps * loading.g_star(t), tol=tol)
-                c, _ = diffusion_step(unit_params, grid, 1.0 + gradient(grid, w), c, TAU, bc, t, tol=tol)
+                (w,), info = mechanical_step(unit_params, grid, w, c, TAU, eps * loading.f_star(t),
+                                             eps * loading.g_star(t), tol=tol)
+                (c,), _ = diffusion_step(unit_params, grid, 1.0 + gradient(grid, w), c, TAU, bc, t, tol=tol)
                 iterations += info["iterations"]
                 for field, kept in ((w, run.displacement[k]), (c, run.concentration[k])):
                     assert np.sqrt(np.sum(weights * (field - kept) ** 2)) <= bound
@@ -1021,7 +1024,7 @@ class TestPredictor:
         and at w_new."""
         _, grid, w, c, tau, f, g = args
         weights = node_weights(grid)
-        c_hat, C_prev = cell_average(c), kwargs["C_prev"]
+        c_hat, C_prev = cell_average(c), (1.0 + gradient(grid, w)) ** 2
         ent = _entropy(params, c_hat)
 
         def point(wv):
@@ -1087,7 +1090,7 @@ class TestPredictor:
         assert (1.0 + gradient(grid, start[0])).min() < 0.0
 
         def solo(i, **kw):
-            return mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, **kw)[0]
+            return mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], tol=5e-11, **kw)[0][0]
 
         w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11, start=start)
         assert info["errors"] == {}

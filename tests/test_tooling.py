@@ -3,6 +3,7 @@ porovisco's functions by name at every module that looks them up.  A
 rename or removal under ``src/`` that breaks it fails here."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -92,3 +93,13 @@ def test_traced_streamed_runs_record_their_layers(tmp_path, capsys, command, spa
     metrics = layers.layer_metrics(layers.SpanIndex(rec.spans))
     assert metrics["linear.steps"] == (steps, "count")
     assert metrics["cli.io_s"][0] > 0.0
+
+
+def test_scale_probe_steps_the_one_member_batch():
+    # the probe hands the step functions 1-D states, the one-member batch
+    metrics = layers.scale_probe(cli.default_config_path())
+    names = [f"scale.{step}_step_ms.n{n}" for n in layers.SCALE_SIZES for step in ("mech", "diff")]
+    assert sorted(metrics) == sorted(names) and len(names) == 6
+    for name in names:
+        value, unit = metrics[name]
+        assert unit == "ms" and math.isfinite(value) and value > 0.0, name
