@@ -1,42 +1,64 @@
-"""The LAPACK and BLAS routines the solvers call: scipy's compiled
-wrappers ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded
-from their files so that the ``scipy.linalg`` package, whose ``__init__``
-brings in scipy's array-API layer, is never imported.  They are
-registered under their real names, so these are the objects that
-``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hand out, whichever is
-imported first.  Nor is the ``scipy`` package: its version is read
-from its ``version.py``."""
+"""The LAPACK and BLAS routines the solvers call, from the ILP64 OpenBLAS
+that numpy's wheels (numpy >= 2.0) bundle and export as
+``scipy_<name>_64_``.  They are looked up through numpy's own extension
+module, whose dependency scope holds that library, so no second BLAS is
+mapped and no scipy module is imported; another numpy build fails here.
 
-import functools
-import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from pathlib import Path
+``dgbsv``, ``dgbtrs`` and ``dgbmv`` are the bare Fortran routines, which
+take every argument by reference and 64-bit integers.  Reading an array's
+address costs 2-3 us, so a caller keeps its buffers and builds their
+argument list once, with ``fortran_args``.  ``dgbtrf``, called once per
+factorization, keeps f2py's call shape.
+"""
 
-__all__ = ["dgbsv", "dgbtrf", "dgbtrs", "dgbmv", "scipy_version"]
+import ctypes
 
+import numpy as np
 
-def _wrapper(name: str):
-    full = f"scipy.linalg.{name}"
-    if full not in sys.modules:
-        scipy = find_spec("scipy")  # locates the package without importing it
-        where = Path(scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
-        spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
-        if spec is None:
-            raise ImportError(f"no compiled {full} in {where}", name=full, path=str(where))
-        sys.modules[full] = module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return sys.modules[full]
+__all__ = ["dgbsv", "dgbtrf", "dgbtrs", "dgbmv", "fortran_args", "blas_config"]
+
+_LIBRARY = ctypes.CDLL(np._core._multiarray_umath.__file__)
 
 
-@functools.cache  # a summary per command; the file read and exec take 0.24 ms
-def scipy_version() -> str:
-    """``scipy.__version__``, which scipy also reads from its ``version.py``."""
-    spec = spec_from_file_location("scipy.version", Path(find_spec("scipy").origin).with_name("version.py"))
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.version
+def _routine(symbol: str, restype=None):
+    if not hasattr(_LIBRARY, symbol):
+        raise ImportError(f"numpy's BLAS exports no {symbol}: porovisco needs numpy's scipy-openblas64")
+    getattr(_LIBRARY, symbol).restype = restype
+    return getattr(_LIBRARY, symbol)
 
 
-dgbsv, dgbtrf, dgbtrs = (getattr(_wrapper("_flapack"), f) for f in ("dgbsv", "dgbtrf", "dgbtrs"))
-dgbmv = _wrapper("_fblas").dgbmv
+def fortran_args(*values) -> tuple:
+    """The arguments of a Fortran call: an array's data address, or a
+    pointer to a 64-bit int, a double, or a ctypes variable (an ``info``
+    to read back).  A bytes value is a character argument, whose length
+    gfortran takes after all the others.  Arrays must be kept alive."""
+    out, lengths = [], []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            out.append(ctypes.c_void_p(v.ctypes.data))
+        elif isinstance(v, bytes):
+            out.append(ctypes.c_char_p(v))
+            lengths.append(ctypes.c_size_t(len(v)))
+        else:
+            out.append(ctypes.pointer(ctypes.c_int64(v) if isinstance(v, int)
+                                      else ctypes.c_double(v) if isinstance(v, float) else v))
+    return tuple(out + lengths)
+
+
+dgbsv, dgbtrs, dgbmv, _dgbtrf = (_routine(f"scipy_{name}_64_") for name in ("dgbsv", "dgbtrs", "dgbmv", "dgbtrf"))
+
+
+def dgbtrf(ab: np.ndarray, kl: int, ku: int):
+    """f2py's ``(lu, piv, info)`` of the band ``ab`` (float64, Fortran
+    order, ``kl`` spare rows on top for the fill-in), factored in place;
+    the pivots are numbered from 1, as ``dgbtrs`` reads them."""
+    n = ab.shape[1]
+    piv, info = np.zeros(n, np.int64), ctypes.c_int64()
+    _dgbtrf(*fortran_args(n, n, kl, ku, ab, ab.shape[0], piv, info))
+    return ab, piv, info.value
+
+
+def blas_config() -> str:
+    """The library's build string, such as ``OpenBLAS 0.3.31.188.0
+    USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64``."""
+    return _routine("scipy_openblas_get_config64_", ctypes.c_char_p)().decode()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import platform
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import constitutive as mat
 from ._csv17 import format_rows
-from ._lapack import scipy_version
+from ._lapack import blas_config
 from .constitutive import (
     InadmissibleMaterial,
     MaterialParams,
@@ -44,6 +43,8 @@ from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from .nonlinear_solver import check_dissipation_inequality, rescale, run_nonlinear  # noqa: F401
 
 SCHEMA_VERSION = 1
+# the built-in digest: hashlib would load OpenSSL's _hashlib, another 3.5 MiB
+_sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
 
 __all__ = [
     "ParseError",
@@ -257,7 +258,7 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
-        digest = hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        digest = _sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     except OSError as err:
         raise ParseError(f"cannot read config {p}: {err}") from err
     except (ValueError, RecursionError) as err:
@@ -351,7 +352,7 @@ def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: l
             for (n, p, v, t) in invariants
         ],
         "outputs": list(outputs),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy_version()},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "blas": blas_config()},
     }
     path.write_text(_json17(doc) + "\n")
 

@@ -22,7 +22,8 @@ P, which takes the previous state to the homogeneous right-hand side, is
 linear and constant too, and is read into BLAS band storage with its rows
 scaled by d.  Both bands are read off the stencil formulas by one comb
 probe.  A step is then one ``dgbmv`` of P, one ``dgbtrs`` solve without
-refinement, and one constant added to the solved rho: the one that makes
+refinement (both on vectors the stepper keeps, with argument lists built
+once), and one constant added to the solved rho: the one that makes
 its discrete mass equal mass(rho_prev) + tau mass(s), the mass the
 zero-flux species equation conserves.  The node weights sum to 1, so the
 constant is the difference of the two masses.  It moves the nodal
@@ -33,11 +34,12 @@ weighted sum per step, not by the round-off of the solve.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Optional
 
 import numpy as np
 
-from ._lapack import dgbmv, dgbtrf, dgbtrs
+from ._lapack import dgbmv, dgbtrf, dgbtrs, fortran_args
 from .constitutive import LinearizedTensors
 from .discretization import (
     Grid1D,
@@ -154,12 +156,22 @@ class LinearStepper:
         self._d_rho = d[0::2].copy()
         ab = np.zeros((2 * KL + KU + 1, n_dofs), order="F")  # KL spare rows: LAPACK factors in place
         ab[KL:] = _band(self._apply, n_dofs, KL, KU, d, d)
-        lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=True)
+        lu, piv, info = dgbtrf(ab, KL, KU)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of gbtrf")
         if info > 0:
             raise SingularSystem(f"coupled-system factorization failed: zero pivot {info} in gbtrf")
-        self._solve = lambda b: dgbtrs(lu, KL, KU, b, piv, overwrite_b=True)[0]
+        # a step's vectors: P's argument z = (rho_0, u_0, ..., rho_n, u_n)
+        # and the right-hand side b, which the solve overwrites
+        z, b = self._z, self._b = np.empty(n_dofs + 1), np.empty(n_dofs)
+        self._factors = lu, piv  # kept: the argument lists hold only addresses
+        self._gbmv_args = fortran_args(b"N", n_dofs, n_dofs + 1, P_KL, P_KU, 1.0, self._P, P_KL + P_KU + 1, z, 1, 0.0, b, 1)
+        self._gbtrs_args = fortran_args(b"N", n_dofs, KL, KU, 1, lu, ab.shape[0], piv, b, n_dofs, ctypes.c_int64())
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """The step's right-hand side ``b`` (``self._b``), solved in place."""
+        dgbtrs(*self._gbtrs_args)
+        return b
 
     def _rows(self, u: np.ndarray, rho: np.ndarray):
         """The coupled matrix applied to a state: its n displacement rows
@@ -200,8 +212,10 @@ class LinearStepper:
              source_nodes: Optional[np.ndarray] = None):
         """One implicit Euler step: the new (u, rho), with the mass of rho
         set to mass(rho_prev) + tau mass(source_nodes)."""
-        n_dofs = self._n_dofs
-        b = dgbmv(n_dofs, n_dofs + 1, P_KL, P_KU, 1.0, self._P, _interleave(rho_prev, u_prev))
+        z, b = self._z, self._b
+        z[0::2], z[1::2] = rho_prev, u_prev
+        b.fill(0.0)  # y = P z from zeros, whatever the BLAS does with y when beta = 0
+        dgbmv(*self._gbmv_args)
         b[1::2] += self._load * f_nodes[1:]
         b[-2] += self._d_u[-1] * g_value
         target = self.weights @ rho_prev

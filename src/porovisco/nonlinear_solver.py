@@ -24,6 +24,7 @@ which the loading is eps * (f_star, g_star) and u = (chi - id)/eps.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from collections import namedtuple
 from typing import Optional
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import constitutive as mat
-from ._lapack import dgbsv
+from ._lapack import dgbsv, fortran_args
 from .constitutive import MaterialParams
 from .discretization import (
     BCSpec,
@@ -166,17 +167,29 @@ def _scaled_gradient(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarra
     return rhs / np.maximum(np.abs(ab[2]).max(axis=-1), floor)[..., None]
 
 
+_GBSV_BUFFERS = {}  # rhs shape: the buffers of _gbsv and their argument list
+
+
 def _gbsv(ab: np.ndarray, rhs: np.ndarray):
     """Banded LU solve with partial pivoting (LAPACK ``gbsv``) of the
-    pentadiagonal system in the (5, n) storage of ``solve_banded((2, 2),
-    ...)``, on a (7, n) work band whose first two rows take the fill-in of
-    the pivoting.  Returns None if the band is singular."""
-    work = np.zeros((7, ab.shape[-1]), order="F")  # Fortran order: LAPACK works in place
-    work[2:] = ab
-    _, _, x, info = dgbsv(2, 2, work, rhs, overwrite_ab=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gbsv")
-    return x if info == 0 else None
+    pentadiagonal systems in the (5, [rows,] n) storage of
+    ``solve_banded((2, 2), ...)``, laid side by side as one band, on a
+    work band of 7 rows whose first two take the fill-in of the pivoting.
+    Returns None if the band is singular.  The work band, right-hand side
+    and pivots are kept per shape, with their argument list."""
+    if rhs.shape not in _GBSV_BUFFERS:
+        # LAPACK's column-major work band is a ([rows,] n, 7) array; it zeroes
+        # the fill-in rows before use.  piv is kept for its address in args.
+        work, x, piv, info = np.zeros(rhs.shape + (7,)), np.empty(rhs.shape), np.empty(rhs.size, np.int64), ctypes.c_int64()
+        args = fortran_args(rhs.size, 2, 2, 1, work, 7, piv, x, rhs.size, info)
+        _GBSV_BUFFERS[rhs.shape] = np.moveaxis(work, -1, 0)[2:], x, piv, info, args
+    band, x, _, info, args = _GBSV_BUFFERS[rhs.shape]
+    band[...] = ab
+    x[...] = rhs
+    dgbsv(*args)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of gbsv")
+    return x.copy() if info.value == 0 else None
 
 
 def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
@@ -190,12 +203,11 @@ def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     singular, each block is solved alone, and a singular block takes
     ``_scaled_gradient(ab, rhs, floor)``.
     """
-    k, n = rhs.shape
-    x = _gbsv(ab.reshape(5, k * n), rhs.reshape(k * n))
+    x = _gbsv(ab, rhs)
     if x is not None:
-        return x.reshape(k, n)
+        return x
     out = np.empty_like(rhs)
-    for i in range(k):
+    for i in range(len(rhs)):
         x = _gbsv(ab[:, i], rhs[i])
         out[i] = _scaled_gradient(ab[:, i], rhs[i], floor) if x is None else x
     return out

@@ -210,7 +210,7 @@ def test_step_is_one_band_product_and_one_solve(tensors, monkeypatch, seed):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(linear_solver, "dgbmv", counted("dgbmv", dgbmv))
+    monkeypatch.setattr(linear_solver, "dgbmv", counted("dgbmv", linear_solver.dgbmv))
     monkeypatch.setattr(linear_solver, "dgbtrs", counted("solve", linear_solver.dgbtrs))
     monkeypatch.setattr(conftest, "lu_solve", counted("solve", conftest.lu_solve))
     x = grid.nodes
