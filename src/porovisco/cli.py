@@ -126,10 +126,17 @@ DEFAULT_CHECKS = {
 # the condition, a (test, description) pair or None.  A null is allowed only
 # where the default is None, and a key the table does not list is an error.
 
+def _number(value) -> float:
+    # JSON numbers only: float() would take "0.5" and true as numbers
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v) for v in value)
 
 
 def _count(value) -> int:
@@ -143,11 +150,6 @@ def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
-
-
-def _matrix(value):
-    # M0 is a number or a list of rows
-    return tuple(tuple(row) for row in value) if isinstance(value, list) else value
 
 
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")  # false for NaN
@@ -195,30 +197,30 @@ def _object(table: dict, make=dict):
 
 _AMPLITUDE = _object({
     "kind": ("constant", None, None),
-    "scale": (0.0, float, _FINITE),
-    "t_ramp": (1.0, float, _FINITE),
-    "rate": (1.0, float, _FINITE),
+    "scale": (0.0, _number, _FINITE),
+    "t_ramp": (1.0, _number, _FINITE),
+    "rate": (1.0, _number, _FINITE),
 }, TimeAmplitude)
 
 _PROFILE = _object({
     "kind": ("zero", None, None),
-    "scale": (1.0, float, _FINITE),
+    "scale": (1.0, _number, _FINITE),
     "values": (None, _floats, _FINITE),
 }, SpatialProfile)
 
 _CONFIG = {
     "schema_version": (None, None, (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))),
     "material": ({}, _object({
-        name: (f.default, _matrix if name == "M0" else None, (lambda v: v == 1, "1") if name == "dim" else None)
-        for name, f in MaterialParams.__dataclass_fields__.items()
-    }, MaterialParams), None),
+        **{name: (f.default, _number, _FINITE) for name, f in MaterialParams.__dataclass_fields__.items()},
+        "dim": (1, _count, (lambda v: v == 1, "1")),  # the 1-D reduction is the only one solved
+    }, lambda dim, **fields: MaterialParams(**fields)), None),
     "grid": ({}, _object({"n_cells": (64, _count, None)}, Grid1D), None),
     "time": ({}, _object({
-        "tau": (1e-3, float, _POSITIVE),
-        "T": (1.0, float, _POSITIVE),
+        "tau": (1e-3, _number, _POSITIVE),
+        "T": (1.0, _number, _POSITIVE),
         "checkpoint_times": (None, _floats, _FINITE),
-        "decay_tau": (0.02, float, _POSITIVE),
-        "decay_T": (50.0, float, _POSITIVE),
+        "decay_tau": (0.02, _number, _POSITIVE),
+        "decay_T": (50.0, _number, _POSITIVE),
     }), None),
     "loading": ({}, _object({
         "f_profile": ({}, _PROFILE, None),
@@ -226,20 +228,20 @@ _CONFIG = {
         "g_amplitude": ({}, _AMPLITUDE, None),
     }, LoadingSpec), None),
     "bc": ({}, _object({
-        "kappa_left": (0.0, float, _FINITE_NONNEGATIVE),
-        "kappa_right": (0.0, float, _FINITE_NONNEGATIVE),
+        "kappa_left": (0.0, _number, _FINITE_NONNEGATIVE),
+        "kappa_right": (0.0, _number, _FINITE_NONNEGATIVE),
         "mu_ext": ({}, _AMPLITUDE, None),
         "zero_flux": (False, _flag, None),
     }, BCSpec), None),
     "initial": ({}, _object({"u0": ({}, _PROFILE, None), "rho0": ({}, _PROFILE, None)}), None),
-    "eps": (0.1, float, _POSITIVE),
+    "eps": (0.1, _number, _POSITIVE),
     "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _POSITIVE_DECREASING),
     "solver": ({}, _object({
-        "tol": (5e-11, float, _POSITIVE),
+        "tol": (5e-11, _number, _POSITIVE),
         "max_newton": (50, _count, _NONNEGATIVE),
         "max_backtrack": (40, _count, _NONNEGATIVE),
     }), None),
-    "checks": ({}, _object({key: (value, float, _NONNEGATIVE) for key, value in DEFAULT_CHECKS.items()}), None),
+    "checks": ({}, _object({key: (value, _number, _NONNEGATIVE) for key, value in DEFAULT_CHECKS.items()}), None),
     "seed": (0, _count, _NONNEGATIVE),
 }
 
@@ -521,7 +523,7 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
     chk = config.checks
     rng = np.random.default_rng(config.seed)
     errors = []
-    s = 1e-5
+    s = mat._FD_STEP
     # an overflow at extreme material values gives a non-finite error,
     # which fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -562,9 +564,8 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
     if pr.r == 0.0 and pr.c_eq == 1.0:
         invariants.append(("power_bound_unit_fixture", sup2_a <= 1.0 + 1e-9, sup2_a, 1.0 + 1e-9))
 
-    twin = mat.planar_twin(pr)
-    max_c, max_d = max_antisymmetric_action(twin, seed=config.seed)
-    lam_min = min_symmetric_eigenvalue(twin)
+    max_c, max_d = max_antisymmetric_action(pr, seed=config.seed)
+    lam_min = min_symmetric_eigenvalue(pr)
     invariants.append(("antisymmetric_action", max(max_c, max_d) <= chk["antisym_tol"], max(max_c, max_d), chk["antisym_tol"]))
     invariants.append(("elasticity_positive_definite", lam_min > 0.0, lam_min, 0.0))
 

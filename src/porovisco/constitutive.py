@@ -17,10 +17,10 @@ The material is described by four ingredients:
    the reference configuration,
        Mref(F, c) = Cof(F)^T M(F, c / det F) Cof(F) / det F.
 
-All evaluations are closed-form.  Scalar/array inputs are supported for
-dim = 1 (the PDE solvers are one-dimensional); dim = 2 operates on single
-2x2 matrices for the tensor-structure diagnostics, and has no Hessian,
-hyperstress or mobility derivative.
+The model is posed in d dimensions; :class:`MaterialParams` is its 1-D
+reduction, which the PDE solvers use.  All evaluations are closed-form and
+broadcast over arrays.  Only the two tensor-structure diagnostics pose the
+material in d = 2, at (I, c_eq), in the last section of this module.
 
 Material admissibility is policed against the coded assumption set
 (A1)-(A8) / (L1)-(L4) documented in the README; violations raise
@@ -29,7 +29,7 @@ Material admissibility is policed against the coded assumption set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -54,10 +54,7 @@ __all__ = [
     "min_symmetric_eigenvalue",
 ]
 
-# 2x2 rotation generator used by the polar decomposition helpers.
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
-_FD_STEP = 1e-5  # central-difference step of the self-check and the diagnostics
+_FD_STEP = 1e-5  # central-difference step of the self-check, the diagnostics and `verify`
 
 
 class InadmissibleMaterial(ValueError):
@@ -91,13 +88,12 @@ class MaterialParams:
     nu_h: float = 0.01
     p: float = 3.0
     D_tilde: float = 0.25
-    M0: float | tuple = 1.0
+    M0: float = 1.0
     m: float = 1.0
     r: float = 0.0
     alpha: float = 0.0
     gamma1: float = 1.0
     gamma2: float = 1.0
-    dim: int = 1
 
     def __post_init__(self) -> None:
         _validate_params(self)
@@ -111,20 +107,9 @@ class MaterialParams:
             return "IIa"
         return "IIb"
 
-    def mobility_matrix(self) -> np.ndarray:
-        """M0 as a (dim x dim) array (scalar input means M0 * identity)."""
-        if self.dim == 1:
-            return np.array([[float(self.M0)]])
-        M0 = np.asarray(self.M0, dtype=float)
-        if M0.shape == ():
-            return float(M0) * np.eye(2)
-        return M0.reshape(2, 2)
-
 
 def _validate_params(pr: MaterialParams) -> None:
     errs: list[str] = []
-    if pr.dim not in (1, 2):
-        errs.append("dim must be 1 or 2")
     if pr.c_eq <= 0.0:
         errs.append("(L2) requires c_eq > 0")
     if pr.M_B <= 0.0:
@@ -139,19 +124,12 @@ def _validate_params(pr: MaterialParams) -> None:
         errs.append("(A1) requires nu_h > 0")
     if pr.D_tilde <= 0.0:
         errs.append("(A5) requires D_tilde > 0")
-    if not (pr.p >= 3.0 and pr.p > pr.dim):
-        errs.append("(A1) requires p in (dim, inf) intersected with [3, inf)")
-    elif pr.q_det < pr.p * pr.dim / (pr.p - pr.dim):
-        errs.append("(A3)(i) requires q_det >= p*dim/(p - dim)")
-    if pr.dim == 1:
-        if not np.isscalar(pr.M0) or float(pr.M0) <= 0.0:
-            errs.append("(A2) requires scalar M0 > 0 in dim = 1")
-    else:
-        M0 = np.asarray(pr.M0, dtype=float)
-        if M0.shape == ():
-            M0 = float(M0) * _I2
-        if M0.shape != (2, 2) or not np.allclose(M0, M0.T) or np.linalg.eigvalsh(M0).min() <= 0.0:
-            errs.append("(A2) requires M0 symmetric positive definite")
+    if not pr.p >= 3.0:
+        errs.append("(A1) requires p >= 3")
+    elif pr.q_det < pr.p / (pr.p - 1.0):
+        errs.append("(A3)(i) requires q_det >= p/(p - 1)")
+    if pr.M0 <= 0.0:
+        errs.append("(A2) requires M0 > 0")
     if pr.m <= 0.0:
         errs.append("(A2) requires mobility exponent m > 0")
     if pr.r <= -1.0:
@@ -185,21 +163,8 @@ def _validate_params(pr: MaterialParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dim = 2 helpers: polar factor and cofactor algebra
+# the determinant penalty phi(J) = delta (J^-q + q J - (q + 1))
 # ---------------------------------------------------------------------------
-
-def _polar_rotation(F: np.ndarray) -> np.ndarray:
-    # Closest rotation to F in 2-D: (a I + b J)/|(a,b)| with a = tr F,
-    # b = F10 - F01.  Well defined on det F > 0.
-    a = F[0, 0] + F[1, 1]
-    b = F[1, 0] - F[0, 1]
-    s = np.hypot(a, b)
-    return (a * _I2 + b * _J2) / s
-
-
-def _cof2(F: np.ndarray) -> np.ndarray:
-    return np.array([[F[1, 1], -F[1, 0]], [-F[0, 1], F[0, 0]]])
-
 
 def _det_penalty(pr: MaterialParams, J):
     q = pr.q_det
@@ -223,19 +188,18 @@ def _det_penalty_d2(pr: MaterialParams, J):
 # ---------------------------------------------------------------------------
 
 def _state(pr: MaterialParams, F, c):
-    """F and c as arrays, J = det F, J - 1 and the Biot coupling deviation
-    c - c_eq - beta (J - 1), after the one domain check of the point."""
+    """F = det F and c as arrays, F - 1 and the Biot coupling deviation
+    c - c_eq - beta (F - 1), after the one domain check of the point."""
     F = np.asarray(F, dtype=float)
     c = np.asarray(c, dtype=float)
-    J = F if pr.dim == 1 else np.linalg.det(F)
     # ndarray methods, not np.any: this runs on every evaluated point.
     # The minimum of an array with a NaN is NaN, which passes both tests.
-    if J.min(initial=np.inf) <= 0.0:
+    if F.min(initial=np.inf) <= 0.0:
         raise DomainError("det F must be positive for evaluation")
     if c.min(initial=np.inf) <= 0.0:
         raise DomainError("concentration must be positive for evaluation")
-    Jm1 = J - 1.0
-    return F, J, c, Jm1, c - pr.c_eq - pr.beta * Jm1
+    Jm1 = F - 1.0
+    return F, c, Jm1, c - pr.c_eq - pr.beta * Jm1
 
 
 def _entropy(pr: MaterialParams, c):
@@ -243,7 +207,8 @@ def _entropy(pr: MaterialParams, c):
 
 
 def _energy(pr: MaterialParams, dist2, J, dev, ent):
-    # Phi from dist^2(F, SO(d)), J, the coupling deviation and the entropy
+    # Phi from dist^2(F, SO(1)) = (F - 1)^2, J, the coupling deviation and
+    # the entropy
     return pr.kappa_e * dist2 + _det_penalty(pr, J) + 0.5 * pr.M_B * dev ** 2 + ent
 
 
@@ -264,6 +229,11 @@ def _stiffness_1d(pr: MaterialParams, J):
     return 2.0 * pr.kappa_e + _det_penalty_d2(pr, J) + pr.M_B * pr.beta ** 2
 
 
+def _lame(pr: MaterialParams):
+    # the volumetric modulus lambda of the linearization at (I, c_eq)
+    return pr.delta * pr.q_det * (pr.q_det + 1.0) + pr.M_B * pr.beta ** 2
+
+
 def _d2cc(pr: MaterialParams, c):
     return pr.M_B + pr.k / c
 
@@ -276,11 +246,11 @@ def _hyper_1d(pr: MaterialParams, G):
 
 
 def _mobility_1d(pr: MaterialParams, J, c):
-    return float(pr.M0) * (c / J) ** pr.m / J
+    return pr.M0 * (c / J) ** pr.m / J
 
 
 def _mobility_dc_1d(pr: MaterialParams, J, c):
-    return float(pr.M0) * pr.m * c ** (pr.m - 1.0) / J ** (pr.m + 1.0)
+    return pr.M0 * pr.m * c ** (pr.m - 1.0) / J ** (pr.m + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +258,28 @@ def _mobility_dc_1d(pr: MaterialParams, J, c):
 # ---------------------------------------------------------------------------
 
 def free_energy(params: MaterialParams, F, c):
-    """Free energy density Phi(F, c); zero exactly on SO(d) x {c_eq}."""
-    F, J, c, Jm1, dev = _state(params, F, c)
-    dist2 = Jm1 ** 2 if params.dim == 1 else float(np.sum((F - _polar_rotation(F)) ** 2))
-    return _energy(params, dist2, J, dev, _entropy(params, c))
+    """Free energy density Phi(F, c); zero exactly at (1, c_eq)."""
+    F, c, Jm1, dev = _state(params, F, c)
+    return _energy(params, Jm1 ** 2, F, dev, _entropy(params, c))
 
 
 def stress_elastic(params: MaterialParams, F, c):
     """First Piola-Kirchhoff stress, the F-derivative of the free energy."""
-    F, J, _, Jm1, dev = _state(params, F, c)
-    if params.dim == 1:
-        return _stress_1d(params, J, Jm1, dev)
-    R = _polar_rotation(F)
-    return 2.0 * params.kappa_e * (F - R) + (_det_penalty_d1(params, J) + _pressure(params, dev)) * _cof2(F)
+    F, _, Jm1, dev = _state(params, F, c)
+    return _stress_1d(params, F, Jm1, dev)
 
 
 def chemical_potential(params: MaterialParams, F, c):
     """Chemical potential, the c-derivative of the free energy."""
-    _, _, c, _, dev = _state(params, F, c)
+    _, c, _, dev = _state(params, F, c)
     return _potential(params, c, dev)
 
 
 def free_energy_hessian(params: MaterialParams, F, c):
-    """Second derivatives (d2_FF, d2_Fc, d2_cc) of the free energy, for
-    dim = 1; the blocks broadcast over array input.  No command needs the
-    planar Hessian, so dim = 2 raises NotImplementedError.
-    """
-    if params.dim != 1:
-        raise NotImplementedError("free_energy_hessian is implemented for dim = 1")
-    F, J, c, _, _ = _state(params, F, c)
-    d2FF = _stiffness_1d(params, J) * np.ones_like(F)
+    """Second derivatives (d2_FF, d2_Fc, d2_cc) of the free energy; the
+    blocks broadcast over array input."""
+    F, c, _, _ = _state(params, F, c)
+    d2FF = _stiffness_1d(params, F) * np.ones_like(F)
     d2Fc = -params.M_B * params.beta * np.ones_like(F)
     return d2FF, d2Fc, _d2cc(params, c)
 
@@ -330,35 +292,26 @@ def hyperstress(params: MaterialParams, G):
     """Hyperstress potential and its derivative, (H(G), h(G)).
 
     H(G) = (nu_h / p) |G|^p, h(G) = nu_h |G|^(p-2) G, elementwise over
-    arrays, for dim = 1.  No command needs the planar hyperstress, so
-    dim = 2 raises NotImplementedError.
+    arrays.
     """
-    if params.dim != 1:
-        raise NotImplementedError("hyperstress is implemented for dim = 1")
     return _hyper_1d(params, np.asarray(G, dtype=float))[:2]
 
 
 def hyperstress_dG(params: MaterialParams, G):
-    """Derivative of the hyperstress h'(G) (dim = 1, elementwise)."""
+    """Derivative of the hyperstress h'(G) (elementwise)."""
     return _hyper_1d(params, np.asarray(G, dtype=float))[2]
 
 
 def dissipation(params: MaterialParams, F, Fdot, c):
     """Dissipation density and viscous stress, (zeta, sigma_vi).
 
-    zeta = 1/2 Cdot : Dt Cdot with Cdot = Fdot^T F + F^T Fdot and
-    Dt = D_tilde * identity; sigma_vi = 2 F Dt Cdot.
+    zeta = 1/2 D_tilde Cdot^2 with Cdot = 2 F Fdot; sigma_vi = 2 F D_tilde Cdot.
     """
     D = params.D_tilde
-    if params.dim == 1:
-        Fa = np.asarray(F, dtype=float)
-        Fd = np.asarray(Fdot, dtype=float)
-        Cdot = 2.0 * Fa * Fd
-        return 0.5 * D * Cdot ** 2, 2.0 * Fa * D * Cdot
-    Fm = np.asarray(F, dtype=float)
+    Fa = np.asarray(F, dtype=float)
     Fd = np.asarray(Fdot, dtype=float)
-    Cdot = Fd.T @ Fm + Fm.T @ Fd
-    return 0.5 * D * float(np.sum(Cdot ** 2)), 2.0 * D * (Fm @ Cdot)
+    Cdot = 2.0 * Fa * Fd
+    return 0.5 * D * Cdot ** 2, 2.0 * Fa * D * Cdot
 
 
 def mobility(params: MaterialParams, F, c):
@@ -371,100 +324,67 @@ def mobility(params: MaterialParams, F, c):
     c = np.asarray(c, dtype=float)
     if (c < 0.0).any():
         raise DomainError("mobility requires c >= 0")
-    if params.dim == 1:
-        J = np.asarray(F, dtype=float)
-        if (J <= 0.0).any():
-            raise DomainError("det F must be positive for mobility")
-        return _mobility_1d(params, J, c)
-    Fm = np.asarray(F, dtype=float)
-    J = np.linalg.det(Fm)
-    if J <= 0.0:
+    J = np.asarray(F, dtype=float)
+    if (J <= 0.0).any():
         raise DomainError("det F must be positive for mobility")
-    cof = _cof2(Fm)
-    M0 = params.mobility_matrix()
-    return (float(c) / J) ** params.m * (cof.T @ M0 @ cof) / J
+    return _mobility_1d(params, J, c)
 
 
 def mobility_dc(params: MaterialParams, F, c):
-    """c-derivative of the dim = 1 mobility."""
-    if params.dim != 1:
-        raise NotImplementedError("mobility_dc is implemented for dim = 1")
+    """c-derivative of the mobility."""
     return _mobility_dc_1d(params, np.asarray(F, dtype=float), np.asarray(c, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# linearization around (I, c_eq)
+# linearization around (1, c_eq)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LinearizedTensors:
-    """Second-order expansion tensors at the stress-free state (I, c_eq).
+    """Second-order expansion coefficients at the stress-free state
+    (1, c_eq), all scalars."""
 
-    For dim = 1 all entries are scalars; for dim = 2, C and D are
-    (2,2,2,2) arrays, K and M_eq are (2,2) arrays and L stays scalar.
-    """
-
-    C: object
-    K: object
+    C: float
+    K: float
     L: float
-    D: object
-    M_eq: object
-    dim: int = 1
+    D: float
+    M_eq: float
 
     def __post_init__(self) -> None:
         if self.L <= 0.0:
             raise InadmissibleMaterial("(A3)(ii) linearization requires L > 0")
-        if self.dim == 1:
-            if self.C <= 0.0:
-                raise InadmissibleMaterial("(L2) linearization requires C > 0")
-            if self.C * self.L - self.K ** 2 <= 0.0:
-                raise InadmissibleMaterial("linearization requires L - K^2/C > 0")
-            if self.M_eq <= 0.0:
-                raise InadmissibleMaterial("(A2) linearization requires M_eq > 0")
-            if self.D <= 0.0:
-                raise InadmissibleMaterial("(A5) linearization requires D > 0")
+        if self.C <= 0.0:
+            raise InadmissibleMaterial("(L2) linearization requires C > 0")
+        if self.C * self.L - self.K ** 2 <= 0.0:
+            raise InadmissibleMaterial("linearization requires L - K^2/C > 0")
+        if self.M_eq <= 0.0:
+            raise InadmissibleMaterial("(A2) linearization requires M_eq > 0")
+        if self.D <= 0.0:
+            raise InadmissibleMaterial("(A5) linearization requires D > 0")
 
 
-def linearize(params: MaterialParams, fd_check: bool = True) -> LinearizedTensors:
-    """Linearization tensors (C, K, L, D, M_eq) at (I, c_eq).
+def linearize(params: MaterialParams) -> LinearizedTensors:
+    """Linearization coefficients (C, K, L, D, M_eq) at (1, c_eq).
 
     Closed forms:
-        C U = 2 kappa_e U^sym + (delta q (q+1) + M_B beta^2) tr(U) I,
-        K   = -M_B beta I,
+        C   = 2 kappa_e + lambda, lambda = delta q (q+1) + M_B beta^2,
+        K   = -M_B beta,
         L   = M_B + k / c_eq,
-        D U = 4 D_tilde U^sym,
+        D   = 4 D_tilde,
         M_eq = c_eq^m M0.
     Each analytic value is cross-checked against a central finite
     difference of the corresponding first derivative (step ``_FD_STEP``);
     disagreement beyond relative 1e-6 raises RuntimeError.
     """
     pr = params
-    lam = pr.delta * pr.q_det * (pr.q_det + 1.0) + pr.M_B * pr.beta ** 2
-    L = pr.M_B + pr.k / pr.c_eq
-    if pr.dim == 1:
-        tensors = LinearizedTensors(
-            C=2.0 * pr.kappa_e + lam,
-            K=-pr.M_B * pr.beta,
-            L=L,
-            D=4.0 * pr.D_tilde,
-            M_eq=float(pr.M0) * pr.c_eq ** pr.m,
-            dim=1,
-        )
-    else:
-        sym4 = 0.5 * (
-            np.einsum("ik,jl->ijkl", _I2, _I2) + np.einsum("il,jk->ijkl", _I2, _I2)
-        )
-        C = 2.0 * pr.kappa_e * sym4 + lam * np.einsum("ij,kl->ijkl", _I2, _I2)
-        tensors = LinearizedTensors(
-            C=C,
-            K=-pr.M_B * pr.beta * _I2,
-            L=L,
-            D=4.0 * pr.D_tilde * sym4,
-            M_eq=pr.c_eq ** pr.m * pr.mobility_matrix(),
-            dim=2,
-        )
-    if fd_check:
-        _linearize_fd_check(pr, tensors)
+    tensors = LinearizedTensors(
+        C=2.0 * pr.kappa_e + _lame(pr),
+        K=-pr.M_B * pr.beta,
+        L=pr.M_B + pr.k / pr.c_eq,
+        D=4.0 * pr.D_tilde,
+        M_eq=pr.M0 * pr.c_eq ** pr.m,
+    )
+    _linearize_fd_check(pr, tensors)
     return tensors
 
 
@@ -475,38 +395,20 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _fd_tensors(pr: MaterialParams):
-    """The elasticity and viscosity tensors (C, D) at (I, c_eq) from central
-    differences (step ``_FD_STEP``) of the elastic and viscous stresses."""
-    ceq, s = pr.c_eq, _FD_STEP
-    if pr.dim == 1:
-        C = (stress_elastic(pr, 1.0 + s, ceq) - stress_elastic(pr, 1.0 - s, ceq)) / (2 * s)
-        return C, (dissipation(pr, 1.0, s, ceq)[1] - dissipation(pr, 1.0, -s, ceq)[1]) / (2 * s)
-    C = np.zeros((2, 2, 2, 2))
-    D = np.zeros((2, 2, 2, 2))
-    for k in range(2):
-        for l in range(2):
-            E = np.zeros((2, 2))
-            E[k, l] = s
-            C[:, :, k, l] = (stress_elastic(pr, _I2 + E, ceq) - stress_elastic(pr, _I2 - E, ceq)) / (2 * s)
-            D[:, :, k, l] = (dissipation(pr, _I2, E, ceq)[1] - dissipation(pr, _I2, -E, ceq)[1]) / (2 * s)
-    return C, D
-
-
 def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors) -> None:
     ceq, s = pr.c_eq, _FD_STEP
-    identity = 1.0 if pr.dim == 1 else _I2
-    C_fd, D_fd = _fd_tensors(pr)
-    K_fd = (stress_elastic(pr, identity, ceq + s) - stress_elastic(pr, identity, ceq - s)) / (2 * s)
-    L_fd = (chemical_potential(pr, identity, ceq + s) - chemical_potential(pr, identity, ceq - s)) / (2 * s)
-    pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, identity, ceq))]
+    C_fd = (stress_elastic(pr, 1.0 + s, ceq) - stress_elastic(pr, 1.0 - s, ceq)) / (2 * s)
+    D_fd = (dissipation(pr, 1.0, s, ceq)[1] - dissipation(pr, 1.0, -s, ceq)[1]) / (2 * s)
+    K_fd = (stress_elastic(pr, 1.0, ceq + s) - stress_elastic(pr, 1.0, ceq - s)) / (2 * s)
+    L_fd = (chemical_potential(pr, 1.0, ceq + s) - chemical_potential(pr, 1.0, ceq - s)) / (2 * s)
+    pairs = [(t.C, C_fd), (t.K, K_fd), (t.L, L_fd), (t.D, D_fd), (t.M_eq, mobility(pr, 1.0, ceq))]
     for analytic, fd in pairs:
         if _rel_err(analytic, fd) > 1e-6:
             raise RuntimeError("linearization self-check failed against finite differences")
 
 
 # ---------------------------------------------------------------------------
-# grid-verified inequalities and tensor diagnostics
+# grid-verified inequalities
 # ---------------------------------------------------------------------------
 
 def mobility_log_bound_constant(m: float, c_eq: float, grid: Iterable[float]) -> float:
@@ -558,16 +460,80 @@ def verification_grid(c_eq: float, n: int = 2000) -> np.ndarray:
     return g[np.abs(g - c_eq) > 1e-12 * c_eq]
 
 
+# ---------------------------------------------------------------------------
+# the tensor-structure diagnostics: the material posed in d = 2 at
+# (I, c_eq), the one place where a second dimension enters
+# ---------------------------------------------------------------------------
+
+# the 2x2 identity and rotation generator
+_I2 = np.eye(2)
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _planar(params: MaterialParams) -> MaterialParams:
+    """The material with the determinant-penalty exponent of d = 2: q_det
+    is raised to 2p/(p - 2) where the planar growth condition (A3)(i)
+    demands it."""
+    return replace(params, q_det=max(params.q_det, params.p * 2.0 / (params.p - 2.0)))
+
+
+def _polar_rotation(F: np.ndarray) -> np.ndarray:
+    # Closest rotation to F in 2-D: (a I + b J)/|(a,b)| with a = tr F,
+    # b = F10 - F01.  Well defined on det F > 0.
+    a = F[0, 0] + F[1, 1]
+    b = F[1, 0] - F[0, 1]
+    s = np.hypot(a, b)
+    return (a * _I2 + b * _J2) / s
+
+
+def _cof2(F: np.ndarray) -> np.ndarray:
+    return np.array([[F[1, 1], -F[1, 0]], [-F[0, 1], F[0, 0]]])
+
+
+def _planar_stress(pr: MaterialParams, F: np.ndarray) -> np.ndarray:
+    """First Piola-Kirchhoff stress of a 2x2 F at c = c_eq:
+    2 kappa_e (F - R) + (phi'(J) + pressure) Cof F, R the polar rotation."""
+    J = np.linalg.det(F)
+    dev = pr.c_eq - pr.c_eq - pr.beta * (J - 1.0)  # c - c_eq - beta (J - 1)
+    return 2.0 * pr.kappa_e * (F - _polar_rotation(F)) + (_det_penalty_d1(pr, J) + _pressure(pr, dev)) * _cof2(F)
+
+
+def _planar_fd_tensors(params: MaterialParams):
+    """The planar elasticity and viscosity tensors (C, D) at (I, c_eq) from
+    central differences (step ``_FD_STEP``) of the elastic stress and of
+    the viscous stress 2 D_tilde F Cdot, Cdot = Fdot^T F + F^T Fdot."""
+    pr, s = _planar(params), _FD_STEP
+
+    def viscous(Fd):
+        return 2.0 * pr.D_tilde * (_I2 @ (Fd.T @ _I2 + _I2.T @ Fd))
+
+    C = np.zeros((2, 2, 2, 2))
+    D = np.zeros((2, 2, 2, 2))
+    for k in range(2):
+        for l in range(2):
+            E = np.zeros((2, 2))
+            E[k, l] = s
+            C[:, :, k, l] = (_planar_stress(pr, _I2 + E) - _planar_stress(pr, _I2 - E)) / (2 * s)
+            D[:, :, k, l] = (viscous(E) - viscous(-E)) / (2 * s)
+    return C, D
+
+
+def _planar_elasticity(params: MaterialParams) -> np.ndarray:
+    """The closed-form planar elasticity tensor at (I, c_eq),
+    C U = 2 kappa_e U^sym + lambda tr(U) I."""
+    sym4 = 0.5 * (np.einsum("ik,jl->ijkl", _I2, _I2) + np.einsum("il,jk->ijkl", _I2, _I2))
+    return 2.0 * params.kappa_e * sym4 + _lame(_planar(params)) * np.einsum("ij,kl->ijkl", _I2, _I2)
+
+
 def max_antisymmetric_action(params: MaterialParams, seed: int = 0):
-    """Maximum of |C : W| and |D : W| over 10 random antisymmetric W (dim = 2).
+    """Maximum of |C : W| and |D : W| over 10 random antisymmetric W, for
+    the material posed in d = 2.
 
     The tensors are measured by central finite differences of the analytic
     first derivatives at (I, c_eq); for a frame-indifferent model both
     maxima vanish to finite-difference accuracy.
     """
-    if params.dim != 2:
-        raise ValueError("antisymmetric action check requires dim = 2")
-    C_fd, D_fd = _fd_tensors(params)
+    C_fd, D_fd = _planar_fd_tensors(params)
     rng = np.random.default_rng(seed)
     max_c = 0.0
     max_d = 0.0
@@ -579,39 +545,14 @@ def max_antisymmetric_action(params: MaterialParams, seed: int = 0):
     return max_c, max_d
 
 
-def planar_twin(params: MaterialParams) -> MaterialParams:
-    """The same material posed in dim = 2 (used by the tensor-structure
-    diagnostics); the determinant-penalty exponent is raised if the
-    two-dimensional growth condition demands it."""
-    q_min = params.p * 2.0 / (params.p - 2.0)
-    return MaterialParams(
-        M_B=params.M_B, beta=params.beta, k=params.k, c_eq=params.c_eq,
-        kappa_e=params.kappa_e, delta=params.delta,
-        q_det=max(params.q_det, q_min),
-        nu_h=params.nu_h, p=params.p, D_tilde=params.D_tilde,
-        M0=float(params.M0) if params.dim == 1 else params.M0,
-        m=params.m, r=params.r, alpha=params.alpha,
-        gamma1=params.gamma1, gamma2=params.gamma2, dim=2,
-    )
-
-
-def _sym_basis_2d():
-    e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    e2 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    e3 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
-    return (e1, e2, e3)
-
-
 def min_symmetric_eigenvalue(params: MaterialParams, use_fd: bool = False) -> float:
-    """Smallest eigenvalue of the elasticity tensor restricted to symmetric
-    matrices; strictly positive for admissible parameters.
+    """Smallest eigenvalue of the planar elasticity tensor restricted to
+    symmetric matrices; strictly positive for admissible parameters.
 
     With ``use_fd`` the tensor comes from finite differences of the stress
     instead of the closed form (oracle mode).
     """
-    C = _fd_tensors(params)[0] if use_fd else linearize(params, fd_check=False).C
-    if params.dim == 1:
-        return float(C)
-    basis = _sym_basis_2d()
+    C = _planar_fd_tensors(params)[0] if use_fd else _planar_elasticity(params)
+    basis = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0))
     mat = np.array([[np.einsum("ijkl,kl,ij->", C, b, a) for b in basis] for a in basis])
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())

@@ -29,7 +29,6 @@ __all__ = [
     "node_average",
     "divergence",
     "lq_norm",
-    "linf_norm",
     "h1_seminorm",
     "h1_norm",
     "cell_l2_norm",
@@ -218,10 +217,6 @@ def lq_norm(grid: Grid1D, f, q):
     # norm zero (its scaled values are divided by 1 instead)
     scale = np.where(peak == 0.0, 1.0, peak)[..., None]
     return _per_row(peak * np.sum(node_weights(grid) * (v / scale) ** q, axis=-1) ** (1.0 / q))
-
-
-def linf_norm(grid: Grid1D, f):
-    return lq_norm(grid, f, np.inf)
 
 
 def h1_seminorm(grid: Grid1D, f):

@@ -43,7 +43,6 @@ from .discretization import (
     divergence,
     gradient,
     h1_norm,
-    linf_norm,
     llogl_deviation,
     lq_norm,
     mass,
@@ -304,15 +303,15 @@ def _mech_point(params, grid, w, c_hat, ent, C_prev, tau, load, g_value, weights
     G = second_derivative(grid, w)
     F2 = F ** 2
     cdot = (F2 - C_prev) / tau
-    F, J, _, Jm1, dev = mat._state(params, F, c_hat)
+    F, _, Jm1, dev = mat._state(params, F, c_hat)
     hyper, hy, d2G = mat._hyper_1d(params, G)
-    phi = h * mat._energy(params, Jm1 ** 2, J, dev, ent).sum(axis=-1)
+    phi = h * mat._energy(params, Jm1 ** 2, F, dev, ent).sum(axis=-1)
     hyp = h * hyper[..., 1:-1].sum(axis=-1)
     visc = tau * h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1)
     work = (load * w).sum(axis=-1) + g_value * w[..., -1]
     value = phi + hyp + visc - work
     scale = abs(phi) + hyp + visc + abs(work)  # hyp and visc sum nonnegative terms
-    sigma = mat._stress_1d(params, J, Jm1, dev) + 2.0 * F * params.D_tilde * cdot
+    sigma = mat._stress_1d(params, F, Jm1, dev) + 2.0 * F * params.D_tilde * cdot
     # r_i = sigma_i - sigma_{i+1} (sigma_{n+1} = 0) + hyperstress stencil
     r = -divergence(sigma)[..., 1:]
     hpad = _pad(hy, 0, 1)
@@ -471,7 +470,7 @@ def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _
     """Evaluate positive concentrations ``c``, with ``mu_ext`` the external
     potential of the Robin data at the step's time."""
     c_hat = cell_average(c)
-    _, J, c_hat, _, dev = mat._state(params, F_cells, c_hat)
+    J, c_hat, _, dev = mat._state(params, F_cells, c_hat)
     mu = node_average(mat._potential(params, c_hat, dev))
     mob = mat._mobility_1d(params, J, c_hat)
     q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
@@ -833,7 +832,7 @@ def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext
             + bc.kappa_right * (mu_right - mu_ext) * mu_right
         ) / eps ** 2,
         "mass": mass(grid, c),
-        "linf_c": linf_norm(grid, c),
+        "linf_c": lq_norm(grid, c, np.inf),
         "min_c": np.min(c, axis=-1),
         "min_F": np.min(F, axis=-1),
         "llogl": llogl_deviation(grid, np.maximum(c, 0.0), params.c_eq),

@@ -161,6 +161,22 @@ class TestParse:
         ("eps", {"eps": float("inf")}),
         ("solver.tol", {"solver": {"tol": float("inf")}}),
         ("eps_list", {"eps_list": [float("inf"), 0.1, 0.05]}),
+        # a number field takes JSON numbers only: float() would take a
+        # string or a boolean as a number
+        ("time.tau", {"time": {"tau": "0.001"}}),
+        ("eps", {"eps": True}),
+        ("time.checkpoint_times", {"time": {"checkpoint_times": [True, "0.5"]}}),
+        ("material.dim", {"material": {"dim": True}}),
+        ("material.M0", {"material": {"M0": True}}),
+        ("material.M0", {"material": {"M0": "2"}}),
+        # and a material scalar is finite: NaN would pass every
+        # admissibility test, and Infinity those that bound it below
+        ("material.M_B", {"material": {"M_B": float("nan")}}),
+        ("material.beta", {"material": {"beta": float("inf")}}),
+        ("material.kappa_e", {"material": {"kappa_e": float("inf")}}),
+        ("material.delta", {"material": {"delta": float("nan")}}),
+        ("material.nu_h", {"material": {"nu_h": float("inf")}}),
+        ("material.D_tilde", {"material": {"D_tilde": float("nan")}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)

@@ -11,7 +11,6 @@ from porovisco.discretization import (
     gradient,
     h1_norm,
     h1_seminorm,
-    linf_norm,
     llogl_deviation,
     lq_norm,
     mass,
@@ -98,7 +97,7 @@ def test_norm_monotone_in_exponent(vals, q1, q2):
     g = Grid1D(16)
     lo, hi = min(q1, q2), max(q1, q2)
     assert lq_norm(g, vals, lo) <= lq_norm(g, vals, hi) + 1e-12
-    assert lq_norm(g, vals, hi) <= linf_norm(g, vals) + 1e-12
+    assert lq_norm(g, vals, hi) <= lq_norm(g, vals, np.inf) + 1e-12
 
 
 def test_norm_approaches_sup():
@@ -106,7 +105,7 @@ def test_norm_approaches_sup():
     f = 1.0 + 0.3 * np.sin(2 * np.pi * g.nodes)
     seq = [lq_norm(g, f, 2.0 ** k) for k in range(10)]
     assert np.all(np.diff(seq) >= -1e-12)
-    assert linf_norm(g, f) - seq[-1] < 0.01 * linf_norm(g, f)
+    assert lq_norm(g, f, np.inf) - seq[-1] < 0.01 * lq_norm(g, f, np.inf)
 
 
 def test_summation_by_parts():
@@ -176,7 +175,7 @@ def test_batch_norms_match_single_fields(vals, q):
     g = Grid1D(16)
     for fn in (
         lambda f: lq_norm(g, f, q),
-        lambda f: linf_norm(g, f),
+        lambda f: lq_norm(g, f, np.inf),
         lambda f: h1_seminorm(g, f),
         lambda f: h1_norm(g, f),
         lambda f: mass(g, f),

@@ -22,7 +22,6 @@ from porovisco.discretization import (
     cell_average,
     gradient,
     h1_norm,
-    linf_norm,
     llogl_deviation,
     lq_norm,
     mass,
@@ -543,7 +542,7 @@ def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
                 residual_diff=_dual_norm(r_diff, weights),
             )
         row.update(
-            linf_c=linf_norm(grid, c),
+            linf_c=lq_norm(grid, c, np.inf),
             min_c=np.min(c),
             min_F=np.min(F),
             llogl=llogl_deviation(grid, c, params.c_eq),
