@@ -184,22 +184,28 @@ def _det_penalty_d2(pr: MaterialParams, J):
 # ---------------------------------------------------------------------------
 # the free-energy kernel: each formula once, on shared intermediates.  The
 # public functions and the finite-strain solver's point evaluations call
-# it, so the two agree bit for bit.  ``_state`` is a point's domain check.
+# it, so the two agree bit for bit.  ``_state`` adds a point's domain check.
 # ---------------------------------------------------------------------------
 
 def _state(pr: MaterialParams, F, c):
     """F = det F and c as arrays, F - 1 and the Biot coupling deviation
     c - c_eq - beta (F - 1), after the one domain check of the point."""
-    F = np.asarray(F, dtype=float)
-    c = np.asarray(c, dtype=float)
-    # ndarray methods, not np.any: this runs on every evaluated point.
-    # The minimum of an array with a NaN is NaN, which passes both tests.
-    if F.min(initial=np.inf) <= 0.0:
-        raise DomainError("det F must be positive for evaluation")
-    if c.min(initial=np.inf) <= 0.0:
-        raise DomainError("concentration must be positive for evaluation")
+    F, c = np.asarray(F, dtype=float), np.asarray(c, dtype=float)
+    _positive(F, "det F")
+    _positive(c, "concentration")
+    return (F, c) + _strain(pr, F, c)
+
+
+def _positive(x: np.ndarray, name: str):
+    # an ndarray method, not np.any; the minimum of an array with a NaN is NaN, which passes
+    if x.min(initial=np.inf) <= 0.0:
+        raise DomainError(f"{name} must be positive for evaluation")
+
+
+def _strain(pr: MaterialParams, F: np.ndarray, c: np.ndarray):
+    # F - 1 and the coupling deviation, unchecked
     Jm1 = F - 1.0
-    return F, c, Jm1, c - pr.c_eq - pr.beta * Jm1
+    return Jm1, c - pr.c_eq - pr.beta * Jm1
 
 
 def _entropy(pr: MaterialParams, c):

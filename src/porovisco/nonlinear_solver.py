@@ -25,7 +25,6 @@ which the loading is eps * (f_star, g_star) and u = (chi - id)/eps.
 from __future__ import annotations
 
 import ctypes
-import itertools
 from collections import namedtuple
 from typing import Optional
 
@@ -150,9 +149,11 @@ class EnergyLedger:
 # that is not moving is evaluated at its own current point.  Every
 # expression keeps the order of evaluation of a one-member step, and the
 # row reductions sum each row as they would sum it alone, so a member's
-# result does not depend on its company.  A point is evaluated once, into
-# a record (a namedtuple of per-row arrays with the residual ``r`` and its
-# dual norm ``rn``) that carries what the derivative band there needs.
+# result does not depend on its company, and a point evaluated again
+# gives its record bit for bit.  A point is evaluated once, into a record
+# (a namedtuple of per-row arrays with the residual ``r`` and its dual
+# norm ``rn``) that carries what the derivative band there needs.  What
+# does not change within a step is formed once, when the step starts.
 
 def _dual_norm(r: np.ndarray, weights: np.ndarray):
     # L2 norm of the residual density (residual entries carry quadrature
@@ -169,21 +170,31 @@ def _scaled_gradient(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarra
 _GBSV_BUFFERS = {}  # rhs shape: the buffers of _gbsv and their argument list
 
 
+def _work_band(shape: tuple) -> np.ndarray:
+    """The (5, [rows,] n) view of the work band ``_gbsv`` keeps for right-hand
+    sides of ``shape``.  A band built into it is solved without a copy; the
+    solve overwrites all of it, so a build writes every entry."""
+    if shape not in _GBSV_BUFFERS:
+        # LAPACK's column-major work band is a ([rows,] n, 7) array; it zeroes
+        # the fill-in rows before use.  piv is kept for its address in args.
+        size = int(np.prod(shape))
+        work, x, piv, info = np.zeros(shape + (7,)), np.empty(shape), np.empty(size, np.int64), ctypes.c_int64()
+        args = fortran_args(size, 2, 2, 1, work, 7, piv, x, size, info)
+        _GBSV_BUFFERS[shape] = np.moveaxis(work, -1, 0)[2:], x, piv, info, args
+    return _GBSV_BUFFERS[shape][0]
+
+
 def _gbsv(ab: np.ndarray, rhs: np.ndarray):
     """Banded LU solve with partial pivoting (LAPACK ``gbsv``) of the
     pentadiagonal systems in the (5, [rows,] n) storage of
     ``solve_banded((2, 2), ...)``, laid side by side as one band, on a
     work band of 7 rows whose first two take the fill-in of the pivoting.
-    Returns None if the band is singular.  The work band, right-hand side
-    and pivots are kept per shape, with their argument list."""
-    if rhs.shape not in _GBSV_BUFFERS:
-        # LAPACK's column-major work band is a ([rows,] n, 7) array; it zeroes
-        # the fill-in rows before use.  piv is kept for its address in args.
-        work, x, piv, info = np.zeros(rhs.shape + (7,)), np.empty(rhs.shape), np.empty(rhs.size, np.int64), ctypes.c_int64()
-        args = fortran_args(rhs.size, 2, 2, 1, work, 7, piv, x, rhs.size, info)
-        _GBSV_BUFFERS[rhs.shape] = np.moveaxis(work, -1, 0)[2:], x, piv, info, args
-    band, x, _, info, args = _GBSV_BUFFERS[rhs.shape]
-    band[...] = ab
+    Returns None if the band is singular.  The buffers are kept per shape,
+    with their argument list; a band built in ``_work_band`` is not copied."""
+    band = _work_band(rhs.shape)
+    if ab is not band:
+        band[...] = ab
+    _, x, _, info, args = _GBSV_BUFFERS[rhs.shape]
     x[...] = rhs
     dgbsv(*args)
     if info.value < 0:
@@ -191,20 +202,21 @@ def _gbsv(ab: np.ndarray, rhs: np.ndarray):
     return x.copy() if info.value == 0 else None
 
 
-def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
-    """Solve the pentadiagonal systems (ab[:, i], rhs[i]) of all rows.
+def _solve_bands(band, record, rhs: np.ndarray, floor: float) -> np.ndarray:
+    """Solve the pentadiagonal systems of ``band(record)`` against ``rhs``.
 
     The (5, n) bands are laid side by side as one (5, rows * n)
     block-diagonal band, whose couplings across the junctions are the zero
     corners of the band storage, and solved by one ``_gbsv`` call.  A
     pivot search never crosses a zero junction, so each block's solution
     is bit for bit that of its solve alone.  If the joint band is
-    singular, each block is solved alone, and a singular block takes
-    ``_scaled_gradient(ab, rhs, floor)``.
+    singular, it is built again, each block is solved alone, and a
+    singular block takes its ``_scaled_gradient``.
     """
-    x = _gbsv(ab, rhs)
+    x = _gbsv(band(record), rhs)
     if x is not None:
         return x
+    ab = band(record)
     out = np.empty_like(rhs)
     for i in range(len(rhs)):
         x = _gbsv(ab[:, i], rhs[i])
@@ -212,72 +224,59 @@ def _solve_bands(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _select(mask: np.ndarray, new, old):
-    """The rows of ``new`` where ``mask`` is set and of ``old`` elsewhere,
-    for states and records alike; ``new`` itself when every row is set."""
-    if np.count_nonzero(mask) == len(mask):
-        return new
-    if isinstance(new, tuple):
-        return type(new)(*(_select(mask, v, u) for v, u in zip(new, old)))
-    return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
-
-
-def _lockstep_newton(x, cur, live, errors, evaluate, band, accept, admissible, step, *, floor, fallback,
+def _lockstep_newton(x, cur, live, errors, trial, band, accept, *, floor, fallback,
                      tol, max_newton, max_backtrack, kind, screen_error, descent_error):
     """Damped Newton on the live rows of ``x`` whose residual norm exceeds
     ``tol``, in lockstep: each pass moves the whole batch under masks.
 
-    ``cur`` holds the records of the rows' points, ``band(records)`` builds
-    their bands, and one band solve covers them.  The line search tries
-    ``step(x, s, direction)`` for s = 1, 1/2, ... (at most ``max_backtrack
-    + 1`` lengths) along the Newton direction, then (with ``fallback``) the
-    scaled gradient, built only in a pass where some row rejected its
-    Newton direction; every row still searching tries the same s.  Each
-    length screens the trial points with ``admissible``, evaluates them
-    with ``evaluate(points)``, where a row that is not searching or failed
-    the screen stands at its own current point, and decides on them with
-    ``accept(old, new)``.  A row that fails gets ``screen_error`` (error
-    class, message) if no trial point passed the screen, ``descent_error``
-    otherwise, or :class:`NoConvergence` after ``max_newton`` iterations,
-    in ``errors``, and leaves ``live``.  Returns the new states, their
+    ``cur`` holds the records of the rows' points, and one band solve of
+    ``band(records)`` covers them.  The line search steps by s = 1, 1/2,
+    ... (at most ``max_backtrack + 1`` lengths) along the Newton
+    direction, then (with ``fallback``) the scaled gradient, built only in
+    a pass where some row rejected its Newton direction.  Each length's
+    ``trial(x, s, direction, searching, at)`` makes the points x + s
+    direction, screens those of the searching rows, moves every other row
+    to its latest point in ``at`` and returns the points, the screen and
+    the points' records, on which ``accept(old, new)`` decides.  A row that
+    fails gets ``screen_error`` (class, message) if no trial point passed
+    the screen, ``descent_error`` otherwise, or :class:`NoConvergence`
+    after ``max_newton`` iterations, in ``errors``, leaves ``live`` and
+    goes back to its point of the pass.  Returns the new states, their
     records and the iteration counts.
     """
     iters = np.zeros(len(x), dtype=int)
+    lengths = max_backtrack + 1
     # every member still iterating has taken part in each pass so far, so
     # the pass count is its iteration count
-    for passes in itertools.count():
+    for passes in range(max_newton + 1):
         active = live & (cur.rn > tol)
         if not np.count_nonzero(active):
             break
-        if passes >= max_newton:
-            for i in active.nonzero()[0]:
+        if passes == max_newton:
+            for i in np.flatnonzero(active):
                 errors[int(i)] = NoConvergence(
                     f"{kind} Newton exceeded {max_newton} iterations (residual {cur.rn[i]:.3e})")
             break
-        ab = band(cur)
         rhs = -cur.r
-
-        def directions():
-            yield _solve_bands(ab, rhs, floor)
-            if fallback:  # reached only when some row rejected its Newton direction
-                yield _scaled_gradient(ab, rhs, floor)
-
-        searching, screened = active.copy(), active.copy()
-        moved, new = x, cur
-        for direction, s in ((d, 0.5 ** j) for d in directions() for j in range(max_backtrack + 1)):
-            cand = step(x, s, direction)
-            ok = searching & admissible(cand)
-            screened &= ~ok
-            trial = evaluate(_select(ok, cand, x))
-            acc = ok & accept(cur, trial)
-            moved, new = _select(acc, cand, moved), _select(acc, trial, new)
-            searching &= ~acc
+        direction = _solve_bands(band, cur, rhs, floor)
+        searching, passed, moved = active, False, x
+        for k in range(2 * lengths if fallback else lengths):
+            if k == lengths:  # some row rejected its Newton direction
+                direction = _scaled_gradient(band(cur), rhs, floor)
+            moved, ok, new = trial(x, 0.5 ** (k % lengths), direction, searching, moved)
+            acc = ok & accept(cur, new)
+            passed = passed | ok
+            searching = searching & ~acc
             if not np.count_nonzero(searching):
                 break
-        for i in searching.nonzero()[0]:
-            errors[int(i)] = screen_error[0](screen_error[1]) if screened[i] else NoConvergence(descent_error)
-        live &= ~searching
-        iters += active & ~searching
+        else:  # the rows still searching found no step
+            for i in np.flatnonzero(searching):
+                errors[int(i)] = NoConvergence(descent_error) if passed[i] else screen_error[0](screen_error[1])
+            for a, b in zip((moved, *new), (x, *cur)):
+                np.copyto(a, b, where=searching.reshape(searching.shape + (1,) * (a.ndim - 1)))
+            live = live & ~searching
+            active = active & ~searching
+        iters += active
         x, cur = moved, new
     return x, cur, iters
 
@@ -294,16 +293,16 @@ def _lockstep_newton(x, cur, live, errors, evaluate, band, accept, admissible, s
 _MechPoint = namedtuple("_MechPoint", "value scale path_min r rn F F2 cdot d2G")
 
 
-def _mech_point(params, grid, w, c_hat, ent, C_prev, tau, load, g_value, weights) -> _MechPoint:
-    """Evaluate the oriented deformations ``w``; ``ent`` is the entropy of the
-    frozen cell concentrations ``c_hat``, ``load`` the weighted body force."""
+def _mech_point(params, grid, w, F, c_hat, ent, C_prev, tau, load, g_value, free_weights) -> _MechPoint:
+    """Evaluate the deformations ``w`` at their cell gradients F = 1 + w' > 0;
+    ``ent`` is the entropy of the frozen cell concentrations ``c_hat``,
+    ``load`` the weighted body force, ``free_weights`` those of nodes 1..n."""
     h = grid.h
     n = grid.n_cells
-    F = 1.0 + gradient(grid, w)
     G = second_derivative(grid, w)
     F2 = F ** 2
     cdot = (F2 - C_prev) / tau
-    F, _, Jm1, dev = mat._state(params, F, c_hat)
+    Jm1, dev = mat._strain(params, F, c_hat)
     hyper, hy, d2G = mat._hyper_1d(params, G)
     phi = h * mat._energy(params, Jm1 ** 2, F, dev, ent).sum(axis=-1)
     hyp = h * hyper[..., 1:-1].sum(axis=-1)
@@ -318,37 +317,31 @@ def _mech_point(params, grid, w, c_hat, ent, C_prev, tau, load, g_value, weights
     r += (hpad[..., 0:n] - 2.0 * hpad[..., 1 : n + 1] + hpad[..., 2 : n + 2]) / h
     r -= load[..., 1:]
     r[..., -1] -= g_value
-    return _MechPoint(value, scale, value.copy(), r, _dual_norm(r, weights[1:]), F, F2, cdot, d2G)
+    return _MechPoint(value, scale, value.copy(), r, _dual_norm(r, free_weights), F, F2, cdot, d2G)
 
 
 def _mech_band(params, grid, tau, pt: _MechPoint):
     """Band ab[2 + i - j, j] = H[i, j] of the pentadiagonal Hessian at the
-    point of ``pt``, in the (5, [rows,] n) storage of ``solve_banded``."""
+    point of ``pt``, in the (5, [rows,] n) storage of ``solve_banded``, in
+    ``_work_band``."""
     h = grid.h
     n = grid.n_cells
     a = mat._stiffness_1d(params, pt.F) + 2.0 * params.D_tilde * pt.cdot + 4.0 * params.D_tilde * pt.F2 / tau
     # hyperstress block (second-difference stencil); h'(G) = 0 at the end nodes
     b = pt.d2G / h ** 3
     bp = _pad(b, 0, 1)  # bp[i] = b_i for i <= n, bp[n+1] = 0
-    ab = np.zeros((5,) + a.shape)
-    ab[2] = np.concatenate([a[..., :-1] + a[..., 1:], a[..., -1:]], axis=-1) / h
-    ab[2] += bp[..., 0:n] + 4.0 * bp[..., 1 : n + 1] + bp[..., 2 : n + 2]
-    ab[2] += TIKHONOV_SHIFT
-    ab[1, ..., 1:] = -a[..., 1:] / h - 2.0 * (bp[..., 1:n] + bp[..., 2 : n + 1])
-    ab[0, ..., 2:] = bp[..., 2:n]
-    ab[3, ..., :-1] = ab[1, ..., 1:]
-    ab[4, ..., :-2] = ab[0, ..., 2:]
+    diag = np.concatenate([a[..., :-1] + a[..., 1:], a[..., -1:]], axis=-1) / h
+    diag += bp[..., 0:n] + 4.0 * bp[..., 1 : n + 1] + bp[..., 2 : n + 2]
+    diag += TIKHONOV_SHIFT
+    ab = _work_band(a.shape)
+    ab[2] = diag
+    ab[1, ..., 1:] = ab[3, ..., :-1] = -a[..., 1:] / h - 2.0 * (bp[..., 1:n] + bp[..., 2 : n + 1])
+    ab[0, ..., 2:] = ab[4, ..., :-2] = bp[..., 2:n]
+    ab[0, ..., :2] = ab[1, ..., 0] = ab[3, ..., -1] = ab[4, ..., -2:] = 0.0
     return ab
 
 
-def _mech_candidate(w, s, direction):
-    cand = w.copy()
-    cand[:, 1:] += s * direction
-    return cand
-
-
-def _oriented(grid, w):
-    return ~((1.0 + gradient(grid, w)).min(axis=-1) <= 0.0)
+_ROUNDOFF = 1024.0 * np.finfo(float).eps  # the line search's round-off factor
 
 
 def _mech_accept(old: _MechPoint, new: _MechPoint):
@@ -358,12 +351,11 @@ def _mech_accept(old: _MechPoint, new: _MechPoint):
     # under a strong residual contraction and a tiny absolute budget.  A
     # trial descends from the smallest energy along the path.
     e_old = old.path_min
-    noise = 1024.0 * np.finfo(float).eps * np.maximum(old.scale, new.scale)
+    noise = _ROUNDOFF * np.maximum(old.scale, new.scale)
     finite = np.isfinite(new.value)
     accept = finite & (new.value <= e_old - noise)
     if np.count_nonzero(accept) < len(accept):
-        near = finite & ~accept & (new.value <= e_old + noise + 1e-15)
-        accept[near] = new.rn[near] <= 0.5 * old.rn[near]
+        accept |= finite & (new.value <= e_old + noise + 1e-15) & (new.rn <= 0.5 * old.rn)
     np.copyto(new.path_min, e_old, where=e_old < new.value)
     return accept
 
@@ -393,7 +385,8 @@ def mechanical_step(
     total ``iterations`` (an int), the per-member ``member_iterations``,
     ``member_residual`` (the achieved residual dual norm),
     ``member_energy`` and ``member_energy_start`` (the descent
-    certificate), and ``errors``, which maps the index of each failed
+    certificate), the cell gradients ``F`` = 1 + w' of the returned
+    displacements, and ``errors``, which maps the index of each failed
     member to its error (its row of the batch is not a result):
     :class:`OrientationLoss` when no backtracking step keeps chi' > 0,
     :class:`NoConvergence` when the iteration caps are exhausted.
@@ -412,41 +405,55 @@ def mechanical_step(
     w = np.array(w_prev, dtype=float, ndmin=2)
     m = len(w)
     weights = node_weights(grid)
-    C_prev = (1.0 + gradient(grid, w)) ** 2
-    # the per-step invariants: the frozen concentration, its entropy and the loads
+    # the per-step invariants: the frozen concentration, its entropy, the loads
     c_hat = cell_average(np.reshape(c_prev, w.shape))
     ent = mat._entropy(params, c_hat)
     load = weights * np.reshape(f_nodes, w.shape)
     g_value = np.reshape(g_value, m)
-
-    def evaluate(points):
-        return _mech_point(params, grid, points, c_hat, ent, C_prev, tau, load, g_value, weights)
-
-    errors = {}
+    free_weights = weights[1:]
     # w_prev and the start (the last layer; w_prev if there is none) are
     # evaluated as one (layers, members, nodes) batch.  The identity stands
     # in for a point that folds the bar, which counts as not evaluated.
     pair = np.array([w] if start is None else [w, np.reshape(start, w.shape)], dtype=float)
-    folded = ~_oriented(grid, pair)
-    pair[folded] = 0.0
-    both = evaluate(pair)
+    F = 1.0 + gradient(grid, pair)
+    C_prev = F[0] ** 2
+    folded = F.min(axis=-1) <= 0.0
+    if np.count_nonzero(folded):
+        pair[folded] = 0.0
+        F[folded] = 1.0
+    mat._positive(c_hat, "concentration")  # once per step: the points are screened for F > 0
+
+    def trial(x, s, direction, searching, at):
+        points = x.copy()
+        points[:, 1:] += s * direction
+        F = 1.0 + gradient(grid, points)  # the orientation screen reads the F the evaluation needs
+        ok = searching & ~(F.min(axis=-1) <= 0.0)
+        if np.count_nonzero(ok) < m:
+            np.copyto(points, at, where=~ok[:, None])
+            F = 1.0 + gradient(grid, points)
+        return points, ok, _mech_point(params, grid, points, F, c_hat, ent, C_prev, tau, load, g_value, free_weights)
+
+    errors = {}
+    both = _mech_point(params, grid, pair, F, c_hat, ent, C_prev, tau, load, g_value, free_weights)
     energy = np.where(folded, np.inf, both.value)
     e_start = energy[0]
     live = np.isfinite(e_start)
-    for i in (~live).nonzero()[0]:
-        errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
+    if np.count_nonzero(live) < m:
+        for i in np.flatnonzero(~live):
+            errors[int(i)] = OrientationLoss("previous state is not orientation-admissible")
     take = live & np.isfinite(energy[-1]) & (energy[-1] <= e_start)
-    first, last = (_MechPoint(*(v[j] for v in both)) for j in (0, -1))
+    if np.count_nonzero(take) < m:  # these members start from w_prev, the first layer
+        for v in (pair, *both):
+            np.copyto(v[-1], v[0], where=~take.reshape((m,) + (1,) * (v.ndim - 2)))
     w, cur, iters = _lockstep_newton(
-        _select(take, pair[-1], pair[0]), _select(take, last, first), live, errors, evaluate,
-        lambda pt: _mech_band(params, grid, tau, pt), _mech_accept,
-        lambda points: _oriented(grid, points), _mech_candidate, floor=1.0, fallback=True,
+        pair[-1], _MechPoint._make([v[-1] for v in both]), live, errors, trial,
+        lambda pt: _mech_band(params, grid, tau, pt), _mech_accept, floor=1.0, fallback=True,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="mechanical",
         screen_error=(OrientationLoss, "no backtracking step preserves chi' > 0"),
         descent_error="mechanical line search failed to descend",
     )
     return w, {"iterations": int(iters.sum()), "member_iterations": iters, "member_residual": cur.rn,
-               "member_energy": cur.value, "member_energy_start": e_start, "errors": errors}
+               "member_energy": cur.value, "member_energy_start": e_start, "F": cur.F, "errors": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +474,12 @@ _DiffPoint = namedtuple("_DiffPoint", "r rn mu c_hat mob")
 
 
 def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _DiffPoint:
-    """Evaluate positive concentrations ``c``, with ``mu_ext`` the external
-    potential of the Robin data at the step's time."""
+    """Evaluate positive concentrations ``c`` at ``F_cells`` > 0, with
+    ``mu_ext`` the external potential of the Robin data at the step's time."""
     c_hat = cell_average(c)
-    J, c_hat, _, dev = mat._state(params, F_cells, c_hat)
+    _, dev = mat._strain(params, F_cells, c_hat)
     mu = node_average(mat._potential(params, c_hat, dev))
-    mob = mat._mobility_1d(params, J, c_hat)
+    mob = mat._mobility_1d(params, F_cells, c_hat)
     q = mob * (mu[..., 1:] - mu[..., :-1]) / grid.h
     r = weights * (c - c_prev) - tau * divergence(q)
     # Robin rows; kappa = 0 would add exact zeros
@@ -485,7 +492,8 @@ def _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights) -> _
 
 def _diff_band(params, grid, F_cells, tau, bc, weights, pt: _DiffPoint):
     """Band ab[2 + i - j, j] = J[i, j] of the pentadiagonal Jacobian at the
-    point of ``pt``, in the (5, [rows,] n + 1) storage of ``solve_banded``."""
+    point of ``pt``, in the (5, [rows,] n + 1) storage of ``solve_banded``,
+    built into ``_work_band``."""
     h = grid.h
     mu = pt.mu
     m = pt.mob / h
@@ -502,29 +510,27 @@ def _diff_band(params, grid, F_cells, tau, bc, weights, pt: _DiffPoint):
     q0 = tau * (m * (lower - dd[..., :-1]) + s)
     q1 = tau * (m * (dd[..., 1:] - upper) + s)
     q2 = tau * (m[..., :-1] * quarter[..., 1:])
-    # row i of the residual holds tau (q_{i-1} - q_i); a missing q is 0.0
-    ab = np.zeros((5,) + mu.shape)
-    np.negative(q2, out=ab[0, ..., 2:])
-    np.subtract(0.0, q1[..., 0], out=ab[1, ..., 1])
-    np.subtract(q2, q1[..., 1:], out=ab[1, ..., 2:])
-    ab[2] = weights
-    ab[2, ..., 1:] += q1
-    ab[2, ..., :-1] -= q0
-    ab[3, ..., :-1] = q0
-    ab[3, ..., :-2] -= qm1
-    ab[4, ..., :-2] = qm1
+    # row i of the residual holds tau (q_{i-1} - q_i); a missing q is 0.0.
+    # The diagonals are summed apart: computing into strided rows is slow
+    diag = weights + _pad(q1, 1, 0)
+    diag[..., :-1] -= q0
+    above = _pad(q2, 1, 0) - q1  # above[k] = ab[1, k + 1]
+    q0[..., :-1] -= qm1  # now q0[k] = ab[3, k]
     # Robin rows, as in _diff_point
     if bc.kappa_left:
-        ab[2, ..., 0] += tau * bc.kappa_left * dd[..., 0]
-        ab[1, ..., 1] += tau * bc.kappa_left * upper[..., 0]
+        diag[..., 0] += tau * bc.kappa_left * dd[..., 0]
+        above[..., 0] += tau * bc.kappa_left * upper[..., 0]
     if bc.kappa_right:
-        ab[2, ..., -1] += tau * bc.kappa_right * dd[..., -1]
-        ab[3, ..., -2] += tau * bc.kappa_right * lower[..., -1]
+        diag[..., -1] += tau * bc.kappa_right * dd[..., -1]
+        q0[..., -1] += tau * bc.kappa_right * lower[..., -1]
+    ab = _work_band(mu.shape)
+    ab[0, ..., 2:] = -q2
+    ab[1, ..., 1:] = above
+    ab[2] = diag
+    ab[3, ..., :-1] = q0
+    ab[4, ..., :-2] = qm1
+    ab[0, ..., :2] = ab[1, ..., 0] = ab[3, ..., -1] = ab[4, ..., -2:] = 0.0
     return ab
-
-
-def _positive(c):
-    return ~(c.min(axis=-1) <= 0.0)
 
 
 def diffusion_step(
@@ -559,18 +565,25 @@ def diffusion_step(
     weights = node_weights(grid)
     mu_ext = bc.mu_ext_value(t)
 
-    def evaluate(points):
-        return _diff_point(params, grid, F_cells, points, c_prev, tau, bc, mu_ext, weights)
+    def trial(x, s, direction, searching, at):
+        points = x + s * direction
+        ok = searching & ~(points.min(axis=-1) <= 0.0)
+        if np.count_nonzero(ok) < m:
+            np.copyto(points, at, where=~ok[:, None])
+        return points, ok, _diff_point(params, grid, F_cells, points, c_prev, tau, bc, mu_ext, weights)
 
     errors = {}
-    live = _positive(c_prev)
-    for i in (~live).nonzero()[0]:
-        errors[int(i)] = PositivityLoss("implicit diffusion step requires strictly positive concentration")
-    c = _select(live, c_prev, params.c_eq)  # c_eq stands in for a member that is not positive
+    live = ~(c_prev.min(axis=-1) <= 0.0)
+    c = c_prev
+    if np.count_nonzero(live) < m:  # c_eq stands in for a member that is not positive
+        for i in np.flatnonzero(~live):
+            errors[int(i)] = PositivityLoss("implicit diffusion step requires strictly positive concentration")
+        c = np.where(live[:, None], c_prev, params.c_eq)
+    mat._positive(F_cells, "det F")  # once per step: the points are screened for c > 0
     c, cur, iters = _lockstep_newton(
-        c, evaluate(c), live, errors, evaluate, lambda pt: _diff_band(params, grid, F_cells, tau, bc, weights, pt),
-        lambda old, new: new.rn < old.rn, _positive, lambda c, s, d: c + s * d,
-        floor=1e-30, fallback=False,
+        c, _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights), live, errors, trial,
+        lambda pt: _diff_band(params, grid, F_cells, tau, bc, weights, pt),
+        lambda old, new: new.rn < old.rn, floor=1e-30, fallback=False,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="diffusion",
         screen_error=(PositivityLoss, "no damping preserves c > 0"),
         descent_error="diffusion line search failed to reduce the residual",
@@ -755,9 +768,8 @@ def run_nonlinear(
             failure = (live, minfo["errors"][live], t)
             if not live:
                 break
-        F_new = 1.0 + gradient(grid, w_new[:live])
         c_new, dinfo = diffusion_step(
-            params, grid, F_new, c[:live], tau, bc, t,
+            params, grid, minfo["F"][:live], c[:live], tau, bc, t,
             tol=tol, max_newton=max_newton, max_backtrack=max_backtrack,
         )
         if dinfo["errors"]:

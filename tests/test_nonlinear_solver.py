@@ -146,7 +146,8 @@ class TestBandedNewtonMatrices:
         ent = _entropy(unit_params, c_hat)
 
         def point(wv):
-            return _mech_point(unit_params, grid, wv, c_hat, ent, C_prev, TAU, weights * f, 0.02, weights)
+            return _mech_point(unit_params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, C_prev, TAU, weights * f,
+                               0.02, weights[1:])
 
         def residual(wv):
             return point(wv).r
@@ -275,8 +276,8 @@ class TestPointKernel:
         f = rng.standard_normal((3, grid.n_nodes))
         g = rng.standard_normal(3)
         weights = node_weights(grid)
-        pt = _mech_point(unit_params, grid, w, c_hat, _entropy(unit_params, c_hat), C_prev, TAU,
-                         weights * f, g, weights)
+        pt = _mech_point(unit_params, grid, w, 1.0 + gradient(grid, w), c_hat, _entropy(unit_params, c_hat), C_prev,
+                         TAU, weights * f, g, weights[1:])
         value, scale, r, ab = public_mech_point(unit_params, grid, w, c_hat, C_prev, TAU, f, g, weights)
         F = 1.0 + gradient(grid, w)
         for got, want in ((pt.value, value), (pt.scale, scale), (pt.r, r), (pt.rn, _dual_norm(r, weights[1:])),
@@ -522,8 +523,8 @@ def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
             C_prev = (1.0 + gradient(grid, w_prev)) ** 2
             mu_ext = bc.mu_ext_value(t)
             c_hat_prev = cell_average(c_prev)
-            r_mech = _mech_point(params, grid, w, c_hat_prev, _entropy(params, c_hat_prev), C_prev, tau,
-                                 weights * (eps * loading.f_star(t)), eps * loading.g_star(t), weights).r
+            r_mech = _mech_point(params, grid, w, F, c_hat_prev, _entropy(params, c_hat_prev), C_prev, tau,
+                                 weights * (eps * loading.f_star(t)), eps * loading.g_star(t), weights[1:]).r
             r_diff = _diff_point(params, grid, F, c, c_prev, tau, bc, mu_ext, weights).r
             start = None if k == 1 else 2.0 * W[1] - W[0] if k == 2 else 3.0 * (W[k - 1] - W[k - 2]) + W[k - 3]
             (w_step,), minfo = mechanical_step(params, grid, w_prev, c_prev, tau, eps * loading.f_star(t),
@@ -824,16 +825,21 @@ class TestLockstep:
         checked = {"mechanical": 0, "diffusion": 0}
         driver = nonlinear_solver._lockstep_newton
 
-        def checking(x, cur, live, errors, evaluate, band, *args, **kwargs):
+        def checking(x, cur, live, errors, trial, band, *args, **kwargs):
             points = {r.tobytes(): p for p, r in zip(x, cur.r)}
 
-            def remember(batch):
-                record = evaluate(batch)
-                points.update((r.tobytes(), p) for p, r in zip(batch, record.r))
+            def evaluate(batch):  # the points of every row, all searching and admissible
+                _, ok, record = trial(batch, 0.0, 0.0, np.ones(len(batch), dtype=bool), batch)
+                assert np.all(ok)
                 return record
 
+            def remember(*args):
+                batch, ok, record = trial(*args)
+                points.update((r.tobytes(), p) for p, r in zip(batch, record.r))
+                return batch, ok, record
+
             def check(record):
-                ab = band(record)
+                ab = band(record).copy()  # the band is built into the kept work band
                 fresh = np.array([points[r.tobytes()] for r in record.r])
                 assert np.array_equal(band(evaluate(fresh)), ab)
                 checked[kwargs["kind"]] += len(fresh)
@@ -861,14 +867,14 @@ class TestLockstep:
         solve, scaled_gradient = nonlinear_solver._solve_bands, nonlinear_solver._scaled_gradient
         fallbacks = []
 
-        def rejected_for_member_1(ab, rhs, floor):
-            delta = solve(ab, rhs, floor)
+        def rejected_for_member_1(band, record, rhs, floor):
+            delta = solve(band, record, rhs, floor)
             delta[1] = 0.0
             return delta
 
         def recorded(ab, rhs, floor):
             out = scaled_gradient(ab, rhs, floor)
-            fallbacks.append((ab, rhs, floor, out))
+            fallbacks.append((ab.copy(), rhs, floor, out))  # ab is the kept work band
             return out
 
         monkeypatch.setattr(nonlinear_solver, "_solve_bands", rejected_for_member_1)
@@ -880,8 +886,9 @@ class TestLockstep:
         ab, rhs, floor, direction = fallbacks[0]
         weights = node_weights(grid)
         c_hat = cell_average(c[1])
-        pt = _mech_point(unit_params, grid, w[1], c_hat, _entropy(unit_params, c_hat), (1.0 + gradient(grid, w[1])) ** 2,
-                         TAU, weights * f[1], g[1], weights)
+        F = 1.0 + gradient(grid, w[1])
+        pt = _mech_point(unit_params, grid, w[1], F, c_hat, _entropy(unit_params, c_hat), F ** 2,
+                         TAU, weights * f[1], g[1], weights[1:])
         H = _mech_band(unit_params, grid, TAU, pt)
         assert direction.shape == w[:, 1:].shape
         assert np.array_equal(ab[:, 1], H) and np.array_equal(rhs[1], -pt.r) and floor == 1.0
@@ -934,6 +941,25 @@ class TestLockstep:
             assert np.array_equal(c_new[i], c1) and np.array_equal(info["mu"][i], d1["mu"][0])
             assert info["member_iterations"][i] == d1["iterations"] >= 1
 
+    @pytest.mark.parametrize("max_backtrack", [0, 40])
+    def test_a_failed_line_search_leaves_its_member_at_its_last_iterate(self, unit_params, max_backtrack):
+        # below every round-off floor each member's line search stalls; the
+        # member goes back to the iterate its last pass started from, which
+        # is the state that pass count of iterations reaches.  With one
+        # length per direction its rejected trial points differ from it.
+        grid, _, W, C, f, g = self.batch_at_step(unit_params, 30)
+        w, c = W[:, 1], C[:, 1]
+        kw = dict(tol=1e-30, max_backtrack=max_backtrack)
+        w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, **kw)
+        assert sorted(info["errors"]) == [0, 1, 2]
+        assert all(str(err) == "mechanical line search failed to descend" for err in info["errors"].values())
+        for i, k in enumerate(info["member_iterations"]):
+            (w_k,), capped = mechanical_step(unit_params, grid, w[i], c[i], TAU, f[i], g[i], max_newton=k, **kw)
+            assert type(capped["errors"][0]) is NoConvergence and capped["member_iterations"][0] == k
+            assert np.array_equal(w_new[i], w_k) and np.array_equal(info["F"][i], capped["F"][0])
+            for key in ("member_residual", "member_energy"):
+                assert info[key][i] == capped[key][0]
+
     def test_illegal_gbsv_argument_raises(self, monkeypatch):
         def illegal(*args):  # gbsv's report of a bad 4th argument, in its info (the last)
             args[-1].contents.value = -4
@@ -942,7 +968,7 @@ class TestLockstep:
         ab = np.zeros((5, 2, 6))
         ab[2] = 1.0
         with pytest.raises(ValueError, match="argument 4"):
-            _solve_bands(ab, np.ones((2, 6)), 1.0)
+            _solve_bands(lambda _: ab, None, np.ones((2, 6)), 1.0)
 
     def test_only_the_singular_block_falls_back(self):
         rng = np.random.default_rng(3)
@@ -952,12 +978,85 @@ class TestLockstep:
             ab[0, i, :2] = ab[1, i, 0] = ab[3, i, -1] = ab[4, i, -2:] = 0.0
         ab[:, 1, 4] = 0.0  # a zero column makes block 1 singular
         rhs = rng.standard_normal((3, 9))
-        out = _solve_bands(ab, rhs, 1.0)
+        out = _solve_bands(lambda _: ab, None, rhs, 1.0)
         for i in (0, 2):
             assert np.array_equal(out[i], solve_banded((2, 2), ab[:, i], rhs[i], check_finite=False))
         # the fallback of a one-member step: rhs / max(max |diag|, floor)
         assert np.array_equal(out[1], rhs[1] / max(float(np.max(np.abs(ab[2, 1]))), 1.0))
         assert np.array_equal(_scaled_gradient(ab, rhs, 1.0)[1], out[1])
+
+    def test_kernel_calls_are_pinned(self, unit_params, monkeypatch):
+        # a lockstep run whose every pass does one band and one solve, and
+        # each line search length one point evaluation: 25 steps, each of
+        # which evaluates its start once per kind
+        calls = dict.fromkeys(("_mech_point", "_mech_band", "_gbsv", "_diff_point", "_diff_band"), 0)
+
+        def counted(name):
+            kernel = getattr(nonlinear_solver, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nonlinear_solver, name, counted(name))
+        grid = Grid1D(16)
+        ledgers = run_nonlinear(unit_params, grid, default_loading(grid), BCSpec(zero_flux=True), tau=2e-3, T=0.05,
+                                eps=SWEEP_EPS, consume=lambda *blocks: None)
+        assert calls == {"_mech_point": 52, "_mech_band": 27, "_gbsv": 52, "_diff_point": 50, "_diff_band": 25}
+        assert [ledger.column("newton_mech").sum() for ledger in ledgers] == [27, 27, 27, 25]
+        assert [ledger.column("newton_diff").sum() for ledger in ledgers] == [25, 25, 25, 25]
+
+
+class TestKeptBuffers:
+    """The band solves keep their work buffers per shape: no result may
+    share them, and a call leaves nothing behind for the next one."""
+
+    @staticmethod
+    def step(params, n, members):
+        # one mechanical and one diffusion step of a loaded batch
+        grid = Grid1D(n)
+        x = grid.nodes
+        eps = np.array(SWEEP_EPS[:members])[:, None]
+        w = eps * 0.1 * x
+        c = 1.0 + eps * 0.3 * np.cos(np.pi * x)
+        w_new, minfo = mechanical_step(params, grid, w, c, TAU, eps * 0.6 * np.sin(np.pi * x), eps[:, 0] * 0.25,
+                                       tol=5e-11, start=1.1 * w)
+        c_new, dinfo = diffusion_step(params, grid, minfo["F"], c, TAU,
+                                      BCSpec(kappa_left=0.5, kappa_right=0.25, mu_ext=0.02), 0.0, tol=5e-11)
+        assert minfo["errors"] == dinfo["errors"] == {}
+        assert np.all(minfo["member_iterations"] >= 1) and np.all(dinfo["member_iterations"] >= 1)
+        return [w_new, c_new] + [v for info in (minfo, dinfo) for v in info.values() if isinstance(v, np.ndarray)]
+
+    def test_calls_across_shapes_and_grids_repeat_bit_for_bit(self, unit_params):
+        first = self.step(unit_params, 16, 1)
+        for n, members in ((16, 4), (32, 1)):
+            self.step(unit_params, n, members)
+        again = self.step(unit_params, 16, 1)
+        assert len(again) == len(first) == 10
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+
+    def test_writing_into_results_leaves_later_calls_alone(self, unit_params):
+        results = self.step(unit_params, 16, 4)
+        kept = [np.array(a) for a in results]
+        for a in results:
+            a[...] = -1 if a.dtype.kind == "i" else np.nan
+        for a, b in zip(self.step(unit_params, 16, 4), kept):
+            assert np.array_equal(a, b)
+
+    def test_a_coupled_band_left_in_the_work_band_changes_no_step(self, unit_params):
+        # a band with no zero junctions, solved in the work bands of the
+        # batch's two systems, leaves LU factors in their block corners
+        reference = self.step(unit_params, 16, 4)
+        rng = np.random.default_rng(0)
+        for shape in ((4, 16), (4, 17)):
+            ab = rng.standard_normal((5,) + shape)
+            ab[2] += 10.0
+            assert _gbsv(ab, rng.standard_normal(shape)) is not None
+        for a, b in zip(self.step(unit_params, 16, 4), reference):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1129,8 @@ class TestPredictor:
         ent = _entropy(params, c_hat)
 
         def point(wv):
-            return _mech_point(params, grid, wv, c_hat, ent, C_prev, tau, weights * f, g, weights)
+            return _mech_point(params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, C_prev, tau, weights * f, g,
+                               weights[1:])
 
         # the energy reported is E(w_new), and it exceeds E(w_prev) by at
         # most the line search's round-off budget over the point Newton
