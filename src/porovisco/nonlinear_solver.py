@@ -405,16 +405,17 @@ def mechanical_step(
     w = np.array(w_prev, dtype=float, ndmin=2)
     m = len(w)
     weights = node_weights(grid)
-    # the per-step invariants: the frozen concentration, its entropy, the loads
-    c_hat = cell_average(np.reshape(c_prev, w.shape))
+    # the per-step invariants: the frozen concentration, its entropy, the
+    # loads (ndarray.reshape: np.reshape dispatches through Python)
+    c_hat = cell_average(np.asarray(c_prev).reshape(w.shape))
     ent = mat._entropy(params, c_hat)
-    load = weights * np.reshape(f_nodes, w.shape)
-    g_value = np.reshape(g_value, m)
+    load = weights * np.asarray(f_nodes).reshape(w.shape)
+    g_value = np.asarray(g_value).reshape(m)
     free_weights = weights[1:]
     # w_prev and the start (the last layer; w_prev if there is none) are
     # evaluated as one (layers, members, nodes) batch.  The identity stands
     # in for a point that folds the bar, which counts as not evaluated.
-    pair = np.array([w] if start is None else [w, np.reshape(start, w.shape)], dtype=float)
+    pair = np.array([w] if start is None else [w, np.asarray(start).reshape(w.shape)], dtype=float)
     F = 1.0 + gradient(grid, pair)
     C_prev = F[0] ** 2
     folded = F.min(axis=-1) <= 0.0
@@ -561,7 +562,7 @@ def diffusion_step(
     """
     c_prev = np.array(c_prev, dtype=float, ndmin=2)
     m = len(c_prev)
-    F_cells = np.reshape(F_cells, (m, grid.n_cells))
+    F_cells = np.asarray(F_cells).reshape(m, grid.n_cells)
     weights = node_weights(grid)
     mu_ext = bc.mu_ext_value(t)
 
