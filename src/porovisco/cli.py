@@ -156,8 +156,8 @@ _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")  # false for NaN
 _NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")  # false for NaN
 _FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
 _FINITE = (lambda v: bool(np.all(np.isfinite(() if v is None else v))), "finite")
-_POSITIVE_DECREASING = (lambda v: all(map(_POSITIVE[0], v)) and bool(np.all(np.diff(v) < 0.0)),
-                        "finite, positive and strictly decreasing")
+_SWEEP_SCALES = (lambda v: len(v) >= 3 and all(map(_POSITIVE[0], v)) and bool(np.all(np.diff(v) < 0.0)),
+                 "at least 3 finite, positive and strictly decreasing values")
 
 
 def _walk(node, table: dict) -> dict:
@@ -235,7 +235,7 @@ _CONFIG = {
     }, BCSpec), None),
     "initial": ({}, _object({"u0": ({}, _PROFILE, None), "rho0": ({}, _PROFILE, None)}), None),
     "eps": (0.1, _number, _POSITIVE),
-    "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _POSITIVE_DECREASING),
+    "eps_list": ([0.2, 0.1, 0.05, 0.025], _floats, _SWEEP_SCALES),
     "solver": ({}, _object({
         "tol": (5e-11, _number, _POSITIVE),
         "max_newton": (50, _count, _NONNEGATIVE),
@@ -276,9 +276,20 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     fields = _walk(raw, _CONFIG)
     del fields["schema_version"]
     time, solver, initial = (fields.pop(key) for key in ("time", "solver", "initial"))
+    # the checks across fields, on the grid the overrides leave
+    errors = []
     late = [t for t in time["checkpoint_times"] or () if not 0.0 <= t <= time["T"]]  # no row to snap to
     if late:
-        raise ValidationError([f"time.checkpoint_times: must lie in [0, time.T], got {late[0]!r}"])
+        errors.append(f"time.checkpoint_times: must lie in [0, time.T], got {late[0]!r}")
+    x = fields["grid"].nodes
+    for where, profile in (("loading.f_profile", fields["loading"].f_profile),
+                           ("initial.u0", initial["u0"]), ("initial.rho0", initial["rho0"])):
+        if profile.kind == "array" and len(profile.values) != len(x):
+            errors.append(f"{where}.values: must hold grid.n_cells + 1 = {len(x)} values, got {len(profile.values)}")
+        elif where == "initial.u0" and abs(profile.sample(x)[0]) > 1e-14:
+            errors.append(f"initial.u0: must vanish at the pinned end x = 0, got {float(profile.sample(x)[0])!r}")
+    if errors:
+        raise ValidationError(errors)
     return ProblemConfig(
         **fields, **time, **solver,
         u0_profile=initial["u0"], rho0_profile=initial["rho0"], config_hash=digest,
@@ -388,19 +399,13 @@ def _write_ledger(path: Path, ledger) -> None:
     _write_csv(path, names, [ledger.column(n) for n in names])
 
 
-def _report(quiet: bool, invariants: list) -> bool:
-    ok = True
-    for name, passed, value, tol in invariants:
-        ok = ok and passed
-        if not quiet:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}: value {value:.6g} (tolerance {tol:.6g})")
-    return ok
-
-
 def _fail_code(invariants: list, quiet: bool) -> int:
-    if _report(quiet, invariants):
-        return 0
+    if not quiet:
+        for name, passed, value, tol in invariants:
+            print(f"{'PASS' if passed else 'FAIL'}  {name}: value {value:.6g} (tolerance {tol:.6g})")
     failing = [n for n, p, _, _ in invariants if not p]
+    if not failing:
+        return 0
     print(f"invariant failure: {', '.join(failing)}", file=sys.stderr)
     return 2
 

@@ -250,3 +250,9 @@ def llogl_deviation(grid: Grid1D, c, c_eq: float):
 def mass(grid: Grid1D, f):
     """Trapezoidal integral of a nodal field."""
     return _per_row(np.sum(node_weights(grid) * _vals(grid, f), axis=-1))
+
+
+def load_pairing(grid: Grid1D, f, g, u):
+    """The pairing sum_i w_i f_i u_i + g u_n of the nodal body force ``f``
+    and end traction ``g`` with the displacements ``u``, one per row."""
+    return np.sum(node_weights(grid) * f * u, axis=-1) + g * u[..., -1]

@@ -49,6 +49,7 @@ from .discretization import (
     divergence,
     gradient,
     h1_norm,
+    load_pairing,
     lq_norm,
     mass,
     node_average,
@@ -314,10 +315,9 @@ def _linear_columns(grid, tensors, stepper, rows, u, rho, f, g_star, source):
     f_both, g_both = f(both), g_star[both]
     us, rhos = u[:n], rho[:n]
     grad_mu = gradient(grid, nodal_potential(grid, tensors, us, rhos))
-    load_pair = np.sum(node_weights(grid) * f_both[:n] * us, axis=-1) + g_both[:n] * us[:, -1]
     up_rate = (gradient(grid, u[1:]) - gradient(grid, u[:-1])) / tau
     return {
-        "energy": state_energy(grid, tensors, us, rhos) - load_pair,
+        "energy": state_energy(grid, tensors, us, rhos) - load_pairing(grid, f_both[:n], g_both[:n], us),
         "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
         "mass": mass(grid, rhos),
         "h1_u": h1_norm(grid, us),
@@ -325,10 +325,7 @@ def _linear_columns(grid, tensors, stepper, rows, u, rho, f, g_star, source):
         "linf_rho": lq_norm(grid, rhos, np.inf),
     }, {
         "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
-        "load_power": (
-            np.sum(node_weights(grid) * (f_both[1:] - f_both[:-1]) * u[:-1], axis=-1)
-            + (g_both[1:] - g_both[:-1]) * u[:-1, -1]
-        ) / tau,
+        "load_power": load_pairing(grid, f_both[1:] - f_both[:-1], g_both[1:] - g_both[:-1], u[:-1]) / tau,
         "residual": stepper.residual(u[:-1], rho[:-1], u[1:], rho[1:], f_both[1:], g_both[1:],
                                      None if source is None else source(slice(rows.start + 1, both.stop))),
     }
@@ -341,15 +338,9 @@ def check_energy_balance(ledger: EnergyLedger) -> float:
              + sum tau * loading power - E(0) = 0,
 
     which is O(tau) for smooth data (implicit Euler damps one-sidedly)."""
-    E = ledger.column("energy")
-    terms = ledger.tau * (
-        2.0 * ledger.column("diss_mech")
-        + ledger.column("diss_diff")
-        + ledger.column("load_power")
-    )
-    terms[0] = 0.0
-    expr = E - E[0] + np.cumsum(terms)
-    return float(np.max(np.abs(expr)))
+    return float(np.max(np.abs(ledger.balance(
+        2.0 * ledger.column("diss_mech") + ledger.column("diss_diff") + ledger.column("load_power")
+    ))))
 
 
 def static_solve(

@@ -43,6 +43,7 @@ from .discretization import (
     gradient,
     h1_norm,
     llogl_deviation,
+    load_pairing,
     lq_norm,
     mass,
     node_average,
@@ -137,6 +138,13 @@ class EnergyLedger:
         """A copy of the column: changing it leaves the ledger as it is."""
         return np.array(self._cols[name], dtype=float)
 
+    def balance(self, rate: np.ndarray) -> np.ndarray:
+        """E(t) - E(0) plus the sum of tau * ``rate`` over the steps up to
+        t, per row; row 0 is the initial state and takes no step."""
+        terms = self.tau * rate
+        terms[0] = 0.0
+        return self._cols["energy"] - self._cols["energy"][0] + np.cumsum(terms)
+
 
 # ---------------------------------------------------------------------------
 # lockstep Newton machinery
@@ -159,12 +167,6 @@ def _dual_norm(r: np.ndarray, weights: np.ndarray):
     # L2 norm of the residual density (residual entries carry quadrature
     # weights, so divide them out once), one value per row
     return np.sqrt((r ** 2 / weights).sum(axis=-1))
-
-
-def _scaled_gradient(ab: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
-    # the right-hand side over the largest diagonal magnitude of its band
-    # (at least floor): the direction taken when the band is singular
-    return rhs / np.maximum(np.abs(ab[2]).max(axis=-1), floor)[..., None]
 
 
 _GBSV_BUFFERS = {}  # rhs shape: the buffers of _gbsv and their argument list
@@ -202,7 +204,7 @@ def _gbsv(ab: np.ndarray, rhs: np.ndarray):
     return x.copy() if info.value == 0 else None
 
 
-def _solve_bands(band, record, rhs: np.ndarray, floor: float) -> np.ndarray:
+def _solve_bands(band, record, rhs: np.ndarray):
     """Solve the pentadiagonal systems of ``band(record)`` against ``rhs``.
 
     The (5, n) bands are laid side by side as one (5, rows * n)
@@ -210,21 +212,19 @@ def _solve_bands(band, record, rhs: np.ndarray, floor: float) -> np.ndarray:
     corners of the band storage, and solved by one ``_gbsv`` call.  A
     pivot search never crosses a zero junction, so each block's solution
     is bit for bit that of its solve alone.  If the joint band is
-    singular, it is built again, each block is solved alone, and a
-    singular block takes its ``_scaled_gradient``.
+    singular, it is built again and each block is solved alone.  Returns
+    the solutions and the mask of the singular blocks, whose rows are 0.
     """
     x = _gbsv(band(record), rhs)
     if x is not None:
-        return x
+        return x, np.zeros(len(rhs), dtype=bool)
     ab = band(record)
-    out = np.empty_like(rhs)
-    for i in range(len(rhs)):
-        x = _gbsv(ab[:, i], rhs[i])
-        out[i] = _scaled_gradient(ab[:, i], rhs[i], floor) if x is None else x
-    return out
+    solved = [_gbsv(ab[:, i], rhs[i]) for i in range(len(rhs))]
+    singular = np.array([x is None for x in solved])
+    return np.array([np.zeros_like(r) if x is None else x for x, r in zip(solved, rhs)]), singular
 
 
-def _lockstep_newton(x, cur, live, errors, trial, band, accept, *, floor, fallback,
+def _lockstep_newton(x, cur, live, errors, trial, band, accept, *,
                      tol, max_newton, max_backtrack, kind, screen_error, descent_error):
     """Damped Newton on the live rows of ``x`` whose residual norm exceeds
     ``tol``, in lockstep: each pass moves the whole batch under masks.
@@ -232,17 +232,17 @@ def _lockstep_newton(x, cur, live, errors, trial, band, accept, *, floor, fallba
     ``cur`` holds the records of the rows' points, and one band solve of
     ``band(records)`` covers them.  The line search steps by s = 1, 1/2,
     ... (at most ``max_backtrack + 1`` lengths) along the Newton
-    direction, then (with ``fallback``) the scaled gradient, built only in
-    a pass where some row rejected its Newton direction.  Each length's
-    ``trial(x, s, direction, searching, at)`` makes the points x + s
-    direction, screens those of the searching rows, moves every other row
-    to its latest point in ``at`` and returns the points, the screen and
-    the points' records, on which ``accept(old, new)`` decides.  A row that
-    fails gets ``screen_error`` (class, message) if no trial point passed
+    direction.  Each length's ``trial(x, s, direction, searching, at)``
+    makes the points x + s direction, screens those of the searching
+    rows, moves every other row to its latest point in ``at`` and returns
+    the points, the screen and the points' records, on which
+    ``accept(old, new)`` decides.  A row that fails gets, in ``errors``,
+    :class:`NoConvergence` if its band is singular (before its line
+    search), ``screen_error`` (class, message) if no trial point passed
     the screen, ``descent_error`` otherwise, or :class:`NoConvergence`
-    after ``max_newton`` iterations, in ``errors``, leaves ``live`` and
-    goes back to its point of the pass.  Returns the new states, their
-    records and the iteration counts.
+    after ``max_newton`` iterations; it leaves ``live`` and goes back to
+    its point of the pass, and its company steps as it would alone.
+    Returns the new states, their records and the iteration counts.
     """
     iters = np.zeros(len(x), dtype=int)
     lengths = max_backtrack + 1
@@ -257,13 +257,15 @@ def _lockstep_newton(x, cur, live, errors, trial, band, accept, *, floor, fallba
                 errors[int(i)] = NoConvergence(
                     f"{kind} Newton exceeded {max_newton} iterations (residual {cur.rn[i]:.3e})")
             break
-        rhs = -cur.r
-        direction = _solve_bands(band, cur, rhs, floor)
+        direction, singular = _solve_bands(band, cur, -cur.r)
+        if np.count_nonzero(singular):
+            singular &= active
+            for i in np.flatnonzero(singular):
+                errors[int(i)] = NoConvergence(f"{kind} Newton band is singular")
+            live, active = live & ~singular, active & ~singular
         searching, passed, moved = active, False, x
-        for k in range(2 * lengths if fallback else lengths):
-            if k == lengths:  # some row rejected its Newton direction
-                direction = _scaled_gradient(band(cur), rhs, floor)
-            moved, ok, new = trial(x, 0.5 ** (k % lengths), direction, searching, moved)
+        for k in range(lengths):
+            moved, ok, new = trial(x, 0.5 ** k, direction, searching, moved)
             acc = ok & accept(cur, new)
             passed = passed | ok
             searching = searching & ~acc
@@ -448,7 +450,7 @@ def mechanical_step(
             np.copyto(v[-1], v[0], where=~take.reshape((m,) + (1,) * (v.ndim - 2)))
     w, cur, iters = _lockstep_newton(
         pair[-1], _MechPoint._make([v[-1] for v in both]), live, errors, trial,
-        lambda pt: _mech_band(params, grid, tau, pt), _mech_accept, floor=1.0, fallback=True,
+        lambda pt: _mech_band(params, grid, tau, pt), _mech_accept,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="mechanical",
         screen_error=(OrientationLoss, "no backtracking step preserves chi' > 0"),
         descent_error="mechanical line search failed to descend",
@@ -584,7 +586,7 @@ def diffusion_step(
     c, cur, iters = _lockstep_newton(
         c, _diff_point(params, grid, F_cells, c, c_prev, tau, bc, mu_ext, weights), live, errors, trial,
         lambda pt: _diff_band(params, grid, F_cells, tau, bc, weights, pt),
-        lambda old, new: new.rn < old.rn, floor=1e-30, fallback=False,
+        lambda old, new: new.rn < old.rn,
         tol=tol, max_newton=max_newton, max_backtrack=max_backtrack, kind="diffusion",
         screen_error=(PositivityLoss, "no damping preserves c > 0"),
         descent_error="diffusion line search failed to reduce the residual",
@@ -815,30 +817,25 @@ def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext
     n = rows.stop - rows.start
     both = slice(rows.start, rows.start + len(w))
     f_both, g_both = f(both), g_star[both]
+    u = w / eps
     cdot = ((1.0 + gradient(grid, w[1:])) ** 2 - (1.0 + gradient(grid, w[:-1])) ** 2) / tau
     rates = {
         "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
-        "load_power": (
-            (node_weights(grid) * (f_both[1:] - f_both[:-1]) * (w[:-1] / eps)).sum(axis=-1)
-            + (g_both[1:] - g_both[:-1]) * (w[:-1, -1] / eps)
-        ) / tau,
+        "load_power": load_pairing(grid, f_both[1:] - f_both[:-1], g_both[1:] - g_both[:-1], u[:-1]) / tau,
     }
     # the state columns are those of the block's own rows
-    w, c, f_star, g_star, mu_ext = w[:n], c[:n], f_both[:n], g_both[:n], mu_ext[rows]
+    w, u, c, mu_ext = w[:n], u[:n], c[:n], mu_ext[rows]
     h = grid.h
-    weights = node_weights(grid)
     F = 1.0 + gradient(grid, w)
     c_hat = cell_average(c)
     G = second_derivative(grid, w)
     stored = h * np.sum(mat.free_energy(params, F, c_hat), axis=-1)
     stored += h * np.sum(mat.hyperstress(params, G[:, 1:-1])[0], axis=-1)
-    u = w / eps
-    load_pair = np.sum(weights * f_star * u, axis=-1) + g_star * u[:, -1]
     mu = nodal_chemical_potential(params, grid, F, c)
     # copies, not views: a view would keep the whole block of mu alive
     mu_left, mu_right = mu[:, 0].copy(), mu[:, -1].copy()
     cols = {
-        "energy": stored / eps ** 2 - load_pair,
+        "energy": stored / eps ** 2 - load_pairing(grid, f_both[:n], g_both[:n], u),
         "diss_diff": h * np.sum(mat.mobility(params, F, c_hat) * gradient(grid, mu) ** 2, axis=-1) / eps ** 2,
         "flux_boundary": (
             bc.kappa_left * (mu_left - mu_ext) * mu_left
@@ -872,16 +869,12 @@ def check_dissipation_inequality(ledger: EnergyLedger) -> float:
 
     Nonpositive (up to solver tolerance) for a valid staggered run.
     """
-    E = ledger.column("energy")
-    terms = ledger.tau * (
+    return float(np.max(ledger.balance(
         ledger.column("diss_mech")
         + ledger.column("diss_diff")
         + ledger.column("flux_boundary")
         + ledger.column("load_power")
-    )
-    terms[0] = 0.0
-    expr = E - E[0] + np.cumsum(terms)
-    return float(np.max(expr))
+    )))
 
 
 def rescale(params: MaterialParams, grid: Grid1D, w: np.ndarray, c: np.ndarray, eps: float) -> dict:

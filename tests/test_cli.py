@@ -177,6 +177,13 @@ class TestParse:
         ("material.delta", {"material": {"delta": float("nan")}}),
         ("material.nu_h", {"material": {"nu_h": float("inf")}}),
         ("material.D_tilde", {"material": {"D_tilde": float("nan")}}),
+        # checks the solvers make again for their API callers: unchecked,
+        # each fails in the run with a message that does not name the field
+        ("eps_list", {"eps_list": [0.2, 0.1]}),
+        ("loading.f_profile.values", {"loading": {"f_profile": {"kind": "array", "values": [0.0] * 64}}}),
+        ("initial.u0.values", {"initial": {"u0": {"kind": "array", "values": [0.0] * 66}}}),
+        ("initial.rho0.values", {"initial": {"rho0": {"kind": "array", "values": [0.0, 0.1]}}}),
+        ("initial.u0", {"initial": {"u0": {"kind": "constant", "scale": 0.1}}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -461,6 +468,17 @@ class TestMain:
         code = main(["verify", "--config", str(default_config_path()), "--out", str(tmp_path), *flags])
         assert code == 1
         assert f"validation error: {field}" in capsys.readouterr().err
+
+    def test_array_profiles_are_checked_on_the_overridden_grid(self, tmp_path, capsys):
+        # an array profile that fits the file's grid does not fit --cells 32
+        cfg = json.loads(default_config_path().read_text())
+        cfg["initial"]["rho0"] = {"kind": "array", "values": [0.0] * 65}
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps(cfg))
+        assert parse_config(path).grid.n_nodes == 65
+        assert main(["static", "--config", str(path), "--out", str(tmp_path / "out"), "--cells", "32"]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: initial.rho0.values: must hold grid.n_cells + 1 = 33 values, got 65\n"
 
     def test_cells_and_eps_overrides(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "ov"

@@ -1,8 +1,6 @@
-import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from porovisco import discretization, nonlinear_solver
 from porovisco.constitutive import (
@@ -12,6 +10,7 @@ from porovisco.constitutive import (
     free_energy_hessian,
     hyperstress,
     hyperstress_dG,
+    linearize,
     mobility,
     mobility_dc,
     stress_elastic,
@@ -29,6 +28,7 @@ from porovisco.discretization import (
     node_weights,
     second_derivative,
 )
+from porovisco.linear_solver import LinearStepper, nodal_potential
 from porovisco.loading import BoundLoading, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
     EnergyLedger,
@@ -47,7 +47,6 @@ from porovisco.nonlinear_solver import (
     _dual_norm,
     _mech_band,
     _mech_point,
-    _scaled_gradient,
     _solve_bands,
 )
 
@@ -302,6 +301,41 @@ class TestPointKernel:
         for got, want in ((pt.r, r), (pt.rn, _dual_norm(r, weights)), (pt.mu, mu), (pt.c_hat, c_hat),
                           (pt.mob, mob), (_diff_band(unit_params, grid, F, 0.05, bc, weights, pt), ab)):
             assert np.array_equal(got, want)
+
+
+class TestSmallStrainLimit:
+    """The small-strain residual rows are the linearization of the
+    finite-strain ones (a Taylor remainder test): at states eps u and
+    c_eq + eps rho, the finite-strain residuals over eps differ from the
+    small-strain rows by O(eps), so each remainder halves with eps."""
+
+    @pytest.mark.parametrize("kappa_left, kappa_right, mu_ext", [(0.0, 0.0, 0.0), (0.5, 0.25, 0.3)])
+    def test_remainders_halve_with_eps(self, unit_params, kappa_left, kappa_right, mu_ext):
+        grid = Grid1D(64)
+        x, weights = grid.nodes, node_weights(grid)
+        u, rho = 0.5 * np.sin(0.5 * np.pi * x), 0.3 * np.cos(np.pi * x)
+        u_prev, rho_prev = 0.9 * u, 0.9 * rho + 0.03
+        f, g = 0.6 * np.sin(np.pi * x), 0.25
+        stepper = LinearStepper(grid, linearize(unit_params), TAU)
+        b_u, b_rho = stepper._rhs(u_prev, rho_prev, f, g, None)
+        lin_u = stepper._rows(u, rho_prev)[0] - b_u  # the mechanical step freezes c at c_prev
+        lin_rho = stepper._rows(u, rho)[1] - b_rho
+        # the small-strain stepper has zero flux: its Robin rows are added here
+        mu = nodal_potential(grid, stepper.tensors, u, rho)
+        lin_rho[0] += TAU * kappa_left * (mu[0] - mu_ext)
+        lin_rho[-1] += TAU * kappa_right * (mu[-1] - mu_ext)
+        bc = BCSpec(kappa_left=kappa_left, kappa_right=kappa_right)
+        remainders = []
+        for eps in 2.0 ** -np.arange(3, 10):
+            w, c, c_prev = eps * u, unit_params.c_eq + eps * rho, unit_params.c_eq + eps * rho_prev
+            c_hat, F = cell_average(c_prev), 1.0 + gradient(grid, w)
+            mech = _mech_point(unit_params, grid, w, F, c_hat, _entropy(unit_params, c_hat),
+                               (1.0 + gradient(grid, eps * u_prev)) ** 2, TAU, weights * eps * f, eps * g, weights[1:])
+            diff = _diff_point(unit_params, grid, F, c, c_prev, TAU, bc, eps * mu_ext, weights)
+            remainders.append([_dual_norm(mech.r / eps - lin_u, weights[1:]),
+                               _dual_norm(diff.r / eps - lin_rho, weights)])
+        ratios = np.array(remainders[:-1]) / np.array(remainders[1:])
+        assert np.all(ratios >= 1.9), ratios
 
 
 class TestDiffusionStep:
@@ -796,28 +830,6 @@ class TestLockstep:
             assert_runs_equal(run, solo)
         assert calls["joint"] > 0
 
-    def test_singular_members_take_their_scaled_gradient(self, unit_params, monkeypatch):
-        # a block is singular by a pure function of its right-hand side,
-        # so a member meets the same singular solves alone and in company.
-        # Near a minimum the scaled gradient cannot descend, so only large
-        # right-hand sides are singular.
-        calls = {"singular": 0, "solved": 0}
-
-        def partly_singular(ab, rhs):
-            joint = rhs.size > 17
-            if joint or (np.max(np.abs(rhs)) > 1e-4 and zlib.crc32(rhs.tobytes()) % 3 == 0):
-                calls["singular"] += not joint
-                return None
-            calls["solved"] += 1
-            return _gbsv(ab, rhs)
-
-        monkeypatch.setattr(nonlinear_solver, "_gbsv", partly_singular)
-        solos = [self.solve(unit_params, eps) for eps in SWEEP_EPS]
-        calls.update(singular=0, solved=0)
-        for run, solo in zip(self.solve(unit_params, SWEEP_EPS), solos):
-            assert_runs_equal(run, solo)
-        assert calls["singular"] > 0 and calls["solved"] > 0
-
     def test_bands_come_from_the_records_of_their_points(self, unit_params, monkeypatch):
         # every band the driver builds from stored records equals the band
         # of their points evaluated afresh.  A point is found again by the
@@ -851,50 +863,6 @@ class TestLockstep:
         runs = self.solve(unit_params, SWEEP_EPS)
         assert checked["mechanical"] >= len(SWEEP_EPS) * (len(runs[0].times) - 1)
         assert checked["diffusion"] >= len(SWEEP_EPS) * (len(runs[0].times) - 1)
-
-    def test_rejected_member_takes_the_scaled_gradient_of_its_own_band(self, unit_params, monkeypatch):
-        # member 1's Newton direction is replaced by zero, which the line
-        # search never accepts: it must take the scaled gradient of its own
-        # band and residual.  The fallback is built once, for the batch.
-        runs = self.solve(unit_params, SWEEP_EPS[:3])
-        grid, k = Grid1D(16), 30
-        t = runs[0].times[k + 1]
-        loading = ramp_loading(grid)
-        eps = np.array(SWEEP_EPS[:3])
-        w = np.array([run.displacement[k] for run in runs])
-        c = np.array([run.concentration[k] for run in runs])
-        f, g = eps[:, None] * loading.f_star(t), eps * loading.g_star(t)
-        solve, scaled_gradient = nonlinear_solver._solve_bands, nonlinear_solver._scaled_gradient
-        fallbacks = []
-
-        def rejected_for_member_1(band, record, rhs, floor):
-            delta = solve(band, record, rhs, floor)
-            delta[1] = 0.0
-            return delta
-
-        def recorded(ab, rhs, floor):
-            out = scaled_gradient(ab, rhs, floor)
-            fallbacks.append((ab.copy(), rhs, floor, out))  # ab is the kept work band
-            return out
-
-        monkeypatch.setattr(nonlinear_solver, "_solve_bands", rejected_for_member_1)
-        monkeypatch.setattr(nonlinear_solver, "_scaled_gradient", recorded)
-        # one Newton iteration, from w_prev, in which every member takes part
-        w_new, info = mechanical_step(unit_params, grid, w, c, TAU, f, g, tol=5e-11, max_newton=1)
-        assert list(info["member_iterations"]) == [1, 1, 1]
-        assert len(fallbacks) == 1
-        ab, rhs, floor, direction = fallbacks[0]
-        weights = node_weights(grid)
-        c_hat = cell_average(c[1])
-        F = 1.0 + gradient(grid, w[1])
-        pt = _mech_point(unit_params, grid, w[1], F, c_hat, _entropy(unit_params, c_hat), F ** 2,
-                         TAU, weights * f[1], g[1], weights[1:])
-        H = _mech_band(unit_params, grid, TAU, pt)
-        assert direction.shape == w[:, 1:].shape
-        assert np.array_equal(ab[:, 1], H) and np.array_equal(rhs[1], -pt.r) and floor == 1.0
-        assert np.array_equal(direction[1], _scaled_gradient(H, -pt.r, 1.0))
-        steps = [0.5 ** j for j in range(41)]
-        assert any(np.array_equal(w_new[1, 1:], w[1, 1:] + s * direction[1]) for s in steps)
 
     def batch_at_step(self, params, k):
         # the states of three lockstep members at steps k - 1, k and k + 1,
@@ -960,6 +928,54 @@ class TestLockstep:
             for key in ("member_residual", "member_energy"):
                 assert info[key][i] == capped[key][0]
 
+    @pytest.mark.parametrize("kind", ["mechanical", "diffusion"])
+    def test_singular_member_fails_alone(self, unit_params, monkeypatch, kind):
+        # member 1's band is singular at its second pass, alone and in
+        # company (a block is singular by a pure function of its right-hand
+        # side, and so is a joint band that holds it): it fails with its own
+        # error at the point its first pass reached, and the others step
+        # bit for bit as alone
+        grid, t, W, C, f, g = self.batch_at_step(unit_params, 30)
+        bc, _ = robin_problem(grid)
+
+        def step(i, **kw):
+            if kind == "mechanical":
+                return mechanical_step(unit_params, grid, W[i, 1], C[i, 1], TAU, f[i], g[i], tol=5e-11, **kw)
+            return diffusion_step(unit_params, grid, 1.0 + gradient(grid, W[i, 2]), C[i, 1], TAU, bc, t,
+                                  tol=5e-11, **kw)
+
+        seen = []
+
+        def recording(ab, rhs):
+            seen.append(rhs.copy())
+            return _gbsv(ab, rhs)
+
+        monkeypatch.setattr(nonlinear_solver, "_gbsv", recording)
+        _, alone = step(1)
+        assert alone["iterations"] == len(seen) == 2
+        poisoned = seen[1].tobytes()  # the right-hand side of member 1's second pass
+
+        def singular_at(ab, rhs):
+            if any(row.tobytes() == poisoned for row in rhs.reshape(-1, rhs.shape[-1])):
+                return None
+            return _gbsv(ab, rhs)
+
+        monkeypatch.setattr(nonlinear_solver, "_gbsv", singular_at)
+        x_new, info = step([0, 1, 2])
+        (x_solo,), solo = step(1)
+        (x_first,), capped = step(1, max_newton=1)
+        assert list(info["errors"]) == [1] and list(solo["errors"]) == [0]
+        for err in (info["errors"][1], solo["errors"][0]):
+            assert type(err) is NoConvergence and str(err) == f"{kind} Newton band is singular"
+        assert np.array_equal(x_new[1], x_first) and np.array_equal(x_solo, x_first)
+        assert info["member_iterations"][1] == solo["iterations"] == capped["iterations"] == 1
+        assert info["member_residual"][1] == solo["member_residual"][0] == capped["member_residual"][0]
+        for i in (0, 2):
+            (x_i,), alone = step(i)
+            assert np.array_equal(x_new[i], x_i) and alone["errors"] == {}
+            assert info["member_iterations"][i] == alone["iterations"] == 2
+            assert info["member_residual"][i] == alone["member_residual"][0]
+
     def test_illegal_gbsv_argument_raises(self, monkeypatch):
         def illegal(*args):  # gbsv's report of a bad 4th argument, in its info (the last)
             args[-1].contents.value = -4
@@ -968,22 +984,7 @@ class TestLockstep:
         ab = np.zeros((5, 2, 6))
         ab[2] = 1.0
         with pytest.raises(ValueError, match="argument 4"):
-            _solve_bands(lambda _: ab, None, np.ones((2, 6)), 1.0)
-
-    def test_only_the_singular_block_falls_back(self):
-        rng = np.random.default_rng(3)
-        ab = rng.standard_normal((5, 3, 9))
-        ab[2] += 8.0  # diagonally dominant blocks
-        for i in range(3):  # the unused corners of the band storage
-            ab[0, i, :2] = ab[1, i, 0] = ab[3, i, -1] = ab[4, i, -2:] = 0.0
-        ab[:, 1, 4] = 0.0  # a zero column makes block 1 singular
-        rhs = rng.standard_normal((3, 9))
-        out = _solve_bands(lambda _: ab, None, rhs, 1.0)
-        for i in (0, 2):
-            assert np.array_equal(out[i], solve_banded((2, 2), ab[:, i], rhs[i], check_finite=False))
-        # the fallback of a one-member step: rhs / max(max |diag|, floor)
-        assert np.array_equal(out[1], rhs[1] / max(float(np.max(np.abs(ab[2, 1]))), 1.0))
-        assert np.array_equal(_scaled_gradient(ab, rhs, 1.0)[1], out[1])
+            _solve_bands(lambda _: ab, None, np.ones((2, 6)))
 
     def test_kernel_calls_are_pinned(self, unit_params, monkeypatch):
         # a lockstep run whose every pass does one band and one solve, and
