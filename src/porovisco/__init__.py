@@ -24,7 +24,6 @@ from .experiments import (
     eps_sweep,
     long_time_decay,
     moser_exponents,
-    moser_rows,
 )
 from .linear_solver import (
     SingularSystem,
@@ -40,6 +39,7 @@ from .nonlinear_solver import (
     check_dissipation_inequality,
     diffusion_step,
     mechanical_step,
+    norm_ladder,
     rescale,
     run_nonlinear,
 )

@@ -35,12 +35,12 @@ from .constitutive import (
     verification_grid,
 )
 from .discretization import BCSpec, Grid1D, drain, mass, time_grid
-from .experiments import eps_sweep, long_time_decay, moser_exponents, moser_rows
+from .experiments import eps_sweep, long_time_decay
 from .linear_solver import check_energy_balance, run_linear, static_solve
 from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
 # rescale is unused here but kept importable as cli.rescale: the
 # benchmark's traced run patches it by name at this module
-from .nonlinear_solver import check_dissipation_inequality, rescale, run_nonlinear  # noqa: F401
+from .nonlinear_solver import check_dissipation_inequality, norm_ladder, rescale, run_nonlinear  # noqa: F401
 
 SCHEMA_VERSION = 1
 # the built-in digest: hashlib would load OpenSSL's _hashlib, another 3.5 MiB
@@ -411,7 +411,8 @@ def _fail_code(invariants: list, quiet: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its own output files and returns the summary's
+# (system, invariants, outputs); main writes summary.json and the exit code
 # ---------------------------------------------------------------------------
 
 def _nonlinear_run(config: ProblemConfig, consume):
@@ -424,7 +425,7 @@ def _nonlinear_run(config: ProblemConfig, consume):
     )
 
 
-def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path) -> tuple:
     """The finite-strain run: its checkpoint rows are written block by
     block as the run makes them (u = (chi - id)/eps, the "u" of
     ``rescale``), then its ledger and invariants."""
@@ -445,12 +446,10 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path, quiet: bool) -> in
     if kappa_free:
         invariants.insert(2, ("mass_conservation", drift <= chk["mass_tol"], drift, chk["mass_tol"]))
     _write_ledger(out / "ledger.csv", led)
-    _write_summary(out / "summary.json", config, "nonlinear", invariants,
-                   ["trajectory.csv", "ledger.csv"])
-    return _fail_code(invariants, quiet)
+    return "nonlinear", invariants, ["trajectory.csv", "ledger.csv"]
 
 
-def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_simulate_linear(config: ProblemConfig, out: Path) -> tuple:
     """The small-strain run: its checkpoint rows are written block by block
     as the run makes them, then its ledger and invariants."""
     tensors = linearize(config.material)
@@ -467,12 +466,10 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("energy_balance", balance <= chk["balance_tol"], balance, chk["balance_tol"]),
     ]
     _write_ledger(out / "ledger.csv", led)
-    _write_summary(out / "summary.json", config, "linear", invariants,
-                   ["trajectory.csv", "ledger.csv"])
-    return _fail_code(invariants, quiet)
+    return "linear", invariants, ["trajectory.csv", "ledger.csv"]
 
 
-def _cmd_static(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_static(config: ProblemConfig, out: Path) -> tuple:
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
     _, rho0 = config.initial_fields()
@@ -480,8 +477,7 @@ def _cmd_static(config: ProblemConfig, out: Path, quiet: bool) -> int:
     chk = config.checks
     invariants = [("static_residual", residual <= chk["static_residual_tol"], residual, chk["static_residual_tol"])]
     _write_csv(out / "static.csv", ["x", "v", "xi"], [config.grid.nodes, v, xi])
-    _write_summary(out / "summary.json", config, "static", invariants, ["static.csv"])
-    return _fail_code(invariants, quiet)
+    return "static", invariants, ["static.csv"]
 
 
 def _terminal_loads(config: ProblemConfig) -> tuple:
@@ -496,7 +492,7 @@ def _terminal_loads(config: ProblemConfig) -> tuple:
     return config.loading.f_profile.sample(config.grid.nodes) * scales[0], scales[1]
 
 
-def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_sweep(config: ProblemConfig, out: Path) -> tuple:
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
     report = eps_sweep(
@@ -519,11 +515,10 @@ def _cmd_sweep(config: ProblemConfig, out: Path, quiet: bool) -> int:
     ]
     rows = list(report.rows())
     _write_csv(out / "sweep.csv", list(rows[0]), [[list(row.values()) for row in rows]])
-    _write_summary(out / "summary.json", config, "sweep", invariants, ["sweep.csv"])
-    return _fail_code(invariants, quiet)
+    return "sweep", invariants, ["sweep.csv"]
 
 
-def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_verify(config: ProblemConfig, out: Path) -> tuple:
     pr = config.material
     chk = config.checks
     rng = np.random.default_rng(config.seed)
@@ -574,18 +569,18 @@ def _cmd_verify(config: ProblemConfig, out: Path, quiet: bool) -> int:
     invariants.append(("antisymmetric_action", max(max_c, max_d) <= chk["antisym_tol"], max(max_c, max_d), chk["antisym_tol"]))
     invariants.append(("elasticity_positive_definite", lam_min > 0.0, lam_min, 0.0))
 
-    _write_summary(out / "summary.json", config, "verify", invariants, [])
-    return _fail_code(invariants, quiet)
+    return "verify", invariants, []
 
 
-def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
-    """The norm ladder of the finite-strain run's concentration, raised
-    by ``moser_rows`` block by block as the run makes them."""
-    pr = config.material
-    qs = moser_exponents(pr.m, 8, case="I" if 1.0 <= pr.m < 2.0 else pr.case, r=pr.r)
-    sups = np.zeros(len(qs) + 1)
-    _nonlinear_run(config, lambda rows, W, C: moser_rows(config.grid, qs, C[0, :rows.stop - rows.start], sups))
-    norms, gap = tuple(sups[:-1].tolist()), float(sups[-1] - sups[-2])
+def _cmd_moser(config: ProblemConfig, out: Path) -> tuple:
+    """The norm ladder of the finite-strain run's concentration, read
+    from its ledger: the largest value in time of each ``lq_c_<q>``
+    column, q over ``norm_ladder``, and the gap of the last to that of
+    ``linf_c``."""
+    qs = norm_ladder(config.material)
+    led = _nonlinear_run(config, lambda rows, W, C: None)
+    norms = tuple(float(np.max(led.column(f"lq_c_{q:g}"))) for q in qs)
+    gap = float(np.max(led.column("linf_c"))) - norms[-1]
     sup = norms[-1] + gap
     chk = config.checks
     nondecreasing = bool(np.all(np.diff(norms) >= -1e-12))
@@ -596,11 +591,10 @@ def _cmd_moser(config: ProblemConfig, out: Path, quiet: bool) -> int:
         ("ladder_gap", gap_ok, gap / sup if sup else 0.0, chk["moser_gap_rel"]),
     ]
     _write_csv(out / "moser.csv", ["q", "sup_lq_norm"], [qs, norms])
-    _write_summary(out / "summary.json", config, "moser", invariants, ["moser.csv"])
-    return _fail_code(invariants, quiet)
+    return "moser", invariants, ["moser.csv"]
 
 
-def _cmd_decay(config: ProblemConfig, out: Path, quiet: bool) -> int:
+def _cmd_decay(config: ProblemConfig, out: Path) -> tuple:
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
     u0, rho0 = config.initial_fields()
@@ -613,8 +607,7 @@ def _cmd_decay(config: ProblemConfig, out: Path, quiet: bool) -> int:
          result.final_ratio, chk["decay_final_ratio"]),
     ]
     _write_csv(out / "decay.csv", ["t", "energy_distance"], [result.times, result.curve])
-    _write_summary(out / "summary.json", config, "decay", invariants, ["decay.csv"])
-    return _fail_code(invariants, quiet)
+    return "decay", invariants, ["decay.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +666,9 @@ def main(argv=None) -> int:
     out = Path(args.out or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out, args.quiet)
+        system, invariants, outputs = _COMMANDS[args.command](config, out)
+        _write_summary(out / "summary.json", config, system, invariants, outputs)
+        return _fail_code(invariants, args.quiet)
     except (ValidationError, InadmissibleMaterial) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1

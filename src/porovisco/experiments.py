@@ -1,5 +1,5 @@
-"""Desk-scale experiments: the small-load limit sweep, scaling audits,
-the norm-ladder diagnostic and long-time decay.
+"""Desk-scale experiments: the small-load limit sweep, scaling audits
+and long-time decay.
 
 The sweep runs the finite-strain solver at a decreasing list of load
 scales eps with loading eps * (f_star, g_star) and initial data
@@ -51,7 +51,6 @@ __all__ = [
     "SweepReport",
     "eps_sweep",
     "moser_exponents",
-    "moser_rows",
     "long_time_decay",
     "DecayResult",
 ]
@@ -212,7 +211,6 @@ def _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_
             (i, "err_u_l2"): lq_norm(grid, du, 2),
             (i, "err_rho_l2"): lq_norm(grid, rs["rho"][:n] - lin_rho, 2),
             (i, "err_flux_sq"): tau * cell_l2_norm(grid, flux[:n] - lin_flux) ** 2,
-            (i, "u_h1"): h1_norm(grid, u[:n]),
         })
         steps.update({
             (i, "udot_sq"): tau * cell_l2_norm(grid, gradient(grid, rate)) ** 2,
@@ -231,7 +229,7 @@ def _member_columns(p: float, eps: float, ledger, terms: dict) -> dict:
         "err_u_l2": float(np.max(terms["err_u_l2"])),
         "err_rho_l2": float(np.max(terms["err_rho_l2"])),
         "err_flux_l2": float(np.sqrt(np.sum(terms["err_flux_sq"][1:]))),
-        "u_linf_h1": float(np.max(terms["u_h1"])),
+        "u_linf_h1": float(np.max(ledger.column("h1_u"))),
         "udot_grad_l2": float(np.sqrt(np.sum(terms["udot_sq"]))),
         "d2u_scaled_lp": eps ** (1.0 - 2.0 / p) * float(np.max(ledger.column("lp_d2u"))),
         "llogl_over_eps2": float(np.max(ledger.column("llogl"))) / eps ** 2,
@@ -239,22 +237,6 @@ def _member_columns(p: float, eps: float, ledger, terms: dict) -> dict:
         "c_linf_linf": float(np.max(ledger.column("linf_c"))),
         "flux_l2": float(np.sqrt(np.sum(terms["flux_sq"]))),
     }
-
-
-# ---------------------------------------------------------------------------
-# norm-ladder diagnostic
-# ---------------------------------------------------------------------------
-
-def moser_rows(grid: Grid1D, qs: tuple, c: np.ndarray, sups: np.ndarray) -> None:
-    """Raise ``sups`` (zeros before the first rows) to the largest L^q norm
-    among the rows ``c`` of a trajectory, for each q of ``qs`` (the
-    ``moser_exponents`` ladder) and then q = inf: the ladder of sup-in-time
-    norms of the rows so far, and their sup-norm.
-
-    On the unit domain the ladder is nondecreasing in q and bounded by the
-    sup-norm.  Fed a run's concentration block by block, it gives the
-    run's ladder, and the gap of its last entry to the sup-norm."""
-    np.maximum(sups, [np.max(lq_norm(grid, c, q)) for q in qs + (np.inf,)], out=sups)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ __all__ = [
     "check_dissipation_inequality",
     "rescale",
     "moser_exponents",
+    "norm_ladder",
 ]
 
 TIKHONOV_SHIFT = 1e-10  # regularizes the degenerate hyperstress Hessian at G = 0
@@ -621,6 +622,12 @@ def moser_exponents(m: float, N: int, case: str = "I", r: float = 0.0) -> tuple:
     raise ValueError("case must be 'I', 'IIa' or 'IIb'")
 
 
+def norm_ladder(params: MaterialParams) -> tuple:
+    """The exponents of a run's ``lq_c_<q>`` ledger columns: the Case I
+    ladder where 1 <= m < 2, and the material's Case II ladder otherwise."""
+    return moser_exponents(params.m, 8, case="I" if 1.0 <= params.m < 2.0 else params.case, r=params.r)
+
+
 def _ledger_columns(cascade_q: tuple) -> tuple:
     extras = (
         "mass",
@@ -664,8 +671,9 @@ def run_nonlinear(
 
     The loading is applied as eps * (f_star, g_star) and the initial data
     are chi0 = id + eps*u0, c0 = c_eq + eps*rho0.  Returns the run's
-    energy ledger, in rescaled units.  Step failures propagate with the
-    failing time attached.
+    energy ledger, in rescaled units; its ``lq_c_<q>`` columns are the
+    L^q norms of c for q over :func:`norm_ladder`.  Step failures
+    propagate with the failing time attached.
 
     The time loop makes the rows a block at a time, for the ledger and for
     ``consume(rows, W, C)``: ``W`` and ``C`` hold the (members, rows,
@@ -716,8 +724,7 @@ def run_nonlinear(
             err = PositivityLoss("initial concentration must be strictly positive", time=0.0)
         failure = (live, _member_error(err, eps_list[live]), None)
 
-    # the ledger's norm ladder: Case I where it holds, the doubling ladder otherwise
-    cascade = moser_exponents(params.m, 8) if 1.0 <= params.m < 2.0 else tuple(float(2 ** n) for n in range(9))
+    cascade = norm_ladder(params)
     times = time_grid(T, tau)
     n_rows = len(times)
     size = min(block_rows(nn), n_rows)

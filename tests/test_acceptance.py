@@ -19,15 +19,10 @@ from porovisco.constitutive import (
     verification_grid,
 )
 from porovisco.discretization import Grid1D, drain, lq_norm
-from porovisco.experiments import (
-    eps_sweep,
-    long_time_decay,
-    moser_exponents,
-    moser_rows,
-)
+from porovisco.experiments import eps_sweep, long_time_decay
 from porovisco.linear_solver import check_energy_balance, run_linear
 from porovisco.loading import BoundLoading
-from porovisco.nonlinear_solver import check_dissipation_inequality
+from porovisco.nonlinear_solver import check_dissipation_inequality, norm_ladder
 
 from conftest import default_loading, stored, uniqueness_discrepancy
 
@@ -248,10 +243,9 @@ def test_criterion_9_moser_ladder(unit_params, biot_run):
     sequence is nondecreasing and lands within 1% of the recorded sup
     norm at n = 8."""
     m = unit_params.m
-    qs = moser_exponents(m, 8, case="I")
-    sups = np.zeros(len(qs) + 1)
-    moser_rows(Grid1D(64), qs, biot_run.concentration, sups)
-    norms, gap = sups[:-1], sups[-1] - sups[-2]
+    qs = norm_ladder(unit_params)
+    norms = np.array([np.max(biot_run.ledger.column(f"lq_c_{q:g}")) for q in qs])
+    gap = np.max(biot_run.ledger.column("linf_c")) - norms[-1]
     expected = tuple(2.0 ** n * (2.0 - m) + m - 1.0 for n in range(9))
     assert qs == expected
     assert np.all(np.diff(norms) >= -1e-12)

@@ -324,6 +324,25 @@ class TestMain:
         assert lines[0] == "q,sup_lq_norm"
         assert len(lines) == 10
 
+    def test_case_two_ledger_follows_the_moser_ladder(self, tiny_config, tmp_path, capsys):
+        # at m = 2.5 (Case IIa) the ledger holds one L^q column per q of
+        # the material's ladder, and moser-diag reports each column's
+        # largest value and the same q
+        cfg = _merged(json.loads(tiny_config.read_text()), {"material": {"m": 2.5}, "time": {"T": 0.02}})
+        path = tmp_path / "m25.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("simulate-nonlinear", "moser-diag"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command), "--quiet"]) == 0
+        qs = porovisco.norm_ladder(parse_config(path).material)
+        assert qs == tuple(2.0 ** n * 0.5 + 1.5 for n in range(9))
+        with (tmp_path / "simulate-nonlinear" / "ledger.csv").open() as f:
+            header = f.readline().strip().split(",")
+            ledger = np.loadtxt(f, delimiter=",", ndmin=2)
+        assert [name for name in header if name.startswith("lq_c_")] == [f"lq_c_{q:g}" for q in qs]
+        moser = np.loadtxt(tmp_path / "moser-diag" / "moser.csv", delimiter=",", skiprows=1)
+        assert moser[:, 0].tolist() == list(qs)
+        assert moser[:, 1].tolist() == [float(np.max(ledger[:, header.index(f"lq_c_{q:g}")])) for q in qs]
+
     @pytest.mark.parametrize("command, cap", [
         pytest.param("simulate-nonlinear", 1, id="simulate-nonlinear"),
         pytest.param("moser-diag", 1, id="moser-diag"),

@@ -12,7 +12,6 @@ from porovisco.experiments import (
     eps_sweep,
     long_time_decay,
     moser_exponents,
-    moser_rows,
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
@@ -21,6 +20,7 @@ from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
     NoConvergence,
     check_dissipation_inequality,
+    norm_ladder,
     rescale,
     run_nonlinear,
 )
@@ -267,19 +267,21 @@ class TestMoser:
             moser_exponents(1.0, 3, case="X")
 
     def test_constant_concentration_saturates(self, unit_params):
+        # c = 2 everywhere, unloaded: the bar swells uniformly and the
+        # concentration stays constant, so every rung of the ledger's
+        # ladder, and its sup-norm, is 2
         grid = Grid1D(16)
-        qs = moser_exponents(unit_params.m, 5, case="I")
-        sups = np.zeros(len(qs) + 1)
-        moser_rows(grid, qs, np.full((4, grid.n_nodes), 2.0), sups)
-        norms, gap = sups[:-1], sups[-1] - sups[-2]
+        ledger = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True), tau=2e-3, T=0.01,
+                               eps=0.1, rho0=np.full(grid.n_nodes, 10.0), consume=lambda rows, W, C: None)
+        norms = [float(np.max(ledger.column(f"lq_c_{q:g}"))) for q in norm_ladder(unit_params)]
+        gap = float(np.max(ledger.column("linf_c"))) - norms[-1]
         assert all(v == pytest.approx(2.0, rel=1e-13) for v in norms)
         assert abs(gap) <= 1e-12
 
     def test_biot_run_ladder(self, unit_params, biot_run):
-        qs = moser_exponents(unit_params.m, 8, case="I")
-        sups = np.zeros(len(qs) + 1)
-        moser_rows(Grid1D(64), qs, biot_run.concentration, sups)
-        norms, gap = sups[:-1], sups[-1] - sups[-2]
+        qs = norm_ladder(unit_params)
+        norms = np.array([np.max(biot_run.ledger.column(f"lq_c_{q:g}")) for q in qs])
+        gap = np.max(biot_run.ledger.column("linf_c")) - norms[-1]
         assert qs == tuple(2.0 ** n for n in range(9))
         assert np.all(np.diff(norms) >= -1e-12)
         sup = norms[-1] + gap
