@@ -296,15 +296,23 @@ def _lockstep_newton(x, cur, live, errors, trial, band, accept, *,
 _MechPoint = namedtuple("_MechPoint", "value scale path_min r rn F F2 cdot d2G")
 
 
-def _mech_point(params, grid, w, F, c_hat, ent, C_prev, tau, load, g_value, free_weights) -> _MechPoint:
-    """Evaluate the deformations ``w`` at their cell gradients F = 1 + w' > 0;
-    ``ent`` is the entropy of the frozen cell concentrations ``c_hat``,
-    ``load`` the weighted body force, ``free_weights`` those of nodes 1..n."""
+def _strain_rate(grid, w, w_prev, F, F_prev, tau):
+    """The rate (C - C_prev) / tau of C = F^2 per cell, formed from the
+    increment w - w_prev: F^2 - F_prev^2 would cancel to the round-off of
+    F^2, which the viscous stress scales by D_tilde / tau."""
+    return gradient(grid, w - w_prev) * (F + F_prev) / tau
+
+
+def _mech_point(params, grid, w, F, c_hat, ent, w_prev, F_prev, tau, load, g_value, free_weights) -> _MechPoint:
+    """Evaluate the deformations ``w`` at their cell gradients F = 1 + w' > 0,
+    from the last step's ``w_prev`` and its F_prev = 1 + w_prev'; ``ent``
+    is the entropy of the frozen cell concentrations ``c_hat``, ``load``
+    the weighted body force, ``free_weights`` those of nodes 1..n."""
     h = grid.h
     n = grid.n_cells
     G = second_derivative(grid, w)
     F2 = F ** 2
-    cdot = (F2 - C_prev) / tau
+    cdot = _strain_rate(grid, w, w_prev, F, F_prev, tau)
     Jm1, dev = mat._strain(params, F, c_hat)
     hyper, hy, d2G = mat._hyper_1d(params, G)
     phi = h * mat._energy(params, Jm1 ** 2, F, dev, ent).sum(axis=-1)
@@ -380,7 +388,8 @@ def mechanical_step(
     concentration, for a (members, nodes) batch of displacements ``w_prev``
     (a 1-D displacement is the one-member batch), with ``c_prev`` to match
     and the loads ``f_nodes`` and ``g_value`` given per member.  The
-    viscous term is taken from C_prev = (1 + w_prev')^2.  The members are
+    viscous term takes the strain rate from the increment w - w_prev and
+    F + F_prev, F_prev = 1 + w_prev' (:func:`_strain_rate`).  The members are
     minimized in lockstep: each Newton pass evaluates the whole batch and
     solves its bands at once.
 
@@ -405,22 +414,22 @@ def mechanical_step(
     larger round-off scale of the two points, plus 1e-15), so energy <=
     energy_start holds up to that budget.
     """
-    w = np.array(w_prev, dtype=float, ndmin=2)
-    m = len(w)
+    w_prev = np.array(w_prev, dtype=float, ndmin=2)
+    m = len(w_prev)
     weights = node_weights(grid)
     # the per-step invariants: the frozen concentration, its entropy, the
     # loads (ndarray.reshape: np.reshape dispatches through Python)
-    c_hat = cell_average(np.asarray(c_prev).reshape(w.shape))
+    c_hat = cell_average(np.asarray(c_prev).reshape(w_prev.shape))
     ent = mat._entropy(params, c_hat)
-    load = weights * np.asarray(f_nodes).reshape(w.shape)
+    load = weights * np.asarray(f_nodes).reshape(w_prev.shape)
     g_value = np.asarray(g_value).reshape(m)
     free_weights = weights[1:]
     # w_prev and the start (the last layer; w_prev if there is none) are
     # evaluated as one (layers, members, nodes) batch.  The identity stands
     # in for a point that folds the bar, which counts as not evaluated.
-    pair = np.array([w] if start is None else [w, np.asarray(start).reshape(w.shape)], dtype=float)
+    pair = np.array([w_prev] if start is None else [w_prev, np.asarray(start).reshape(w_prev.shape)], dtype=float)
     F = 1.0 + gradient(grid, pair)
-    C_prev = F[0] ** 2
+    F_prev = F[0].copy()
     folded = F.min(axis=-1) <= 0.0
     if np.count_nonzero(folded):
         pair[folded] = 0.0
@@ -435,10 +444,11 @@ def mechanical_step(
         if np.count_nonzero(ok) < m:
             np.copyto(points, at, where=~ok[:, None])
             F = 1.0 + gradient(grid, points)
-        return points, ok, _mech_point(params, grid, points, F, c_hat, ent, C_prev, tau, load, g_value, free_weights)
+        return points, ok, _mech_point(params, grid, points, F, c_hat, ent, w_prev, F_prev, tau, load, g_value,
+                                       free_weights)
 
     errors = {}
-    both = _mech_point(params, grid, pair, F, c_hat, ent, C_prev, tau, load, g_value, free_weights)
+    both = _mech_point(params, grid, pair, F, c_hat, ent, w_prev, F_prev, tau, load, g_value, free_weights)
     energy = np.where(folded, np.inf, both.value)
     e_start = energy[0]
     live = np.isfinite(e_start)
@@ -825,15 +835,15 @@ def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext
     both = slice(rows.start, rows.start + len(w))
     f_both, g_both = f(both), g_star[both]
     u = w / eps
-    cdot = ((1.0 + gradient(grid, w[1:])) ** 2 - (1.0 + gradient(grid, w[:-1])) ** 2) / tau
+    F = 1.0 + gradient(grid, w)
+    cdot = _strain_rate(grid, w[1:], w[:-1], F[1:], F[:-1], tau)
     rates = {
         "diss_mech": grid.h * (0.5 * params.D_tilde * cdot ** 2).sum(axis=-1) / eps ** 2,
         "load_power": load_pairing(grid, f_both[1:] - f_both[:-1], g_both[1:] - g_both[:-1], u[:-1]) / tau,
     }
     # the state columns are those of the block's own rows
-    w, u, c, mu_ext = w[:n], u[:n], c[:n], mu_ext[rows]
+    w, u, c, F, mu_ext = w[:n], u[:n], c[:n], F[:n], mu_ext[rows]
     h = grid.h
-    F = 1.0 + gradient(grid, w)
     c_hat = cell_average(c)
     G = second_derivative(grid, w)
     stored = h * np.sum(mat.free_energy(params, F, c_hat), axis=-1)

@@ -87,22 +87,22 @@ class TestSweep:
             assert ratio <= 3.0
 
     def test_failed_member_message(self, unit_params):
-        # below the round-off floor every member fails, 0.1 earlier in
-        # time than 0.2; the sweep names the first member in its order
+        # below the round-off floor both members fail, 0.2 earlier in
+        # time than 0.3; the sweep names the first member in its order
         grid = Grid1D(16)
         x = grid.nodes
         loading = BoundLoading(f=lambda t: min(t / 0.05, 1.0) * 0.6 * np.sin(np.pi * x),
                                g=lambda t: min(t / 0.05, 1.0) * 0.2)
         solo = {}
-        for eps in (0.2, 0.1):
+        for eps in (0.3, 0.2):
             with pytest.raises(NoConvergence) as err:
                 stored(run_nonlinear, unit_params, grid, loading, BCSpec(zero_flux=True), tau=2e-3, T=0.1,
-                       eps=eps, tol=1e-12)
+                       eps=eps, tol=5e-14)
             solo[eps] = err.value
-        assert solo[0.1].time < solo[0.2].time
+        assert solo[0.2].time < solo[0.3].time
         with pytest.raises(RuntimeError) as err:
-            eps_sweep(unit_params, grid, loading, (0.2, 0.1, 0.05, 0.025), tau=2e-3, T=0.1, tol=1e-12)
-        assert str(err.value) == f"sweep member eps = 0.2 failed: {solo[0.2]}"
+            eps_sweep(unit_params, grid, loading, (0.3, 0.2, 0.1, 0.05), tau=2e-3, T=0.1, tol=5e-14)
+        assert str(err.value) == f"sweep member eps = 0.3 failed: {solo[0.3]}"
         assert type(err.value.__cause__) is NoConvergence
         with pytest.raises(RuntimeError) as err:
             eps_sweep(unit_params, grid, loading, (0.2, 0.1, 0.0, -0.1), tau=2e-3, T=0.1)
@@ -171,33 +171,33 @@ class TestSweep:
         assert_ledgers_equal(drain(run_linear(grid, tensors, loading, tau=tau, T=T, **init)), linear.ledger)
 
     def test_streamed_failures_are_the_stored_ones(self, unit_params, monkeypatch):
-        # at tol 1.7e-12, below the round-off floor, the last of three
-        # members fails at step 28 and the others run through.  The step
-        # that makes row 28 would close the block [21, 28): a failed run
-        # hands on no block after its failure.  The sweep reports the
+        # at tol 1e-13, below the round-off floor, the last of three
+        # members fails at step 36 and the others run through to T.  The
+        # step that makes row 36 would close the block [27, 36): a failed
+        # run hands on no block after its failure.  The sweep reports the
         # member's own error, as it did when the trajectories were stored
         grid = Grid1D(16)
-        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 9 * grid.n_nodes)
         x = grid.nodes
         loading = BoundLoading(f=lambda t: min(t / 0.05, 1.0) * 0.6 * np.sin(np.pi * x),
                                g=lambda t: min(t / 0.05, 1.0) * 0.2)
-        kw = dict(tau=2e-3, T=0.1, tol=1.7e-12)
+        kw = dict(tau=2e-3, T=0.076, tol=1e-13)
         bc = BCSpec(zero_flux=True)
-        stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.1, **kw)
+        stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.3, **kw)
         with pytest.raises(NoConvergence) as solo:
-            stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.05, **kw)
-        assert solo.value.time == pytest.approx(0.056)
+            stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.25, **kw)
+        assert solo.value.time == pytest.approx(0.072)
         blocks = []
         with pytest.raises(NoConvergence) as err:
-            run_nonlinear(unit_params, grid, loading, bc, eps=(0.3, 0.1, 0.05),
+            run_nonlinear(unit_params, grid, loading, bc, eps=(0.35, 0.3, 0.25),
                           consume=lambda rows, W, C: blocks.append(rows), **kw)
-        assert blocks == [slice(0, 7), slice(7, 14), slice(14, 21)]
-        assert (str(err.value), err.value.eps, err.value.time) == (str(solo.value), 0.05, solo.value.time)
+        assert blocks == [slice(0, 9), slice(9, 18), slice(18, 27)]
+        assert (str(err.value), err.value.eps, err.value.time) == (str(solo.value), 0.25, solo.value.time)
         with pytest.raises(RuntimeError) as err:
-            eps_sweep(unit_params, grid, loading, (0.3, 0.1, 0.05), **kw)
-        assert str(err.value) == f"sweep member eps = 0.05 failed: {solo.value}"
+            eps_sweep(unit_params, grid, loading, (0.35, 0.3, 0.25), **kw)
+        assert str(err.value) == f"sweep member eps = 0.25 failed: {solo.value}"
         assert type(err.value.__cause__) is NoConvergence
-        assert (err.value.__cause__.eps, err.value.__cause__.time) == (0.05, solo.value.time)
+        assert (err.value.__cause__.eps, err.value.__cause__.time) == (0.25, solo.value.time)
         # the linear reference's failure is raised as itself, and first
         with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
             stored(run_linear, grid, linearize(unit_params), loading, tau=2e-3, T=0.1, tol=0.0)

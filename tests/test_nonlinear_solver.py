@@ -4,6 +4,7 @@ import pytest
 
 from porovisco import discretization, nonlinear_solver
 from porovisco.constitutive import (
+    MaterialParams,
     _entropy,
     chemical_potential,
     free_energy,
@@ -139,14 +140,14 @@ class TestBandedNewtonMatrices:
         rng = np.random.default_rng(n)
         w = np.concatenate([[0.0], np.cumsum(0.2 * grid.h * rng.standard_normal(n))])
         c_hat = cell_average(1.0 + 0.3 * rng.random(grid.n_nodes))
-        C_prev = (1.0 + gradient(grid, w) + 0.01 * rng.standard_normal(n)) ** 2
+        w_prev = np.concatenate([[0.0], np.cumsum(grid.h * (gradient(grid, w) + 0.01 * rng.standard_normal(n)))])
         f = 0.05 * np.sin(np.pi * grid.nodes)
         weights = node_weights(grid)
         ent = _entropy(unit_params, c_hat)
 
         def point(wv):
-            return _mech_point(unit_params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, C_prev, TAU, weights * f,
-                               0.02, weights[1:])
+            return _mech_point(unit_params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, w_prev,
+                               1.0 + gradient(grid, w_prev), TAU, weights * f, 0.02, weights[1:])
 
         def residual(wv):
             return point(wv).r
@@ -186,13 +187,13 @@ class TestBandedNewtonMatrices:
             assert np.max(robin) == 0.0
 
 
-def public_mech_point(params, grid, w, c_hat, C_prev, tau, f, g, weights):
+def public_mech_point(params, grid, w, c_hat, w_prev, tau, f, g, weights):
     """The mechanical value, round-off scale, residual and Hessian band at
-    w, from the public constitutive functions alone."""
+    w after w_prev, from the public constitutive functions alone."""
     h, n = grid.h, grid.n_cells
     F = 1.0 + gradient(grid, w)
     G = second_derivative(grid, w)
-    cdot = (F ** 2 - C_prev) / tau
+    cdot = gradient(grid, w - w_prev) * (F + (1.0 + gradient(grid, w_prev))) / tau
     hyper, hy = hyperstress(params, G)
     phi = h * free_energy(params, F, c_hat).sum(axis=-1)
     hyp = h * hyper[..., 1:-1].sum(axis=-1)
@@ -271,13 +272,14 @@ class TestPointKernel:
         F = 0.6 + 0.8 * rng.random(rows)  # admissible: F in (0.6, 1.4)
         w = np.concatenate([np.zeros((3, 1)), np.cumsum(grid.h * (F - 1.0), axis=-1)], axis=-1)
         c_hat = cell_average(0.2 + 2.0 * rng.random((3, grid.n_nodes)))
-        C_prev = (0.6 + 0.8 * rng.random(rows)) ** 2
+        F_prev = 0.6 + 0.8 * rng.random(rows)
+        w_prev = np.concatenate([np.zeros((3, 1)), np.cumsum(grid.h * (F_prev - 1.0), axis=-1)], axis=-1)
         f = rng.standard_normal((3, grid.n_nodes))
         g = rng.standard_normal(3)
         weights = node_weights(grid)
-        pt = _mech_point(unit_params, grid, w, 1.0 + gradient(grid, w), c_hat, _entropy(unit_params, c_hat), C_prev,
-                         TAU, weights * f, g, weights[1:])
-        value, scale, r, ab = public_mech_point(unit_params, grid, w, c_hat, C_prev, TAU, f, g, weights)
+        pt = _mech_point(unit_params, grid, w, 1.0 + gradient(grid, w), c_hat, _entropy(unit_params, c_hat), w_prev,
+                         1.0 + gradient(grid, w_prev), TAU, weights * f, g, weights[1:])
+        value, scale, r, ab = public_mech_point(unit_params, grid, w, c_hat, w_prev, TAU, f, g, weights)
         F = 1.0 + gradient(grid, w)
         for got, want in ((pt.value, value), (pt.scale, scale), (pt.r, r), (pt.rn, _dual_norm(r, weights[1:])),
                           (pt.F, F),
@@ -329,8 +331,8 @@ class TestSmallStrainLimit:
         for eps in 2.0 ** -np.arange(3, 10):
             w, c, c_prev = eps * u, unit_params.c_eq + eps * rho, unit_params.c_eq + eps * rho_prev
             c_hat, F = cell_average(c_prev), 1.0 + gradient(grid, w)
-            mech = _mech_point(unit_params, grid, w, F, c_hat, _entropy(unit_params, c_hat),
-                               (1.0 + gradient(grid, eps * u_prev)) ** 2, TAU, weights * eps * f, eps * g, weights[1:])
+            mech = _mech_point(unit_params, grid, w, F, c_hat, _entropy(unit_params, c_hat), eps * u_prev,
+                               1.0 + gradient(grid, eps * u_prev), TAU, weights * eps * f, eps * g, weights[1:])
             diff = _diff_point(unit_params, grid, F, c, c_prev, TAU, bc, eps * mu_ext, weights)
             remainders.append([_dual_norm(mech.r / eps - lin_u, weights[1:]),
                                _dual_norm(diff.r / eps - lin_rho, weights)])
@@ -422,6 +424,18 @@ class TestRun:
         assert check_dissipation_inequality(run.ledger) <= 1e-12
         assert run.ledger.column("residual_mech").max() <= 1e-9
         assert run.ledger.column("residual_diff").max() <= 1e-9
+
+    def test_large_viscosity_runs_at_the_shipped_step(self):
+        # D_tilde = 3 scales the round-off of the strain rate by D_tilde /
+        # tau; formed as F^2 - C_prev, the line search stalled on the first
+        # step of the shipped problem.  From the increment it runs through
+        grid = Grid1D(64)
+        run = stored(run_nonlinear, MaterialParams(D_tilde=3.0), grid, default_loading(grid), BCSpec(zero_flux=True),
+                     tau=TAU, T=0.01, eps=0.1, tol=5e-11)
+        assert len(run.times) == 11
+        assert check_dissipation_inequality(run.ledger) <= 1e-9
+        assert run.ledger.column("residual_mech").max() <= 1e-10
+        assert run.ledger.column("residual_diff").max() <= 1e-10
 
     def test_initial_data_validated(self, unit_params):
         grid = Grid1D(16)
@@ -554,10 +568,11 @@ def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
         if k > 0:
             t_prev = run.times[k - 1]
             w_prev, c_prev = run.displacement[k - 1], run.concentration[k - 1]
-            C_prev = (1.0 + gradient(grid, w_prev)) ** 2
+            F_prev = 1.0 + gradient(grid, w_prev)
+            cdot = gradient(grid, w - w_prev) * (F + F_prev) / tau
             mu_ext = bc.mu_ext_value(t)
             c_hat_prev = cell_average(c_prev)
-            r_mech = _mech_point(params, grid, w, F, c_hat_prev, _entropy(params, c_hat_prev), C_prev, tau,
+            r_mech = _mech_point(params, grid, w, F, c_hat_prev, _entropy(params, c_hat_prev), w_prev, F_prev, tau,
                                  weights * (eps * loading.f_star(t)), eps * loading.g_star(t), weights[1:]).r
             r_diff = _diff_point(params, grid, F, c, c_prev, tau, bc, mu_ext, weights).r
             start = None if k == 1 else 2.0 * W[1] - W[0] if k == 2 else 3.0 * (W[k - 1] - W[k - 2]) + W[k - 3]
@@ -567,7 +582,7 @@ def _ledger_oracle(params, grid, eps, run, loading, bc, tol):
             assert np.array_equal(w_step, w) and np.array_equal(c_step, c)
             newton = (minfo["iterations"], dinfo["iterations"])
             row.update(
-                diss_mech=h * np.sum(0.5 * params.D_tilde * ((F ** 2 - C_prev) / tau) ** 2) / eps ** 2,
+                diss_mech=h * np.sum(0.5 * params.D_tilde * cdot ** 2) / eps ** 2,
                 diss_diff=h * np.sum(mobility(params, F, c_hat) * gradient(grid, mu) ** 2) / eps ** 2,
                 flux_boundary=(bc.kappa_left * (mu[0] - mu_ext) * mu[0]
                                + bc.kappa_right * (mu[-1] - mu_ext) * mu[-1]) / eps ** 2,
@@ -1126,12 +1141,12 @@ class TestPredictor:
         and at w_new."""
         _, grid, w, c, tau, f, g = args
         weights = node_weights(grid)
-        c_hat, C_prev = cell_average(c), (1.0 + gradient(grid, w)) ** 2
+        c_hat = cell_average(c)
         ent = _entropy(params, c_hat)
 
         def point(wv):
-            return _mech_point(params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, C_prev, tau, weights * f, g,
-                               weights[1:])
+            return _mech_point(params, grid, wv, 1.0 + gradient(grid, wv), c_hat, ent, w, 1.0 + gradient(grid, w), tau,
+                               weights * f, g, weights[1:])
 
         # the energy reported is E(w_new), and it exceeds E(w_prev) by at
         # most the line search's round-off budget over the point Newton
