@@ -284,7 +284,9 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     x = fields["grid"].nodes
     for where, profile in (("loading.f_profile", fields["loading"].f_profile),
                            ("initial.u0", initial["u0"]), ("initial.rho0", initial["rho0"])):
-        if profile.kind == "array" and len(profile.values) != len(x):
+        if profile.kind != "array" and profile.values is not None:  # the kind's formula would ignore them
+            errors.append(f"{where}.values: only an array profile takes values, got kind {profile.kind!r}")
+        elif profile.kind == "array" and len(profile.values) != len(x):
             errors.append(f"{where}.values: must hold grid.n_cells + 1 = {len(x)} values, got {len(profile.values)}")
         elif where == "initial.u0" and abs(profile.sample(x)[0]) > 1e-14:
             errors.append(f"initial.u0: must vanish at the pinned end x = 0, got {float(profile.sample(x)[0])!r}")

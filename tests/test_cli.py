@@ -184,6 +184,11 @@ class TestParse:
         ("initial.u0.values", {"initial": {"u0": {"kind": "array", "values": [0.0] * 66}}}),
         ("initial.rho0.values", {"initial": {"rho0": {"kind": "array", "values": [0.0, 0.1]}}}),
         ("initial.u0", {"initial": {"u0": {"kind": "constant", "scale": 0.1}}}),
+        # values on a profile whose kind has its own formula: unchecked, the
+        # run samples the formula and ignores them
+        ("initial.rho0.values", {"initial": {"rho0": {"kind": "zero", "values": [5.0, 6.0]}}}),
+        ("loading.f_profile.values", {"loading": {"f_profile": {"kind": "sin_pi", "scale": 0.6, "values": [1.0]}}}),
+        ("initial.u0.values", {"initial": {"u0": {"values": [0.0] * 65}}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
