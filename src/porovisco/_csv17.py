@@ -19,10 +19,8 @@ the trailing zeros of ``D`` dropped.
 
 Values the product cannot decide (``|frac - 1/2| <= _TIE``), NaN, the
 infinities and magnitudes outside ``[_LO, _HI)`` (subnormals included)
-are formatted one by one with ``"%.17g" %`` itself, and so is a whole
-block of fewer than ``_SMALL`` values, below the kernel's fixed cost.
-The tables are built on the first call that needs them, so a run that
-writes only small tables never builds them.
+are formatted one by one with ``"%.17g" %`` itself.  The tables are
+built on the first call, the first CSV write of a process.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 
 _LO, _HI = 1e-30, 1e30
 _TIE = 1e-9
-_SMALL = 128  # the "%.17g" loop is faster below about 100-200 values
 _PASS = 4096  # values per kernel pass
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _X_MIN, _X_MAX = -31, 30  # decimal exponents reached, before and after rounding
@@ -109,19 +106,11 @@ def _scaled(v, X, powers):
     return p, e + v * pl
 
 
-def _loop(a) -> bytes:
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in a.tolist()).encode()
-
-
 def format_rows(block) -> bytes:
     """The ``"%.17g"`` CSV lines of the rows of a 2-D float64 array."""
-    a = np.asarray(block, dtype=np.float64)
-    return _loop(a) if a.size < _SMALL else _kernel(a)
-
-
-def _kernel(a) -> bytes:
     # in passes of _PASS values, each ending its rows' lines where they
     # fall in it: a call's temporaries are one pass's, whatever its size
+    a = np.asarray(block, dtype=np.float64)
     x, n_cols = a.ravel(), a.shape[1]
     return b"".join(_pass(x[s:s + _PASS], (n_cols - 1 - s) % n_cols, n_cols) for s in range(0, x.size, _PASS))
 

@@ -531,24 +531,18 @@ def _planar_elasticity(params: MaterialParams) -> np.ndarray:
     return 2.0 * params.kappa_e * sym4 + _lame(_planar(params)) * np.einsum("ij,kl->ijkl", _I2, _I2)
 
 
-def max_antisymmetric_action(params: MaterialParams, seed: int = 0):
-    """Maximum of |C : W| and |D : W| over 10 random antisymmetric W, for
-    the material posed in d = 2.
+def max_antisymmetric_action(params: MaterialParams):
+    """The Frobenius norms |C : J| and |D : J| for the material posed in
+    d = 2, J = [[0, -1], [1, 0]].  Every antisymmetric 2x2 matrix is a
+    multiple w J, whose action is |w| times these, so one evaluation at J
+    measures the action on all of them.
 
     The tensors are measured by central finite differences of the analytic
     first derivatives at (I, c_eq); for a frame-indifferent model both
-    maxima vanish to finite-difference accuracy.
+    norms vanish to finite-difference accuracy.
     """
-    C_fd, D_fd = _planar_fd_tensors(params)
-    rng = np.random.default_rng(seed)
-    max_c = 0.0
-    max_d = 0.0
-    for _ in range(10):
-        w = rng.uniform(-1.0, 1.0)
-        W = w * _J2
-        max_c = max(max_c, float(np.sqrt(np.sum(np.einsum("ijkl,kl->ij", C_fd, W) ** 2))))
-        max_d = max(max_d, float(np.sqrt(np.sum(np.einsum("ijkl,kl->ij", D_fd, W) ** 2))))
-    return max_c, max_d
+    return tuple(float(np.sqrt(np.sum(np.einsum("ijkl,kl->ij", tensor, _J2) ** 2)))
+                 for tensor in _planar_fd_tensors(params))
 
 
 def min_symmetric_eigenvalue(params: MaterialParams, use_fd: bool = False) -> float:

@@ -65,20 +65,17 @@ class BCSpec:
     """Boundary data: displacement pinned at x = 0, traction applied at
     x = 1 (carried by the loading), Robin flux data at both endpoints.
 
-    ``zero_flux`` marks the homogeneous-Neumann regime used by the linear
-    system; it forces kappa = 0.
+    Zero flux is kappa = 0 at both ends (the default), the regime of the
+    small-strain system.
     """
 
     kappa_left: float = 0.0
     kappa_right: float = 0.0
     mu_ext: Callable[[float], float] | float = 0.0
-    zero_flux: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.kappa_left < np.inf and 0.0 <= self.kappa_right < np.inf):
             raise ValueError("boundary permeability kappa must be finite and >= 0")
-        if self.zero_flux and (self.kappa_left != 0.0 or self.kappa_right != 0.0):
-            raise ValueError("(L1) zero-flux runs require kappa = 0")
 
     def mu_ext_value(self, t: float) -> float:
         if callable(self.mu_ext):
@@ -220,8 +217,7 @@ def lq_norm(grid: Grid1D, f, q):
 
 
 def h1_seminorm(grid: Grid1D, f):
-    g = gradient(grid, f)
-    return _per_row(np.sqrt(np.sum(grid.h * g ** 2, axis=-1)))
+    return cell_l2_norm(grid, gradient(grid, f))
 
 
 def h1_norm(grid: Grid1D, f):

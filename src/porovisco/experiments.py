@@ -123,7 +123,6 @@ def eps_sweep(
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("eps list must be strictly decreasing with at least 3 entries")
-    bc = BCSpec(zero_flux=True)
     tensors = linearize(params)
     linear = run_linear(grid, tensors, loading, u0=u0, rho0=rho0, tau=tau, T=T)
     n_rows = len(time_grid(T, tau))
@@ -137,7 +136,7 @@ def eps_sweep(
 
     try:
         ledgers = run_nonlinear(
-            params, grid, loading, bc, tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol,
+            params, grid, loading, BCSpec(), tau=tau, T=T, eps=eps_list, u0=u0, rho0=rho0, tol=tol,
             max_newton=max_newton, max_backtrack=max_backtrack, consume=consume,
         )
     except SingularSystem:  # the linear reference's, from consume

@@ -7,13 +7,12 @@ arbitrary callables through :class:`BoundLoading` directly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .discretization import Grid1D, block_rows
+from .discretization import Grid1D
 
 __all__ = ["TimeAmplitude", "SpatialProfile", "LoadingSpec", "BoundLoading"]
 
@@ -126,14 +125,12 @@ class BoundLoading:
     def f_steps(self, ts: list):
         """The body force at the times ``ts``, by step index (a nodal
         vector) or slice of steps (a row each).  A separable force keeps
-        a(t) per step and forms a[k] * profile, the products f(t) forms (a
-        block of steps at a time); any other force is called per step."""
+        a(t) per step and forms a[k] * profile, the products f(t) forms;
+        any other force is called per step."""
         if self.profile is None:
             return _at_steps(self.f_star, ts)
         a = np.array([self.amplitude(t) for t in ts], dtype=float)
-        size = block_rows(len(self.profile))
-        block = functools.lru_cache(maxsize=1)(lambda j: a[j * size:(j + 1) * size, None] * self.profile)
-        return lambda k: a[k, None] * self.profile if isinstance(k, slice) else block(k // size)[k % size]
+        return lambda k: a[k, None] * self.profile
 
     def source_steps(self, ts: list):
         """The source at the times ``ts`` as ``f_steps`` gives the force."""

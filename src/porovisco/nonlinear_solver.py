@@ -292,8 +292,8 @@ def _lockstep_newton(x, cur, live, errors, trial, band, accept, *,
 # sum of the magnitudes of its terms (the round-off resolution of the
 # value), the smallest value along the Newton path to the point (set by
 # _mech_accept), the residual at the free nodes and its dual norm, and for
-# the Hessian F, F^2 and the strain rate per cell and h'(G) per node
-_MechPoint = namedtuple("_MechPoint", "value scale path_min r rn F F2 cdot d2G")
+# the Hessian F and the strain rate per cell and h'(G) per node
+_MechPoint = namedtuple("_MechPoint", "value scale path_min r rn F cdot d2G")
 
 
 def _strain_rate(grid, w, w_prev, F, F_prev, tau):
@@ -311,7 +311,6 @@ def _mech_point(params, grid, w, F, c_hat, ent, w_prev, F_prev, tau, load, g_val
     h = grid.h
     n = grid.n_cells
     G = second_derivative(grid, w)
-    F2 = F ** 2
     cdot = _strain_rate(grid, w, w_prev, F, F_prev, tau)
     Jm1, dev = mat._strain(params, F, c_hat)
     hyper, hy, d2G = mat._hyper_1d(params, G)
@@ -328,7 +327,7 @@ def _mech_point(params, grid, w, F, c_hat, ent, w_prev, F_prev, tau, load, g_val
     r += (hpad[..., 0:n] - 2.0 * hpad[..., 1 : n + 1] + hpad[..., 2 : n + 2]) / h
     r -= load[..., 1:]
     r[..., -1] -= g_value
-    return _MechPoint(value, scale, value.copy(), r, _dual_norm(r, free_weights), F, F2, cdot, d2G)
+    return _MechPoint(value, scale, value.copy(), r, _dual_norm(r, free_weights), F, cdot, d2G)
 
 
 def _mech_band(params, grid, tau, pt: _MechPoint):
@@ -337,7 +336,7 @@ def _mech_band(params, grid, tau, pt: _MechPoint):
     ``_work_band``."""
     h = grid.h
     n = grid.n_cells
-    a = mat._stiffness_1d(params, pt.F) + 2.0 * params.D_tilde * pt.cdot + 4.0 * params.D_tilde * pt.F2 / tau
+    a = mat._stiffness_1d(params, pt.F) + 2.0 * params.D_tilde * pt.cdot + 4.0 * params.D_tilde * pt.F ** 2 / tau
     # hyperstress block (second-difference stencil); h'(G) = 0 at the end nodes
     b = pt.d2G / h ** 3
     bp = _pad(b, 0, 1)  # bp[i] = b_i for i <= n, bp[n+1] = 0
@@ -862,7 +861,7 @@ def _nonlinear_columns(params, grid, bc, tau, eps, rows, w, c, f, g_star, mu_ext
         "linf_c": lq_norm(grid, c, np.inf),
         "min_c": np.min(c, axis=-1),
         "min_F": np.min(F, axis=-1),
-        "llogl": llogl_deviation(grid, np.maximum(c, 0.0), params.c_eq),
+        "llogl": llogl_deviation(grid, c, params.c_eq),
         "h1_u": h1_norm(grid, u),
         "l2_rho": lq_norm(grid, (c - params.c_eq) / eps, 2),
         "lp_d2u": lq_norm(grid, G / eps, params.p),

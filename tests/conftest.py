@@ -67,7 +67,7 @@ def biot_run(unit_params):
     """The reference finite-strain run: n = 64, tau = 1e-3, T = 1,
     eps = 0.1, ramped body force and traction (shared across tests)."""
     grid = Grid1D(64)
-    bc = BCSpec(zero_flux=True)
+    bc = BCSpec()
     return stored(run_nonlinear, unit_params, grid, default_loading(grid), bc, tau=1e-3, T=1.0, eps=0.1, tol=5e-11)
 
 

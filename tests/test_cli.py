@@ -98,6 +98,15 @@ class TestParse:
             with pytest.raises(ValidationError, match=f"checks.{name}: unknown field"):
                 parse_config(path)
 
+    def test_zero_flux_is_an_unknown_field(self, tmp_path):
+        # zero flux is kappa = 0 at both ends, which the bc section holds
+        cfg = _merged(json.loads(default_config_path().read_text()), {"bc": {"zero_flux": True}})
+        path = tmp_path / "zf.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValidationError) as err:
+            parse_config(path)
+        assert err.value.errors == ["bc.zero_flux: unknown field"]
+
     def test_missing_solver_section_takes_the_shipped_tol(self, tmp_path):
         cfg = json.loads(default_config_path().read_text())
         shipped = cfg.pop("solver")
@@ -122,14 +131,14 @@ class TestParse:
         ("bc.kappa_left", {"bc": {"kappa_left": [1]}}),
         ("bc.mu_ext.scale", {"bc": {"mu_ext": {"scale": None}}}),
         ("time.tau", {"time": {"tau": float("nan")}}),
-        ("bc.zero_flux", {"bc": {"zero_flux": "no"}}),
+        ("bc.zero_flux", {"bc": {"zero_flux": "no"}}),  # zero flux is kappa = 0: an unknown field
         ("time.bogus", {"time": {"bogus": 1.0}}),
         ("output_dir", {"output_dir": "out"}),
         ("solver.tol", {"solver": {"tol": float("nan")}}),
         ("checks.mass_tol", {"checks": {"mass_tol": float("nan")}}),
         ("checks.balance_tol", {"checks": {"balance_tol": -0.1}}),
-        ("bc.kappa_left", {"bc": {"zero_flux": False, "kappa_left": float("nan")}}),
-        ("bc.kappa_right", {"bc": {"zero_flux": False, "kappa_right": float("inf")}}),
+        ("bc.kappa_left", {"bc": {"kappa_left": float("nan")}}),
+        ("bc.kappa_right", {"bc": {"kappa_right": float("inf")}}),
         ("solver.max_backtrack", {"solver": {"max_backtrack": -3}}),
         ("solver.max_newton", {"solver": {"max_newton": -1}}),
         ("solver.max_newton", {"solver": {"max_newton": 2.5}}),
@@ -480,6 +489,21 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate-linear", "static", "decay", "sweep-eps"])
+    def test_zero_flux_commands_reject_robin_data(self, tiny_config, tmp_path, capsys, command):
+        # these commands solve only the kappa = 0 system: the small-strain
+        # solver has no Robin rows, and the sweep's members run with zero flux
+        cfg = _merged(json.loads(tiny_config.read_text()),
+                      {"bc": {"kappa_left": 0.5, "kappa_right": 1.0, "mu_ext": {"kind": "constant", "scale": -1.0}}})
+        path = tmp_path / "robin.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: bc.kappa_left: must be 0 for this command, which solves the zero-flux system, got 0.5\n"
+            "validation error: bc.kappa_right: must be 0 for this command, which solves the zero-flux system, got 1.0\n")
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags, field", [
         (["--cells", "2"], "grid"),

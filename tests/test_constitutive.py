@@ -302,7 +302,7 @@ class TestPowerBoundConstant:
 
 class TestTensorStructure:
     def test_antisymmetric_action_vanishes(self, unit_params):
-        max_c, max_d = max_antisymmetric_action(unit_params, seed=0)
+        max_c, max_d = max_antisymmetric_action(unit_params)
         assert max_c <= 1e-6
         assert max_d <= 1e-6
 

@@ -1,6 +1,5 @@
 """The vectorized ``"%.17g"`` kernel against the formatting loop it
-replaced, kept here as the reference.  The kernel is called directly:
-``format_rows`` hands blocks of fewer than ``_SMALL`` values to the loop."""
+replaced, kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import peak_traced_bytes
-from porovisco._csv17 import _SMALL, _kernel, format_rows
+from porovisco._csv17 import format_rows
 
 
 def reference(block) -> bytes:
@@ -27,7 +26,7 @@ def _assert_same(values, shapes=None):
     values = np.asarray(values, dtype=float).ravel()
     for shape in shapes or [(1, values.size), (values.size, 1)]:
         block = values.reshape(shape)
-        assert _kernel(block) == reference(block)
+        assert format_rows(block) == reference(block)
 
 
 # any bit pattern, and patterns whose exponent lies in the vectorized range
@@ -43,7 +42,7 @@ _BITS = st.one_of(
 @given(arrays(np.uint64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9), elements=_BITS))
 def test_any_bit_pattern_formats_as_the_loop(bits):
     block = bits.view(np.float64)  # subnormals, +-0, NaN and +-inf included
-    assert _kernel(block) == reference(block)
+    assert format_rows(block) == reference(block)
 
 
 def test_powers_of_ten_and_their_neighbours():
@@ -82,13 +81,20 @@ def test_decimal_near_ties():
 def test_block_shapes(shape):
     rng = np.random.default_rng(3)
     block = rng.standard_normal(shape) * 10.0 ** rng.integers(-35, 35, shape)
-    assert _kernel(block) == reference(block)
-
-
-@pytest.mark.parametrize("size", [1, _SMALL - 1, _SMALL, 3 * _SMALL])
-def test_format_rows_on_either_side_of_the_small_block_size(size):
-    block = np.random.default_rng(size).standard_normal((1, size)) * 1e-3
     assert format_rows(block) == reference(block)
+
+
+def test_every_small_block_formats_as_the_loop():
+    # every block of 1-130 values, as a row and as a column, with NaN,
+    # +-inf and subnormals among the regular values
+    rng = np.random.default_rng(130)
+    specials = [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308]
+    for size in range(1, 131):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-35, 35, size)
+        values[:len(specials)] = specials[:size]
+        rng.shuffle(values)
+        for block in (values.reshape(1, -1), values.reshape(-1, 1)):
+            assert format_rows(block) == reference(block), size
 
 
 @pytest.mark.parametrize("shape", [(64, 128), (1, 8192), (8192, 1)])

@@ -34,8 +34,6 @@ def test_bcspec_validation():
             BCSpec(kappa_left=kappa)
         with pytest.raises(ValueError):
             BCSpec(kappa_right=kappa)
-    with pytest.raises(ValueError):
-        BCSpec(kappa_right=0.1, zero_flux=True)
 
 
 def test_gradient_exact_for_affine():

@@ -96,7 +96,7 @@ class TestSweep:
         solo = {}
         for eps in (0.3, 0.2):
             with pytest.raises(NoConvergence) as err:
-                stored(run_nonlinear, unit_params, grid, loading, BCSpec(zero_flux=True), tau=2e-3, T=0.1,
+                stored(run_nonlinear, unit_params, grid, loading, BCSpec(), tau=2e-3, T=0.1,
                        eps=eps, tol=5e-14)
             solo[eps] = err.value
         assert solo[0.2].time < solo[0.3].time
@@ -132,7 +132,7 @@ class TestSweep:
         report = eps_sweep(unit_params, grid, loading, eps_list, tau=tau, T=T, **init)
         linear = stored(run_linear, grid, linearize(unit_params), loading, tau=tau, T=T, **init)
         assert len(linear.times) == 101
-        runs = stored(run_nonlinear, unit_params, grid, loading, BCSpec(zero_flux=True), tau=tau, T=T,
+        runs = stored(run_nonlinear, unit_params, grid, loading, BCSpec(), tau=tau, T=T,
                       eps=eps_list, tol=5e-11, **init)
         got = {**report.errors, **report.audit}
         for name, values in sweep_oracle(unit_params, grid, tau, eps_list, linear, runs).items():
@@ -148,7 +148,7 @@ class TestSweep:
         grid = Grid1D(16)
         loading, eps_list, tau, T = ramp_loading(grid), (0.2, 0.1, 0.05), 2e-3, 0.14
         init = dict(u0=0.05 * grid.nodes, rho0=0.3 * np.cos(np.pi * grid.nodes))
-        tensors, bc = linearize(unit_params), BCSpec(zero_flux=True)
+        tensors, bc = linearize(unit_params), BCSpec()
         monkeypatch.setattr(discretization, "_BLOCK_VALUES", 1 << 20)
         linear = stored(run_linear, grid, tensors, loading, tau=tau, T=T, **init)
         runs = stored(run_nonlinear, unit_params, grid, loading, bc, tau=tau, T=T, eps=eps_list, tol=5e-11, **init)
@@ -182,7 +182,7 @@ class TestSweep:
         loading = BoundLoading(f=lambda t: min(t / 0.05, 1.0) * 0.6 * np.sin(np.pi * x),
                                g=lambda t: min(t / 0.05, 1.0) * 0.2)
         kw = dict(tau=2e-3, T=0.076, tol=1e-13)
-        bc = BCSpec(zero_flux=True)
+        bc = BCSpec()
         stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.3, **kw)
         with pytest.raises(NoConvergence) as solo:
             stored(run_nonlinear, unit_params, grid, loading, bc, eps=0.25, **kw)
@@ -271,7 +271,7 @@ class TestMoser:
         # concentration stays constant, so every rung of the ledger's
         # ladder, and its sup-norm, is 2
         grid = Grid1D(16)
-        ledger = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True), tau=2e-3, T=0.01,
+        ledger = run_nonlinear(unit_params, grid, zero_loading(grid), BCSpec(), tau=2e-3, T=0.01,
                                eps=0.1, rho0=np.full(grid.n_nodes, 10.0), consume=lambda rows, W, C: None)
         norms = [float(np.max(ledger.column(f"lq_c_{q:g}"))) for q in norm_ladder(unit_params)]
         gap = float(np.max(ledger.column("linf_c"))) - norms[-1]

@@ -345,7 +345,7 @@ class TestDiffusionStep:
         grid = Grid1D(16)
         F = np.ones(grid.n_cells)
         c = np.ones(grid.n_nodes)
-        c_new, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0)
+        c_new, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(), 0.0)
         assert np.array_equal(c_new[0], c)
         assert info["iterations"] == 0
 
@@ -353,7 +353,7 @@ class TestDiffusionStep:
         grid = Grid1D(32)
         F = 1.0 + 0.05 * np.sin(2 * np.pi * (np.arange(grid.n_cells) + 0.5) * grid.h)
         c = 1.0 + 0.2 * np.cos(np.pi * grid.nodes)
-        (c_new,), _ = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0, tol=1e-12)
+        (c_new,), _ = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(), 0.0, tol=1e-12)
         assert abs(mass(grid, c_new) - mass(grid, c)) <= 1e-13
         assert np.min(c_new) > 0.0
 
@@ -370,7 +370,7 @@ class TestDiffusionStep:
         F = np.ones(grid.n_cells)
         c = np.ones(grid.n_nodes)
         c[3] = 0.0
-        _, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(zero_flux=True), 0.0)
+        _, info = diffusion_step(unit_params, grid, F, c, TAU, BCSpec(), 0.0)
         assert type(info["errors"][0]) is PositivityLoss
         assert str(info["errors"][0]) == "implicit diffusion step requires strictly positive concentration"
 
@@ -378,7 +378,7 @@ class TestDiffusionStep:
 class TestRun:
     def test_equilibrium_trajectory_constant(self, unit_params):
         grid = Grid1D(16)
-        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(),
                      tau=TAU, T=0.02, eps=0.1)
         assert np.max(np.abs(run.displacement)) == 0.0
         assert np.max(np.abs(run.concentration - 1.0)) == 0.0
@@ -388,7 +388,7 @@ class TestRun:
 
     def test_structure_preserved_on_short_run(self, unit_params):
         grid = Grid1D(32)
-        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                      tau=TAU, T=0.1, eps=0.1, tol=5e-11)
         led = run.ledger
         assert check_dissipation_inequality(led) <= 1e-9
@@ -401,7 +401,7 @@ class TestRun:
 
     def test_detector_flags_corrupted_energy(self, unit_params):
         grid = Grid1D(16)
-        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(),
                      tau=TAU, T=0.02, eps=0.1)
         run.ledger._cols["energy"][5] += 1e-3
         violation = check_dissipation_inequality(run.ledger)
@@ -410,7 +410,7 @@ class TestRun:
     def test_failures_carry_time(self, unit_params):
         grid = Grid1D(16)
         with pytest.raises(NoConvergence) as err:
-            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                    tau=TAU, T=0.05, eps=0.1, max_newton=0)
         assert err.value.time is not None
 
@@ -418,7 +418,7 @@ class TestRun:
         # three steps of the reference problem on a 1024-cell grid; the
         # banded Newton solves make this a matter of milliseconds
         grid = Grid1D(1024)
-        run = stored(run_nonlinear, unit_params, grid, default_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, default_loading(grid), BCSpec(),
                      tau=TAU, T=3 * TAU, eps=0.1, tol=1e-9)
         assert len(run.times) == 4
         assert check_dissipation_inequality(run.ledger) <= 1e-12
@@ -430,7 +430,7 @@ class TestRun:
         # tau; formed as F^2 - C_prev, the line search stalled on the first
         # step of the shipped problem.  From the increment it runs through
         grid = Grid1D(64)
-        run = stored(run_nonlinear, MaterialParams(D_tilde=3.0), grid, default_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, MaterialParams(D_tilde=3.0), grid, default_loading(grid), BCSpec(),
                      tau=TAU, T=0.01, eps=0.1, tol=5e-11)
         assert len(run.times) == 11
         assert check_dissipation_inequality(run.ledger) <= 1e-9
@@ -441,14 +441,14 @@ class TestRun:
         grid = Grid1D(16)
         rho0 = np.full(grid.n_nodes, -15.0)  # c0 = 1 - 1.5 < 0 at eps = 0.1
         with pytest.raises(PositivityLoss):
-            stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+            stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(),
                    tau=TAU, T=0.01, eps=0.1, rho0=rho0)
 
     def test_tau_refinement_first_order(self, unit_params):
         grid = Grid1D(32)
         finals = {}
         for tau in (2e-3, 1e-3, 5e-4):
-            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                          tau=tau, T=0.25, eps=0.1, tol=5e-11)
             finals[tau] = np.concatenate([run.displacement[-1], run.concentration[-1]])
         d1 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
@@ -460,7 +460,7 @@ class TestRun:
         grid = Grid1D(32)
         sups = []
         for tau in (2e-3, 1e-3, 5e-4):
-            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                          tau=tau, T=0.25, eps=0.1, tol=5e-11)
             sups.append(run.ledger.column("linf_c").max())
         assert max(sups) / min(sups) <= 1.01
@@ -477,7 +477,7 @@ def direct_difference_flux(params, grid, eps, w, c):
 class TestRescale:
     def test_equilibrium_rescales_to_zero(self, unit_params):
         grid = Grid1D(16)
-        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, zero_loading(grid), BCSpec(),
                      tau=TAU, T=0.02, eps=0.1)
         rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
         assert np.max(np.abs(rs["u"])) == 0.0
@@ -486,7 +486,7 @@ class TestRescale:
 
     def test_linearity_roundtrip(self, unit_params):
         grid = Grid1D(24)
-        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+        run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                      tau=TAU, T=0.05, eps=0.1, tol=5e-11)
         rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
         assert np.max(np.abs(rs["u"] * 0.1 - run.displacement)) <= 1e-14
@@ -495,7 +495,7 @@ class TestRescale:
         errs = []
         for n in (32, 64):
             grid = Grid1D(n)
-            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True),
+            run = stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(),
                          tau=2e-3, T=0.2, eps=0.1, tol=5e-11)
             rs = rescale(unit_params, grid, run.displacement, run.concentration, 0.1)
             w, c = run.displacement[-1], run.concentration[-1]
@@ -775,9 +775,9 @@ class TestLockstep:
         grid = Grid1D(16)
         kw = dict(tau=TAU, T=10 * TAU, u0=-2.0 * grid.nodes)
         with pytest.raises(OrientationLoss) as solo:
-            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=0.6, **kw)
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(), eps=0.6, **kw)
         with pytest.raises(OrientationLoss) as err:
-            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(zero_flux=True), eps=(0.1, 0.6), **kw)
+            stored(run_nonlinear, unit_params, grid, ramp_loading(grid), BCSpec(), eps=(0.1, 0.6), **kw)
         assert str(err.value) == str(solo.value) and err.value.time == 0.0
         assert err.value.eps == 0.6
 
@@ -1018,7 +1018,7 @@ class TestLockstep:
         for name in calls:
             monkeypatch.setattr(nonlinear_solver, name, counted(name))
         grid = Grid1D(16)
-        ledgers = run_nonlinear(unit_params, grid, default_loading(grid), BCSpec(zero_flux=True), tau=2e-3, T=0.05,
+        ledgers = run_nonlinear(unit_params, grid, default_loading(grid), BCSpec(), tau=2e-3, T=0.05,
                                 eps=SWEEP_EPS, consume=lambda *blocks: None)
         assert calls == {"_mech_point": 52, "_mech_band": 27, "_gbsv": 52, "_diff_point": 50, "_diff_band": 25}
         assert [ledger.column("newton_mech").sum() for ledger in ledgers] == [27, 27, 27, 25]
@@ -1131,7 +1131,7 @@ class TestPredictor:
             return out
 
         monkeypatch.setattr(nonlinear_solver, "mechanical_step", recorder)
-        stored(run_nonlinear, params, grid, loading, BCSpec(zero_flux=True), tau=TAU, T=T, eps=eps, tol=5e-11)
+        stored(run_nonlinear, params, grid, loading, BCSpec(), tau=TAU, T=T, eps=eps, tol=5e-11)
         return calls
 
     @staticmethod
