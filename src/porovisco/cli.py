@@ -444,11 +444,11 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path) -> tuple:
     return "nonlinear", invariants, ["trajectory.csv", "ledger.csv"]
 
 
-def _zero_flux(config: ProblemConfig) -> None:
+def _reject_robin(config: ProblemConfig) -> None:
     """Reject Robin data in a command that solves only the zero-flux
     system (kappa = 0): the small-strain solver has no Robin rows, and the
     sweep's members run with zero flux."""
-    errors = [f"bc.{name}: must be 0 for this command, which solves the zero-flux system, got {kappa!r}"
+    errors = [f"bc.{name}: must be 0 for this command, which solves the zero-flux system (L1), got {kappa!r}"
               for name, kappa in (("kappa_left", config.bc.kappa_left), ("kappa_right", config.bc.kappa_right))
               if kappa != 0.0]
     if errors:
@@ -458,7 +458,7 @@ def _zero_flux(config: ProblemConfig) -> None:
 def _cmd_simulate_linear(config: ProblemConfig, out: Path) -> tuple:
     """The small-strain run: its checkpoint rows are written block by block
     as the run makes them, then its ledger and invariants."""
-    _zero_flux(config)
+    _reject_robin(config)
     tensors = linearize(config.material)
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
@@ -477,7 +477,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path) -> tuple:
 
 
 def _cmd_static(config: ProblemConfig, out: Path) -> tuple:
-    _zero_flux(config)
+    _reject_robin(config)
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
     _, rho0 = config.initial_fields()
@@ -501,7 +501,7 @@ def _terminal_loads(config: ProblemConfig) -> tuple:
 
 
 def _cmd_sweep(config: ProblemConfig, out: Path) -> tuple:
-    _zero_flux(config)
+    _reject_robin(config)
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
     report = eps_sweep(
@@ -604,7 +604,7 @@ def _cmd_moser(config: ProblemConfig, out: Path) -> tuple:
 
 
 def _cmd_decay(config: ProblemConfig, out: Path) -> tuple:
-    _zero_flux(config)
+    _reject_robin(config)
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
     u0, rho0 = config.initial_fields()

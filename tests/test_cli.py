@@ -501,8 +501,8 @@ class TestMain:
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err == (
-            "validation error: bc.kappa_left: must be 0 for this command, which solves the zero-flux system, got 0.5\n"
-            "validation error: bc.kappa_right: must be 0 for this command, which solves the zero-flux system, got 1.0\n")
+            "validation error: bc.kappa_left: must be 0 for this command, which solves the zero-flux system (L1), got 0.5\n"
+            "validation error: bc.kappa_right: must be 0 for this command, which solves the zero-flux system (L1), got 1.0\n")
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags, field", [
