@@ -84,6 +84,14 @@ def test_block_shapes(shape):
     assert format_rows(block) == reference(block)
 
 
+@pytest.mark.parametrize("size", [1, 127, 128, 384])
+def test_format_rows_on_either_side_of_the_small_block_size(size):
+    # 128 values was the block size below which format_rows ran the
+    # formatting loop in place of the kernel; the kernel now takes every block
+    block = np.random.default_rng(size).standard_normal((1, size)) * 1e-3
+    assert format_rows(block) == reference(block)
+
+
 def test_every_small_block_formats_as_the_loop():
     # every block of 1-130 values, as a row and as a column, with NaN,
     # +-inf and subnormals among the regular values
