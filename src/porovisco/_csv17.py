@@ -13,14 +13,25 @@ the trailing zeros of ``D`` dropped.
   technique for extending the available precision", Numer. Math. 18,
   1971), plus ``x`` times the correctly rounded tail.  Its error, about
   ``2**-104`` relative, decides the rounding of ``D`` except near a tie.
-* Each value gets a fixed-width slot of ASCII bytes, laid out by one
-  template row per (``X``, decimal point present).  NUL bytes mark the
-  unused positions and are dropped at the end.
+* The decimal point goes in as a digit: with ``w`` digits before it, the
+  18-digit integer ``Y`` is ``D`` with a 1 put in after its first ``w``.
+  Its digits come from tables of 4-digit ASCII words, read from a variant
+  with NUL for the zeros that end ``Y``: those of the fraction, never
+  those of the integer part, which the 1 follows.
+* Each value gets a 28-byte slot: the separator before it, its sign, room
+  for the "0.000" prefix of ``-4 <= X <= -1``, the 18 digits of ``Y`` at
+  one offset for every value, and the exponent "e+XX".  One template row
+  per (``X``, decimal point, sign) class is XOR-ed over the slot: it turns
+  the 1 into the point, or into NUL if no digit follows it, and writes the
+  prefix, exponent, sign and separator.  NUL bytes are dropped at the
+  end.
 
 Values the product cannot decide (``|frac - 1/2| <= _TIE``), NaN, the
 infinities and magnitudes outside ``[_LO, _HI)`` (subnormals included)
 are formatted one by one with ``"%.17g" %`` itself.  The tables are
-built on the first call, the first CSV write of a process.
+built on the first call, the first CSV write of a process.  No array of
+a pass of 4096 values is over 112 KiB, below the 128 KiB from which glibc
+maps each allocation afresh.
 """
 
 from __future__ import annotations
@@ -34,12 +45,9 @@ _TIE = 1e-9
 _PASS = 4096  # values per kernel pass
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _X_MIN, _X_MAX = -31, 30  # decimal exponents reached, before and after rounding
-# slot layout: sign, the "0.000" prefix of -4 <= X <= -1, the 17 digits
-# at even offsets with a possible decimal point after each of the first 16,
-# the exponent "e+XX", and the separator
-_DIGITS = 6
-_EXP = _DIGITS + 33
-_WIDTH = _EXP + 5
+# slot layout: separator, sign, the "0.000" prefix (its last byte over
+# Y's first), the 18 digits of Y from byte 6, the exponent from byte 24
+_Y, _EXP, _WIDTH = 6, 24, 28
 
 
 def _split(a):
@@ -58,48 +66,47 @@ def _power(q: int) -> tuple:
 
 @cache
 def _tables() -> tuple:
+    exps = range(_X_MIN, _X_MAX + 1)
     # the powers 10**(16 - X): head, tail and the two halves of the head
-    pw = np.array([_power(16 - X) for X in range(_X_MIN, _X_MAX + 1)])
-    powers = np.vstack([pw.T, *_split(pw[:, 0])])
-    templates = np.zeros((_X_MAX - _X_MIN + 1, 2, _WIDTH), np.uint8)
-    for X in range(_X_MIN, _X_MAX + 1):
-        row = templates[X - _X_MIN]
+    heads, tails = np.array([_power(16 - X) for X in exps]).T
+    powers = np.column_stack([heads, tails, *_split(heads)])
+    # per X: the digits w before the point (0 for the "0.000" prefix),
+    # and 10**(17 - w)
+    whole = [1 if X < -4 or X > 16 else max(X + 1, 0) for X in exps]
+    unit = np.array([10 ** (17 - w) for w in whole], np.int64)
+    # the 4-digit words 0000 ... 9999, then the same with the zeros that
+    # end them as NUL; the pairs 00 ... 99 in the last two bytes of a word
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(ord("0"))
+    stripped = digits * np.logical_or.accumulate((digits != ord("0"))[:, ::-1], axis=1)[:, ::-1]
+    groups = np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    pairs = np.zeros((2, 100, 4), np.uint8)
+    pairs[:, :, 2:] = digits[:100, 2:], stripped[:100, 2:]
+    # the XOR templates of the (X, point, sign) classes, over Y's words
+    templates = np.zeros((len(exps), 2, 2, _WIDTH), np.uint8)
+    templates[..., 0] = ord(",")
+    templates[:, :, 1, 1] = ord("-")
+    for i, X in enumerate(exps):
+        at = _Y + whole[i]  # Y's 1, to NUL, the point or the prefix's last byte
+        templates[i, :, :, at] = ord("1")
         if -4 <= X <= -1:
-            prefix = np.frombuffer(b"0." + b"0" * (-X - 1), np.uint8)
-            row[:, 1:1 + len(prefix)] = prefix
-        elif 0 <= X < 16:
-            row[1, _DIGITS + 2 * X + 1] = ord(".")
-        elif X < -4 or X > 16:
-            row[1, _DIGITS + 1] = ord(".")
-            row[:, _EXP:_EXP + 4] = np.frombuffer(b"e%+03d" % X, np.uint8)
-    # the 4-digit groups 0000 ... 9999 as ASCII words, and their trailing
-    # zeros, from the 100 pairs 00 ... 99 (small temporaries keep the
-    # build's memory down)
-    pairs = np.indices((10, 10), np.uint8).reshape(2, 100).T + np.uint8(ord("0"))
-    groups = np.empty((100, 100, 4), np.uint8)
-    groups[:, :, :2] = pairs[:, None]
-    groups[:, :, 2:] = pairs[None, :]
-    pair_zeros = np.zeros(100, np.uint8)
-    pair_zeros[::10] = 1
-    pair_zeros[0] = 2
-    trailing = np.empty((100, 100), np.uint8)
-    trailing[:] = pair_zeros
-    trailing[:, 0] += pair_zeros
-    # a row of digits is five words: three padding bytes and the lead
-    # digit, then the four groups; the masks keep its first k digits
-    leads = np.frombuffer(b"".join(b"\0\0\0%d" % d for d in range(10)), np.uint32)
-    keep = np.frombuffer(b"".join(b"\xff" * (3 + k) + b"\0" * (17 - k) for k in range(18)), np.uint32)
-    tables = (powers, templates.reshape(-1, _WIDTH), leads, groups.view(np.uint32).ravel(),
-              trailing.ravel(), keep.reshape(18, 5))
+            text = np.frombuffer(b"0." + b"0" * (-X - 1), np.uint8)
+            templates[i, :, :, at - len(text) + 1:at + 1] ^= text
+        else:
+            templates[i, 1, :, at] ^= ord(".")
+        if X < -4 or X > 16:
+            templates[i, :, :, _EXP:] = np.frombuffer(b"e%+03d" % X, np.uint8)
+    tables = (powers, unit, groups, pairs.view(np.uint32).reshape(200),
+              templates.reshape(-1, _WIDTH).view(np.uint32))
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
 
 
-def _scaled(v, X, powers):
-    """``v * 10**(16 - X)`` as ``p + t``: ``p`` the rounded product, an
-    integer for these magnitudes, and ``t`` the rest to about 2**-104."""
-    ph, pl, phh, phl = np.take(powers, X - _X_MIN, axis=1)
+def _scaled(v, i, powers):
+    """``v * 10**(16 - X)`` as ``p + t``, ``i`` = ``X - _X_MIN``: ``p`` the
+    rounded product, an integer for these magnitudes, and ``t`` the rest
+    to about 2**-104."""
+    ph, pl, phh, phl = powers.take(i, axis=0).T
     p = v * ph
     vh, vl = _split(v)
     e = ((vh * phh - p) + vh * phl + vl * phh) + vl * phl
@@ -108,67 +115,73 @@ def _scaled(v, X, powers):
 
 def format_rows(block) -> bytes:
     """The ``"%.17g"`` CSV lines of the rows of a 2-D float64 array."""
-    # in passes of _PASS values, each ending its rows' lines where they
-    # fall in it: a call's temporaries are one pass's, whatever its size
+    # in passes of _PASS values: a call's temporaries are one pass's,
+    # whatever its size.  A slot holds the separator before its value, so
+    # the block's last line ends here, joined without a second copy
     a = np.asarray(block, dtype=np.float64)
     x, n_cols = a.ravel(), a.shape[1]
-    return b"".join(_pass(x[s:s + _PASS], (n_cols - 1 - s) % n_cols, n_cols) for s in range(0, x.size, _PASS))
+    return b"".join([*(_pass(x[s:s + _PASS], s, n_cols) for s in range(0, x.size, _PASS)), b"\n"])
 
 
-def _pass(x, first_end: int, n_cols: int) -> bytes:
-    powers, templates, leads, groups, trailing, keep = _tables()
+def _pass(x, start: int, n_cols: int) -> bytes:
+    powers, unit, groups, pairs, templates = _tables()
     ax = np.abs(x)
     regular = (ax >= _LO) & (ax < _HI)  # false for NaN
     zero = ax == 0.0
-    v = np.where(regular, ax, 1.0)  # zeros go through as 1, then get the digit 0
-    del ax  # each array goes once it is used up: a pass peaks at about 80 B a value
+    v = np.where(regular, ax, 1.0)  # zeros go through as 1, then get D = 0
+    del ax  # each array goes once it is used up
 
-    X = np.floor(np.log10(v)).astype(np.intp)
-    p, t = _scaled(v, X, powers)
+    i = np.floor(np.log10(v)).astype(np.intp) - _X_MIN
+    p, t = _scaled(v, i, powers)
     low = (p - 1e16) + t < 0.0  # the sign of the exact sum
     high = (p - 1e17) + t >= 0.0
     fix = np.flatnonzero(low | high)
     if fix.size:
-        X[fix] += high[fix].astype(np.intp) - low[fix]
-        p[fix], t[fix] = _scaled(v[fix], X[fix], powers)
+        i[fix] += high[fix].astype(np.intp) - low[fix]
+        p[fix], t[fix] = _scaled(v[fix], i[fix], powers)
     del v, low, high
     whole = np.floor(t)
     t -= whole  # the fraction
     D = p.astype(np.int64) + whole.astype(np.int64) + (t > 0.5)
     odd = np.flatnonzero(~(regular | zero) | (np.abs(t - 0.5) <= _TIE))
     del p, t, whole, regular
-    up = D == 10 ** 17
+    up = np.flatnonzero(D == 10 ** 17)
     D[up] = 10 ** 16
-    X[up] += 1
+    i[up] += 1
+    D[zero] = 0
 
-    # the 17 digits, in ASCII: the lead digit and four groups of four
-    lead, D = np.divmod(D, 10 ** 16)
-    g12, g34 = np.divmod(D, 10 ** 8)
-    g1, g2 = np.divmod(g12, 10 ** 4)
-    g3, g4 = np.divmod(g34, 10 ** 4)
-    del D, g12, g34
-    words = np.empty((x.size, 5), np.uint32)
-    words[:, 0] = leads.take(lead)
-    for k, g in enumerate((g1, g2, g3, g4), 1):
-        words[:, k] = groups.take(g)
-    tz = trailing.take(g1)
-    for g in (g2, g3, g4):
-        tz = trailing.take(g) + (g == 0) * tz
-    del lead, g, g1, g2, g3, g4
-    # the trailing zeros of the fraction go; those of the integer part stay
-    significant = 17 - tz
-    whole_digits = np.where((X < -4) | (X > 16), 1, X + 1)
-    point = significant > whole_digits
-    words &= keep.take(np.maximum(significant, whole_digits), axis=0)
-    words[zero, 0] = leads[0]
-
-    buf = templates.take(2 * (X - _X_MIN) + point, axis=0)
-    buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    buf[:, _DIGITS:_EXP:2] = words.view(np.uint8)[:, 3:]
-    del words, X, point, significant, whole_digits, tz, zero
-    if odd.size:
+    # Y: D with a 1 after its first w digits
+    u = unit.take(i)
+    head = D // u * u
+    point = D != head  # a digit of D follows the point
+    Y = D + 9 * head + u
+    del D, head, u, zero
+    # its digits: a pair and four groups of four, each group from the
+    # stripped words if every group after it is 0
+    top = Y // 10 ** 16
+    r = Y - top * 10 ** 16
+    h12 = r // 10 ** 8
+    h34 = r - h12 * 10 ** 8
+    h1 = h12 // 10 ** 4
+    h3 = h34 // 10 ** 4
+    h2, h4 = h12 - h1 * 10 ** 4, h34 - h3 * 10 ** 4
+    del Y, h12
+    buf = templates.take(4 * i + 2 * point + np.signbit(x), axis=0)
+    del i, point
+    buf[:, 5] ^= groups.take(h4 + 10 ** 4)  # the words of Y are 1-5
+    rest = h4 == 0
+    buf[:, 4] ^= groups.take(h3 + 10 ** 4 * rest)
+    rest = h34 == 0
+    buf[:, 3] ^= groups.take(h2 + 10 ** 4 * rest)
+    rest &= h2 == 0
+    buf[:, 2] ^= groups.take(h1 + 10 ** 4 * rest)
+    buf[:, 1] ^= pairs.take(top + 100 * (r == 0))
+    del top, r, h1, h2, h3, h4, h34, rest
+    buf = buf.view(np.uint8)
+    buf[-start % n_cols::n_cols, 0] = ord("\n")
+    if start == 0:
+        buf[0, 0] = 0
+    if odd.size:  # "%.17g" itself, after the separator
         text = b"".join(("%.17g" % y).encode().ljust(_WIDTH - 1, b"\0") for y in x[odd].tolist())
-        buf[odd, :-1] = np.frombuffer(text, np.uint8).reshape(odd.size, _WIDTH - 1)
-    buf[:, -1] = ord(",")
-    buf[first_end::n_cols, -1] = ord("\n")
+        buf[odd, 1:] = np.frombuffer(text, np.uint8).reshape(odd.size, _WIDTH - 1)
     return buf.tobytes().translate(None, b"\0")

@@ -65,6 +65,8 @@ __all__ = [
     "SingularSystem",
     "LinearStepper",
     "run_linear",
+    "LinearRun",
+    "linear_ledger",
     "check_energy_balance",
     "static_solve",
     "state_energy",
@@ -134,7 +136,9 @@ class LinearStepper:
     order.  The solve gives rho up to the one constant that ``step`` adds
     to pin its mass.  The right-hand side map P is read into band storage
     once as well; ``_rhs``, ``_rows`` and ``residual`` are the stencil
-    formulas the bands are read from.
+    formulas the bands are read from.  ``steps`` advances a block of state
+    rows in place: it scales the block's loads once, and each step writes
+    its u and rho into the next row, with no array of its own.
     """
 
     def __init__(self, grid: Grid1D, tensors: LinearizedTensors, tau: float):
@@ -209,26 +213,34 @@ class LinearStepper:
             b_r = b_r + self.tau * self.weights * source_nodes
         return b_u, b_r
 
-    def step(self, u_prev: np.ndarray, rho_prev: np.ndarray, f_nodes: np.ndarray, g_value: float,
-             source_nodes: Optional[np.ndarray] = None):
-        """One implicit Euler step: the new (u, rho), with the mass of rho
-        set to mass(rho_prev) + tau mass(source_nodes)."""
+    def steps(self, U, R, f, g, source) -> None:
+        """The steps from each row of the states ``U``, ``R`` to the next,
+        written into it, under the loads ``f``, ``g`` and ``source`` (or
+        None) of rows 1, 2, ...; their scaled loads are formed at once."""
+        loads, tractions = self._load * f[:, 1:], self._d_u[-1] * g
+        for i in range(1, len(U)):
+            self.step(U[i - 1], R[i - 1], loads[i - 1], tractions[i - 1], None if source is None else source[i - 1],
+                      U[i], R[i])
+
+    def step(self, u_prev, rho_prev, load, traction, source_nodes, u, rho) -> None:
+        """One implicit Euler step, written into ``u`` and ``rho``, under the
+        scaled loads of ``steps``; the mass of rho is set to mass(rho_prev)
+        + tau mass(source_nodes)."""
         z, b = self._z, self._b
         z[0::2], z[1::2] = rho_prev, u_prev
         b.fill(0.0)  # y = P z from zeros, whatever the BLAS does with y when beta = 0
         dgbmv(*self._gbmv_args)
-        b[1::2] += self._load * f_nodes[1:]
-        b[-2] += self._d_u[-1] * g_value
+        b[1::2] += load
+        b[-2] += traction
         target = self.weights @ rho_prev
         if source_nodes is not None:
             b[0::2] += self._source * source_nodes
             target += self.tau * (self.weights @ source_nodes)
         y = self._solve(b)
-        rho = self._d_rho * y[0::2]
+        np.multiply(self._d_rho, y[0::2], out=rho)
         rho += target - self.weights @ rho  # the weights sum to 1
-        u = np.zeros(len(u_prev))
+        u[0] = 0.0
         np.multiply(self._d_u, y[1::2], out=u[1:])
-        return u, rho
 
     def residual(self, u_prev, rho_prev, u, rho, f_nodes, g_value, source_nodes=None):
         """Largest absolute defect of the unscaled step equations taken
@@ -236,9 +248,6 @@ class LinearStepper:
         r_u, r_r = self._rows(u, rho)
         b_u, b_r = self._rhs(u_prev, rho_prev, f_nodes, g_value, source_nodes)
         return np.maximum(np.max(np.abs(r_u - b_u), axis=-1), np.max(np.abs(r_r - b_r), axis=-1))
-
-
-_LINEAR_EXTRAS = ("mass", "residual", "h1_u", "l2_rho", "linf_rho")
 
 
 def run_linear(
@@ -250,13 +259,13 @@ def run_linear(
     tau: float = 1e-3,
     T: float = 1.0,
     tol: float = 1e-9,
-):
-    """The run of the coupled linear system: the generator of its row
-    blocks ``(rows, u, rho)``, the states at the rows of the slice ``rows``
-    and at the next row if there is one (reused by the next block), which
-    returns the run's ledger of stored energy, viscous and mobility
-    dissipation rates, and loading power (see ``drain``).  The boundary
-    has zero flux, so the discrete mass of rho is conserved.
+) -> "LinearRun":
+    """The run of the coupled linear system: the iterator of its row
+    blocks ``(rows, u, rho)``, the states at the rows of the slice
+    ``rows`` and at the next row if there is one (reused by the next
+    block).  The boundary has zero flux, so the discrete mass of rho is
+    conserved.  The run makes no ledger; a reader of one folds it over the
+    blocks with ``linear_ledger``.
 
     Every step's residual in the unscaled equations must meet ``tol``;
     otherwise ``SingularSystem`` names the first step that does not, as
@@ -266,69 +275,84 @@ def run_linear(
     rho0 = np.zeros(nn) if rho0 is None else np.asarray(rho0, dtype=float)
     if abs(u0[0]) > 1e-14:
         raise ValueError("initial displacement must vanish at the pinned end")
-    stepper = LinearStepper(grid, tensors, tau)
-    return _linear_blocks(grid, tensors, stepper, loading, time_grid(T, tau), u0, rho0, tol)
+    return LinearRun(grid, tensors, LinearStepper(grid, tensors, tau), loading, time_grid(T, tau), u0, rho0, tol)
 
 
-def _linear_blocks(grid, tensors, stepper, loading, times, u0, rho0, tol):
-    """The time loop of ``run_linear``: a generator of its row blocks that
-    returns the run's ledger.  A block's ledger rows are made, and its
-    residuals checked, before it is handed on; only they outlive it."""
-    ts = times.tolist()
-    f = loading.f_steps(ts)
-    g_star = np.array([loading.g_star(t) for t in ts])
-    source = loading.source_steps(ts)
-    n_rows = len(times)
-    size = min(block_rows(grid.n_nodes), n_rows)
-    # the block's rows and the next one, which the rates of its steps need
-    U, R = np.empty((2, size + 1, grid.n_nodes))
-    U[0], R[0] = u0, rho0
-    cols, first = {}, 0  # the block's first row is at buffer row 0
-    for k in range(1, n_rows + 1):
-        i = k - first
-        if k < n_rows:
-            U[i], R[i] = stepper.step(U[i - 1], R[i - 1], f(k), g_star[k], None if source is None else source(k))
-        if i == size or k == n_rows:
-            u, rho = U[:i + (k < n_rows)], R[:i + (k < n_rows)]  # and the next row, if there is one
-            states, rates = _linear_columns(grid, tensors, stepper, slice(first, k), u, rho, f, g_star, source)
-            res = rates["residual"]
-            over = np.flatnonzero(~(res <= tol))
-            if over.size:
-                j = first + 1 + over[0]
-                raise SingularSystem(f"step {j} (t = {times[j]:.9g}): residual {res[over[0]]:.3e} exceeds tol {tol:.3e}")
-            put_rows(cols, states, first, n_rows)
-            put_rows(cols, rates, first + 1, n_rows)  # a step's row is the one it reaches
-            yield slice(first, k), u, rho
-            U[0], R[0] = U[i], R[i]
-            first = k
-    cols.update(t=times, flux_boundary=np.zeros(n_rows))
-    return EnergyLedger(stepper.tau, {name: cols[name] for name in EnergyLedger.CORE + _LINEAR_EXTRAS})
+class LinearRun:
+    """A run made by ``run_linear``: the iterator of its row blocks, with
+    the times, loads and step residuals its ledger is folded from."""
+
+    def __init__(self, grid, tensors, stepper, loading, times, u0, rho0, tol):
+        ts = times.tolist()
+        self.grid, self.tensors, self.stepper, self.times = grid, tensors, stepper, times
+        self.f, self.source = loading.f_steps(ts), loading.source_steps(ts)
+        self.g_star = np.array([loading.g_star(t) for t in ts])
+        self.residual = np.zeros(len(times))  # a step's row is the one it reaches
+        self._blocks = self._loop(u0, rho0, tol)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._blocks)
+
+    def _loop(self, u0, rho0, tol):
+        """The time loop: each block's steps are written into its rows,
+        and their residuals checked, before it is handed on."""
+        times, f, source, n_rows = self.times, self.f, self.source, len(self.times)
+        size = min(block_rows(self.grid.n_nodes), n_rows)
+        # the block's rows and the next one, which the rates of its steps need
+        U, R = np.empty((2, size + 1, self.grid.n_nodes))
+        U[0], R[0] = u0, rho0
+        for first in range(0, n_rows, size):
+            stop = min(first + size, n_rows)
+            steps = slice(first + 1, min(stop + 1, n_rows))  # to the next row, if there is one
+            u, rho = U[:steps.stop - first], R[:steps.stop - first]
+            if len(u) > 1:  # a run's last block may be one row, the last block's next one
+                f_steps, g_steps = f(steps), self.g_star[steps]
+                s_steps = None if source is None else source(steps)
+                self.stepper.steps(u, rho, f_steps, g_steps, s_steps)
+                res = self.residual[steps] = self.stepper.residual(u[:-1], rho[:-1], u[1:], rho[1:], f_steps, g_steps,
+                                                                   s_steps)
+                over = np.flatnonzero(~(res <= tol))
+                if over.size:
+                    j = first + 1 + over[0]
+                    raise SingularSystem(f"step {j} (t = {times[j]:.9g}): residual {res[over[0]]:.3e} "
+                                         f"exceeds tol {tol:.3e}")
+            yield slice(first, stop), u, rho
+            U[0], R[0] = u[-1], rho[-1]
 
 
-def _linear_columns(grid, tensors, stepper, rows, u, rho, f, g_star, source):
-    """The ledger rows of a block of a run: the columns of the states at
-    the rows ``rows``, and the rates and residuals of the steps from each
-    of them to the next, of which ``u`` and ``rho`` hold one more row if
-    there is one."""
-    n, tau = rows.stop - rows.start, stepper.tau
-    both = slice(rows.start, rows.start + len(u))
-    f_both, g_both = f(both), g_star[both]
-    us, rhos = u[:n], rho[:n]
-    grad_mu = gradient(grid, nodal_potential(grid, tensors, us, rhos))
-    up_rate = (gradient(grid, u[1:]) - gradient(grid, u[:-1])) / tau
-    return {
-        "energy": state_energy(grid, tensors, us, rhos) - load_pairing(grid, f_both[:n], g_both[:n], us),
-        "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
-        "mass": mass(grid, rhos),
-        "h1_u": h1_norm(grid, us),
-        "l2_rho": lq_norm(grid, rhos, 2),
-        "linf_rho": lq_norm(grid, rhos, np.inf),
-    }, {
-        "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
-        "load_power": load_pairing(grid, f_both[1:] - f_both[:-1], g_both[1:] - g_both[:-1], u[:-1]) / tau,
-        "residual": stepper.residual(u[:-1], rho[:-1], u[1:], rho[1:], f_both[1:], g_both[1:],
-                                     None if source is None else source(slice(rows.start + 1, both.stop))),
-    }
+def linear_ledger(run: LinearRun):
+    """The row blocks of ``run`` as it makes them, with its ledger folded
+    over them: a generator of the blocks which returns the ledger of
+    stored energy, viscous and mobility dissipation rates, loading power,
+    mass, step residuals and norms (see ``drain``).  A block's ledger rows
+    are made before it is handed on; only they outlive it."""
+    grid, tensors, tau = run.grid, run.tensors, run.stepper.tau
+    n_rows, cols = len(run.times), {}
+    for rows, u, rho in run:
+        n = rows.stop - rows.start
+        both = slice(rows.start, rows.start + len(u))
+        f, g, us, rhos = run.f(both), run.g_star[both], u[:n], rho[:n]
+        grad_mu = gradient(grid, nodal_potential(grid, tensors, us, rhos))
+        up_rate = np.diff(gradient(grid, u), axis=0) / tau  # one gradient of every row
+        put_rows(cols, {
+            "energy": state_energy(grid, tensors, us, rhos) - load_pairing(grid, f[:n], g[:n], us),
+            "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
+            "mass": mass(grid, rhos),
+            "h1_u": h1_norm(grid, us),
+            "l2_rho": lq_norm(grid, rhos, 2),
+            "linf_rho": lq_norm(grid, rhos, np.inf),
+        }, rows.start, n_rows)
+        put_rows(cols, {  # a step's row is the one it reaches
+            "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
+            "load_power": load_pairing(grid, f[1:] - f[:-1], g[1:] - g[:-1], u[:-1]) / tau,
+        }, rows.start + 1, n_rows)
+        yield rows, u, rho
+    cols.update(t=run.times, flux_boundary=np.zeros(n_rows), residual=run.residual)
+    names = EnergyLedger.CORE + ("mass", "residual", "h1_u", "l2_rho", "linf_rho")
+    return EnergyLedger(tau, {name: cols[name] for name in names})
 
 
 def check_energy_balance(ledger: EnergyLedger) -> float:

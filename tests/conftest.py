@@ -25,7 +25,8 @@ def stored(solver, *args, **kwargs):
 
     if solver.__name__ == "run_linear":
         names = ("u", "rho")
-        ledgers = drain(solver(*args, **kwargs), lambda rows, u, rho: keep(rows, u[None], rho[None]))
+        ledgers = drain(linear_solver.linear_ledger(solver(*args, **kwargs)),
+                        lambda rows, u, rho: keep(rows, u[None], rho[None]))
     else:
         names = ("displacement", "concentration")
         ledgers = solver(*args, consume=keep, **kwargs)

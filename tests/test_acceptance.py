@@ -20,7 +20,7 @@ from porovisco.constitutive import (
 )
 from porovisco.discretization import Grid1D, drain, lq_norm
 from porovisco.experiments import eps_sweep, long_time_decay
-from porovisco.linear_solver import check_energy_balance, run_linear
+from porovisco.linear_solver import check_energy_balance, linear_ledger, run_linear
 from porovisco.loading import BoundLoading
 from porovisco.nonlinear_solver import check_dissipation_inequality, norm_ladder
 
@@ -164,7 +164,7 @@ def test_criterion_6_energy_balance_order(unit_params):
     taus = (4e-3, 2e-3, 1e-3)
     residuals = []
     for tau in taus:
-        ledger = drain(run_linear(grid, tensors, loading, rho0=rho0, tau=tau, T=0.48))
+        ledger = drain(linear_ledger(run_linear(grid, tensors, loading, rho0=rho0, tau=tau, T=0.48)))
         residuals.append(check_energy_balance(ledger))
     slope = np.polyfit(np.log(taus), np.log(residuals), 1)[0]
     assert slope >= 0.9

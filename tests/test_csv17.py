@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import peak_traced_bytes
-from porovisco._csv17 import format_rows
+from porovisco._csv17 import _X_MAX, _X_MIN, format_rows
 
 
 def reference(block) -> bytes:
@@ -56,6 +56,18 @@ def test_layout_boundaries():
              1e16, 1.2345678901234567e16, 9.999999999999998e16, 1e17, 1.2345678901234567e17,
              1.5, 123.25, 1234567890123456.8, 0.1, 0.2, 0.3, 1 / 3, 2 / 3]
     _assert_same(_ulps(edges))
+
+
+@pytest.mark.parametrize("X", range(_X_MIN, _X_MAX + 1))
+def test_every_slot_class(X):
+    # every decimal exponent X the kernel's tables hold, with 1-17
+    # significant digits (zeros among them, so that a 4-digit group or the
+    # fraction can end in zeros), both signs, and the neighbouring doubles:
+    # fixed and scientific layouts, with and without a decimal point
+    values = [float(f"{digits[:k]}e{X - k + 1}") for digits in ("98765432123456789", "10020003000040005")
+              for k in range(1, 18)]
+    values += [float(f"{d}e{X}") for d in (1, 5, 9.5, 1.25, 3.0625)]
+    _assert_same(_ulps(values))
 
 
 def test_zeros_and_values_outside_the_vectorized_range():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_ledgers_equal, peak_traced_bytes, stored, uniqueness_discrepancy
-from porovisco import discretization, experiments
+from porovisco import discretization, experiments, linear_solver
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
 from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, drain, gradient, h1_norm, lq_norm
@@ -15,7 +15,7 @@ from porovisco.experiments import (
 )
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
-from porovisco.linear_solver import SingularSystem, check_energy_balance, run_linear
+from porovisco.linear_solver import SingularSystem, check_energy_balance, linear_ledger, run_linear
 from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
     NoConvergence,
@@ -168,7 +168,8 @@ class TestSweep:
         assert blocks[-2:] == [(slice(63, 70), (3, 8, 17)), (slice(70, 71), (3, 1, 17))]
         for ledger, oracle in zip(streamed, runs):
             assert_ledgers_equal(ledger, oracle.ledger)
-        assert_ledgers_equal(drain(run_linear(grid, tensors, loading, tau=tau, T=T, **init)), linear.ledger)
+        assert_ledgers_equal(drain(linear_ledger(run_linear(grid, tensors, loading, tau=tau, T=T, **init))),
+                             linear.ledger)
 
     def test_streamed_failures_are_the_stored_ones(self, unit_params, monkeypatch):
         # at tol 1e-13, below the round-off floor, the last of three
@@ -307,6 +308,28 @@ class TestDecay:
         assert result.max_increase <= 1e-12
         assert result.final_ratio <= 1e-3
 
+    def test_residual_gate_stops_at_the_perturbed_step(self, tensors, monkeypatch):
+        # decay folds no ledger, but each of its steps still meets the
+        # run's residual gate: a state knocked off its step's solution at
+        # step 10 is named, within step 10's block (rows 7-13 and the next
+        # one, so steps 8-14), and no later block is stepped.  The ledger's
+        # column writer is never called
+        grid = Grid1D(16)
+        monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+        step, calls = linear_solver.LinearStepper.step, []
+
+        def perturbed(self, *args):
+            step(self, *args)
+            calls.append(1)
+            if len(calls) == 10:
+                args[-1][3] += 1e-6  # rho of step 10
+
+        monkeypatch.setattr(linear_solver.LinearStepper, "step", perturbed)
+        monkeypatch.setattr(linear_solver, "put_rows", lambda *args: pytest.fail("decay folded a ledger"))
+        f = 0.3 * np.sin(np.pi * grid.nodes)
+        with pytest.raises(SingularSystem, match=r"^step 10 \(t = 0\.2\): residual .* exceeds tol 1\.000e-09$"):
+            long_time_decay(grid, tensors, f, 0.1, rho0=0.2 * np.cos(np.pi * grid.nodes), tau=0.02, T=1.0)
+        assert len(calls) == 14
 
     def test_peak_holds_two_trajectories_and_blocks(self, tensors):
         # the run stores u and rho (two trajectories of 2001 x 257); the

@@ -80,8 +80,9 @@ def test_ledger_matches_per_row_oracle(tensors, monkeypatch):
         if k > 0:
             t_prev, u_prev = run.times[k - 1], run.u[k - 1]
             src = np.asarray(loading.source(t), dtype=float)
-            u_new, rho_new = stepper.step(u_prev, run.rho[k - 1], loading.f_star(t), loading.g_star(t), src)
-            assert np.array_equal(u_new, u) and np.array_equal(rho_new, rho)
+            U, R = np.array([u_prev, np.full_like(u, np.nan)]), np.array([run.rho[k - 1], np.full_like(u, np.nan)])
+            stepper.steps(U, R, loading.f_star(t)[None], np.array([loading.g_star(t)]), src[None])
+            assert np.array_equal(U[1], u) and np.array_equal(R[1], rho)
             residual = stepper.residual(u_prev, run.rho[k - 1], u, rho, loading.f_star(t), loading.g_star(t), src)
             up_rate = (gradient(grid, u) - gradient(grid, u_prev)) / tau
             row.update(
@@ -214,7 +215,8 @@ def test_step_is_one_band_product_and_one_solve(tensors, monkeypatch, seed):
     monkeypatch.setattr(linear_solver, "dgbtrs", counted("solve", linear_solver.dgbtrs))
     monkeypatch.setattr(conftest, "lu_solve", counted("solve", conftest.lu_solve))
     x = grid.nodes
-    stepper.step(0.1 * x, 0.2 * np.cos(np.pi * x), 0.5 * np.sin(np.pi * x), 0.2, 0.3 * np.cos(np.pi * x))
+    U, R = np.array([[0.1 * x, x], [0.2 * np.cos(np.pi * x), x]])
+    stepper.steps(U, R, 0.5 * np.sin(np.pi * x)[None], np.array([0.2]), 0.3 * np.cos(np.pi * x)[None])
     assert sorted(calls) == ["dgbmv", "solve"]
 
 
