@@ -162,21 +162,17 @@ def _pass(x, start: int, n_cols: int) -> bytes:
     r = Y - top * 10 ** 16
     h12 = r // 10 ** 8
     h34 = r - h12 * 10 ** 8
-    h1 = h12 // 10 ** 4
-    h3 = h34 // 10 ** 4
+    h1, h3 = h12 // 10 ** 4, h34 // 10 ** 4
     h2, h4 = h12 - h1 * 10 ** 4, h34 - h3 * 10 ** 4
     del Y, h12
     buf = templates.take(4 * i + 2 * point + np.signbit(x), axis=0)
     del i, point
     buf[:, 5] ^= groups.take(h4 + 10 ** 4)  # the words of Y are 1-5
-    rest = h4 == 0
-    buf[:, 4] ^= groups.take(h3 + 10 ** 4 * rest)
-    rest = h34 == 0
-    buf[:, 3] ^= groups.take(h2 + 10 ** 4 * rest)
-    rest &= h2 == 0
-    buf[:, 2] ^= groups.take(h1 + 10 ** 4 * rest)
+    buf[:, 4] ^= groups.take(h3 + 10 ** 4 * (h4 == 0))
+    buf[:, 3] ^= groups.take(h2 + 10 ** 4 * (h34 == 0))
+    buf[:, 2] ^= groups.take(h1 + 10 ** 4 * (h2 + h34 == 0))
     buf[:, 1] ^= pairs.take(top + 100 * (r == 0))
-    del top, r, h1, h2, h3, h4, h34, rest
+    del top, r, h1, h2, h3, h4, h34
     buf = buf.view(np.uint8)
     buf[-start % n_cols::n_cols, 0] = ord("\n")
     if start == 0:

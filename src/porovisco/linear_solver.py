@@ -65,7 +65,6 @@ __all__ = [
     "SingularSystem",
     "LinearStepper",
     "run_linear",
-    "LinearRun",
     "linear_ledger",
     "check_energy_balance",
     "static_solve",
@@ -259,7 +258,7 @@ def run_linear(
     tau: float = 1e-3,
     T: float = 1.0,
     tol: float = 1e-9,
-) -> "LinearRun":
+) -> LinearRun:
     """The run of the coupled linear system: the iterator of its row
     blocks ``(rows, u, rho)``, the states at the rows of the slice
     ``rows`` and at the next row if there is one (reused by the next
@@ -319,6 +318,7 @@ class LinearRun:
                     j = first + 1 + over[0]
                     raise SingularSystem(f"step {j} (t = {times[j]:.9g}): residual {res[over[0]]:.3e} "
                                          f"exceeds tol {tol:.3e}")
+                del f_steps, s_steps, res  # not held while the block is read
             yield slice(first, stop), u, rho
             U[0], R[0] = u[-1], rho[-1]
 
@@ -335,20 +335,21 @@ def linear_ledger(run: LinearRun):
         n = rows.stop - rows.start
         both = slice(rows.start, rows.start + len(u))
         f, g, us, rhos = run.f(both), run.g_star[both], u[:n], rho[:n]
-        grad_mu = gradient(grid, nodal_potential(grid, tensors, us, rhos))
-        up_rate = np.diff(gradient(grid, u), axis=0) / tau  # one gradient of every row
         put_rows(cols, {
             "energy": state_energy(grid, tensors, us, rhos) - load_pairing(grid, f[:n], g[:n], us),
-            "diss_diff": tensors.M_eq * np.sum(grid.h * grad_mu ** 2, axis=-1),
+            "diss_diff": tensors.M_eq * np.sum(
+                grid.h * gradient(grid, nodal_potential(grid, tensors, us, rhos)) ** 2, axis=-1),
             "mass": mass(grid, rhos),
             "h1_u": h1_norm(grid, us),
             "l2_rho": lq_norm(grid, rhos, 2),
             "linf_rho": lq_norm(grid, rhos, np.inf),
         }, rows.start, n_rows)
-        put_rows(cols, {  # a step's row is the one it reaches
-            "diss_mech": 0.5 * tensors.D * np.sum(grid.h * up_rate ** 2, axis=-1),
+        put_rows(cols, {  # a step's row is the one it reaches; its rate is of one gradient of all rows
+            "diss_mech": 0.5 * tensors.D * np.sum(
+                grid.h * (np.diff(gradient(grid, u), axis=0) / tau) ** 2, axis=-1),
             "load_power": load_pairing(grid, f[1:] - f[:-1], g[1:] - g[:-1], u[:-1]) / tau,
         }, rows.start + 1, n_rows)
+        del f  # not held while the block is read
         yield rows, u, rho
     cols.update(t=run.times, flux_boundary=np.zeros(n_rows), residual=run.residual)
     names = EnergyLedger.CORE + ("mass", "residual", "h1_u", "l2_rho", "linf_rho")
