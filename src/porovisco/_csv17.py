@@ -75,12 +75,15 @@ def _tables() -> tuple:
     whole = [1 if X < -4 or X > 16 else max(X + 1, 0) for X in exps]
     unit = np.array([10 ** (17 - w) for w in whole], np.int64)
     # the 4-digit words 0000 ... 9999, then the same with the zeros that
-    # end them as NUL; the pairs 00 ... 99 in the last two bytes of a word
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(ord("0"))
-    stripped = digits * np.logical_or.accumulate((digits != ord("0"))[:, ::-1], axis=1)[:, ::-1]
-    groups = np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    # end them as NUL (built in place: small temporaries keep the build's
+    # memory down); the pairs 00 ... 99 in the last two bytes of a word
+    pair = np.indices((10, 10), np.uint8).reshape(2, 100).T + np.uint8(ord("0"))
+    groups = np.empty((2, 100, 100, 4), np.uint8)
+    groups[..., :2], groups[..., 2:] = pair[:, None], pair
+    kept = groups[1, ..., ::-1] != ord("0")
+    groups[1] *= np.logical_or.accumulate(kept, axis=-1, out=kept)[..., ::-1]
     pairs = np.zeros((2, 100, 4), np.uint8)
-    pairs[:, :, 2:] = digits[:100, 2:], stripped[:100, 2:]
+    pairs[..., 2:] = groups[:, 0, :, 2:]
     # the XOR templates of the (X, point, sign) classes, over Y's words
     templates = np.zeros((len(exps), 2, 2, _WIDTH), np.uint8)
     templates[..., 0] = ord(",")
@@ -95,7 +98,7 @@ def _tables() -> tuple:
             templates[i, 1, :, at] ^= ord(".")
         if X < -4 or X > 16:
             templates[i, :, :, _EXP:] = np.frombuffer(b"e%+03d" % X, np.uint8)
-    tables = (powers, unit, groups, pairs.view(np.uint32).reshape(200),
+    tables = (powers, unit, groups.view(np.uint32).ravel(), pairs.view(np.uint32).ravel(),
               templates.reshape(-1, _WIDTH).view(np.uint32))
     for table in tables:
         table.flags.writeable = False  # shared by every call
@@ -174,8 +177,8 @@ def _pass(x, start: int, n_cols: int) -> bytes:
     buf[:, 1] ^= pairs.take(top + 100 * (r == 0))
     del top, r, h1, h2, h3, h4, h34
     buf = buf.view(np.uint8)
-    buf[-start % n_cols::n_cols, 0] = ord("\n")
-    if start == 0:
+    buf[-start % n_cols::n_cols, 0] = ord("\n")  # before each row's first value
+    if start == 0:  # and nothing before the block's
         buf[0, 0] = 0
     if odd.size:  # "%.17g" itself, after the separator
         text = b"".join(("%.17g" % y).encode().ljust(_WIDTH - 1, b"\0") for y in x[odd].tolist())

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg.blas import dgbmv
 
 import conftest
-from conftest import band_to_dense, dense_resolve_run, permuted_dense_stepper, stored
+from conftest import assert_ledgers_equal, band_to_dense, dense_resolve_run, permuted_dense_stepper, stored
 from porovisco import discretization, linear_solver
 from porovisco.constitutive import InadmissibleMaterial, LinearizedTensors, linearize
 from porovisco.discretization import (
@@ -146,6 +146,22 @@ def test_separable_loading_gives_the_run_of_its_callable(tensors, monkeypatch):
     for name in a.ledger.column_names:
         assert np.array_equal(a.ledger.column(name), b.ledger.column(name)), name
     assert np.all(a.ledger.column("load_power")[1:] != 0.0)
+
+
+def test_last_block_of_one_row_with_a_source(tensors, monkeypatch):
+    # 15 rows in blocks of 7 leave a last block of one row, the block
+    # before's next row, which takes no step and forms no load or source.
+    # The run equals the run in one block, bit for bit
+    grid = Grid1D(16)
+    x = grid.nodes
+    loading = BoundLoading(f=lambda t: 0.5 * np.sin(np.pi * x), g=lambda t: 0.1,
+                           source=lambda t: 0.3 * np.cos(np.pi * x))
+    whole = stored(run_linear, grid, tensors, loading, tau=1e-3, T=0.014)
+    monkeypatch.setattr(discretization, "_BLOCK_VALUES", 7 * grid.n_nodes)
+    blocked = stored(run_linear, grid, tensors, loading, tau=1e-3, T=0.014)
+    assert len(blocked.times) == 15
+    assert np.array_equal(blocked.u, whole.u) and np.array_equal(blocked.rho, whole.rho)
+    assert_ledgers_equal(blocked.ledger, whole.ledger)
 
 
 def _blocked_matrix(grid, tensors, tau):
