@@ -307,7 +307,7 @@ class LinearRun:
             stop = min(first + size, n_rows)
             steps = slice(first + 1, min(stop + 1, n_rows))  # to the next row, if there is one
             u, rho = U[:steps.stop - first], R[:steps.stop - first]
-            if len(u) > 1:  # a run's last block may be one row, the last block's next one
+            if len(u) > 1:  # a run's last block may be one row, the block before's next one
                 f_steps, g_steps = f(steps), self.g_star[steps]
                 s_steps = None if source is None else source(steps)
                 self.stepper.steps(u, rho, f_steps, g_steps, s_steps)
@@ -344,7 +344,7 @@ def linear_ledger(run: LinearRun):
             "l2_rho": lq_norm(grid, rhos, 2),
             "linf_rho": lq_norm(grid, rhos, np.inf),
         }, rows.start, n_rows)
-        put_rows(cols, {  # a step's row is the one it reaches; its rate is of one gradient of all rows
+        put_rows(cols, {  # a step's row is the one it reaches; the rates difference one gradient
             "diss_mech": 0.5 * tensors.D * np.sum(
                 grid.h * (np.diff(gradient(grid, u), axis=0) / tau) ** 2, axis=-1),
             "load_power": load_pairing(grid, f[1:] - f[:-1], g[1:] - g[:-1], u[:-1]) / tau,
