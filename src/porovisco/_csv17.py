@@ -183,5 +183,4 @@ def _pass(x, start: int, n_cols: int) -> bytes:
     if odd.size:  # "%.17g" itself, after the separator
         text = b"".join(("%.17g" % y).encode().ljust(_WIDTH - 1, b"\0") for y in x[odd].tolist())
         buf[odd, 1:] = np.frombuffer(text, np.uint8).reshape(odd.size, _WIDTH - 1)
-    buf = buf.tobytes()  # and the array goes: a pass holds two of these, not three
-    return buf.translate(None, b"\0")
+    return buf.tobytes().translate(None, b"\0")

@@ -265,7 +265,8 @@ def long_time_decay(
     linear state under constant loading and the static equilibrium with
     the same loading and total mass; the curve is nonincreasing and decays
     to the round-off floor.  It is made a row block at a time as the
-    linear run makes its rows, and folds no ledger, which nothing reads."""
+    linear run makes its rows.  Nothing here reads the run's ledger, so
+    none is folded; each step still meets the run's residual gate."""
     loading = BoundLoading.separable(lambda t: 1.0, f_nodes, lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
     blocks = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)
