@@ -9,11 +9,9 @@ check is named), 1 for usage, config or runtime errors.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
-import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +20,6 @@ from typing import Optional
 import numpy as np
 
 from . import constitutive as mat
-from ._csv17 import format_rows
-from ._lapack import blas_config
 from .constitutive import (
     InadmissibleMaterial,
     MaterialParams,
@@ -35,12 +31,7 @@ from .constitutive import (
     verification_grid,
 )
 from .discretization import BCSpec, Grid1D, drain, mass, time_grid
-from .experiments import eps_sweep, long_time_decay
-from .linear_solver import check_energy_balance, linear_ledger, run_linear, static_solve
 from .loading import LoadingSpec, SpatialProfile, TimeAmplitude
-# rescale is unused here but kept importable as cli.rescale: the
-# benchmark's traced run patches it by name at this module
-from .nonlinear_solver import check_dissipation_inequality, norm_ladder, rescale, run_nonlinear  # noqa: F401
 
 SCHEMA_VERSION = 1
 # the built-in digest: hashlib would load OpenSSL's _hashlib, another 3.5 MiB
@@ -55,6 +46,15 @@ __all__ = [
     "main",
     "console_main",
 ]
+
+
+def __getattr__(name):
+    # the package's names resolve here too, each bound on its first lookup:
+    # the benchmark's traced run patches the solver functions by name here
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(package, name))
 
 
 class ParseError(ValueError):
@@ -208,7 +208,7 @@ _CONFIG = {
         **{name: (f.default, _number, _FINITE) for name, f in MaterialParams.__dataclass_fields__.items()},
         "dim": (1, _count, (lambda v: v == 1, "1")),  # the 1-D reduction is the only one solved
     }, lambda dim, **fields: MaterialParams(**fields)), None),
-    "grid": ({}, _object({"n_cells": (64, _count, None)}, Grid1D), None),
+    "grid": ({}, _object({"n_cells": (64, _count, (lambda v: v >= 4, "at least 4"))}, Grid1D), None),
     "time": ({}, _object({
         "tau": (1e-3, _number, _POSITIVE),
         "T": (1.0, _number, _POSITIVE),
@@ -295,10 +295,6 @@ def parse_config(path, overrides=None) -> ProblemConfig:
 # deterministic serialization (17 significant digits everywhere)
 # ---------------------------------------------------------------------------
 
-def _f17(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _json17(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -309,14 +305,11 @@ def _json17(obj, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = ", ".join(_json17(v, indent + 1) for v in obj)
-        return "[" + items + "]"
+        return "[" + ", ".join(_json17(v, indent + 1) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        return _f17(obj)
+        return "%.17g" % float(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if obj is None:
@@ -339,6 +332,7 @@ def _write_csv(path: Path, header: list, columns, rows=None, append: bool = Fals
     index array; ``rows`` selects and orders the rows (all of them by
     default).  Every value is written as ``"%.17g"`` writes it.
     """
+    from ._csv17 import format_rows
     rows = np.arange(len(columns[0])) if rows is None else rows
     columns = [c if callable(c) else np.asarray(c, dtype=float).__getitem__ for c in columns]
     step = max(1, _BLOCK_VALUES // len(header))
@@ -351,6 +345,9 @@ def _write_csv(path: Path, header: list, columns, rows=None, append: bool = Fals
 
 
 def _write_summary(path: Path, config: ProblemConfig, system: str, invariants: list, outputs: list) -> None:
+    import platform
+
+    from ._lapack import blas_config
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.config_hash,
@@ -407,11 +404,14 @@ def _fail_code(invariants: list, quiet: bool) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommands: each writes its own output files and returns the summary's
-# (system, invariants, outputs); main writes summary.json and the exit code
+# (system, invariants, outputs); main writes summary.json and the exit code.
+# Each imports its solvers when it runs, so that parsing a config compiles
+# none of them (a process without cached bytecode compiles what it imports)
 # ---------------------------------------------------------------------------
 
 def _nonlinear_run(config: ProblemConfig, consume):
     # consume(rows, W, C) takes the run's blocks; the ledger is returned
+    from .nonlinear_solver import run_nonlinear
     u0, rho0 = config.initial_fields()
     return run_nonlinear(
         config.material, config.grid, config.loading.bind(config.grid), config.bc,
@@ -424,6 +424,7 @@ def _cmd_simulate_nonlinear(config: ProblemConfig, out: Path) -> tuple:
     """The finite-strain run: its checkpoint rows are written block by
     block as the run makes them (u = (chi - id)/eps, the "u" of
     ``rescale``), then its ledger and invariants."""
+    from .nonlinear_solver import check_dissipation_inequality
     with _trajectory(config, out, "c") as write:
         led = _nonlinear_run(config, lambda rows, W, C: write(rows, lambda r: W[0, r] / config.eps, C[0]))
     violation = check_dissipation_inequality(led)
@@ -458,6 +459,7 @@ def _reject_robin(config: ProblemConfig) -> None:
 def _cmd_simulate_linear(config: ProblemConfig, out: Path) -> tuple:
     """The small-strain run: its checkpoint rows are written, and its ledger
     folded, block by block as the run makes them; then its ledger and invariants."""
+    from .linear_solver import check_energy_balance, linear_ledger, run_linear
     _reject_robin(config)
     tensors = linearize(config.material)
     u0, rho0 = config.initial_fields()
@@ -478,6 +480,7 @@ def _cmd_simulate_linear(config: ProblemConfig, out: Path) -> tuple:
 
 
 def _cmd_static(config: ProblemConfig, out: Path) -> tuple:
+    from .linear_solver import static_solve
     _reject_robin(config)
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
@@ -502,6 +505,7 @@ def _terminal_loads(config: ProblemConfig) -> tuple:
 
 
 def _cmd_sweep(config: ProblemConfig, out: Path) -> tuple:
+    from .experiments import eps_sweep
     _reject_robin(config)
     u0, rho0 = config.initial_fields()
     bound = config.loading.bind(config.grid)
@@ -587,6 +591,7 @@ def _cmd_moser(config: ProblemConfig, out: Path) -> tuple:
     from its ledger: the largest value in time of each ``lq_c_<q>``
     column, q over ``norm_ladder``, and the gap of the last to that of
     ``linf_c``."""
+    from .nonlinear_solver import norm_ladder
     qs = norm_ladder(config.material)
     led = _nonlinear_run(config, lambda rows, W, C: None)
     norms = tuple(float(np.max(led.column(f"lq_c_{q:g}"))) for q in qs)
@@ -605,6 +610,7 @@ def _cmd_moser(config: ProblemConfig, out: Path) -> tuple:
 
 
 def _cmd_decay(config: ProblemConfig, out: Path) -> tuple:
+    from .experiments import long_time_decay
     _reject_robin(config)
     tensors = linearize(config.material)
     f_nodes, g_value = _terminal_loads(config)
@@ -638,6 +644,7 @@ _COMMANDS = {
 
 @functools.lru_cache(maxsize=1)  # 2 ms to build; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="porovisco",
         description="Quasistatic poro-visco-elasticity laboratory",

@@ -1,4 +1,5 @@
-"""Uniform 1-D grid on (0, 1), difference operators and discrete norms.
+"""Uniform 1-D grid on (0, 1), difference operators, discrete norms, and
+the energy ledger both solvers fill.
 
 Nodal fields have ``n_cells + 1`` entries; gradients live at cell
 midpoints.  Quadrature is trapezoidal throughout, so the weights sum to
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,6 +22,7 @@ _BLOCK_VALUES = 1 << 14
 __all__ = [
     "Grid1D",
     "BCSpec",
+    "EnergyLedger",
     "node_weights",
     "gradient",
     "second_derivative",
@@ -252,3 +254,52 @@ def load_pairing(grid: Grid1D, f, g, u):
     """The pairing sum_i w_i f_i u_i + g u_n of the nodal body force ``f``
     and end traction ``g`` with the displacements ``u``, one per row."""
     return np.sum(node_weights(grid) * f * u, axis=-1) + g * u[..., -1]
+
+
+class EnergyLedger:
+    """Per-step time series feeding the structure checks, built from whole
+    columns.
+
+    Core columns: t, energy, diss_mech, diss_diff, flux_boundary,
+    load_power (dissipation columns are rates, load_power is the discrete
+    loading-rate pairing).  Arbitrary extra columns (norms, residuals,
+    cascade values) ride along after them.  A core column left out is
+    empty, so it only passes in an empty ledger.
+    """
+
+    CORE = ("t", "energy", "diss_mech", "diss_diff", "flux_boundary", "load_power")
+
+    def __init__(self, tau: float, columns: Optional[dict] = None):
+        self.tau = float(tau)
+        cols = {name: np.empty(0) for name in self.CORE}
+        for name, values in (columns or {}).items():
+            cols[name] = np.array(values, dtype=float)
+        n_rows = len(cols["t"])
+        for name, col in cols.items():
+            if col.shape != (n_rows,):
+                raise ValueError(f"ledger column {name} has shape {col.shape}, expected ({n_rows},)")
+        for name in ("diss_mech", "diss_diff"):
+            if np.any(cols[name] < -1e-12):
+                raise ValueError(f"dissipation entry {name} is negative: {np.min(cols[name])}")
+        for name, col in cols.items():
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"non-finite ledger entry {name}")
+        self._cols = cols
+
+    @property
+    def column_names(self) -> tuple:
+        return tuple(self._cols.keys())
+
+    def __len__(self) -> int:
+        return len(self._cols["t"])
+
+    def column(self, name: str) -> np.ndarray:
+        """A copy of the column: changing it leaves the ledger as it is."""
+        return np.array(self._cols[name], dtype=float)
+
+    def balance(self, rate: np.ndarray) -> np.ndarray:
+        """E(t) - E(0) plus the sum of tau * ``rate`` over the steps up to
+        t, per row; row 0 is the initial state and takes no step."""
+        terms = self.tau * rate
+        terms[0] = 0.0
+        return self._cols["energy"] - self._cols["energy"][0] + np.cumsum(terms)

@@ -42,6 +42,7 @@ import numpy as np
 from ._lapack import dgbmv, dgbtrf, dgbtrs, fortran_args
 from .constitutive import LinearizedTensors
 from .discretization import (
+    EnergyLedger,
     Grid1D,
     _pad,
     _per_row,
@@ -59,7 +60,6 @@ from .discretization import (
     time_grid,
 )
 from .loading import BoundLoading
-from .nonlinear_solver import EnergyLedger
 
 __all__ = [
     "SingularSystem",

@@ -35,6 +35,7 @@ from ._lapack import dgbsv, fortran_args
 from .constitutive import MaterialParams
 from .discretization import (
     BCSpec,
+    EnergyLedger,
     Grid1D,
     _pad,
     cell_average,
@@ -60,7 +61,6 @@ __all__ = [
     "NoConvergence",
     "OrientationLoss",
     "PositivityLoss",
-    "EnergyLedger",
     "mechanical_step",
     "diffusion_step",
     "nodal_chemical_potential",
@@ -92,59 +92,6 @@ class OrientationLoss(SolverError):
 
 class PositivityLoss(SolverError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# energy ledger
-# ---------------------------------------------------------------------------
-
-class EnergyLedger:
-    """Per-step time series feeding the structure checks, built from whole
-    columns.
-
-    Core columns: t, energy, diss_mech, diss_diff, flux_boundary,
-    load_power (dissipation columns are rates, load_power is the discrete
-    loading-rate pairing).  Arbitrary extra columns (norms, residuals,
-    cascade values) ride along after them.  A core column left out is
-    empty, so it only passes in an empty ledger.
-    """
-
-    CORE = ("t", "energy", "diss_mech", "diss_diff", "flux_boundary", "load_power")
-
-    def __init__(self, tau: float, columns: Optional[dict] = None):
-        self.tau = float(tau)
-        cols = {name: np.empty(0) for name in self.CORE}
-        for name, values in (columns or {}).items():
-            cols[name] = np.array(values, dtype=float)
-        n_rows = len(cols["t"])
-        for name, col in cols.items():
-            if col.shape != (n_rows,):
-                raise ValueError(f"ledger column {name} has shape {col.shape}, expected ({n_rows},)")
-        for name in ("diss_mech", "diss_diff"):
-            if np.any(cols[name] < -1e-12):
-                raise ValueError(f"dissipation entry {name} is negative: {np.min(cols[name])}")
-        for name, col in cols.items():
-            if not np.all(np.isfinite(col)):
-                raise ValueError(f"non-finite ledger entry {name}")
-        self._cols = cols
-
-    @property
-    def column_names(self) -> tuple:
-        return tuple(self._cols.keys())
-
-    def __len__(self) -> int:
-        return len(self._cols["t"])
-
-    def column(self, name: str) -> np.ndarray:
-        """A copy of the column: changing it leaves the ledger as it is."""
-        return np.array(self._cols[name], dtype=float)
-
-    def balance(self, rate: np.ndarray) -> np.ndarray:
-        """E(t) - E(0) plus the sum of tau * ``rate`` over the steps up to
-        t, per row; row 0 is the initial state and takes no step."""
-        terms = self.tau * rate
-        terms[0] = 0.0
-        return self._cols["energy"] - self._cols["energy"][0] + np.cumsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -18,6 +19,7 @@ import porovisco.discretization
 
 from conftest import peak_traced_bytes, stored
 from porovisco.cli import (
+    _COMMANDS,
     ParseError,
     ValidationError,
     _build_parser,
@@ -198,6 +200,8 @@ class TestParse:
         ("initial.rho0.values", {"initial": {"rho0": {"kind": "zero", "values": [5.0, 6.0]}}}),
         ("loading.f_profile.values", {"loading": {"f_profile": {"kind": "sin_pi", "scale": 0.6, "values": [1.0]}}}),
         ("initial.u0.values", {"initial": {"u0": {"values": [0.0] * 65}}}),
+        # Grid1D's own check would name only the section
+        ("grid.n_cells", {"grid": {"n_cells": 2}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -315,7 +319,7 @@ class TestMain:
             runs.append(stored(run_linear, *args, **kwargs))
             return run_linear(*args, **kwargs)
 
-        monkeypatch.setattr("porovisco.cli.run_linear", keep)
+        monkeypatch.setattr("porovisco.linear_solver.run_linear", keep)
         cfg = _merged(json.loads(default_config_path().read_text()), {"time": {"T": T}})
         path = tmp_path / "short.json"
         path.write_text(json.dumps(cfg))
@@ -507,7 +511,7 @@ class TestMain:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags, field", [
-        (["--cells", "2"], "grid"),
+        (["--cells", "2"], "grid.n_cells"),
         (["--tau", "nan"], "time.tau"),
         (["--tau", "-1"], "time.tau"),
         (["--eps", "0"], "eps"),
@@ -560,6 +564,88 @@ def test_cli_import_loads_no_scipy_and_no_hashlib():
     # and hashlib's OpenSSL module _hashlib another 3.5 MiB
     code = "import sys, porovisco.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy', '_hashlib'))))"
     assert _fresh_python(code).strip() == "[]"
+
+
+def test_commands_load_only_their_solvers(tiny_config, tmp_path):
+    # a fresh process without cached bytecode compiles every module it
+    # imports: parsing a config loads no solver, and the small-strain
+    # commands never load the finite-strain one
+    code = (
+        "import json, sys, porovisco\n"
+        "from porovisco.cli import default_config_path, main, parse_config\n"
+        "parse_config(default_config_path())\n"
+        "loaded = [sorted(m for m in sys.modules if m.startswith('porovisco.'))]\n"
+        "for command in ('static', 'simulate-linear'):\n"
+        f"    assert main([command, '--config', {str(tiny_config)!r}, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+        "    loaded.append(sorted(m for m in sys.modules if m.startswith('porovisco.')))\n"
+        "print(json.dumps(loaded))"
+    )
+    parsed, static, linear = (set(names) for names in json.loads(_fresh_python(code)))
+    solvers = {f"porovisco.{name}" for name in ("nonlinear_solver", "linear_solver", "experiments", "_csv17", "_lapack")}
+    assert not parsed & solvers
+    assert "porovisco.linear_solver" in static and "porovisco.linear_solver" in linear
+    assert "porovisco.nonlinear_solver" not in static | linear
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_runs_in_a_fresh_interpreter(tiny_config, tmp_path, capsys, command):
+    # this process has loaded every module before a command runs, so a
+    # command missing one of the imports it makes when it runs fails only
+    # in a fresh interpreter
+    argv = [command, "--config", str(tiny_config), "--quiet", "--out"]
+    code = main([*argv, str(tmp_path / "here")])
+    fresh = f"from porovisco.cli import main\nprint(main({[*argv, str(tmp_path / 'fresh')]!r}))"
+    assert int(_fresh_python(fresh)) == code
+    names = sorted(f.name for f in (tmp_path / "here").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "fresh").iterdir())
+    for name in names:
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+# the names porovisco/__init__.py bound when it imported every module, by
+# the module it took each from
+PACKAGE_NAMES = {
+    "constitutive": (
+        "DomainError", "InadmissibleMaterial", "LinearizedTensors", "MaterialParams", "chemical_potential",
+        "dissipation", "free_energy", "free_energy_hessian", "hyperstress", "linearize",
+        "max_antisymmetric_action", "min_symmetric_eigenvalue", "mobility", "mobility_log_bound_constant",
+        "power_difference_bound_constant", "stress_elastic",
+    ),
+    "discretization": ("BCSpec", "Grid1D"),
+    "experiments": ("eps_sweep", "long_time_decay", "moser_exponents"),
+    "linear_solver": ("SingularSystem", "check_energy_balance", "run_linear", "static_solve"),
+    "loading": ("BoundLoading", "LoadingSpec", "SpatialProfile", "TimeAmplitude"),
+    "nonlinear_solver": (
+        "NoConvergence", "OrientationLoss", "PositivityLoss", "check_dissipation_inequality", "diffusion_step",
+        "mechanical_step", "norm_ladder", "rescale", "run_nonlinear",
+    ),
+}
+SUBMODULES = ("cli", "constitutive", "discretization", "experiments", "linear_solver", "loading",
+              "nonlinear_solver", "_csv17", "_lapack")
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in PACKAGE_NAMES.items() for name in names])
+def test_package_name_is_its_home_modules_object(module, name):
+    home = getattr(importlib.import_module(f"porovisco.{module}"), name)
+    namespace = {}
+    exec(f"from porovisco import {name}", namespace)
+    assert getattr(porovisco, name) is home and namespace[name] is home
+    assert name in porovisco.__all__ and name in dir(porovisco)
+
+
+def test_package_surface():
+    assert sorted(porovisco.__all__) == sorted(name for names in PACKAGE_NAMES.values() for name in names)
+    namespace = {}
+    exec("from porovisco import *", namespace)
+    assert set(porovisco.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        porovisco.no_such_name
+    with pytest.raises(AttributeError, match="'porovisco.cli' has no attribute 'lq_norm'"):
+        porovisco.cli.lq_norm
+    # a fresh interpreter has loaded no submodule: each is loaded as an attribute
+    code = ("import sys, porovisco\n"
+            f"print(all(getattr(porovisco, name) is sys.modules['porovisco.' + name] for name in {SUBMODULES!r}))")
+    assert _fresh_python(code).strip() == "True"
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
