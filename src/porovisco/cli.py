@@ -49,12 +49,15 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the package's names resolve here too, each bound on its first lookup:
-    # the benchmark's traced run patches the solver functions by name here
+    # the package's names resolve here too: the benchmark's traced run
+    # patches the solver functions by name here after their home modules.
+    # The commands import them from their home modules, so the spans come
+    # from those patches and a name here need only resolve; undoing a patch
+    # here binds what the home module held when the patch was made
     package = sys.modules[__package__]
     if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(package, name))
+    return getattr(package, name)
 
 
 class ParseError(ValueError):
@@ -295,6 +298,10 @@ def parse_config(path, overrides=None) -> ProblemConfig:
 # deterministic serialization (17 significant digits everywhere)
 # ---------------------------------------------------------------------------
 
+def _f17(x: float) -> str:
+    return "%.17g" % float(x)
+
+
 def _json17(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -305,11 +312,14 @@ def _json17(obj, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json17(v, indent + 1) for v in obj) + "]"
+        if len(obj) == 0:
+            return "[]"
+        items = ", ".join(_json17(v, indent + 1) for v in obj)
+        return "[" + items + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
+        return _f17(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if obj is None:
