@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import constitutive as mat
+from . import _resolve, constitutive as mat
 from .constitutive import (
     InadmissibleMaterial,
     MaterialParams,
@@ -48,16 +48,8 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # the package's names resolve here too: the benchmark's traced run
-    # patches the solver functions by name here after their home modules.
-    # The commands import them from their home modules, so the spans come
-    # from those patches and a name here need only resolve; undoing a patch
-    # here binds what the home module held when the patch was made
-    package = sys.modules[__package__]
-    if name not in package.__all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(package, name)
+def __getattr__(name):  # the package's names resolve here too
+    return _resolve(__name__, name)
 
 
 class ParseError(ValueError):
@@ -274,6 +266,8 @@ def parse_config(path, overrides=None) -> ProblemConfig:
     time, solver, initial = (fields.pop(key) for key in ("time", "solver", "initial"))
     # the checks across fields, on the grid the overrides leave
     errors = []
+    if time["checkpoint_times"] == ():  # it would read as null, which writes every row
+        errors.append("time.checkpoint_times: must hold at least one time, got []")
     late = [t for t in time["checkpoint_times"] or () if not 0.0 <= t <= time["T"]]  # no row to snap to
     if late:
         errors.append(f"time.checkpoint_times: must lie in [0, time.T], got {late[0]!r}")

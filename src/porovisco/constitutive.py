@@ -417,6 +417,17 @@ def _linearize_fd_check(pr: MaterialParams, t: LinearizedTensors) -> None:
 # grid-verified inequalities
 # ---------------------------------------------------------------------------
 
+def _bound_grid(c_eq: float, grid: Iterable[float]) -> np.ndarray:
+    """The points of the positive ``grid`` at which a bound constant's
+    ratio is evaluated: all but those at c_eq."""
+    if c_eq <= 0.0:
+        raise ValueError("c_eq must be positive")
+    x = np.asarray(list(grid), dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("grid must be strictly positive")
+    return x[np.abs(x - c_eq) > 1e-14 * c_eq]
+
+
 def mobility_log_bound_constant(m: float, c_eq: float, grid: Iterable[float]) -> float:
     """Grid supremum of x^m log^2(x/c_eq) / (x - c_eq)^2.
 
@@ -425,12 +436,7 @@ def mobility_log_bound_constant(m: float, c_eq: float, grid: Iterable[float]) ->
     """
     if not (0.0 < m < 2.0):
         raise ValueError("exponent m must lie in (0, 2)")
-    if c_eq <= 0.0:
-        raise ValueError("c_eq must be positive")
-    x = np.asarray(list(grid), dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("grid must be strictly positive")
-    x = x[np.abs(x - c_eq) > 1e-14 * c_eq]
+    x = _bound_grid(c_eq, grid)
     ratio = x ** m * np.log(x / c_eq) ** 2 / (x - c_eq) ** 2
     return float(np.max(ratio))
 
@@ -445,12 +451,7 @@ def power_difference_bound_constant(r: float, c_eq: float, grid: Iterable[float]
     """
     if r <= -1.0:
         raise ValueError("exponent r must be > -1")
-    if c_eq <= 0.0:
-        raise ValueError("c_eq must be positive")
-    x = np.asarray(list(grid), dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("grid must be strictly positive")
-    x = x[np.abs(x - c_eq) > 1e-14 * c_eq]
+    x = _bound_grid(c_eq, grid)
     num = np.abs(x ** (r + 1.0) - c_eq ** (r + 1.0))
     rem = np.abs((x ** (r + 2.0) - c_eq ** (r + 2.0)) / (r + 2.0) - c_eq ** (r + 1.0) * (x - c_eq))
     ratio = num / (rem + np.abs(x - c_eq))

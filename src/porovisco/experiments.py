@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _resolve
 from .constitutive import MaterialParams, linearize
 from .discretization import (
     BCSpec,
@@ -30,31 +31,19 @@ from .discretization import (
     put_rows,
     time_grid,
 )
-from .linear_solver import (
-    SingularSystem,
-    check_energy_balance,
-    linear_ledger,
-    run_linear,
-    state_energy,
-    static_solve,
-)
 from .loading import BoundLoading
-# the sweep looks rescale up here, at call time, so that the benchmark's
-# traced run, which patches it at this module, books the sweep's calls
-from .nonlinear_solver import (
-    check_dissipation_inequality,
-    moser_exponents,
-    rescale,
-    run_nonlinear,
-)
 
 __all__ = [
     "SweepReport",
     "eps_sweep",
-    "moser_exponents",
     "long_time_decay",
     "DecayResult",
 ]
+
+
+def __getattr__(name):  # the package's names resolve here too
+    return _resolve(__name__, name)
+
 
 ERROR_COLUMNS = ("err_u_h1", "err_u_l2", "err_rho_l2", "err_flux_l2")
 
@@ -121,6 +110,8 @@ def eps_sweep(
     attached, the first failed member in the given order; a failure of
     the linear run is raised as it is.
     """
+    from .linear_solver import SingularSystem, check_energy_balance, linear_ledger, run_linear
+    from .nonlinear_solver import check_dissipation_inequality, run_nonlinear
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("eps list must be strictly decreasing with at least 3 entries")
@@ -192,6 +183,7 @@ def _per_row_terms(params, grid, tau, tensors, eps_list, rows, W, C, lin_u, lin_
     columns, keyed by (member, term), on a block: the states ``W``, ``C``,
     ``lin_u`` and ``lin_rho`` at the rows of the slice ``rows`` and at the
     next row if there is one."""
+    from .nonlinear_solver import rescale
     n = rows.stop - rows.start
     lin_u, lin_rho = lin_u[:n], lin_rho[:n]
     t = tensors
@@ -267,6 +259,7 @@ def long_time_decay(
     to the round-off floor.  It is made a row block at a time as the
     linear run makes its rows.  Nothing here reads the run's ledger, so
     none is folded; each step still meets the run's residual gate."""
+    from .linear_solver import run_linear, state_energy, static_solve
     loading = BoundLoading.separable(lambda t: 1.0, f_nodes, lambda t: g_value)
     rho_init = np.zeros(grid.n_nodes) if rho0 is None else np.asarray(rho0, dtype=float)
     blocks = run_linear(grid, tensors, loading, u0=u0, rho0=rho_init, tau=tau, T=T)

@@ -202,6 +202,8 @@ class TestParse:
         ("initial.u0.values", {"initial": {"u0": {"values": [0.0] * 65}}}),
         # Grid1D's own check would name only the section
         ("grid.n_cells", {"grid": {"n_cells": 2}}),
+        # an empty list would read as null: every row written
+        ("time.checkpoint_times", {"time": {"checkpoint_times": []}}),
     ])
     def test_hostile_value_names_field(self, tmp_path, capsys, field, patch):
         cfg = _merged(json.loads(default_config_path().read_text()), patch)
@@ -391,7 +393,7 @@ class TestMain:
             seen.update(kwargs)
             raise RuntimeError("recorded")
 
-        monkeypatch.setattr(porovisco.experiments, "run_nonlinear", recorded)
+        monkeypatch.setattr(porovisco.nonlinear_solver, "run_nonlinear", recorded)
         assert main(["sweep-eps", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert (seen["tol"], seen["max_newton"], seen["max_backtrack"]) == (cfg["solver"]["tol"], 7, 3)
 
@@ -568,23 +570,24 @@ def test_cli_import_loads_no_scipy_and_no_hashlib():
 
 def test_commands_load_only_their_solvers(tiny_config, tmp_path):
     # a fresh process without cached bytecode compiles every module it
-    # imports: parsing a config loads no solver, and the small-strain
-    # commands never load the finite-strain one
+    # imports: parsing a config loads no solver, the small-strain commands
+    # never load the finite-strain one, and only the sweep loads both
     code = (
         "import json, sys, porovisco\n"
         "from porovisco.cli import default_config_path, main, parse_config\n"
         "parse_config(default_config_path())\n"
         "loaded = [sorted(m for m in sys.modules if m.startswith('porovisco.'))]\n"
-        "for command in ('static', 'simulate-linear'):\n"
+        "for command in ('static', 'simulate-linear', 'decay', 'sweep-eps'):\n"
         f"    assert main([command, '--config', {str(tiny_config)!r}, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
         "    loaded.append(sorted(m for m in sys.modules if m.startswith('porovisco.')))\n"
         "print(json.dumps(loaded))"
     )
-    parsed, static, linear = (set(names) for names in json.loads(_fresh_python(code)))
+    parsed, static, linear, decay, sweep = (set(names) for names in json.loads(_fresh_python(code)))
     solvers = {f"porovisco.{name}" for name in ("nonlinear_solver", "linear_solver", "experiments", "_csv17", "_lapack")}
     assert not parsed & solvers
     assert "porovisco.linear_solver" in static and "porovisco.linear_solver" in linear
-    assert "porovisco.nonlinear_solver" not in static | linear
+    assert "porovisco.nonlinear_solver" not in static | linear | decay
+    assert {"porovisco.linear_solver", "porovisco.nonlinear_solver"} <= sweep
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -642,6 +645,8 @@ def test_package_surface():
         porovisco.no_such_name
     with pytest.raises(AttributeError, match="'porovisco.cli' has no attribute 'lq_norm'"):
         porovisco.cli.lq_norm
+    with pytest.raises(AttributeError, match="'porovisco.experiments' has no attribute 'linf_norm'"):
+        porovisco.experiments.linf_norm
     # a fresh interpreter has loaded no submodule: each is loaded as an attribute
     code = ("import sys, porovisco\n"
             f"print(all(getattr(porovisco, name) is sys.modules['porovisco.' + name] for name in {SUBMODULES!r}))")

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import assert_ledgers_equal, peak_traced_bytes, stored, uniqueness_discrepancy
-from porovisco import discretization, experiments, linear_solver
+from porovisco import discretization, linear_solver
 from porovisco.cli import default_config_path, parse_config
 from porovisco.constitutive import linearize
 from porovisco.discretization import Grid1D, cell_derivative, cell_l2_norm, drain, gradient, h1_norm, lq_norm
-from porovisco.experiments import (
-    eps_sweep,
-    long_time_decay,
-    moser_exponents,
-)
+from porovisco.experiments import eps_sweep, long_time_decay
 from porovisco.loading import BoundLoading
 from porovisco.discretization import BCSpec
 from porovisco.linear_solver import SingularSystem, check_energy_balance, linear_ledger, run_linear
@@ -20,6 +16,7 @@ from porovisco.loading import LoadingSpec, SpatialProfile, TimeAmplitude
 from porovisco.nonlinear_solver import (
     NoConvergence,
     check_dissipation_inequality,
+    moser_exponents,
     norm_ladder,
     rescale,
     run_nonlinear,
@@ -202,7 +199,7 @@ class TestSweep:
         # the linear reference's failure is raised as itself, and first
         with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
             stored(run_linear, grid, linearize(unit_params), loading, tau=2e-3, T=0.1, tol=0.0)
-        monkeypatch.setattr(experiments, "run_linear", functools.partial(run_linear, tol=0.0))
+        monkeypatch.setattr(linear_solver, "run_linear", functools.partial(run_linear, tol=0.0))
         with pytest.raises(SingularSystem, match=r"^step 1 \(t = 0.002\): residual "):
             eps_sweep(unit_params, grid, loading, (0.3, 0.1, 0.05), **kw)
 

@@ -14,8 +14,8 @@ BLAS on one thread:
   the configs ``perfbench/harness.make_config`` generates.
 
 It prints one line per run: its label, command and exit code, a digest of
-its standard error, and the sha256 of every CSV file it wrote.  Run it in
-two checkouts and diff the two outputs.
+its standard error, and the sha256 of every CSV file it wrote and of its
+``summary.json``.  Run it in two checkouts and diff the two outputs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def run(label: str, command: str, config: Path, out: Path) -> None:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([command, "--config", str(config), "--out", str(out), "--quiet"])
-    files = [f"{p.name}={sha256(p.read_bytes())}" for p in sorted(out.glob("*.csv"))]
+    files = [f"{p.name}={sha256(p.read_bytes())}" for p in [*sorted(out.glob("*.csv")), *out.glob("summary.json")]]
     print(" ".join([label, command, f"exit={code}", f"stderr={sha256(err.getvalue().encode())[:16]}", *files]),
           flush=True)
 
