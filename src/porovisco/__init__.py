@@ -32,11 +32,8 @@ __all__ = sorted(_HOME)
 
 def _resolve(module, name):
     """The home module's object for the package name ``name``, asked of
-    ``module``: the package, or ``cli`` or ``experiments``, where the
-    benchmark's traced run patches the solvers by name after their home
-    modules.  Those two import the solvers where they run them, so a name
-    there need only resolve (undoing its patch binds what the home module
-    held when it was made)."""
+    ``module``.  ``cli`` and ``experiments`` resolve the names through it
+    too: the benchmark's traced run patches the solvers by name there."""
     if name not in _HOME:
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
